@@ -1,4 +1,4 @@
-"""Position-set automata for patterns and searches over expression states.
+"""Position automata for patterns and searches over expression states.
 
 A pattern with m tokens becomes an automaton whose states are the
 positions 0..m, position i meaning "the first i tokens are consumed".
@@ -6,10 +6,23 @@ A ``%`` token both self-loops and advances for free, so the reachable
 configurations are sets of positions, held here as bitmasks.
 
 Equivalence and emptiness questions about boolean combinations of
-patterns reduce to graph search: a breadth-first scan over tuples of
-position sets, one per distinct atom, that either finds a witness text
-or exhausts the reachable state space. Exploration is capped by a state
-budget; exceeding it raises rather than guessing.
+patterns reduce to graph search: a breadth-first scan over the product
+of the atoms' automata that either finds a witness text or exhausts the
+reachable state space. Every distinct normalized atom owns a block of
+m+1 bits in one Python int, and one search state is that int. A step
+reads a symbol in all atoms at once, Shift-And style (Baeza-Yates and
+Gonnet, 1992) with ``_`` classes and ``%`` gaps (Navarro and Raffinot,
+2002, ch. 4)::
+
+    D' = ((D & B[symbol]) << 1) | (D & S)
+    D' |= (D' & S) << 1
+
+where ``B[symbol]`` marks the positions holding that symbol or ``_`` and
+``S`` marks the ``%`` positions. One closure shift suffices because a
+normalized pattern never has ``%`` before ``%`` or ``_``, and no bit
+crosses into the next block because accept bits are in neither mask.
+Exploration is capped by a state budget; exceeding it raises rather
+than guessing.
 """
 
 from __future__ import annotations
@@ -17,10 +30,19 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
-from .expression import And, Atom, LikeExpression, Not, Or, expression_size, is_monotone
+from .expression import (
+    And,
+    Atom,
+    LikeExpression,
+    Not,
+    atom_patterns,
+    expression_size,
+    is_monotone,
+)
 from .matcher import Text
+from .normalize import is_normalized, normalize
 from .pattern import Alphabet, AnyOne, AnyString, Literal, Pattern, Symbol
 
 DEFAULT_STATE_BUDGET = 1 << 20
@@ -39,19 +61,12 @@ class PatternNfa:
 
     The state set after reading a text prefix is a bitmask over positions
     0..size; bit ``size`` set means the whole pattern can consume the
-    prefix. Transition results are memoized per (mask, symbol).
+    prefix. Transition results are memoized per (mask, symbol). It works
+    on the pattern as given, normalized or not, and serves as the
+    per-atom reference for the packed search.
     """
 
-    __slots__ = (
-        "pattern",
-        "size",
-        "_tokens",
-        "_close_list",
-        "_memo",
-        "initial_mask",
-        "accept_bit",
-        "_absorb_mask",
-    )
+    __slots__ = ("pattern", "size", "_tokens", "_memo", "initial_mask", "accept_bit")
 
     def __init__(self, pattern: Pattern) -> None:
         self.pattern = pattern
@@ -59,14 +74,6 @@ class PatternNfa:
         self._tokens = pattern.tokens
         self._memo: dict[tuple[int, Symbol], int] = {}
         self.accept_bit = 1 << self.size
-        # Positions whose remaining tokens are all %: once reached, the
-        # pattern matches every extension. The bare accept position does
-        # not qualify; one more symbol unmatches it.
-        chain = self.accept_bit
-        for i in range(self.size - 1, -1, -1):
-            if isinstance(self._tokens[i], AnyString) and chain >> (i + 1) & 1:
-                chain |= 1 << i
-        self._absorb_mask = chain & ~self.accept_bit
         self.initial_mask = self._close(1)
 
     def _close(self, mask: int) -> int:
@@ -112,27 +119,6 @@ class PatternNfa:
                 return False
         return bool(mask & self.accept_bit)
 
-    def reach_mask(self, sigma: Alphabet) -> int:
-        """Positions from which some text over sigma reaches acceptance."""
-        reach = self.accept_bit
-        changed = True
-        while changed:
-            changed = False
-            for i in range(self.size - 1, -1, -1):
-                if reach >> i & 1:
-                    continue
-                tok = self._tokens[i]
-                if isinstance(tok, AnyString):
-                    ok = bool(reach >> (i + 1) & 1) or bool(reach >> i & 1)
-                elif isinstance(tok, AnyOne):
-                    ok = bool(reach >> (i + 1) & 1)
-                else:
-                    ok = tok.symbol in sigma.symbols and bool(reach >> (i + 1) & 1)
-                if ok:
-                    reach |= 1 << i
-                    changed = True
-        return reach
-
 
 def compile_pattern(p: Pattern) -> PatternNfa:
     return PatternNfa(p)
@@ -154,9 +140,20 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class SearchOutcome:
+    """Result of a witness or separator search.
+
+    ``complete`` is false when an explicit ``max_len`` cut off states
+    that could still have led to a witness, so an EXHAUSTED verdict holds
+    only for texts up to that length. ``atoms`` counts the distinct
+    normalized atoms packed into the state and ``state_bits`` its width.
+    """
+
     verdict: Verdict
     witness: Text | None
     explored: int
+    complete: bool
+    atoms: int = 0
+    state_bits: int = 0
 
 
 _TRUE_FOREVER = 1
@@ -164,145 +161,227 @@ _FALSE_FOREVER = -1
 _UNDECIDED = 0
 
 
+class _Block(NamedTuple):
+    """One atom's place in the packed state, with its masks kept local
+    (unshifted) so that wide products hold no per-atom full-width ints.
+
+    ``absorb``: positions from which every extension matches.
+    ``reach``: positions from which some extension over sigma matches."""
+
+    offset: int
+    size: int
+    absorb: int
+    reach: int
+
+
+def _bits(positions: list[int], width: int) -> int:
+    """The int with exactly these bits set, built in time linear in width."""
+    buf = bytearray((width >> 3) + 1)
+    for pos in positions:
+        buf[pos >> 3] |= 1 << (pos & 7)
+    return int.from_bytes(buf, "little")
+
+
 class _CompiledSearch:
-    """One automaton per distinct atom plus evaluators over mask tuples."""
+    """All distinct normalized atoms packed into one int, with evaluators
+    and three-valued forecasts compiled to mask tests on that int."""
 
     def __init__(self, exprs: list[LikeExpression], sigma: Alphabet) -> None:
-        patterns: list[Pattern] = []
-        index: dict[Pattern, int] = {}
+        column = {sym: k for k, sym in enumerate(sigma.symbols)}
+        literal_at: list[list[int]] = [[] for _ in sigma.symbols]
+        any_one_at: list[int] = []
+        gap_at: list[int] = []
+        start_at: list[int] = []
+        # Keyed by id() so that each Pattern object is hashed at most
+        # once, as its normal form: a Pattern does not cache its hash,
+        # and hashing one walks every token. The expressions keep every
+        # keyed object alive while this runs.
+        self._blocks: dict[int, _Block] = {}
+        blocks: list[_Block] = []
+        slot_of_form: dict[Pattern, int] = {}
+        offset = 0
         for e in exprs:
-            for p in _walk_atoms(e):
-                if p not in index:
-                    index[p] = len(patterns)
-                    patterns.append(p)
-        self.sigma = sigma
-        self.nfas = [PatternNfa(p) for p in patterns]
-        self.reach = [nfa.reach_mask(sigma) for nfa in self.nfas]
-        self.initial = tuple(nfa.initial_mask for nfa in self.nfas)
-        self._evals = [self._compile_eval(e, index) for e in exprs]
-        self._fates = [self._compile_fate(e, index) for e in exprs]
-
-    def step_state(self, state: tuple[int, ...], symbol: Symbol) -> tuple[int, ...]:
-        return tuple(
-            nfa._step(mask, symbol) for nfa, mask in zip(self.nfas, state)
+            for p in atom_patterns(e):
+                if id(p) in self._blocks:
+                    continue
+                form = p if is_normalized(p) else normalize(p)
+                slot = slot_of_form.setdefault(form, len(blocks))
+                if slot == len(blocks):
+                    toks = form.tokens
+                    size = len(toks)
+                    reach_from = offset
+                    for pos, tok in enumerate(toks, offset):
+                        if isinstance(tok, AnyString):
+                            gap_at.append(pos)
+                        elif isinstance(tok, AnyOne):
+                            any_one_at.append(pos)
+                        else:
+                            k = column.get(tok.symbol)
+                            if k is None:
+                                reach_from = pos + 1
+                            else:
+                                literal_at[k].append(pos)
+                    ends_open = size > 0 and isinstance(toks[-1], AnyString)
+                    start_at.append(offset)
+                    if size > 0 and isinstance(toks[0], AnyString):
+                        start_at.append(offset + 1)
+                    # Only positions past the last literal outside sigma
+                    # can still reach acceptance, and in normal form only
+                    # a trailing % absorbs every extension.
+                    blocks.append(
+                        _Block(
+                            offset,
+                            size,
+                            1 << (size - 1) if ends_open else 0,
+                            (1 << (size + 1)) - (1 << (reach_from - offset)),
+                        )
+                    )
+                    offset += size + 1
+                self._blocks[id(p)] = blocks[slot]
+        self.atoms = len(blocks)
+        self.state_bits = offset
+        any_one = _bits(any_one_at, offset)
+        self.moves = tuple(
+            (sym, _bits(at, offset) | any_one)
+            for sym, at in zip(sigma.symbols, literal_at)
         )
+        self.gaps = _bits(gap_at, offset)
+        self.initial = _bits(start_at, offset)
+        self.deciders = [self._compile(e) for e in exprs]
 
-    def flags(self, state: tuple[int, ...]) -> tuple[bool, ...]:
-        return tuple(ev(state) for ev in self._evals)
+    def _flat_atoms(self, e: LikeExpression) -> tuple[list[_Block], bool] | None:
+        """The blocks of an And/Or whose children are all atoms, or all
+        negated atoms, with the polarity; None for any other shape."""
+        if isinstance(e, (Atom, Not)):
+            return None
+        children = e.children
+        negated = isinstance(children[0], Not)
+        blocks = []
+        for c in children:
+            if negated:
+                if not isinstance(c, Not):
+                    return None
+                c = c.child
+            if not isinstance(c, Atom):
+                return None
+            blocks.append(self._blocks[id(c.pattern)])
+        return blocks, negated
 
-    def fates(self, state: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(fate(state) for fate in self._fates)
-
-    def _compile_eval(
-        self, e: LikeExpression, index: dict[Pattern, int]
-    ) -> Callable[[tuple[int, ...]], bool]:
+    def _compile(
+        self, e: LikeExpression
+    ) -> tuple[Callable[[int], bool], Callable[[int], int]]:
+        """Evaluator and three-valued forecast for e: does its value stay
+        fixed on every extension of the current text?"""
         if isinstance(e, Atom):
-            i = index[e.pattern]
-            bit = self.nfas[i].accept_bit
-
-            def ev_atom(state: tuple[int, ...]) -> bool:
-                return bool(state[i] & bit)
-
-            return ev_atom
+            b = self._blocks[id(e.pattern)]
+            bit = 1 << (b.offset + b.size)
+            return (lambda d: d & bit != 0), self._any_atom_fate([b])
         if isinstance(e, Not):
-            inner = self._compile_eval(e.child, index)
-            return lambda state: not inner(state)
-        subs = [self._compile_eval(c, index) for c in e.children]
-        if isinstance(e, And):
-            return lambda state: all(f(state) for f in subs)
-        return lambda state: any(f(state) for f in subs)
+            ev, fate = self._compile(e.child)
+            return (lambda d: not ev(d)), (lambda d: -fate(d))
+        is_and = isinstance(e, And)
+        flat = self._flat_atoms(e)
+        if flat is not None:
+            blocks, negated = flat
+            acc = _bits([b.offset + b.size for b in blocks], self.state_bits)
+            if is_and == negated:
+                # An Or of atoms, or its negation, an And of negated atoms:
+                # union masks decide both the value and the forecast.
+                some = self._any_atom_fate(blocks)
+                if negated:
+                    return (lambda d: d & acc == 0), (lambda d: -some(d))
+                return (lambda d: d & acc != 0), some
+        subs = [self._compile(c) for c in e.children]
+        evs = [ev for ev, _ in subs]
+        fates = [fate for _, fate in subs]
+        if flat is not None:
+            ev = (lambda d: d & acc == acc) if is_and else (lambda d: d & acc != acc)
+        elif is_and:
+            ev = lambda d: all(f(d) for f in evs)
+        else:
+            ev = lambda d: any(f(d) for f in evs)
+        win = _FALSE_FOREVER if is_and else _TRUE_FOREVER
 
-    def _compile_fate(
-        self, e: LikeExpression, index: dict[Pattern, int]
-    ) -> Callable[[tuple[int, ...]], int]:
-        """Three-valued forecast: does the subexpression's value stay fixed
-        on every extension of the current text?"""
-        if isinstance(e, Atom):
-            i = index[e.pattern]
-            absorb = self.nfas[i]._absorb_mask
-            reach = self.reach[i]
-
-            def fate_atom(state: tuple[int, ...]) -> int:
-                mask = state[i]
-                if mask & absorb:
-                    return _TRUE_FOREVER
-                if not mask & reach:
-                    return _FALSE_FOREVER
-                return _UNDECIDED
-
-            return fate_atom
-        if isinstance(e, Not):
-            inner = self._compile_fate(e.child, index)
-            return lambda state: -inner(state)
-        subs = [self._compile_fate(c, index) for c in e.children]
-        win = _FALSE_FOREVER if isinstance(e, And) else _TRUE_FOREVER
-
-        def fate_gate(state: tuple[int, ...]) -> int:
+        def fate_gate(d: int) -> int:
             undecided = False
-            for f in subs:
-                v = f(state)
+            for f in fates:
+                v = f(d)
                 if v == win:
                     return win
                 if v == _UNDECIDED:
                     undecided = True
             return _UNDECIDED if undecided else -win
 
-        return fate_gate
+        return ev, fate_gate
 
+    def _any_atom_fate(self, blocks: list[_Block]) -> Callable[[int], int]:
+        """Forecast of "some of these atoms matches"."""
+        absorb = reach = 0
+        for b in blocks:
+            absorb |= b.absorb << b.offset
+            reach |= b.reach << b.offset
 
-def _walk_atoms(e: LikeExpression) -> Iterable[Pattern]:
-    if isinstance(e, Atom):
-        yield e.pattern
-    elif isinstance(e, Not):
-        yield from _walk_atoms(e.child)
-    else:
-        for c in e.children:
-            yield from _walk_atoms(c)
+        def fate(d: int) -> int:
+            if d & absorb:
+                return _TRUE_FOREVER
+            if not d & reach:
+                return _FALSE_FOREVER
+            return _UNDECIDED
+
+        return fate
 
 
 def _bfs(
     comp: _CompiledSearch,
-    accept: Callable[[tuple[int, ...]], bool],
-    prune: Callable[[tuple[int, ...]], bool],
+    accept: Callable[[int], bool],
+    prune: Callable[[int], bool],
     budget: int,
     max_len: int | None,
-) -> tuple[Text | None, int]:
+) -> tuple[Text | None, int, bool]:
     """Shortest-first, alphabet-order-first scan over reachable states.
 
-    Returns (witness, explored) with witness None when the space was
-    exhausted without hitting an accepting state.
+    Returns (witness, explored, complete) with witness None when the
+    space was exhausted without hitting an accepting state. ``complete``
+    is false when a state at depth ``max_len`` still had an unvisited,
+    unpruned successor, so the cap, not the state space, ended the scan.
     """
     start = comp.initial
-    visited: dict[tuple[int, ...], tuple[tuple[int, ...] | None, Symbol | None]] = {
-        start: (None, None)
-    }
-    queue: deque[tuple[tuple[int, ...], int]] = deque([(start, 0)])
-    symbols = comp.sigma.symbols
+    visited: dict[int, tuple[int | None, Symbol | None]] = {start: (None, None)}
+    queue: deque[tuple[int, int]] = deque([(start, 0)])
+    moves = comp.moves
+    gaps = comp.gaps
+    complete = True
     while queue:
         state, depth = queue.popleft()
         if accept(state):
             parts: list[Symbol] = []
-            cur: tuple[int, ...] | None = state
+            cur: int | None = state
             while cur is not None:
                 parent, sym = visited[cur]
                 if sym is not None:
                     parts.append(sym)
                 cur = parent
             parts.reverse()
-            return tuple(parts), len(visited)
-        if max_len is not None and depth >= max_len:
+            return tuple(parts), len(visited), True
+        at_cap = max_len is not None and depth >= max_len
+        if at_cap and not complete:
             continue
-        for sym in symbols:
-            nxt = comp.step_state(state, sym)
+        kept = state & gaps
+        for sym, on_sym in moves:
+            nxt = ((state & on_sym) << 1) | kept
+            nxt |= (nxt & gaps) << 1
             if nxt in visited:
                 continue
             if prune(nxt):
                 continue
+            if at_cap:
+                complete = False
+                break
             if len(visited) >= budget:
                 raise SearchBudgetExceeded(len(visited))
             visited[nxt] = (state, sym)
             queue.append((nxt, depth + 1))
-    return None, len(visited)
+    return None, len(visited), complete
 
 
 def find_witness(
@@ -319,20 +398,19 @@ def find_witness(
     shortest witness; otherwise the reachable state space itself is
     finite and exploration terminates without a depth bound.
     """
-    if max_len is None and is_monotone(e):
+    bound_is_proof = max_len is None and is_monotone(e)
+    if bound_is_proof:
         max_len = expression_size(e)
     comp = _CompiledSearch([e], sigma)
-
-    def accept(state: tuple[int, ...]) -> bool:
-        return comp.flags(state)[0]
-
-    def prune(state: tuple[int, ...]) -> bool:
-        return comp.fates(state)[0] == _FALSE_FOREVER
-
-    witness, explored = _bfs(comp, accept, prune, budget, max_len)
-    if witness is None:
-        return SearchOutcome(Verdict.EXHAUSTED_EMPTY, None, explored)
-    return SearchOutcome(Verdict.FOUND, witness, explored)
+    ev, fate = comp.deciders[0]
+    witness, explored, complete = _bfs(
+        comp, ev, lambda d: fate(d) == _FALSE_FOREVER, budget, max_len
+    )
+    verdict = Verdict.EXHAUSTED_EMPTY if witness is None else Verdict.FOUND
+    complete = complete or bound_is_proof
+    return SearchOutcome(
+        verdict, witness, explored, complete, comp.atoms, comp.state_bits
+    )
 
 
 def find_separating_string(
@@ -344,19 +422,19 @@ def find_separating_string(
 ) -> SearchOutcome:
     """Shortest text on which the two expressions disagree, if any."""
     comp = _CompiledSearch([e1, e2], sigma)
+    (ev1, fate1), (ev2, fate2) = comp.deciders
 
-    def accept(state: tuple[int, ...]) -> bool:
-        f1, f2 = comp.flags(state)
-        return f1 != f2
+    def prune(d: int) -> bool:
+        g1 = fate1(d)
+        return g1 != _UNDECIDED and g1 == fate2(d)
 
-    def prune(state: tuple[int, ...]) -> bool:
-        g1, g2 = comp.fates(state)
-        return g1 != _UNDECIDED and g1 == g2
-
-    witness, explored = _bfs(comp, accept, prune, budget, max_len)
-    if witness is None:
-        return SearchOutcome(Verdict.EXHAUSTED_EQUIVALENT, None, explored)
-    return SearchOutcome(Verdict.FOUND, witness, explored)
+    witness, explored, complete = _bfs(
+        comp, lambda d: ev1(d) != ev2(d), prune, budget, max_len
+    )
+    verdict = Verdict.EXHAUSTED_EQUIVALENT if witness is None else Verdict.FOUND
+    return SearchOutcome(
+        verdict, witness, explored, complete, comp.atoms, comp.state_bits
+    )
 
 
 def decide_equivalence(

@@ -2,8 +2,8 @@
 
 Exit codes follow one convention across subcommands: 0 for a positive
 verdict (match, equivalent, witness found, accepted), 1 for the negative
-counterpart, 2 for unusable input, 3 for hitting a search budget or an
-expansion cap.
+counterpart, 2 for unusable input, 3 for hitting a search budget, an
+expansion cap, or a ``--max-len`` cap that left the search unfinished.
 """
 
 from __future__ import annotations
@@ -103,6 +103,9 @@ def _report_search(
         "witness": list(outcome.witness) if outcome.witness is not None else None,
         "explored": outcome.explored,
         "elapsed_ms": round(elapsed_ms, 3),
+        "complete": outcome.complete,
+        "atoms": outcome.atoms,
+        "state_bits": outcome.state_bits,
     }
     _emit(args, payload, human)
 
@@ -169,6 +172,9 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
             args, outcome, elapsed, f"DIFFERENT: {_join(outcome.witness, args)}"
         )
         return 1
+    if not outcome.complete:
+        _report_search(args, outcome, elapsed, "bounded")
+        return 3
     _report_search(args, outcome, elapsed, "EQUIVALENT")
     return 0
 
@@ -183,6 +189,9 @@ def _cmd_nonempty(args: argparse.Namespace) -> int:
         assert outcome.witness is not None
         _report_search(args, outcome, elapsed, _join(outcome.witness, args))
         return 0
+    if not outcome.complete:
+        _report_search(args, outcome, elapsed, "bounded")
+        return 3
     _report_search(args, outcome, elapsed, "empty")
     return 1
 
@@ -266,15 +275,25 @@ def _add_alphabet(sub: argparse.ArgumentParser, required: bool = True) -> None:
     group.add_argument("--alphabet-file", help="file with one symbol per line")
 
 
+def _non_negative_int(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def _add_search(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--budget",
-        type=int,
+        type=_non_negative_int,
         default=DEFAULT_STATE_BUDGET,
         help="maximum number of search states",
     )
     sub.add_argument(
-        "--max-len", type=int, default=None, help="cap on witness length"
+        "--max-len",
+        type=_non_negative_int,
+        default=None,
+        help="cap on witness length",
     )
 
 

@@ -4,8 +4,13 @@ import pytest
 
 from likekit import (
     Alphabet,
+    And,
     Atom,
+    Literal,
     Not,
+    Or,
+    Pattern,
+    PatternNfa,
     SearchBudgetExceeded,
     Verdict,
     and_,
@@ -78,6 +83,25 @@ def test_negation_search():
     e = and_(Atom(P("%a%")), Not(Atom(P("a"))))
     out = find_witness(e, sigma)
     assert out.witness == ("a", "a")
+
+
+def test_max_len_below_the_shortest_witness_is_incomplete():
+    e1 = Atom(P("%01%"))
+    e2 = Atom(P("%0%1%"))
+    sigma = Alphabet.from_chars("012")
+    out = find_separating_string(e1, e2, sigma, max_len=2)
+    assert out.verdict is Verdict.EXHAUSTED_EQUIVALENT and not out.complete
+    assert find_separating_string(e1, e2, sigma, max_len=3).witness == ("0", "2", "1")
+    # Over 01 the pair is equivalent; the product closes within two symbols.
+    out = find_separating_string(e1, e2, Alphabet.from_chars("01"), max_len=2)
+    assert out.verdict is Verdict.EXHAUSTED_EQUIVALENT and out.complete
+
+    neg = and_(Not(Atom(P("a%"))), Atom(P("%a%")))
+    out = find_witness(neg, Alphabet.from_chars("ab"), max_len=1)
+    assert out.verdict is Verdict.EXHAUSTED_EMPTY and not out.complete
+    # Monotone expressions get the token-count bound, which is a proof.
+    out = find_witness(Atom(P("a_")), Alphabet.from_chars("b"))
+    assert out.verdict is Verdict.EXHAUSTED_EMPTY and out.complete
 
 
 def test_explicit_max_len_is_a_hard_cap():
@@ -166,3 +190,111 @@ def test_outcome_reports_exploration():
     sigma = Alphabet.from_chars("ab")
     out = find_witness(Atom(P("ab")), sigma)
     assert out.explored >= 1
+
+
+def test_outcome_reports_packed_size():
+    sigma = Alphabet.from_chars("ab")
+    # %%_ and _% share one normal form, so they share one block of bits.
+    e = and_(Atom(P("%%_")), Atom(P("_%")), Not(Atom(P("ab"))))
+    out = find_witness(e, sigma)
+    assert out.witness == ("a",)
+    assert (out.atoms, out.state_bits) == (2, 3 + 3)
+
+
+def test_literal_outside_alphabet_prunes_at_once():
+    # %z can never match over ab, so the conjunction is decided false in
+    # every successor of the start state, however many texts %aaa% allows.
+    e = and_(Atom(P("%z")), Not(Atom(P("%aaa%"))))
+    out = find_witness(e, Alphabet.from_chars("ab"))
+    assert out.verdict is Verdict.EXHAUSTED_EMPTY and out.explored == 1
+
+
+# --- packed search against independent references ----------------------------
+
+
+def _random_expr(rng, symbols, depth):
+    """Expression of depth <= ``depth`` whose atoms come from
+    ``random_pattern``: un-normalized runs, the empty pattern and literals
+    outside the search alphabet all occur."""
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return Atom(random_pattern(rng, symbols, 4))
+    if r < 0.45:
+        return Not(_random_expr(rng, symbols, depth - 1))
+    gate = And if rng.random() < 0.5 else Or
+    if r < 0.65:
+        # Flat gates over atoms of one polarity take the union-mask path.
+        n = rng.randint(2, 3)
+        atoms = [Atom(random_pattern(rng, symbols, 4)) for _ in range(n)]
+        if rng.random() < 0.5:
+            atoms = [Not(a) for a in atoms]
+        return gate(tuple(atoms))
+    n = rng.randint(2, 3)
+    return gate(tuple(_random_expr(rng, symbols, depth - 1) for _ in range(n)))
+
+
+# Alphabet, pattern symbols (one outside the alphabet), enumeration bound.
+_DIFF_SETTINGS = (("ab", "abz", 6), ("abc", "abcz", 4))
+
+
+def test_packed_witness_agrees_with_enumeration():
+    rng = random.Random(4242)
+    for i in range(400):
+        chars, syms, bound = _DIFF_SETTINGS[i % 2]
+        sigma = Alphabet.from_chars(chars)
+        e = _random_expr(rng, syms, 3)
+        max_len = rng.choice((None, None, 1, 2))
+        out = find_witness(e, sigma, max_len=max_len)
+        limit = bound if max_len is None else max_len
+        expected = shortest_satisfying(e, sigma, max_len=limit)
+        if out.verdict is Verdict.FOUND:
+            assert evaluate(e, out.witness), e
+            if expected is None:
+                assert len(out.witness) > limit, e
+            else:
+                assert out.witness == expected, e
+        else:
+            assert expected is None, e
+            if out.complete:
+                assert shortest_satisfying(e, sigma, max_len=bound) is None, e
+        assert out.complete or max_len is not None, e
+
+
+def test_packed_separator_agrees_with_brute_force():
+    rng = random.Random(2424)
+    for i in range(400):
+        chars, syms, bound = _DIFF_SETTINGS[i % 2]
+        sigma = Alphabet.from_chars(chars)
+        e1 = _random_expr(rng, syms, 3)
+        e2 = _random_expr(rng, syms, 3)
+        out = find_separating_string(e1, e2, sigma)
+        first = next(
+            (t for t in all_texts(chars, bound) if evaluate(e1, t) != evaluate(e2, t)),
+            None,
+        )
+        assert out.complete, (e1, e2)
+        if out.verdict is Verdict.FOUND:
+            assert evaluate(e1, out.witness) != evaluate(e2, out.witness), (e1, e2)
+            if first is None:
+                assert len(out.witness) > bound, (e1, e2)
+            else:
+                assert out.witness == first, (e1, e2)
+        else:
+            assert first is None, (e1, e2)
+
+
+def test_packed_atom_acceptance_agrees_with_nfa_and_oracle():
+    # A search for "p and exactly the literal text t", capped at |t|,
+    # finds t exactly when the packed automaton accepts t on p's block.
+    rng = random.Random(77)
+    sigma = Alphabet.from_chars("ab")
+    texts = list(all_texts("ab", 4))
+    for _ in range(200):
+        p = random_pattern(rng, "abz", 5)
+        nfa = PatternNfa(p)
+        for t in texts:
+            pinned = and_(Atom(p), Atom(Pattern(tuple(Literal(s) for s in t))))
+            out = find_witness(pinned, sigma, max_len=len(t))
+            packed = out.verdict is Verdict.FOUND
+            assert packed == nfa.accepts(t) == match_oracle(p, t), (p, t)
+            assert out.witness in (None, t)

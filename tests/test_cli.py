@@ -139,6 +139,47 @@ def test_equiv_json_report(capsys):
     assert data["elapsed_ms"] >= 0
 
 
+def test_search_json_keys(capsys):
+    code, out, _ = run(
+        capsys, "nonempty", "--json", "--alphabet", "ab", "--expr", 'LIKE "%b%"'
+    )
+    assert code == 0
+    data = json.loads(out)
+    old_keys = {"verdict", "witness", "explored", "elapsed_ms"}
+    assert set(data) == old_keys | {"complete", "atoms", "state_bits"}
+    assert (data["verdict"], data["witness"]) == ("found", ["b"])
+    assert data["complete"] is True
+    assert (data["atoms"], data["state_bits"]) == (1, 4)
+
+
+def test_search_cut_by_max_len_is_bounded(capsys):
+    argv = ["equiv", "--alphabet", "012", "--e1", 'LIKE "%01%"', "--e2", 'LIKE "%0%1%"']
+    code, out, _ = run(capsys, *argv, "--max-len", "2")
+    assert code == 3 and out.strip() == "bounded"
+    code, out, _ = run(capsys, *argv, "--max-len", "2", "--json")
+    data = json.loads(out)
+    assert code == 3 and data["complete"] is False
+    assert data["verdict"] == "exhausted-equivalent" and data["witness"] is None
+    code, out, _ = run(capsys, *argv, "--max-len", "3")
+    assert code == 1 and out.strip() == "DIFFERENT: 021"
+
+    argv = ["nonempty", "--alphabet", "ab", "--expr", 'NOT LIKE "a%" AND LIKE "%a%"']
+    code, out, _ = run(capsys, *argv, "--max-len", "1")
+    assert code == 3 and out.strip() == "bounded"
+    # Every one-symbol text is decided, so a cap of 1 proves emptiness.
+    argv = ["nonempty", "--alphabet", "ab", "--expr", 'LIKE "a" AND LIKE "b"']
+    code, out, _ = run(capsys, *argv, "--max-len", "1")
+    assert code == 1 and out.strip() == "empty"
+
+
+def test_negative_search_limits_are_usage_errors(capsys):
+    for flag in ("--max-len", "--budget"):
+        code, out, err = run(
+            capsys, "nonempty", "--alphabet", "ab", flag, "-1", "--expr", 'LIKE "%"'
+        )
+        assert code == 2 and out == "" and flag in err
+
+
 def test_nonempty_witness(capsys):
     code, out, _ = run(capsys, "nonempty", "--alphabet", "ab", "--expr", 'LIKE "%b%"')
     assert code == 0 and out.strip() == "b"
