@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .expression import (
     And,
@@ -42,7 +42,7 @@ from .expression import (
     is_monotone,
 )
 from .matcher import Text
-from .normalize import is_normalized, normalize
+from .normalize import normalize
 from .pattern import Alphabet, AnyOne, AnyString, Literal, Pattern, Symbol
 
 DEFAULT_STATE_BUDGET = 1 << 20
@@ -106,11 +106,6 @@ class PatternNfa:
         self._memo[key] = out
         return out
 
-    def step(self, states: Iterable[int], symbol: Symbol) -> frozenset[int]:
-        mask = self._close(sum(1 << i for i in set(states)))
-        out = self._step(mask, symbol)
-        return frozenset(i for i in range(self.size + 1) if out >> i & 1)
-
     def accepts(self, t: Text) -> bool:
         mask = self.initial_mask
         for sym in t:
@@ -118,18 +113,6 @@ class PatternNfa:
             if not mask:
                 return False
         return bool(mask & self.accept_bit)
-
-
-def compile_pattern(p: Pattern) -> PatternNfa:
-    return PatternNfa(p)
-
-
-def nfa_step(nfa: PatternNfa, states: Iterable[int], symbol: Symbol) -> frozenset[int]:
-    return nfa.step(states, symbol)
-
-
-def nfa_accepts(nfa: PatternNfa, t: Text) -> bool:
-    return nfa.accepts(t)
 
 
 class Verdict(Enum):
@@ -204,7 +187,7 @@ class _CompiledSearch:
             for p in atom_patterns(e):
                 if id(p) in self._blocks:
                     continue
-                form = p if is_normalized(p) else normalize(p)
+                form = normalize(p)
                 slot = slot_of_form.setdefault(form, len(blocks))
                 if slot == len(blocks):
                     toks = form.tokens
@@ -435,12 +418,3 @@ def find_separating_string(
     return SearchOutcome(
         verdict, witness, explored, complete, comp.atoms, comp.state_bits
     )
-
-
-def decide_equivalence(
-    e1: LikeExpression,
-    e2: LikeExpression,
-    sigma: Alphabet,
-    budget: int = DEFAULT_STATE_BUDGET,
-) -> SearchOutcome:
-    return find_separating_string(e1, e2, sigma, budget=budget)

@@ -19,13 +19,13 @@ from .automata import (
     DEFAULT_STATE_BUDGET,
     SearchBudgetExceeded,
     SearchOutcome,
-    Verdict,
     find_separating_string,
     find_witness,
 )
 from .expression import (
     DEFAULT_EXPANSION_CAP,
     ExplosionCapError,
+    LikeExpression,
     evaluate,
     parse_expression,
     render_expression,
@@ -95,19 +95,38 @@ def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
         print(human)
 
 
-def _report_search(
-    args: argparse.Namespace, outcome: SearchOutcome, elapsed_ms: float, human: str
-) -> None:
+def _search_and_report(
+    args: argparse.Namespace,
+    search: Callable[..., SearchOutcome],
+    exprs: list[LikeExpression],
+    found: str,
+    exhausted: str,
+    found_code: int,
+) -> int:
+    """Time one search over the alphabet of ``args`` and report it: a
+    witness exits ``found_code``, a ``--max-len`` cut-off prints
+    ``bounded`` and exits 3, an exhausted space exits the other code."""
+    sigma = _load_alphabet(args)
+    t0 = time.perf_counter()
+    outcome = search(*exprs, sigma, budget=args.budget, max_len=args.max_len)
+    elapsed = (time.perf_counter() - t0) * 1000
+    if outcome.witness is not None:
+        human, code = found + _join(outcome.witness, args), found_code
+    elif not outcome.complete:
+        human, code = "bounded", 3
+    else:
+        human, code = exhausted, 1 - found_code
     payload = {
         "verdict": outcome.verdict.value,
         "witness": list(outcome.witness) if outcome.witness is not None else None,
         "explored": outcome.explored,
-        "elapsed_ms": round(elapsed_ms, 3),
+        "elapsed_ms": round(elapsed, 3),
         "complete": outcome.complete,
         "atoms": outcome.atoms,
         "state_bits": outcome.state_bits,
     }
     _emit(args, payload, human)
+    return code
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
@@ -158,55 +177,26 @@ def _cmd_dnf(args: argparse.Namespace) -> int:
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
-    e1 = parse_expression(args.e1, args.escape, args.tokens)
-    e2 = parse_expression(args.e2, args.escape, args.tokens)
-    sigma = _load_alphabet(args)
-    t0 = time.perf_counter()
-    outcome = find_separating_string(
-        e1, e2, sigma, budget=args.budget, max_len=args.max_len
+    exprs = [parse_expression(e, args.escape, args.tokens) for e in (args.e1, args.e2)]
+    return _search_and_report(
+        args, find_separating_string, exprs, "DIFFERENT: ", "EQUIVALENT", 1
     )
-    elapsed = (time.perf_counter() - t0) * 1000
-    if outcome.verdict is Verdict.FOUND:
-        assert outcome.witness is not None
-        _report_search(
-            args, outcome, elapsed, f"DIFFERENT: {_join(outcome.witness, args)}"
-        )
-        return 1
-    if not outcome.complete:
-        _report_search(args, outcome, elapsed, "bounded")
-        return 3
-    _report_search(args, outcome, elapsed, "EQUIVALENT")
-    return 0
 
 
 def _cmd_nonempty(args: argparse.Namespace) -> int:
-    expr = parse_expression(args.expr, args.escape, args.tokens)
-    sigma = _load_alphabet(args)
-    t0 = time.perf_counter()
-    outcome = find_witness(expr, sigma, budget=args.budget, max_len=args.max_len)
-    elapsed = (time.perf_counter() - t0) * 1000
-    if outcome.verdict is Verdict.FOUND:
-        assert outcome.witness is not None
-        _report_search(args, outcome, elapsed, _join(outcome.witness, args))
-        return 0
-    if not outcome.complete:
-        _report_search(args, outcome, elapsed, "bounded")
-        return 3
-    _report_search(args, outcome, elapsed, "empty")
-    return 1
+    exprs = [parse_expression(args.expr, args.escape, args.tokens)]
+    return _search_and_report(args, find_witness, exprs, "", "empty", 0)
 
 
-def _write_alphabet(args: argparse.Namespace, sigma: Alphabet) -> None:
+def _emit_gadget(
+    args: argparse.Namespace, expr: LikeExpression, sigma: Alphabet
+) -> int:
+    """Print a gadget expression in token mode, and write its alphabet to
+    ``--alphabet-out`` when one is given."""
     if args.alphabet_out is not None:
         Path(args.alphabet_out).write_text(
             "".join(sym + "\n" for sym in sigma.symbols)
         )
-
-
-def _cmd_reduce_3sat(args: argparse.Namespace) -> int:
-    formula = parse_dimacs(_read_source(args.dimacs))
-    expr, sigma = encode_3sat(formula)
-    _write_alphabet(args, sigma)
     rendered = render_expression(expr, tokens=True)
     _emit(
         args,
@@ -214,6 +204,10 @@ def _cmd_reduce_3sat(args: argparse.Namespace) -> int:
         rendered,
     )
     return 0
+
+
+def _cmd_reduce_3sat(args: argparse.Namespace) -> int:
+    return _emit_gadget(args, *encode_3sat(parse_dimacs(_read_source(args.dimacs))))
 
 
 def _cmd_reduce_majority(args: argparse.Namespace) -> int:
@@ -226,15 +220,7 @@ def _cmd_reduce_majority(args: argparse.Namespace) -> int:
 def _cmd_reduce_tm(args: argparse.Namespace) -> int:
     spec = tm_from_json(_read_source(args.machine))
     word = tuple(args.input.split())
-    expr, sigma = encode_tm(spec, word, args.space)
-    _write_alphabet(args, sigma)
-    rendered = render_expression(expr, tokens=True)
-    _emit(
-        args,
-        {"expression": rendered, "alphabet": list(sigma.symbols)},
-        rendered,
-    )
-    return 0
+    return _emit_gadget(args, *encode_tm(spec, word, args.space))
 
 
 def _cmd_simulate_tm(args: argparse.Namespace) -> int:

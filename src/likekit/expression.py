@@ -37,6 +37,10 @@ from .pattern import (
 
 DEFAULT_EXPANSION_CAP = 4096
 
+# Open NOTs plus open parentheses a parsed expression may nest, which keeps the
+# recursive parser, evaluator, renderer and rewrites inside the recursion limit.
+MAX_NESTING = 200
+
 
 class ExpressionSyntaxError(ValueError):
     """Expression text that cannot be parsed; carries the offending position."""
@@ -120,10 +124,6 @@ def or_(*items: LikeExpression) -> LikeExpression:
     if len(flat) == 1:
         return flat[0]
     return Or(tuple(flat))
-
-
-def not_(item: LikeExpression) -> LikeExpression:
-    return Not(item)
 
 
 def atom_patterns(e: LikeExpression) -> Iterator[Pattern]:
@@ -233,6 +233,7 @@ class _Parser:
         self.escape = escape
         self.tokens_mode = tokens_mode
         self.length = length
+        self.depth = 0
 
     def _peek(self) -> tuple[str, str, int] | None:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -264,13 +265,19 @@ class _Parser:
         if tok is None:
             raise ExpressionSyntaxError("unexpected end of input", self.length)
         kind, _, pos = tok
-        if kind == "not":
+        if kind in ("not", "lparen"):
+            if self.depth >= MAX_NESTING:
+                raise ExpressionSyntaxError(
+                    f"nested deeper than {MAX_NESTING} NOTs and parentheses", pos
+                )
+            self.depth += 1
             self.i += 1
-            return Not(self.parse_unary())
-        if kind == "lparen":
-            self.i += 1
-            inner = self.parse_or()
-            self._take("rparen")
+            if kind == "not":
+                inner: LikeExpression = Not(self.parse_unary())
+            else:
+                inner = self.parse_or()
+                self._take("rparen")
+            self.depth -= 1
             return inner
         if kind == "like":
             self.i += 1
@@ -417,8 +424,12 @@ def to_dot_depth1_dnf(
             return merged
         result: list[list[SignedAtom]] = [[]]
         for part in parts:
+            # Sized before it is built: each clause of one side meets
+            # every clause of the other.
+            check(
+                len(result) * sum(map(len, part)) + len(part) * sum(map(len, result))
+            )
             result = [left + right for left in result for right in part]
-            check(sum(len(c) for c in result))
         return result
 
     clauses = rec(e, True)

@@ -16,15 +16,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .normalize import normalize
-from .pattern import ANY_STRING, AnyOne, AnyString, Literal, Pattern, Symbol, Token
+from .pattern import AnyOne, AnyString, Literal, Pattern, Symbol, Token
 
 Text = tuple[Symbol, ...]
 
 
 def as_text(value: str | Iterable[Symbol]) -> Text:
     """Coerce to a symbol tuple; a plain string is one symbol per character."""
-    if isinstance(value, str):
-        return tuple(value)
     return tuple(value)
 
 
@@ -41,23 +39,6 @@ class Segments:
     parts: tuple[Pattern, ...]
     anchored_start: bool
     anchored_end: bool
-
-    def reconstruct(self) -> Pattern:
-        """Rebuild the normalized pattern these segments came from."""
-        if not self.parts:
-            if self.anchored_start and self.anchored_end:
-                return Pattern(())
-            return Pattern((ANY_STRING,))
-        toks: list[Token] = []
-        if not self.anchored_start:
-            toks.append(ANY_STRING)
-        for k, part in enumerate(self.parts):
-            if k:
-                toks.append(ANY_STRING)
-            toks.extend(part.tokens)
-        if not self.anchored_end:
-            toks.append(ANY_STRING)
-        return Pattern(tuple(toks))
 
 
 def split_segments(p: Pattern) -> Segments:
@@ -80,17 +61,12 @@ def split_segments(p: Pattern) -> Segments:
     return Segments(tuple(parts), anchored_start, anchored_end)
 
 
-def _tok_ok(tok: Token, sym: Symbol) -> bool:
-    if isinstance(tok, Literal):
-        return tok.symbol == sym
-    return isinstance(tok, AnyOne)
-
-
 def _fits(toks: tuple[Token, ...], t: Text, at: int) -> bool:
+    """Whether a part, which holds no ``%``, matches the text at ``at``."""
     if at < 0 or at + len(toks) > len(t):
         return False
     for k, tok in enumerate(toks):
-        if not _tok_ok(tok, t[at + k]):
+        if isinstance(tok, Literal) and tok.symbol != t[at + k]:
             return False
     return True
 
@@ -105,15 +81,12 @@ def _find(toks: tuple[Token, ...], t: Text, start: int) -> int | None:
 def match_greedy(p: Pattern, t: Text | str) -> bool:
     """Decide whether the whole text matches the pattern, in linear passes."""
     t = as_text(t)
-    q = normalize(p)
-    if not q.has_any_string():
-        toks = q.tokens
-        if len(toks) != len(t):
-            return False
-        return all(_tok_ok(tok, sym) for tok, sym in zip(toks, t))
-
-    seg = split_segments(q)
+    seg = split_segments(p)
     parts = [part.tokens for part in seg.parts]
+    if seg.anchored_start and seg.anchored_end and len(parts) <= 1:
+        # No %: every match has exactly the pattern's length.
+        toks = parts[0] if parts else ()
+        return len(toks) == len(t) and _fits(toks, t, 0)
     pos = 0
     if seg.anchored_start and parts:
         first = parts[0]

@@ -21,6 +21,9 @@ def is_normalized(p: Pattern) -> bool:
 
 
 def normalize(p: Pattern) -> Pattern:
+    """The normal form of ``p``; an already normalized ``p`` is returned as is."""
+    if is_normalized(p):
+        return p
     out: list[Token] = []
     ones = 0
     star = False

@@ -18,7 +18,7 @@ A pattern matches a whole text, never a substring of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 Symbol = str
 
@@ -137,28 +137,6 @@ class Alphabet:
                 raise ValueError(f"alphabet symbol {line!r} contains whitespace")
             symbols.append(line)
         return cls(tuple(symbols))
-
-
-@dataclass(frozen=True)
-class LengthProfile:
-    """Length constraints a pattern imposes on its matches.
-
-    ``min_length`` counts the literal and single-symbol tokens.
-    ``fixed_length`` holds when the pattern has no any-string wildcard, in
-    which case every match has exactly ``min_length`` symbols. ``infinite``
-    says whether the matched language is infinite, presuming the ambient
-    alphabet is nonempty (alphabets are never empty here).
-    """
-
-    min_length: int
-    fixed_length: bool
-    infinite: bool
-
-
-def length_profile(p: Pattern) -> LengthProfile:
-    n = sum(1 for t in p.tokens if not isinstance(t, AnyString))
-    fixed = not p.has_any_string()
-    return LengthProfile(min_length=n, fixed_length=fixed, infinite=not fixed)
 
 
 def _check_escape(escape: str | None) -> None:
@@ -282,8 +260,13 @@ def to_classical_regex(p: Pattern, sigma: Alphabet) -> str:
     ``%`` becomes a starred union of all alphabet symbols, ``_`` the union
     itself, literals stand for themselves and concatenation is
     juxtaposition. The empty pattern yields the empty expression. Every
-    literal must belong to the alphabet.
+    literal must belong to the alphabet, and every alphabet symbol must be
+    one character other than ``(``, ``)``, ``+`` and ``*``, or the output
+    would be ambiguous.
     """
+    for sym in sigma.symbols:
+        if len(sym) != 1 or sym in "()+*":
+            raise ValueError(f"symbol {sym!r} cannot be written unambiguously")
     union = "(" + "+".join(sigma.symbols) + ")"
     out: list[str] = []
     for tok in p.tokens:

@@ -358,9 +358,6 @@ def encode_tm(
             seen.add(p)
             forbidden.append(p)
 
-    def lit(sym: Symbol) -> Literal:
-        return Literal(sym)
-
     # Strings shorter than one full block cannot be histories.
     for j in range(s + 3):
         forbid((ANY_ONE,) * j)
@@ -370,21 +367,21 @@ def encode_tm(
     for j, want in enumerate(head_template):
         for y in lam:
             if y != want:
-                forbid((ANY_ONE,) * j + (lit(y), ANY_STRING))
+                forbid((ANY_ONE,) * j + (Literal(y), ANY_STRING))
 
     # The last block spells the accepting configuration, read from the end.
     tail_template = (_SEPARATOR,) + (spec.blank,) * s + (spec.accept,)
     for i, want in enumerate(tail_template, start=1):
         for y in lam:
             if y != want:
-                forbid((ANY_STRING, lit(y)) + (ANY_ONE,) * (i - 1))
+                forbid((ANY_STRING, Literal(y)) + (ANY_ONE,) * (i - 1))
 
     # Separators recur at period s+2 and never sooner.
     for j in range(1, s + 2):
-        forbid((ANY_STRING, lit(_SEPARATOR)) + (ANY_ONE,) * (j - 1) + (lit(_SEPARATOR), ANY_STRING))
+        forbid((ANY_STRING, Literal(_SEPARATOR)) + (ANY_ONE,) * (j - 1) + (Literal(_SEPARATOR), ANY_STRING))
     for y in lam:
         if y != _SEPARATOR:
-            forbid((ANY_STRING, lit(_SEPARATOR)) + (ANY_ONE,) * (s + 1) + (lit(y), ANY_STRING))
+            forbid((ANY_STRING, Literal(_SEPARATOR)) + (ANY_ONE,) * (s + 1) + (Literal(y), ANY_STRING))
 
     # The three tokens around the state must evolve by the machine's rule.
     for rule in spec.rules:
@@ -395,7 +392,7 @@ def encode_tm(
                 target = (_SEPARATOR, rule.next, rule.write)
             else:
                 target = (rule.next, a, rule.write)
-            window = (lit(a), lit(rule.state), lit(rule.read))
+            window = (Literal(a), Literal(rule.state), Literal(rule.read))
             for d in lam:
                 for e in lam:
                     for f in lam:
@@ -404,7 +401,7 @@ def encode_tm(
                                 (ANY_STRING,)
                                 + window
                                 + (ANY_ONE,) * (s - 1)
-                                + (lit(d), lit(e), lit(f), ANY_STRING)
+                                + (Literal(d), Literal(e), Literal(f), ANY_STRING)
                             )
 
     # Tokens away from the state carry over to the next block unchanged.
@@ -415,9 +412,9 @@ def encode_tm(
                 for d in lam:
                     if d != b:
                         forbid(
-                            (ANY_STRING, lit(a), lit(b), lit(c))
+                            (ANY_STRING, Literal(a), Literal(b), Literal(c))
                             + (ANY_ONE,) * s
-                            + (lit(d), ANY_STRING)
+                            + (Literal(d), ANY_STRING)
                         )
 
     # Halting anywhere but the accept state has no continuation.
@@ -426,20 +423,20 @@ def encode_tm(
             continue
         for b in gamma:
             if (q, b) not in delta:
-                forbid((ANY_STRING, lit(q), lit(b), ANY_STRING))
+                forbid((ANY_STRING, Literal(q), Literal(b), ANY_STRING))
     for rule in spec.rules:
         if rule.move == "R":
-            forbid((ANY_STRING, lit(rule.state), lit(rule.read), lit(_SEPARATOR), ANY_STRING))
+            forbid((ANY_STRING, Literal(rule.state), Literal(rule.read), Literal(_SEPARATOR), ANY_STRING))
 
     # The accept state appears in the final block only.
     forbid(
         (
             ANY_STRING,
-            lit(spec.accept),
+            Literal(spec.accept),
             ANY_STRING,
-            lit(_SEPARATOR),
+            Literal(_SEPARATOR),
             ANY_STRING,
-            lit(_SEPARATOR),
+            Literal(_SEPARATOR),
             ANY_STRING,
         )
     )

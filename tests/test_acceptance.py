@@ -18,10 +18,10 @@ from likekit import (
     Literal,
     Not,
     Pattern,
+    PatternNfa,
     Verdict,
     and_,
     atom_patterns,
-    compile_pattern,
     decode_3sat_witness,
     encode_3sat,
     encode_majority,
@@ -33,9 +33,7 @@ from likekit import (
     is_normalized,
     match_greedy,
     match_oracle,
-    nfa_accepts,
     normalize,
-    not_,
     or_,
     parse_pattern,
     simulate_tm,
@@ -117,9 +115,9 @@ def test_matcher_agreement():
     problems = []
 
     for p in all_patterns("01", 4):
-        nfa = compile_pattern(p)
+        nfa = PatternNfa(p)
         for t in all_texts("01", 6):
-            a, b, c = match_greedy(p, t), match_oracle(p, t), nfa_accepts(nfa, t)
+            a, b, c = match_greedy(p, t), match_oracle(p, t), nfa.accepts(t)
             if not (a == b == c):
                 problems.append((p, t, a, b, c))
 
@@ -127,9 +125,9 @@ def test_matcher_agreement():
     pairs = 0
     while pairs < 100_000:
         p = random_pattern(rng, "abc", 10)
-        nfa = compile_pattern(p)
+        nfa = PatternNfa(p)
         for t in (random_text(rng, "abc", 14), realize(rng, p, "abc")):
-            a, b, c = match_greedy(p, t), match_oracle(p, t), nfa_accepts(nfa, t)
+            a, b, c = match_greedy(p, t), match_oracle(p, t), nfa.accepts(t)
             if not (a == b == c):
                 problems.append((p, t, a, b, c))
         pairs += 1
@@ -394,22 +392,22 @@ def test_dnf_rewrite_preservation():
 
     for a in pool3:
         check(a)
-        check(not_(a))
+        check(Not(a))
 
     for conn in (and_, or_):
-        for s1 in (ident, not_):
-            for s2 in (ident, not_):
-                for root in (ident, not_):
+        for s1 in (ident, Not):
+            for s2 in (ident, Not):
+                for root in (ident, Not):
                     for a in pool2:
                         for b in pool2:
                             check(root(conn(s1(a), s2(b))))
 
     def flat3(conn, smask, root):
-        signs = [not_ if smask >> i & 1 else ident for i in range(3)]
+        signs = [Not if smask >> i & 1 else ident for i in range(3)]
         return lambda x, y, z: root(conn(signs[0](x), signs[1](y), signs[2](z)))
 
     def nested3(outer, inner, smask, mid, root):
-        signs = [not_ if smask >> i & 1 else ident for i in range(3)]
+        signs = [Not if smask >> i & 1 else ident for i in range(3)]
         return lambda x, y, z: root(
             outer(mid(inner(signs[0](x), signs[1](y))), signs[2](z))
         )
@@ -417,12 +415,12 @@ def test_dnf_rewrite_preservation():
     shapes3 = []
     for conn in (and_, or_):
         for smask in range(8):
-            for root in (ident, not_):
+            for root in (ident, Not):
                 shapes3.append(flat3(conn, smask, root))
     for outer, inner in ((and_, or_), (or_, and_)):
         for smask in range(8):
-            for mid in (ident, not_):
-                for root in (ident, not_):
+            for mid in (ident, Not):
+                for root in (ident, Not):
                     shapes3.append(nested3(outer, inner, smask, mid, root))
 
     for shape in shapes3:
@@ -436,10 +434,10 @@ def test_dnf_rewrite_preservation():
         lambda x, y, z: or_(x, y, z),
         lambda x, y, z: and_(or_(x, y), z),
         lambda x, y, z: or_(and_(x, y), z),
-        lambda x, y, z: not_(and_(or_(x, y), z)),
-        lambda x, y, z: not_(or_(and_(x, y), z)),
-        lambda x, y, z: and_(not_(or_(x, y)), z),
-        lambda x, y, z: or_(not_(and_(x, y)), not_(z)),
+        lambda x, y, z: Not(and_(or_(x, y), z)),
+        lambda x, y, z: Not(or_(and_(x, y), z)),
+        lambda x, y, z: and_(Not(or_(x, y)), z),
+        lambda x, y, z: or_(Not(and_(x, y)), Not(z)),
     ]
     for shape in rich_shapes:
         for rich in pool3:

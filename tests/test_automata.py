@@ -14,14 +14,10 @@ from likekit import (
     SearchBudgetExceeded,
     Verdict,
     and_,
-    compile_pattern,
-    decide_equivalence,
     evaluate,
     find_separating_string,
     find_witness,
     match_oracle,
-    nfa_accepts,
-    nfa_step,
     or_,
     parse_expression,
     parse_pattern,
@@ -36,19 +32,9 @@ def P(text):
 
 def test_nfa_agrees_with_oracle():
     for p in all_patterns("ab", 4):
-        nfa = compile_pattern(p)
+        nfa = PatternNfa(p)
         for t in all_texts("ab", 5):
-            assert nfa_accepts(nfa, t) == match_oracle(p, t), (p, t)
-
-
-def test_step_api():
-    nfa = compile_pattern(P("%ab"))
-    start = frozenset((0, 1))
-    after_a = nfa_step(nfa, start, "a")
-    assert after_a == frozenset((0, 1, 2))
-    after_ab = nfa_step(nfa, after_a, "b")
-    assert 3 in after_ab
-    assert nfa.accept_bit == 1 << 3
+            assert nfa.accepts(t) == match_oracle(p, t), (p, t)
 
 
 def test_witness_shortest_and_alphabet_order():
@@ -142,7 +128,7 @@ def test_equivalence_distinguishes_near_miss():
 def test_normal_form_equivalences():
     sigma = Alphabet.from_chars("ab")
     for before, after in [("%_", "_%"), ("%%", "%"), ("_%_%_", "___%")]:
-        out = decide_equivalence(Atom(P(before)), Atom(P(after)), sigma)
+        out = find_separating_string(Atom(P(before)), Atom(P(after)), sigma)
         assert out.verdict is Verdict.EXHAUSTED_EQUIVALENT, (before, after)
 
 

@@ -1,8 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import likekit
 from likekit import parse_expression
+from likekit.expression import MAX_NESTING
 from likekit.cli import dispatch
 
 
@@ -330,6 +334,27 @@ def test_to_regex(capsys):
     assert code == 0 and out.strip() == "a(a+b)*"
 
 
+def test_to_regex_refuses_ambiguous_alphabets(capsys):
+    code, out, err = run(capsys, "to-regex", "--alphabet", "a+*", "--pattern", "a%")
+    assert code == 2 and out == "" and err.startswith("error:")
+    code, out, err = run(
+        capsys, "to-regex", "--tokens", "--alphabet", "a b ab", "--pattern", "ab %"
+    )
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_nesting_limit(capsys):
+    for expr in ["(" * 400 + 'LIKE "a"' + ")" * 400, "NOT " * 5000 + 'LIKE "a"']:
+        code, out, err = run(capsys, "eval", "--expr", expr, "--text", "a")
+        assert code == 2 and out == "" and err.startswith("error:"), expr[:20]
+    half = MAX_NESTING // 2
+    at_limit = "NOT " * half + "(" * half + 'LIKE "a"' + ")" * half
+    code, out, _ = run(capsys, "eval", "--expr", at_limit, "--text", "a")
+    assert code == 0 and out.strip() == "match"
+    code, _, err = run(capsys, "eval", "--expr", "NOT " + at_limit, "--text", "a")
+    assert code == 2 and "nested deeper" in err
+
+
 def test_usage_errors(capsys):
     code, _, _ = run(capsys, "match", "--pattern", "onlyhalf")
     assert code == 2
@@ -349,10 +374,13 @@ def test_help_exits_zero(capsys):
 
 
 def test_console_entry_point():
+    # Run the package under test, installed or not.
+    src = str(Path(likekit.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "likekit", "match", "--pattern", "%a%", "--text", "xa"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "match"

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,7 +19,6 @@ from likekit import (
     expression_size,
     is_monotone,
     is_normalized,
-    not_,
     or_,
     parse_expression,
     parse_pattern,
@@ -110,7 +110,6 @@ def test_smart_constructors():
     assert or_(a) == a
     assert and_(a, and_(b, c)) == And((a, b, c))
     assert or_(or_(a, b), c) == Or((a, b, c))
-    assert not_(a) == Not(a)
     with pytest.raises(ValueError):
         and_()
     with pytest.raises(ValueError):
@@ -188,3 +187,19 @@ def test_dnf_cap():
     e = parse_expression('LIKE "_____________"')
     with pytest.raises(ExplosionCapError):
         to_dot_depth1_dnf(e, sigma, cap=64)
+
+
+def test_dnf_cap_fires_before_the_product_is_built():
+    sigma = Alphabet.from_chars("ab")
+    words = [format(n, "b").replace("0", "a").replace("1", "b") for n in range(1500)]
+    left = or_(*[Atom(P(w + "%")) for w in words])
+    right = or_(*[Atom(P("%" + w)) for w in words])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExplosionCapError) as exc:
+            to_dot_depth1_dnf(And((left, right)), sigma, cap=4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc.value.required == 4_500_000 and exc.value.cap == 4096
+    assert peak < 10 * 2**20

@@ -8,7 +8,6 @@ from likekit import (
     Pattern,
     PatternSyntaxError,
     RenderError,
-    length_profile,
     match_oracle,
     parse_pattern,
     parse_pattern_tokens,
@@ -121,16 +120,6 @@ def test_alphabet_validation():
         Alphabet.from_lines("a b\n")
 
 
-def test_length_profile():
-    fixed = length_profile(parse_pattern("ab_"))
-    assert fixed.min_length == 3 and fixed.fixed_length and not fixed.infinite
-    open_ended = length_profile(parse_pattern("a%_"))
-    assert open_ended.min_length == 2
-    assert not open_ended.fixed_length and open_ended.infinite
-    empty = length_profile(Pattern(()))
-    assert empty.min_length == 0 and empty.fixed_length
-
-
 def test_classical_regex_shapes():
     sigma = Alphabet.from_chars("ab")
     assert to_classical_regex(parse_pattern("a%b"), sigma) == "a(a+b)*b"
@@ -138,6 +127,16 @@ def test_classical_regex_shapes():
     assert to_classical_regex(Pattern(()), sigma) == ""
     with pytest.raises(ValueError):
         to_classical_regex(parse_pattern("c"), sigma)
+
+
+@pytest.mark.parametrize(
+    "symbols",
+    [("a", "+", "*"), ("a", "("), ("a", "b", "ab")],
+    ids=["operators", "paren", "multichar"],
+)
+def test_classical_regex_refuses_ambiguous_alphabets(symbols):
+    with pytest.raises(ValueError):
+        to_classical_regex(parse_pattern("a%"), Alphabet(symbols))
 
 
 def test_classical_regex_agrees_with_matching():
