@@ -43,7 +43,17 @@ from .expression import (
 )
 from .matcher import Text
 from .normalize import normalize
-from .pattern import Alphabet, AnyOne, AnyString, Literal, Pattern, Symbol
+from .pattern import (
+    ANY_ONE,
+    ANY_STRING,
+    Alphabet,
+    AnyOne,
+    AnyString,
+    Literal,
+    Pattern,
+    Symbol,
+    Token,
+)
 
 DEFAULT_STATE_BUDGET = 1 << 20
 
@@ -159,10 +169,10 @@ class _Block(NamedTuple):
 
 def _bits(positions: list[int], width: int) -> int:
     """The int with exactly these bits set, built in time linear in width."""
-    buf = bytearray((width >> 3) + 1)
+    digits = bytearray(b"0") * width
     for pos in positions:
-        buf[pos >> 3] |= 1 << (pos & 7)
-    return int.from_bytes(buf, "little")
+        digits[pos] = 49  # ord("1")
+    return int(digits[::-1], 2)
 
 
 class _CompiledSearch:
@@ -170,11 +180,17 @@ class _CompiledSearch:
     and three-valued forecasts compiled to mask tests on that int."""
 
     def __init__(self, exprs: list[LikeExpression], sigma: Alphabet) -> None:
-        column = {sym: k for k, sym in enumerate(sigma.symbols)}
         literal_at: list[list[int]] = [[] for _ in sigma.symbols]
         any_one_at: list[int] = []
         gap_at: list[int] = []
         start_at: list[int] = []
+        # The position list of each token kind; a literal outside sigma has
+        # none. Tokens are interned, so a lookup hashes by identity.
+        where: dict[Token, list[int]] = {
+            Literal(sym): at for sym, at in zip(sigma.symbols, literal_at)
+        }
+        where[ANY_ONE] = any_one_at
+        where[ANY_STRING] = gap_at
         # Keyed by id() so that each Pattern object is hashed at most
         # once, as its normal form: a Pattern does not cache its hash,
         # and hashing one walks every token. The expressions keep every
@@ -194,19 +210,14 @@ class _CompiledSearch:
                     size = len(toks)
                     reach_from = offset
                     for pos, tok in enumerate(toks, offset):
-                        if isinstance(tok, AnyString):
-                            gap_at.append(pos)
-                        elif isinstance(tok, AnyOne):
-                            any_one_at.append(pos)
+                        at = where.get(tok)
+                        if at is None:
+                            reach_from = pos + 1
                         else:
-                            k = column.get(tok.symbol)
-                            if k is None:
-                                reach_from = pos + 1
-                            else:
-                                literal_at[k].append(pos)
-                    ends_open = size > 0 and isinstance(toks[-1], AnyString)
+                            at.append(pos)
+                    ends_open = size > 0 and toks[-1] is ANY_STRING
                     start_at.append(offset)
-                    if size > 0 and isinstance(toks[0], AnyString):
+                    if size > 0 and toks[0] is ANY_STRING:
                         start_at.append(offset + 1)
                     # Only positions past the last literal outside sigma
                     # can still reach acceptance, and in normal form only
@@ -260,7 +271,14 @@ class _CompiledSearch:
             bit = 1 << (b.offset + b.size)
             return (lambda d: d & bit != 0), self._any_atom_fate([b])
         if isinstance(e, Not):
-            ev, fate = self._compile(e.child)
+            # A run of NOTs compiles to its parity, without recursion.
+            negated = False
+            while isinstance(e, Not):
+                e = e.child
+                negated = not negated
+            ev, fate = self._compile(e)
+            if not negated:
+                return ev, fate
             return (lambda d: not ev(d)), (lambda d: -fate(d))
         is_and = isinstance(e, And)
         flat = self._flat_atoms(e)

@@ -128,13 +128,15 @@ def or_(*items: LikeExpression) -> LikeExpression:
 
 def atom_patterns(e: LikeExpression) -> Iterator[Pattern]:
     """Every atom's pattern, in preorder, duplicates included."""
-    if isinstance(e, Atom):
-        yield e.pattern
-    elif isinstance(e, Not):
-        yield from atom_patterns(e.child)
-    else:
-        for child in e.children:
-            yield from atom_patterns(child)
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            yield node.pattern
+        elif isinstance(node, Not):
+            stack.append(node.child)
+        else:
+            stack.extend(reversed(node.children))
 
 
 def expression_size(e: LikeExpression) -> int:
@@ -155,13 +157,18 @@ def evaluate(e: LikeExpression, t: Text | str) -> bool:
     t = as_text(t)
 
     def rec(node: LikeExpression) -> bool:
+        # A run of NOTs is unwound here, so its length costs no recursion.
+        negated = False
+        while isinstance(node, Not):
+            node = node.child
+            negated = not negated
         if isinstance(node, Atom):
-            return match_greedy(node.pattern, t)
-        if isinstance(node, Not):
-            return not rec(node.child)
-        if isinstance(node, And):
-            return all(rec(c) for c in node.children)
-        return any(rec(c) for c in node.children)
+            value = match_greedy(node.pattern, t)
+        elif isinstance(node, And):
+            value = all(rec(c) for c in node.children)
+        else:
+            value = any(rec(c) for c in node.children)
+        return value != negated
 
     return rec(e)
 
@@ -322,7 +329,12 @@ def render_expression(
         if isinstance(node, Atom):
             s = "LIKE " + _quote(node.pattern, escape, tokens)
         elif isinstance(node, Not):
-            s = "NOT " + rec(node.child, 2)
+            run = 0
+            inner: LikeExpression = node
+            while isinstance(inner, Not):
+                inner = inner.child
+                run += 1
+            s = "NOT " * run + rec(inner, 2)
         elif isinstance(node, And):
             s = " AND ".join(rec(c, 2) for c in node.children)
         else:
@@ -409,13 +421,14 @@ def to_dot_depth1_dnf(
             raise ExplosionCapError(count, cap)
 
     def rec(node: LikeExpression, positive: bool) -> list[list[SignedAtom]]:
+        while isinstance(node, Not):
+            node = node.child
+            positive = not positive
         if isinstance(node, Atom):
             pats = [normalize(q) for q in _expansions(node.pattern, sigma, cap)]
             if positive:
                 return [[SignedAtom(q, True)] for q in pats]
             return [[SignedAtom(q, False) for q in pats]]
-        if isinstance(node, Not):
-            return rec(node.child, not positive)
         conjunctive = isinstance(node, And) == positive
         parts = [rec(c, positive) for c in node.children]
         if not conjunctive:

@@ -14,8 +14,13 @@ from .pattern import ANY_ONE, ANY_STRING, AnyOne, AnyString, Pattern, Token
 
 def is_normalized(p: Pattern) -> bool:
     toks = p.tokens
-    for left, right in zip(toks, toks[1:]):
-        if isinstance(left, AnyString) and isinstance(right, (AnyOne, AnyString)):
+    n = len(toks)
+    i = 0
+    # Tokens are interned, so index and count find the % positions by
+    # identity without leaving C; only their successors are inspected.
+    for _ in range(toks.count(ANY_STRING)):
+        i = toks.index(ANY_STRING, i) + 1
+        if i < n and (toks[i] is ANY_STRING or toks[i] is ANY_ONE):
             return False
     return True
 

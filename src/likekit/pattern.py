@@ -39,27 +39,79 @@ class RenderError(ValueError):
     """Pattern that cannot be written back in the requested surface syntax."""
 
 
-@dataclass(frozen=True)
-class Literal:
-    """Token matching exactly one fixed symbol."""
+# One Literal per symbol for the life of the process.
+_LITERALS: dict[Symbol, "Literal"] = {}
 
+
+class Literal:
+    """Token matching exactly one fixed symbol.
+
+    Tokens are interned and immutable: equal symbols give the same object,
+    ``AnyOne()`` and ``AnyString()`` are singletons, and equality and
+    hashing are identity's, so hashing and comparing token tuples stays
+    inside C.
+    """
+
+    __slots__ = ("symbol",)
+    __match_args__ = ("symbol",)
     symbol: Symbol
 
+    def __new__(cls, symbol: Symbol) -> "Literal":
+        tok = _LITERALS.get(symbol)
+        if tok is None:
+            tok = object.__new__(cls)
+            object.__setattr__(tok, "symbol", symbol)
+            # setdefault keeps whichever of two racing constructors came first.
+            tok = _LITERALS.setdefault(symbol, tok)
+        return tok
 
-@dataclass(frozen=True)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Literal is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Literal is immutable")
+
+    def __reduce__(self) -> tuple[type, tuple[Symbol]]:
+        return Literal, (self.symbol,)
+
+    def __repr__(self) -> str:
+        return f"Literal(symbol={self.symbol!r})"
+
+
 class AnyOne:
-    """Token matching an arbitrary single symbol (surface ``_``)."""
+    """Token matching an arbitrary single symbol (surface ``_``); a singleton."""
+
+    __slots__ = ()
+
+    def __new__(cls) -> "AnyOne":
+        return ANY_ONE
+
+    def __reduce__(self) -> tuple[type, tuple[()]]:
+        return AnyOne, ()
+
+    def __repr__(self) -> str:
+        return "AnyOne()"
 
 
-@dataclass(frozen=True)
 class AnyString:
-    """Token matching any run of zero or more symbols (surface ``%``)."""
+    """Token matching any run of zero or more symbols (surface ``%``); a singleton."""
+
+    __slots__ = ()
+
+    def __new__(cls) -> "AnyString":
+        return ANY_STRING
+
+    def __reduce__(self) -> tuple[type, tuple[()]]:
+        return AnyString, ()
+
+    def __repr__(self) -> str:
+        return "AnyString()"
 
 
 Token = Literal | AnyOne | AnyString
 
-ANY_ONE = AnyOne()
-ANY_STRING = AnyString()
+ANY_ONE: AnyOne = object.__new__(AnyOne)
+ANY_STRING: AnyString = object.__new__(AnyString)
 
 
 @dataclass(frozen=True)

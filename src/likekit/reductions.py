@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .expression import Atom, LikeExpression, Not, and_, or_
 from .pattern import (
@@ -352,10 +352,12 @@ def encode_tm(
     forbidden: list[Pattern] = []
     seen: set[Pattern] = set()
 
-    def forbid(tokens: Iterable[Token]) -> None:
-        p = Pattern(tuple(tokens))
-        if p not in seen:
-            seen.add(p)
+    def forbid(tokens: tuple[Token, ...]) -> None:
+        # One hash per pattern: the set grows only on a first occurrence.
+        p = Pattern(tokens)
+        before = len(seen)
+        seen.add(p)
+        if len(seen) != before:
             forbidden.append(p)
 
     # Strings shorter than one full block cannot be histories.

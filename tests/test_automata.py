@@ -187,6 +187,21 @@ def test_outcome_reports_packed_size():
     assert (out.atoms, out.state_bits) == (2, 3 + 3)
 
 
+@pytest.mark.parametrize("run", [3000, 3001])
+def test_deep_not_chain_search(run):
+    core = and_(Atom(P("%a%")), Not(Atom(P("%bb"))))
+    reduced = core if run % 2 == 0 else Not(core)
+    e = core
+    for _ in range(run):
+        e = Not(e)
+    sigma = Alphabet.from_chars("ab")
+    got, want = find_witness(e, sigma), find_witness(reduced, sigma)
+    assert got.verdict is want.verdict is Verdict.FOUND
+    assert (got.witness, got.explored) == (want.witness, want.explored)
+    sep = find_separating_string(e, reduced, sigma)
+    assert sep.verdict is Verdict.EXHAUSTED_EQUIVALENT and sep.complete
+
+
 def test_literal_outside_alphabet_prunes_at_once():
     # %z can never match over ab, so the conjunction is decided false in
     # every successor of the start state, however many texts %aaa% allows.

@@ -135,6 +135,22 @@ def test_size_monotonicity_atoms():
     assert list(atom_patterns(e)) == [P("a%"), P("bb"), P("_")]
 
 
+@pytest.mark.parametrize("run", [3000, 3001])
+def test_deep_not_chain_built_in_library(run):
+    core = Atom(P("a%b"))
+    reduced = core if run % 2 == 0 else Not(core)
+    e = core
+    for _ in range(run):
+        e = Not(e)
+    for t in all_texts("ab", 4):
+        assert evaluate(e, t) == evaluate(reduced, t), t
+    assert render_expression(e) == "NOT " * run + 'LIKE "a%b"'
+    assert expression_size(e) == len(core.pattern) == 3
+    assert list(atom_patterns(e)) == [core.pattern]
+    sigma = Alphabet.from_chars("ab")
+    assert to_dot_depth1_dnf(e, sigma) == to_dot_depth1_dnf(reduced, sigma)
+
+
 def test_expand_underscores_equivalence():
     sigma = Alphabet.from_chars("ab")
     p = P("_a_")

@@ -1,13 +1,23 @@
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 
 from likekit import (
     ANY_ONE,
     ANY_STRING,
     Alphabet,
+    AnyOne,
+    AnyString,
     Literal,
     Pattern,
     PatternSyntaxError,
     RenderError,
+    atom_patterns,
+    encode_tm,
+    expand_underscores,
     match_oracle,
     parse_pattern,
     parse_pattern_tokens,
@@ -16,7 +26,7 @@ from likekit import (
     to_classical_regex,
 )
 
-from helpers import all_patterns, all_texts, regex_matches
+from helpers import all_patterns, all_texts, m_bouncer, regex_matches
 
 
 def test_parse_basic_tokens():
@@ -145,3 +155,110 @@ def test_classical_regex_agrees_with_matching():
         regex = to_classical_regex(p, sigma)
         for t in all_texts("ab", 4):
             assert regex_matches(regex, t) == match_oracle(p, t), (p, t)
+
+
+def test_literals_are_interned_however_made():
+    made = {
+        "character mode": parse_pattern("a!%").tokens[0],
+        "escaped character": parse_pattern("!%", escape="!").tokens[0],
+        "token mode": parse_pattern_tokens("q0 %").tokens[0],
+        "escaped token": parse_pattern_tokens("!_", escape="!").tokens[0],
+        "expand_underscores": expand_underscores(
+            parse_pattern("_"), Alphabet.from_chars("ab")
+        ).children[1].pattern.tokens[0],
+        "keyword": Literal(symbol="a"),
+    }
+    want = {
+        "character mode": "a",
+        "escaped character": "%",
+        "token mode": "q0",
+        "escaped token": "_",
+        "expand_underscores": "b",
+        "keyword": "a",
+    }
+    for how, tok in made.items():
+        assert tok is Literal(want[how]), how
+        assert tok == Literal(want[how]) and hash(tok) == hash(Literal(want[how]))
+    spec, word, space = m_bouncer(2)
+    expr, _ = encode_tm(spec, word, space)
+    literals = [
+        tok for p in atom_patterns(expr) for tok in p.tokens if isinstance(tok, Literal)
+    ]
+    assert literals
+    assert all(tok is Literal(tok.symbol) for tok in literals)
+    assert len({id(tok) for tok in literals}) == len({tok.symbol for tok in literals})
+    assert Literal("a") != Literal("b")
+
+
+def test_wildcards_are_singletons():
+    assert AnyOne() is ANY_ONE
+    assert AnyString() is ANY_STRING
+    assert parse_pattern("_%").tokens == (ANY_ONE, ANY_STRING)
+    assert parse_pattern("_").tokens[0] is ANY_ONE
+    assert parse_pattern_tokens("%").tokens[0] is ANY_STRING
+    assert ANY_ONE != ANY_STRING
+
+
+@pytest.mark.parametrize(
+    "tok",
+    [Literal("a"), Literal("q0"), Literal("%"), ANY_ONE, ANY_STRING],
+    ids=["a", "q0", "percent", "any_one", "any_string"],
+)
+def test_tokens_survive_pickle_and_copy(tok):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(tok, protocol)) is tok
+    assert copy.copy(tok) is tok
+    assert copy.deepcopy(tok) is tok
+
+
+def test_patterns_compare_equal_after_a_round_trip():
+    p = parse_pattern_tokens("# q0 _ % 1 !%", escape="!")
+    for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert clone == p and hash(clone) == hash(p)
+        assert all(a is b for a, b in zip(clone.tokens, p.tokens))
+    built = Pattern((Literal("a"), AnyString(), AnyOne(), Literal("b")))
+    assert parse_pattern("a%_b") == built and hash(parse_pattern("a%_b")) == hash(built)
+    assert len({parse_pattern("a%b"), parse_pattern("a%b"), parse_pattern("a%c")}) == 2
+
+
+def test_token_reprs_and_immutability():
+    assert repr(Literal("a")) == "Literal(symbol='a')"
+    assert repr(ANY_ONE) == "AnyOne()"
+    assert repr(ANY_STRING) == "AnyString()"
+    assert repr(parse_pattern("a%")) == (
+        "Pattern(tokens=(Literal(symbol='a'), AnyString()))"
+    )
+    tok = Literal("a")
+    with pytest.raises(AttributeError):
+        tok.symbol = "b"
+    with pytest.raises(AttributeError):
+        del tok.symbol
+    with pytest.raises(AttributeError):
+        ANY_ONE.symbol = "b"
+    assert tok.symbol == "a" and Literal("a") is tok
+
+
+def test_concurrent_constructors_agree():
+    symbols = [f"concurrent-{i}" for i in range(20000)]
+    workers = 8
+    start = threading.Barrier(workers)
+    made: list[list[Literal]] = [[] for _ in range(workers)]
+
+    def build(k: int) -> None:
+        start.wait(timeout=10)
+        made[k] = [Literal(s) for s in symbols]
+
+    threads = [threading.Thread(target=build, args=(k,)) for k in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for tokens in made:
+        assert len(tokens) == len(symbols)
+        assert all(tok is Literal(s) for tok, s in zip(tokens, symbols))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from likekit import (
     find_witness,
     match_greedy,
     parse_dimacs,
+    render_pattern_tokens,
     simulate_tm,
     tm_from_json,
 )
@@ -285,6 +287,30 @@ def test_encoded_history_is_fragile():
     mangled = list(run.history)
     mangled[10], mangled[11] = mangled[11], mangled[10]
     assert not evaluate(expr, tuple(mangled))
+
+
+@pytest.mark.parametrize(
+    "space, atoms, state_bits, explored, digest",
+    [
+        (2, 2770, 27282, 62, "13167da374c7e6ed"),
+        (3, 2782, 30086, 133, "643c46ee3a2ffddc"),
+        (4, 2794, 32902, 208, "35b191dc17d51fe9"),
+    ],
+)
+def test_bouncer_gadget_size_is_pinned(space, atoms, state_bits, explored, digest):
+    spec, word, s = m_bouncer(space)
+    expr, sigma = encode_tm(spec, word, s)
+    forbidden = [c.child.pattern for c in expr.children]
+    assert len(set(forbidden)) == len(forbidden) == atoms
+    # Generation order: the too-short texts come first, the accept state's
+    # placement last; the digest pins the order of everything in between.
+    assert [len(p) for p in forbidden[: s + 3]] == list(range(s + 3))
+    assert render_pattern_tokens(forbidden[-1]) == "% qa % # % # %"
+    rendered = "\n".join(render_pattern_tokens(p) for p in forbidden)
+    assert hashlib.sha256(rendered.encode()).hexdigest()[:16] == digest
+    out = find_witness(expr, sigma)
+    assert out.verdict is Verdict.FOUND
+    assert (out.atoms, out.state_bits, out.explored) == (atoms, state_bits, explored)
 
 
 @pytest.mark.parametrize("build", [m_loop, m_stuck, m_edge_fall, m_dirty_accept])
