@@ -21,16 +21,24 @@ where ``B[symbol]`` marks the positions holding that symbol or ``_`` and
 ``S`` marks the ``%`` positions. One closure shift suffices because a
 normalized pattern never has ``%`` before ``%`` or ``_``, and no bit
 crosses into the next block because accept bits are in neither mask.
+
+The masks come from one byte tape: the distinct normal forms side by
+side, each followed by its accept slot, highest bit first, one code per
+bit (accept slot, ``%``, ``_``, one per sigma literal, literal outside
+sigma; 252 literals to a tape). A mask is one ``bytes.translate`` to
+``0``/``1`` digits and one ``int(digits, 2)``; the rest is int algebra.
 Exploration is capped by a state budget; exceeding it raises rather
 than guessing.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from itertools import repeat
+from typing import Callable
 
 from .expression import (
     And,
@@ -154,25 +162,17 @@ _FALSE_FOREVER = -1
 _UNDECIDED = 0
 
 
-class _Block(NamedTuple):
-    """One atom's place in the packed state, with its masks kept local
-    (unshifted) so that wide products hold no per-atom full-width ints.
-
-    ``absorb``: positions from which every extension matches.
-    ``reach``: positions from which some extension over sigma matches."""
-
-    offset: int
-    size: int
-    absorb: int
-    reach: int
+# Tape codes. One chunk of sigma's literals takes the codes from _LITERAL
+# up; a literal outside the chunk codes as _OUT.
+_ACCEPT, _GAP, _ANY_ONE, _LITERAL = range(4)
+_OUT = 255
+_CHUNK = _OUT - _LITERAL
+_SLOT = object()  # stands for an accept slot in the token stream
 
 
-def _bits(positions: list[int], width: int) -> int:
-    """The int with exactly these bits set, built in time linear in width."""
-    digits = bytearray(b"0") * width
-    for pos in positions:
-        digits[pos] = 49  # ord("1")
-    return int(digits[::-1], 2)
+def _mask(tape: bytes, c: int) -> int:
+    """The int with a bit set wherever the tape, top bit first, holds c."""
+    return int(tape.translate(b"0" * c + b"1" + b"0" * (255 - c)), 2)
 
 
 class _CompiledSearch:
@@ -180,77 +180,77 @@ class _CompiledSearch:
     and three-valued forecasts compiled to mask tests on that int."""
 
     def __init__(self, exprs: list[LikeExpression], sigma: Alphabet) -> None:
-        literal_at: list[list[int]] = [[] for _ in sigma.symbols]
-        any_one_at: list[int] = []
-        gap_at: list[int] = []
-        start_at: list[int] = []
-        # The position list of each token kind; a literal outside sigma has
-        # none. Tokens are interned, so a lookup hashes by identity.
-        where: dict[Token, list[int]] = {
-            Literal(sym): at for sym, at in zip(sigma.symbols, literal_at)
-        }
-        where[ANY_ONE] = any_one_at
-        where[ANY_STRING] = gap_at
-        # Keyed by id() so that each Pattern object is hashed at most
-        # once, as its normal form: a Pattern does not cache its hash,
-        # and hashing one walks every token. The expressions keep every
-        # keyed object alive while this runs.
-        self._blocks: dict[int, _Block] = {}
-        blocks: list[_Block] = []
-        slot_of_form: dict[Pattern, int] = {}
-        offset = 0
+        # Keyed by id() so that each Pattern object is normalized once, and
+        # its normal form deduped on the token tuple, which hashes in C.
+        # The expressions keep every keyed object alive while this runs.
+        self._slot: dict[int, int] = {}
+        slot_of_form: dict[tuple[Token, ...], int] = {}
+        stream: list[object] = []
+        # Atom slot i owns bits bounds[i] up to bounds[i + 1] - 1, the
+        # last being its accept slot.
+        bounds = [0]
         for e in exprs:
             for p in atom_patterns(e):
-                if id(p) in self._blocks:
+                if id(p) in self._slot:
                     continue
-                form = normalize(p)
-                slot = slot_of_form.setdefault(form, len(blocks))
-                if slot == len(blocks):
-                    toks = form.tokens
-                    size = len(toks)
-                    reach_from = offset
-                    for pos, tok in enumerate(toks, offset):
-                        at = where.get(tok)
-                        if at is None:
-                            reach_from = pos + 1
-                        else:
-                            at.append(pos)
-                    ends_open = size > 0 and toks[-1] is ANY_STRING
-                    start_at.append(offset)
-                    if size > 0 and toks[0] is ANY_STRING:
-                        start_at.append(offset + 1)
-                    # Only positions past the last literal outside sigma
-                    # can still reach acceptance, and in normal form only
-                    # a trailing % absorbs every extension.
-                    blocks.append(
-                        _Block(
-                            offset,
-                            size,
-                            1 << (size - 1) if ends_open else 0,
-                            (1 << (size + 1)) - (1 << (reach_from - offset)),
-                        )
-                    )
-                    offset += size + 1
-                self._blocks[id(p)] = blocks[slot]
-        self.atoms = len(blocks)
-        self.state_bits = offset
-        any_one = _bits(any_one_at, offset)
-        self.moves = tuple(
-            (sym, _bits(at, offset) | any_one)
-            for sym, at in zip(sigma.symbols, literal_at)
-        )
-        self.gaps = _bits(gap_at, offset)
-        self.initial = _bits(start_at, offset)
+                toks = normalize(p).tokens
+                slot = slot_of_form.setdefault(toks, len(bounds) - 1)
+                if slot == len(bounds) - 1:
+                    stream += toks
+                    stream.append(_SLOT)
+                    bounds.append(len(stream))
+                self._slot[id(p)] = slot
+        self._bounds = bounds
+        self.atoms = len(bounds) - 1
+        self.state_bits = width = len(stream)
+        symbols = sigma.symbols
+        at_literal: list[int] = []
+        outside = -1
+        for lo in range(0, len(symbols), _CHUNK):
+            chunk = map(Literal, symbols[lo : lo + _CHUNK])
+            code = dict(zip((_SLOT, ANY_STRING, ANY_ONE, *chunk), range(_OUT)))
+            tape = bytes(map(code.get, reversed(stream), repeat(_OUT)))
+            outside &= _mask(tape, _OUT)
+            at_literal += [_mask(tape, c) for c in range(_LITERAL, len(code))]
+        any_one = _mask(tape, _ANY_ONE)
+        self.moves = tuple((sym, at | any_one) for sym, at in zip(symbols, at_literal))
+        self.gaps = gaps = _mask(tape, _GAP)
+        self._accept = accept = _mask(tape, _ACCEPT)
+        full = (1 << width) - 1
+        starts = ((accept << 1) | 1) & full
+        self.initial = starts | ((starts & gaps) << 1)
+        # In normal form only a trailing % absorbs every extension.
+        self._absorb = gaps & (accept >> 1)
+        # Only positions past a block's last literal outside sigma can still
+        # reach acceptance; the loop visits one such literal per block.
+        reach = full
+        while outside:
+            top = outside.bit_length() - 1
+            first = bounds[bisect_right(bounds, top) - 1]
+            reach &= ~((2 << top) - (1 << first))
+            outside &= (1 << first) - 1
+        self._reach = reach
         self.deciders = [self._compile(e) for e in exprs]
 
-    def _flat_atoms(self, e: LikeExpression) -> tuple[list[_Block], bool] | None:
-        """The blocks of an And/Or whose children are all atoms, or all
+    def _masks(self, slots: list[int]) -> tuple[int, int, int]:
+        """The accept, absorb and reach masks cut to these atoms' blocks,
+        with one range mask per run of consecutive slots."""
+        member = set(slots)
+        firsts = sorted(i for i in member if i - 1 not in member)
+        ends = sorted(i + 1 for i in member if i + 1 not in member)
+        span = 0
+        for lo, hi in zip(firsts, ends):
+            span |= (1 << self._bounds[hi]) - (1 << self._bounds[lo])
+        return self._accept & span, self._absorb & span, self._reach & span
+
+    def _flat_atoms(self, e: LikeExpression) -> tuple[list[int], bool] | None:
+        """The slots of an And/Or whose children are all atoms, or all
         negated atoms, with the polarity; None for any other shape."""
         if isinstance(e, (Atom, Not)):
             return None
         children = e.children
         negated = isinstance(children[0], Not)
-        blocks = []
+        slots = []
         for c in children:
             if negated:
                 if not isinstance(c, Not):
@@ -258,8 +258,8 @@ class _CompiledSearch:
                 c = c.child
             if not isinstance(c, Atom):
                 return None
-            blocks.append(self._blocks[id(c.pattern)])
-        return blocks, negated
+            slots.append(self._slot[id(c.pattern)])
+        return slots, negated
 
     def _compile(
         self, e: LikeExpression
@@ -267,9 +267,8 @@ class _CompiledSearch:
         """Evaluator and three-valued forecast for e: does its value stay
         fixed on every extension of the current text?"""
         if isinstance(e, Atom):
-            b = self._blocks[id(e.pattern)]
-            bit = 1 << (b.offset + b.size)
-            return (lambda d: d & bit != 0), self._any_atom_fate([b])
+            bit, absorb, reach = self._masks([self._slot[id(e.pattern)]])
+            return (lambda d: d & bit != 0), _any_atom_fate(absorb, reach)
         if isinstance(e, Not):
             # A run of NOTs compiles to its parity, without recursion.
             negated = False
@@ -283,12 +282,12 @@ class _CompiledSearch:
         is_and = isinstance(e, And)
         flat = self._flat_atoms(e)
         if flat is not None:
-            blocks, negated = flat
-            acc = _bits([b.offset + b.size for b in blocks], self.state_bits)
+            slots, negated = flat
+            acc, absorb, reach = self._masks(slots)
             if is_and == negated:
                 # An Or of atoms, or its negation, an And of negated atoms:
                 # union masks decide both the value and the forecast.
-                some = self._any_atom_fate(blocks)
+                some = _any_atom_fate(absorb, reach)
                 if negated:
                     return (lambda d: d & acc == 0), (lambda d: -some(d))
                 return (lambda d: d & acc != 0), some
@@ -315,21 +314,18 @@ class _CompiledSearch:
 
         return ev, fate_gate
 
-    def _any_atom_fate(self, blocks: list[_Block]) -> Callable[[int], int]:
-        """Forecast of "some of these atoms matches"."""
-        absorb = reach = 0
-        for b in blocks:
-            absorb |= b.absorb << b.offset
-            reach |= b.reach << b.offset
 
-        def fate(d: int) -> int:
-            if d & absorb:
-                return _TRUE_FOREVER
-            if not d & reach:
-                return _FALSE_FOREVER
-            return _UNDECIDED
+def _any_atom_fate(absorb: int, reach: int) -> Callable[[int], int]:
+    """Forecast of "some of these atoms matches" from their union masks."""
 
-        return fate
+    def fate(d: int) -> int:
+        if d & absorb:
+            return _TRUE_FOREVER
+        if not d & reach:
+            return _FALSE_FOREVER
+        return _UNDECIDED
+
+    return fate
 
 
 def _bfs(

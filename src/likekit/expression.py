@@ -146,11 +146,14 @@ def expression_size(e: LikeExpression) -> int:
 
 def is_monotone(e: LikeExpression) -> bool:
     """True when the expression contains no negation."""
-    if isinstance(e, Atom):
-        return True
-    if isinstance(e, Not):
-        return False
-    return all(is_monotone(c) for c in e.children)
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Not):
+            return False
+        if not isinstance(node, Atom):
+            stack.extend(node.children)
+    return True
 
 
 def evaluate(e: LikeExpression, t: Text | str) -> bool:

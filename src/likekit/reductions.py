@@ -349,16 +349,15 @@ def encode_tm(
     lam = tuple(gamma) + tuple(spec.states) + (_SEPARATOR,)
     delta: dict[tuple[str, str], TmRule] = spec.delta  # type: ignore[attr-defined]
 
+    lit = {y: Literal(y) for y in lam}
+    # No set is needed to keep the patterns distinct. The families below
+    # differ in length or in where % and _ stand, but for "% q b %" against
+    # "% # # %", and no state is the separator. Within a family the loops
+    # range over distinct names: lam has no duplicates, delta keys are unique.
     forbidden: list[Pattern] = []
-    seen: set[Pattern] = set()
 
     def forbid(tokens: tuple[Token, ...]) -> None:
-        # One hash per pattern: the set grows only on a first occurrence.
-        p = Pattern(tokens)
-        before = len(seen)
-        seen.add(p)
-        if len(seen) != before:
-            forbidden.append(p)
+        forbidden.append(Pattern(tokens))
 
     # Strings shorter than one full block cannot be histories.
     for j in range(s + 3):
@@ -369,21 +368,21 @@ def encode_tm(
     for j, want in enumerate(head_template):
         for y in lam:
             if y != want:
-                forbid((ANY_ONE,) * j + (Literal(y), ANY_STRING))
+                forbid((ANY_ONE,) * j + (lit[y], ANY_STRING))
 
     # The last block spells the accepting configuration, read from the end.
     tail_template = (_SEPARATOR,) + (spec.blank,) * s + (spec.accept,)
     for i, want in enumerate(tail_template, start=1):
         for y in lam:
             if y != want:
-                forbid((ANY_STRING, Literal(y)) + (ANY_ONE,) * (i - 1))
+                forbid((ANY_STRING, lit[y]) + (ANY_ONE,) * (i - 1))
 
     # Separators recur at period s+2 and never sooner.
     for j in range(1, s + 2):
-        forbid((ANY_STRING, Literal(_SEPARATOR)) + (ANY_ONE,) * (j - 1) + (Literal(_SEPARATOR), ANY_STRING))
+        forbid((ANY_STRING, lit[_SEPARATOR]) + (ANY_ONE,) * (j - 1) + (lit[_SEPARATOR], ANY_STRING))
     for y in lam:
         if y != _SEPARATOR:
-            forbid((ANY_STRING, Literal(_SEPARATOR)) + (ANY_ONE,) * (s + 1) + (Literal(y), ANY_STRING))
+            forbid((ANY_STRING, lit[_SEPARATOR]) + (ANY_ONE,) * (s + 1) + (lit[y], ANY_STRING))
 
     # The three tokens around the state must evolve by the machine's rule.
     for rule in spec.rules:
@@ -394,7 +393,7 @@ def encode_tm(
                 target = (_SEPARATOR, rule.next, rule.write)
             else:
                 target = (rule.next, a, rule.write)
-            window = (Literal(a), Literal(rule.state), Literal(rule.read))
+            window = (lit[a], lit[rule.state], lit[rule.read])
             for d in lam:
                 for e in lam:
                     for f in lam:
@@ -403,7 +402,7 @@ def encode_tm(
                                 (ANY_STRING,)
                                 + window
                                 + (ANY_ONE,) * (s - 1)
-                                + (Literal(d), Literal(e), Literal(f), ANY_STRING)
+                                + (lit[d], lit[e], lit[f], ANY_STRING)
                             )
 
     # Tokens away from the state carry over to the next block unchanged.
@@ -414,9 +413,9 @@ def encode_tm(
                 for d in lam:
                     if d != b:
                         forbid(
-                            (ANY_STRING, Literal(a), Literal(b), Literal(c))
+                            (ANY_STRING, lit[a], lit[b], lit[c])
                             + (ANY_ONE,) * s
-                            + (Literal(d), ANY_STRING)
+                            + (lit[d], ANY_STRING)
                         )
 
     # Halting anywhere but the accept state has no continuation.
@@ -425,20 +424,20 @@ def encode_tm(
             continue
         for b in gamma:
             if (q, b) not in delta:
-                forbid((ANY_STRING, Literal(q), Literal(b), ANY_STRING))
+                forbid((ANY_STRING, lit[q], lit[b], ANY_STRING))
     for rule in spec.rules:
         if rule.move == "R":
-            forbid((ANY_STRING, Literal(rule.state), Literal(rule.read), Literal(_SEPARATOR), ANY_STRING))
+            forbid((ANY_STRING, lit[rule.state], lit[rule.read], lit[_SEPARATOR], ANY_STRING))
 
     # The accept state appears in the final block only.
     forbid(
         (
             ANY_STRING,
-            Literal(spec.accept),
+            lit[spec.accept],
             ANY_STRING,
-            Literal(_SEPARATOR),
+            lit[_SEPARATOR],
             ANY_STRING,
-            Literal(_SEPARATOR),
+            lit[_SEPARATOR],
             ANY_STRING,
         )
     )

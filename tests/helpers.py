@@ -25,7 +25,9 @@ from likekit import (
     TmSpec,
     Token,
     and_,
+    atom_patterns,
     evaluate,
+    normalize,
     or_,
 )
 
@@ -115,6 +117,65 @@ def assignment_satisfies(formula: Cnf, bits: Sequence[bool]) -> bool:
     return all(
         any(bits[abs(l) - 1] == (l > 0) for l in clause) for clause in formula.clauses
     )
+
+
+def naive_packed_masks(
+    exprs: Sequence[LikeExpression], sigma: Alphabet
+) -> dict[str, object]:
+    """The packed search's layout filed token by token, as a reference.
+
+    Each distinct normal form gets a block of len+1 bits in order of first
+    appearance. ``blocks`` pairs every atom occurrence, in preorder, with
+    its block's (accept, absorb, reach) masks in place.
+    """
+    literal_at: dict[str, list[int]] = {sym: [] for sym in sigma.symbols}
+    any_one_at: list[int] = []
+    gap_at: list[int] = []
+    start_at: list[int] = []
+    block_of_form: dict[Pattern, tuple[int, int, int]] = {}
+    blocks: list[tuple[Pattern, tuple[int, int, int]]] = []
+    offset = 0
+    for e in exprs:
+        for p in atom_patterns(e):
+            form = normalize(p)
+            if form not in block_of_form:
+                toks = form.tokens
+                size = len(toks)
+                reach_from = offset
+                for pos, tok in enumerate(toks, offset):
+                    if tok == ANY_ONE:
+                        any_one_at.append(pos)
+                    elif tok == ANY_STRING:
+                        gap_at.append(pos)
+                    elif tok.symbol in literal_at:
+                        literal_at[tok.symbol].append(pos)
+                    else:
+                        reach_from = pos + 1
+                start_at.append(offset)
+                if size > 0 and toks[0] == ANY_STRING:
+                    start_at.append(offset + 1)
+                accept = 1 << (offset + size)
+                ends_open = size > 0 and toks[-1] == ANY_STRING
+                block_of_form[form] = (
+                    accept,
+                    accept >> 1 if ends_open else 0,
+                    (accept << 1) - (1 << reach_from),
+                )
+                offset += size + 1
+            blocks.append((p, block_of_form[form]))
+
+    def bits(positions: list[int]) -> int:
+        return sum(1 << pos for pos in set(positions))
+
+    any_one = bits(any_one_at)
+    return {
+        "moves": tuple((sym, bits(at) | any_one) for sym, at in literal_at.items()),
+        "gaps": bits(gap_at),
+        "initial": bits(start_at),
+        "atoms": len(block_of_form),
+        "state_bits": offset,
+        "blocks": blocks,
+    }
 
 
 # --- a small classical regex engine ------------------------------------------

@@ -22,8 +22,15 @@ from likekit import (
     parse_expression,
     parse_pattern,
 )
+from likekit.automata import _CompiledSearch
 
-from helpers import all_patterns, all_texts, random_pattern, shortest_satisfying
+from helpers import (
+    all_patterns,
+    all_texts,
+    naive_packed_masks,
+    random_pattern,
+    shortest_satisfying,
+)
 
 
 def P(text):
@@ -299,3 +306,44 @@ def test_packed_atom_acceptance_agrees_with_nfa_and_oracle():
             packed = out.verdict is Verdict.FOUND
             assert packed == nfa.accepts(t) == match_oracle(p, t), (p, t)
             assert out.witness in (None, t)
+
+
+def _assert_compile_matches_reference(exprs, sigma):
+    comp = _CompiledSearch(exprs, sigma)
+    want = naive_packed_masks(exprs, sigma)
+    assert comp.moves == want["moves"]
+    assert (comp.gaps, comp.initial) == (want["gaps"], want["initial"])
+    assert (comp.atoms, comp.state_bits) == (want["atoms"], want["state_bits"])
+    for p, masks in want["blocks"]:
+        assert comp._masks([comp._slot[id(p)]]) == masks, p
+    # A group's masks are the union of its atoms' masks, runs of slots or not.
+    for group in (want["blocks"], want["blocks"][::2], want["blocks"][1::3]):
+        union = [0, 0, 0]
+        for _, masks in group:
+            union = [u | m for u, m in zip(union, masks)]
+        assert comp._masks([comp._slot[id(p)] for p, _ in group]) == tuple(union)
+
+
+def test_compile_agrees_with_token_by_token_reference():
+    rng = random.Random(6060)
+    for i in range(300):
+        chars, syms, _ = _DIFF_SETTINGS[i % 2]
+        exprs = [_random_expr(rng, syms, 3) for _ in range(rng.randint(1, 2))]
+        _assert_compile_matches_reference(exprs, Alphabet.from_chars(chars))
+    # The empty pattern, un-normalized runs, and literals outside the
+    # alphabet at the start, in the middle and at the end of a block.
+    atoms = ["", "%%_", "_%_%", "zab", "a%z_b", "ab%z", "z_z%a%", "z", "%"]
+    e = and_(*[Atom(P(a)) for a in atoms])
+    _assert_compile_matches_reference([e, Not(Atom(P("%_%")))], Alphabet.from_chars("ab"))
+
+
+def test_compile_of_a_wide_alphabet_agrees_with_reference():
+    # 600 symbols take three tapes; the literals come from the second and
+    # third chunks, with symbols outside the alphabet mixed in.
+    symbols = [f"s{i}" for i in range(600)]
+    sigma = Alphabet(tuple(symbols))
+    pool = symbols[252:] + ["out1", "out2"]
+    rng = random.Random(600)
+    for _ in range(40):
+        exprs = [_random_expr(rng, pool, 2) for _ in range(2)]
+        _assert_compile_matches_reference(exprs, sigma)

@@ -151,6 +151,19 @@ def test_deep_not_chain_built_in_library(run):
     assert to_dot_depth1_dnf(e, sigma) == to_dot_depth1_dnf(reduced, sigma)
 
 
+@pytest.mark.parametrize("gate", [And, Or])
+def test_deep_gate_chain_built_in_library_is_walked_without_recursion(gate):
+    # Far past the recursion limit; the only NOT sits at the bottom.
+    core = Atom(P("a"))
+    e, negated = core, Not(core)
+    for _ in range(3000):
+        e = gate((e, Atom(P("b%"))))
+        negated = gate((negated, Atom(P("b%"))))
+    assert is_monotone(e)
+    assert not is_monotone(negated)
+    assert expression_size(e) == expression_size(negated) == 1 + 3000 * 2
+
+
 def test_expand_underscores_equivalence():
     sigma = Alphabet.from_chars("ab")
     p = P("_a_")

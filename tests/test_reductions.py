@@ -313,6 +313,20 @@ def test_bouncer_gadget_size_is_pinned(space, atoms, state_bits, explored, diges
     assert (out.atoms, out.state_bits, out.explored) == (atoms, state_bits, explored)
 
 
+@pytest.mark.parametrize(
+    "build", [m_one_step, m_bouncer, m_loop, m_stuck, m_edge_fall, m_dirty_accept]
+)
+def test_forbidden_patterns_are_pairwise_distinct(build):
+    # encode_tm keeps no set, so distinctness rests on its rule families.
+    for space in range(1, 5):
+        spec, word, _ = build(space) if build is m_bouncer else build()
+        if len(word) > space:
+            continue
+        expr, _ = encode_tm(spec, word, space)
+        forbidden = [c.child.pattern for c in expr.children]
+        assert len(set(forbidden)) == len(forbidden), space
+
+
 @pytest.mark.parametrize("build", [m_loop, m_stuck, m_edge_fall, m_dirty_accept])
 def test_encode_non_accepting_machine_language_is_empty(build):
     spec, word, space = build()
