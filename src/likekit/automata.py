@@ -27,6 +27,23 @@ side, each followed by its accept slot, highest bit first, one code per
 bit (accept slot, ``%``, ``_``, one per sigma literal, literal outside
 sigma; 252 literals to a tape). A mask is one ``bytes.translate`` to
 ``0``/``1`` digits and one ``int(digits, 2)``; the rest is int algebra.
+
+Pruning rests on two forecasts per expression, compiled like its value
+to mask tests on the packed int: *dead* (false on every extension of the
+text read so far) and *settled* (true on every extension). An atom is
+dead when no bit of its reach (the positions past its last literal
+outside sigma) is set, and settled when its absorb bit (a trailing
+``%``) is. ``dead(AND)`` is "some child is dead", ``dead(OR)`` "every
+child is dead", ``dead(NOT x)`` is ``settled(x)``, and settled is the
+dual. Static immortality: a block that starts with ``%`` and holds no
+literal outside sigma never dies, because its first bit is set from the
+start, loops on itself and lies in reach, so its dead test is the
+constant false; in the 3-CNF gadget only the ``_^n`` atom is left to
+test. Tests merge at compile time (zero tests under an all, and nonzero
+tests under an any, share one union mask; constants drop out), and
+nested groups run as a jump program, so evaluation loops instead of
+recursing. The witness search prunes dead states; the separator prunes
+states where both expressions are dead or both are settled.
 Exploration is capped by a state budget; exceeding it raises rather
 than guessing.
 """
@@ -45,6 +62,7 @@ from .expression import (
     Atom,
     LikeExpression,
     Not,
+    Or,
     atom_patterns,
     expression_size,
     is_monotone,
@@ -157,11 +175,6 @@ class SearchOutcome:
     state_bits: int = 0
 
 
-_TRUE_FOREVER = 1
-_FALSE_FOREVER = -1
-_UNDECIDED = 0
-
-
 # Tape codes. One chunk of sigma's literals takes the codes from _LITERAL
 # up; a literal outside the chunk codes as _OUT.
 _ACCEPT, _GAP, _ANY_ONE, _LITERAL = range(4)
@@ -176,8 +189,9 @@ def _mask(tape: bytes, c: int) -> int:
 
 
 class _CompiledSearch:
-    """All distinct normalized atoms packed into one int, with evaluators
-    and three-valued forecasts compiled to mask tests on that int."""
+    """All distinct normalized atoms packed into one int. ``deciders`` holds
+    each expression's value, dead and settled groups, mask tests on that
+    int that ``_predicate`` turns into callables."""
 
     def __init__(self, exprs: list[LikeExpression], sigma: Alphabet) -> None:
         # Keyed by id() so that each Pattern object is normalized once, and
@@ -230,6 +244,9 @@ class _CompiledSearch:
             reach &= ~((2 << top) - (1 << first))
             outside &= (1 << first) - 1
         self._reach = reach
+        # A block whose first bit is a % inside reach never dies: that bit
+        # is set from the start, self-loops, and stays in reach.
+        self._immortal = starts & gaps & reach
         self.deciders = [self._compile(e) for e in exprs]
 
     def _masks(self, slots: list[int]) -> tuple[int, int, int]:
@@ -261,71 +278,185 @@ class _CompiledSearch:
             slots.append(self._slot[id(c.pattern)])
         return slots, negated
 
-    def _compile(
-        self, e: LikeExpression
-    ) -> tuple[Callable[[int], bool], Callable[[int], int]]:
-        """Evaluator and three-valued forecast for e: does its value stay
-        fixed on every extension of the current text?"""
-        if isinstance(e, Atom):
-            bit, absorb, reach = self._masks([self._slot[id(e.pattern)]])
-            return (lambda d: d & bit != 0), _any_atom_fate(absorb, reach)
-        if isinstance(e, Not):
-            # A run of NOTs compiles to its parity, without recursion.
-            negated = False
-            while isinstance(e, Not):
-                e = e.child
+    def _any_atom(
+        self, accept: int, absorb: int, reach: int
+    ) -> tuple[_Group, _Group, _Group]:
+        """Value, dead and settled groups of "some of these atoms matches"
+        from their masks, each one union-mask test."""
+        dead = _FALSE if self._immortal & reach else (False, reach, 0, (), ())
+        return (True, accept, 0, (), ()), dead, (True, absorb, 0, (), ())
+
+    def _compile(self, e: LikeExpression) -> tuple[_Group, _Group, _Group]:
+        """The value of e and its two forecasts as groups: dead (false on
+        every extension of the current text) and settled (true on every
+        extension). Built bottom-up with an explicit stack, so nesting
+        depth costs no recursion."""
+        slot_of, bounds = self._slot, self._bounds
+        absorb, reach = self._absorb, self._reach
+        done: list[tuple[_Group, _Group, _Group]] = []
+        # (expression, negated, children done): a gate comes back once its
+        # children's groups are on top of ``done``.
+        todo: list[tuple[LikeExpression, bool, bool]] = [(e, False, False)]
+        while todo:
+            node, negated, ready = todo.pop()
+            # A run of NOTs compiles to its parity.
+            while isinstance(node, Not):
+                node = node.child
                 negated = not negated
-            ev, fate = self._compile(e)
-            if not negated:
-                return ev, fate
-            return (lambda d: not ev(d)), (lambda d: -fate(d))
-        is_and = isinstance(e, And)
-        flat = self._flat_atoms(e)
-        if flat is not None:
-            slots, negated = flat
-            acc, absorb, reach = self._masks(slots)
-            if is_and == negated:
-                # An Or of atoms, or its negation, an And of negated atoms:
-                # union masks decide both the value and the forecast.
-                some = _any_atom_fate(absorb, reach)
-                if negated:
-                    return (lambda d: d & acc == 0), (lambda d: -some(d))
-                return (lambda d: d & acc != 0), some
-        subs = [self._compile(c) for c in e.children]
-        evs = [ev for ev, _ in subs]
-        fates = [fate for _, fate in subs]
-        if flat is not None:
-            ev = (lambda d: d & acc == acc) if is_and else (lambda d: d & acc != acc)
-        elif is_and:
-            ev = lambda d: all(f(d) for f in evs)
+            if isinstance(node, Atom):
+                slot = slot_of[id(node.pattern)]
+                hi = bounds[slot + 1]
+                span = (1 << hi) - (1 << bounds[slot])
+                parts = self._any_atom(1 << hi - 1, absorb & span, reach & span)
+            elif ready:
+                k = len(node.children)
+                value, dead, settled = zip(*done[-k:])
+                del done[-k:]
+                is_or = isinstance(node, Or)
+                parts = (
+                    _gate(value, is_or),
+                    _gate(dead, not is_or),
+                    _gate(settled, is_or),
+                )
+            else:
+                flat = self._flat_atoms(node)
+                if flat is None or isinstance(node, And) != flat[1]:
+                    todo.append((node, negated, True))
+                    todo += [(c, False, False) for c in reversed(node.children)]
+                    continue
+                # An Or of atoms, or an And of negated atoms: its negation.
+                slots, flip = flat
+                parts = self._any_atom(*self._masks(slots))
+                negated = negated != flip
+            if negated:
+                value, dead, settled = parts
+                parts = ((not value[0], *value[1:]), settled, dead)
+            done.append(parts)
+        return done[0]
+
+
+# A value or forecast compiles to a group, the tuple
+#     (negated, zero, ones, meets, subs)
+# which holds on a packed state d, before the optional negation, when
+# d & (zero | ones) == ones, every mask in meets has a bit in d, and every
+# group in subs holds. A group in subs is always negated, since a positive
+# one merges into its parent. The empty group is true; negated, false.
+_Group = tuple[bool, int, int, tuple[int, ...], tuple]
+_FALSE: _Group = (True, 0, 0, (), ())
+
+
+def _gate(parts: tuple[_Group, ...], disjunction: bool) -> _Group:
+    """The group for all of parts, or for any of them as the negation of all
+    of their negations, merged at compile time: zero tests under an all and
+    nonzero tests under an any share one union mask, and constants drop out.
+    """
+    zero = ones = 0
+    meets: list[int] = []
+    subs: list[_Group] = []
+    for negated, z, o, m, s in parts:
+        if negated == disjunction:
+            # A conjunct that is itself an all: merge its tests.
+            zero |= z
+            ones |= o
+            meets += m
+            subs += s
+            continue
+        # A negated conjunct. With no test it is false, and so is the all;
+        # a lone test in it flips into this group's masks; the rest stay a
+        # nested group.
+        if not (z or o or m or s):
+            return (not disjunction, 0, 0, (), ())
+        if s or len(m) + (z != 0) + (o != 0) > 1 or o & (o - 1):
+            subs.append((True, z, o, m, s))
+        elif z:
+            # not d & z == 0: d meets z, one bit of ones when z is one bit.
+            if z & (z - 1):
+                meets.append(z)
+            else:
+                ones |= z
+        elif m:
+            # not d meets m: d & m == 0.
+            zero |= m[0]
         else:
-            ev = lambda d: any(f(d) for f in evs)
-        win = _FALSE_FOREVER if is_and else _TRUE_FOREVER
-
-        def fate_gate(d: int) -> int:
-            undecided = False
-            for f in fates:
-                v = f(d)
-                if v == win:
-                    return win
-                if v == _UNDECIDED:
-                    undecided = True
-            return _UNDECIDED if undecided else -win
-
-        return ev, fate_gate
+            # not d & o == o for one bit o: d & o == 0.
+            zero |= o
+    if zero & ones:
+        # Some bit must be both clear and set.
+        return (not disjunction, 0, 0, (), ())
+    if len(subs) == 1 and not (zero or ones or meets):
+        negated, z, o, m, s = subs[0]
+        return (negated != disjunction, z, o, m, s)
+    return (disjunction, zero, ones, tuple(meets), tuple(subs))
 
 
-def _any_atom_fate(absorb: int, reach: int) -> Callable[[int], int]:
-    """Forecast of "some of these atoms matches" from their union masks."""
+def _agree_forever(
+    first: tuple[_Group, _Group, _Group], second: tuple[_Group, _Group, _Group]
+) -> _Group:
+    """Both expressions stay false, or both stay true, on every extension:
+    from (value, dead, settled) groups, (dead1 and dead2) or (settled1 and
+    settled2)."""
+    both_dead = _gate((first[1], second[1]), False)
+    return _gate((both_dead, _gate((first[2], second[2]), False)), True)
 
-    def fate(d: int) -> int:
-        if d & absorb:
-            return _TRUE_FOREVER
-        if not d & reach:
-            return _FALSE_FOREVER
-        return _UNDECIDED
 
-    return fate
+def _test(
+    negated: bool, zero: int, ones: int, meets: tuple[int, ...]
+) -> Callable[[int], bool]:
+    """A group without subs as one callable."""
+    care = zero | ones
+    if not meets:
+        if negated:
+            return lambda d: d & care != ones
+        return lambda d: d & care == ones
+    if not care and len(meets) == 1:
+        (m,) = meets
+        if negated:
+            return lambda d: d & m == 0
+        return lambda d: d & m != 0
+    if care:
+        test = lambda d: d & care == ones and all(map(d.__and__, meets))
+    else:
+        test = lambda d: all(map(d.__and__, meets))
+    if negated:
+        return lambda d: not test(d)
+    return test
+
+
+def _predicate(g: _Group) -> Callable[[int], bool]:
+    """A group as one callable. Nested groups run as a jump program over
+    their tests, which loops rather than recursing however deep they nest."""
+    negated, zero, ones, meets, subs = g
+    if not subs:
+        return _test(negated, zero, ones, meets)
+    # Labels 0 and 1 end a run false and true; label i > 1 is the step
+    # (test, label if it holds, label if not). Steps are laid out last
+    # first, and ``last`` is where the group being laid out goes when it
+    # holds; a group's own masks are tested before its subs.
+    steps: list = [None, None]
+    last = 1
+    todo = [(g, 0)]
+    while todo:
+        (negated, zero, ones, meets, subs), no = todo.pop()
+        if not subs:
+            steps.append((_test(negated, zero, ones, meets), last, no))
+            last = len(steps) - 1
+            continue
+        if negated:
+            last, no = no, last
+        if zero or ones or meets:
+            todo.append(((False, zero, ones, meets, ()), no))
+        todo += [(s, no) for s in subs]
+    entry = last
+    program = tuple(steps)
+
+    def run(d: int) -> bool:
+        at = entry
+        while at > 1:
+            test, yes, no = program[at]
+            at = yes if test(d) else no
+        return at == 1
+
+    return run
 
 
 def _bfs(
@@ -399,9 +530,9 @@ def find_witness(
     if bound_is_proof:
         max_len = expression_size(e)
     comp = _CompiledSearch([e], sigma)
-    ev, fate = comp.deciders[0]
+    value, dead, _ = comp.deciders[0]
     witness, explored, complete = _bfs(
-        comp, ev, lambda d: fate(d) == _FALSE_FOREVER, budget, max_len
+        comp, _predicate(value), _predicate(dead), budget, max_len
     )
     verdict = Verdict.EXHAUSTED_EMPTY if witness is None else Verdict.FOUND
     complete = complete or bound_is_proof
@@ -419,12 +550,9 @@ def find_separating_string(
 ) -> SearchOutcome:
     """Shortest text on which the two expressions disagree, if any."""
     comp = _CompiledSearch([e1, e2], sigma)
-    (ev1, fate1), (ev2, fate2) = comp.deciders
-
-    def prune(d: int) -> bool:
-        g1 = fate1(d)
-        return g1 != _UNDECIDED and g1 == fate2(d)
-
+    first, second = comp.deciders
+    ev1, ev2 = _predicate(first[0]), _predicate(second[0])
+    prune = _predicate(_agree_forever(first, second))
     witness, explored, complete = _bfs(
         comp, lambda d: ev1(d) != ev2(d), prune, budget, max_len
     )

@@ -4,12 +4,14 @@ Exit codes follow one convention across subcommands: 0 for a positive
 verdict (match, equivalent, witness found, accepted), 1 for the negative
 counterpart, 2 for unusable input, 3 for hitting a search budget, an
 expansion cap, or a ``--max-len`` cap that left the search unfinished.
+A reader that closes stdout early ends the run quietly with 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -390,10 +392,21 @@ def dispatch(argv: list[str]) -> int:
     except (SearchBudgetExceeded, ExplosionCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # A closed stdout is not an input error; main handles it.
+        raise
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout went away (say, ``| head``): stop quietly.
+        # Python flushes stdout again at exit, so point it at devnull first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)

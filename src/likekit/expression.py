@@ -38,7 +38,7 @@ from .pattern import (
 DEFAULT_EXPANSION_CAP = 4096
 
 # Open NOTs plus open parentheses a parsed expression may nest, which keeps the
-# recursive parser, evaluator, renderer and rewrites inside the recursion limit.
+# recursive parser and the DNF rewrite inside the recursion limit.
 MAX_NESTING = 200
 
 
@@ -158,22 +158,32 @@ def is_monotone(e: LikeExpression) -> bool:
 
 def evaluate(e: LikeExpression, t: Text | str) -> bool:
     t = as_text(t)
-
-    def rec(node: LikeExpression) -> bool:
-        # A run of NOTs is unwound here, so its length costs no recursion.
+    # Open gates as (remaining children, is And, negated); a gate stops at
+    # the first child that decides it. A run of NOTs is unwound to its
+    # parity, so no nesting costs recursion.
+    open_gates: list[tuple[Iterator[LikeExpression], bool, bool]] = []
+    node = e
+    while True:
         negated = False
         while isinstance(node, Not):
             node = node.child
             negated = not negated
-        if isinstance(node, Atom):
-            value = match_greedy(node.pattern, t)
-        elif isinstance(node, And):
-            value = all(rec(c) for c in node.children)
+        if not isinstance(node, Atom):
+            children = iter(node.children)
+            open_gates.append((children, isinstance(node, And), negated))
+            node = next(children)
+            continue
+        value = match_greedy(node.pattern, t) != negated
+        while open_gates:
+            children, is_and, negated = open_gates[-1]
+            if value == is_and:
+                node = next(children, None)
+                if node is not None:
+                    break
+            open_gates.pop()
+            value = value != negated
         else:
-            value = any(rec(c) for c in node.children)
-        return value != negated
-
-    return rec(e)
+            return value
 
 
 # --- parsing ---------------------------------------------------------------
@@ -321,32 +331,43 @@ def render_expression(
 ) -> str:
     """Inverse of parse_expression, up to flattening of nested connectives."""
 
-    def prec(node: LikeExpression) -> int:
-        if isinstance(node, Or):
-            return 0
-        if isinstance(node, And):
-            return 1
-        return 2
-
-    def rec(node: LikeExpression, context: int) -> str:
+    # Pieces are written left to right from a stack of pending strings and
+    # (node, context) pairs, so nesting depth costs no recursion.
+    out: list[str] = []
+    todo: list[str | tuple[LikeExpression, int]] = [(e, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, context = item
         if isinstance(node, Atom):
-            s = "LIKE " + _quote(node.pattern, escape, tokens)
-        elif isinstance(node, Not):
+            out.append("LIKE " + _quote(node.pattern, escape, tokens))
+            continue
+        if isinstance(node, Not):
             run = 0
-            inner: LikeExpression = node
-            while isinstance(inner, Not):
-                inner = inner.child
+            while isinstance(node, Not):
+                node = node.child
                 run += 1
-            s = "NOT " * run + rec(inner, 2)
-        elif isinstance(node, And):
-            s = " AND ".join(rec(c, 2) for c in node.children)
+            out.append("NOT " * run)
+            todo.append((node, 2))
+            continue
+        # Precedence: OR 0, AND 1, NOT and atoms 2; a child binding looser
+        # than its context is parenthesized.
+        if isinstance(node, And):
+            sep, own, inner = " AND ", 1, 2
         else:
-            s = " OR ".join(rec(c, 1) for c in node.children)
-        if prec(node) < context:
-            return "(" + s + ")"
-        return s
-
-    return rec(e, 0)
+            sep, own, inner = " OR ", 0, 1
+        wrap = own < context
+        if wrap:
+            todo.append(")")
+        for i, c in enumerate(reversed(node.children)):
+            if i:
+                todo.append(sep)
+            todo.append((c, inner))
+        if wrap:
+            out.append("(")
+    return "".join(out)
 
 
 # --- rewrites ---------------------------------------------------------------

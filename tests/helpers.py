@@ -9,16 +9,19 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from likekit import (
     ANY_ONE,
     ANY_STRING,
     Alphabet,
+    And,
     Atom,
     Cnf,
     LikeExpression,
     Literal,
+    Not,
+    Or,
     Pattern,
     Text,
     TmRule,
@@ -101,6 +104,17 @@ def shortest_satisfying(
     return None
 
 
+def alternating_chain(depth: int, leaf: LikeExpression) -> LikeExpression:
+    """AND(%a%, OR(%b%, AND(%a%, ... leaf))) with ``depth`` gates, built in
+    the library, past any nesting limit of the parser."""
+    a = Atom(Pattern((ANY_STRING, Literal("a"), ANY_STRING)))
+    b = Atom(Pattern((ANY_STRING, Literal("b"), ANY_STRING)))
+    e = leaf
+    for i in reversed(range(depth)):
+        e = And((a, e)) if i % 2 == 0 else Or((b, e))
+    return e
+
+
 def brute_force_sat(formula: Cnf) -> tuple[bool, ...] | None:
     for bits in itertools.product((False, True), repeat=formula.n_vars):
         ok = True
@@ -176,6 +190,74 @@ def naive_packed_masks(
         "state_bits": offset,
         "blocks": blocks,
     }
+
+
+TRUE_FOREVER, FALSE_FOREVER, UNDECIDED = 1, -1, 0
+
+
+def naive_forecasts(
+    exprs: Sequence[LikeExpression], sigma: Alphabet
+) -> tuple[list[tuple[Callable[[int], bool], Callable[[int], int]]], dict]:
+    """Each expression's value and three-valued forecast as closures over
+    the packed state, compiled node by node with recursion, as a reference.
+
+    A forecast is TRUE_FOREVER or FALSE_FOREVER when the expression keeps
+    that value on every extension of the text read so far, and UNDECIDED
+    otherwise. An atom is true forever once its absorb bit is set and false
+    forever once no bit of its reach is; NOT flips a forecast; AND is false
+    forever when a child is and true forever when all are, OR dually. The
+    masks come from ``naive_packed_masks``, which is returned too. Deep
+    expressions need a raised recursion limit.
+    """
+    layout = naive_packed_masks(exprs, sigma)
+    blocks = iter(layout["blocks"])
+
+    def compile_(e: LikeExpression):
+        if isinstance(e, Atom):
+            _, (accept, absorb, reach) = next(blocks)
+
+            def atom_fate(d: int) -> int:
+                if d & absorb:
+                    return TRUE_FOREVER
+                if not d & reach:
+                    return FALSE_FOREVER
+                return UNDECIDED
+
+            return (lambda d: d & accept != 0), atom_fate
+        if isinstance(e, Not):
+            ev, fate = compile_(e.child)
+            return (lambda d: not ev(d)), (lambda d: -fate(d))
+        subs = [compile_(c) for c in e.children]
+        if isinstance(e, And):
+            win, combine = FALSE_FOREVER, all
+        else:
+            win, combine = TRUE_FOREVER, any
+
+        def gate_fate(d: int) -> int:
+            fates = [fate(d) for _, fate in subs]
+            if win in fates:
+                return win
+            return UNDECIDED if UNDECIDED in fates else -win
+
+        return (lambda d: combine(ev(d) for ev, _ in subs)), gate_fate
+
+    return [compile_(e) for e in exprs], layout
+
+
+def reachable_states(layout: dict, limit: int) -> list[int]:
+    """Up to ``limit`` packed states reachable from the start of a
+    ``naive_packed_masks`` layout, breadth first, nothing pruned."""
+    gaps = layout["gaps"]
+    seen = {layout["initial"]: None}
+    queue = [layout["initial"]]
+    for d in queue:
+        for _, on_sym in layout["moves"]:
+            nxt = ((d & on_sym) << 1) | (d & gaps)
+            nxt |= (nxt & gaps) << 1
+            if nxt not in seen and len(seen) < limit:
+                seen[nxt] = None
+                queue.append(nxt)
+    return queue
 
 
 # --- a small classical regex engine ------------------------------------------

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -6,6 +8,7 @@ from likekit import (
     Alphabet,
     And,
     Atom,
+    Cnf,
     Literal,
     Not,
     Or,
@@ -14,6 +17,7 @@ from likekit import (
     SearchBudgetExceeded,
     Verdict,
     and_,
+    encode_3sat,
     evaluate,
     find_separating_string,
     find_witness,
@@ -22,13 +26,20 @@ from likekit import (
     parse_expression,
     parse_pattern,
 )
-from likekit.automata import _CompiledSearch
+from likekit.automata import _CompiledSearch, _agree_forever, _predicate
 
 from helpers import (
+    FALSE_FOREVER,
+    TRUE_FOREVER,
+    UNDECIDED,
     all_patterns,
     all_texts,
+    alternating_chain,
+    brute_force_sat,
+    naive_forecasts,
     naive_packed_masks,
     random_pattern,
+    reachable_states,
     shortest_satisfying,
 )
 
@@ -347,3 +358,154 @@ def test_compile_of_a_wide_alphabet_agrees_with_reference():
     for _ in range(40):
         exprs = [_random_expr(rng, pool, 2) for _ in range(2)]
         _assert_compile_matches_reference(exprs, sigma)
+
+
+# --- forecasts compiled to mask tests ----------------------------------------
+
+
+def _in_deep_thread(fn):
+    """Run fn in a thread with room for deep recursion, for the references."""
+    result = []
+    limit = sys.getrecursionlimit()
+    old_size = threading.stack_size(64 * 2**20)
+    try:
+        sys.setrecursionlimit(20_000)
+        worker = threading.Thread(target=lambda: result.append(fn()))
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setrecursionlimit(limit)
+        threading.stack_size(old_size)
+    assert not worker.is_alive() and result, "the reference did not finish"
+    return result[0]
+
+
+def _reference_table(exprs, sigma, limit):
+    """For each reachable state, every expression's (value, forecast) from
+    the three-valued reference."""
+    reference, layout = naive_forecasts(exprs, sigma)
+    states = reachable_states(layout, limit)
+    return {d: [(ev(d), fate(d)) for ev, fate in reference] for d in states}
+
+
+def _assert_forecasts_match_reference(exprs, sigma, limit=3000, table=None):
+    if table is None:
+        table = _reference_table(exprs, sigma, limit)
+    comp = _CompiledSearch(exprs, sigma)
+    compiled = [tuple(map(_predicate, groups)) for groups in comp.deciders]
+    both = _predicate(_agree_forever(*comp.deciders)) if len(exprs) == 2 else None
+    for d, row in table.items():
+        for (value, dead, settled), (ev, fate) in zip(compiled, row):
+            assert value(d) == ev, (exprs, d)
+            assert dead(d) == (fate == FALSE_FOREVER), (exprs, d)
+            assert settled(d) == (fate == TRUE_FOREVER), (exprs, d)
+        if both is not None:
+            (_, f1), (_, f2) = row
+            assert both(d) == (f1 != UNDECIDED and f1 == f2), (exprs, d)
+
+
+def _not_run(rng, e):
+    for _ in range(rng.randint(0, 4)):
+        e = Not(e)
+    return e
+
+
+def _random_expr_with_not_runs(rng, symbols, depth):
+    """An AND or OR of ``_random_expr`` children, each under a run of up to
+    four NOTs, and itself under one."""
+    gate = And if rng.random() < 0.5 else Or
+    n = rng.randint(2, 3)
+    children = [_not_run(rng, _random_expr(rng, symbols, depth - 1)) for _ in range(n)]
+    return _not_run(rng, gate(tuple(children)))
+
+
+def test_forecasts_agree_with_three_valued_reference():
+    rng = random.Random(5150)
+    for i in range(1000):
+        chars, syms, _ = _DIFF_SETTINGS[i % 2]
+        sigma = Alphabet.from_chars(chars)
+        make = _random_expr if i % 3 else _random_expr_with_not_runs
+        exprs = [make(rng, syms, 3) for _ in range(1 + i % 2)]
+        _assert_forecasts_match_reference(exprs, sigma)
+
+
+def test_forecasts_agree_with_reference_on_the_3cnf_gadget():
+    rng = random.Random(31)
+    for n in (3, 4):
+        clauses = [
+            tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+            for _ in range(4 * n)
+        ]
+        e, sigma = encode_3sat(Cnf(n, tuple(clauses)))
+        _assert_forecasts_match_reference([e], sigma)
+        # Every %x% atom self-loops on its first bit, so only _^n can die.
+        comp = _CompiledSearch([e], sigma)
+        reach = comp._masks([comp._slot[id(e.children[0].pattern)]])[2]
+        assert comp.deciders[0][1] == (True, 0, 0, (reach,), ())
+
+
+def test_forecasts_agree_with_reference_on_deep_chains():
+    sigma = Alphabet.from_chars("ab")
+    deep = alternating_chain(3000, Atom(P("aaa")))
+    negated = alternating_chain(3000, Not(Or((Atom(P("a%")), Not(Atom(P("%bb")))))))
+    for exprs in ([deep], [deep, negated], [Not(Not(Not(negated)))]):
+        table = _in_deep_thread(lambda: _reference_table(exprs, sigma, 3000))
+        _assert_forecasts_match_reference(exprs, sigma, table=table)
+
+
+def test_deep_and_or_chain_search():
+    # Over ab the chain is %a% AND (%b% OR aaa): past the first gate, a
+    # text holding a reaches the leaf only when it holds no b.
+    sigma = Alphabet.from_chars("ab")
+    e = alternating_chain(3000, Atom(P("aaa")))
+    out = find_witness(e, sigma)
+    assert (out.verdict, out.witness, out.complete) == (Verdict.FOUND, ("a", "b"), True)
+    assert out.atoms == 3
+    plain = parse_expression('LIKE "%a%" AND (LIKE "%b%" OR LIKE "aaa")')
+    sep = find_separating_string(e, plain, sigma)
+    assert sep.verdict is Verdict.EXHAUSTED_EQUIVALENT and sep.complete
+    sep = find_separating_string(e, parse_expression('LIKE "%a%" AND LIKE "%b%"'), sigma)
+    assert sep.witness == ("a", "a", "a")
+    for max_len in (2, 3):
+        got = find_separating_string(e, plain, sigma, max_len=max_len)
+        want = find_separating_string(plain, plain, sigma, max_len=max_len)
+        assert (got.verdict, got.complete) == (want.verdict, want.complete)
+    # With the leaf negated, a text holding a and no b needs to differ
+    # from aaa.
+    out = find_witness(alternating_chain(3001, Not(Atom(P("aaa")))), sigma)
+    assert out.witness == ("a",)
+    no_b = Not(Atom(P("%b%")))
+    out = find_witness(And((no_b, alternating_chain(3000, Not(Atom(P("a")))))), sigma)
+    assert out.witness == ("a", "a")
+
+
+def test_3cnf_gadget_explores_every_assignment_prefix():
+    # The search visits every state up to depth n whatever the clauses, so
+    # the count is the same for every formula with n variables.
+    rng = random.Random(2718)
+    for n, explored in ((4, 299), (5, 1263), (6, 5276)):
+        clauses = tuple(
+            tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+            for _ in range(round(4.3 * n))
+        )
+        formula = Cnf(n, clauses)
+        e, sigma = encode_3sat(formula)
+        out = find_witness(e, sigma)
+        assert out.explored == explored, n
+        assert (out.witness is None) == (brute_force_sat(formula) is None), n
+
+
+def test_or_holding_a_self_looping_atom_never_dies():
+    sigma = Alphabet.from_chars("ab")
+    # %a% keeps its first bit set on every text, so the OR is never false
+    # forever: its dead test is the constant false group.
+    gate = or_(Atom(P("%a%")), Atom(P("b")))
+    assert _CompiledSearch([gate], sigma).deciders[0][1] == (True, 0, 0, (), ())
+    # Under an AND only the other conjunct's reach is tested.
+    e = and_(gate, Atom(P("a_")))
+    comp = _CompiledSearch([e], sigma)
+    reach = comp._masks([comp._slot[id(e.children[1].pattern)]])[2]
+    assert comp.deciders[0][1] == (True, 0, 0, (reach,), ())
+    # A literal outside sigma still kills its atom in the first step.
+    out = find_witness(and_(gate, Atom(P("a%z"))), sigma)
+    assert out.verdict is Verdict.EXHAUSTED_EMPTY and out.explored == 1

@@ -384,3 +384,22 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "match"
+
+
+def test_closed_stdout_ends_quietly():
+    # The reader takes 10 bytes of a pattern about 1 MB long and closes the
+    # pipe, as ``| head -c 10`` does.
+    src = str(Path(likekit.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "likekit", "reduce", "majority", "--n", "1000000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert head == b"%1%1%1%1%1"
+    assert err == b""

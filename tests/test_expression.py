@@ -19,6 +19,7 @@ from likekit import (
     expression_size,
     is_monotone,
     is_normalized,
+    match_greedy,
     or_,
     parse_expression,
     parse_pattern,
@@ -26,7 +27,7 @@ from likekit import (
     to_dot_depth1_dnf,
 )
 
-from helpers import all_texts, random_pattern
+from helpers import all_texts, alternating_chain, random_pattern
 
 
 def P(text):
@@ -162,6 +163,45 @@ def test_deep_gate_chain_built_in_library_is_walked_without_recursion(gate):
     assert is_monotone(e)
     assert not is_monotone(negated)
     assert expression_size(e) == expression_size(negated) == 1 + 3000 * 2
+
+
+def test_deep_alternating_chain_evaluates_and_renders_without_recursion():
+    e = alternating_chain(3000, Not(Atom(P("aaa"))))
+    # A text holding a and no b reaches the leaf; one holding b stops at
+    # the first OR.
+    for t in all_texts("ab", 4):
+        want = "a" in t and ("b" in t or t != ("a", "a", "a"))
+        assert evaluate(e, t) == want, t
+    pairs = 1500
+    assert render_expression(e) == (
+        'LIKE "%a%" AND (LIKE "%b%" OR ' * pairs + 'NOT LIKE "aaa"' + ")" * pairs
+    )
+    shallow = alternating_chain(5, Atom(P("aaa")))
+    assert parse_expression(render_expression(shallow)) == shallow
+
+
+def test_evaluate_stops_at_the_first_deciding_child(monkeypatch):
+    import likekit.expression as expression
+
+    seen = []
+
+    def counting(p, t):
+        seen.append(p)
+        return match_greedy(p, t)
+
+    monkeypatch.setattr(expression, "match_greedy", counting)
+    e = alternating_chain(3000, Atom(P("aaa")))
+    # b stops the first OR, after %a% and %b%.
+    assert evaluate(e, "ab")
+    assert seen == [P("%a%"), P("%b%")]
+    seen.clear()
+    # No a stops the top AND at once.
+    assert not evaluate(e, "b")
+    assert seen == [P("%a%")]
+    seen.clear()
+    # aaa walks the whole chain down to the leaf.
+    assert evaluate(e, "aaa")
+    assert len(seen) == 3000 + 1
 
 
 def test_expand_underscores_equivalence():
