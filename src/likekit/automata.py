@@ -44,6 +44,19 @@ tests under an any, share one union mask; constants drop out), and
 nested groups run as a jump program, so evaluation loops instead of
 recursing. The witness search prunes dead states; the separator prunes
 states where both expressions are dead or both are settled.
+
+The step and the closure are monotone in the state bits, so every
+successor of D lies inside the union U of all of them, one step on the
+OR of the move masks. When the prune forecast is *down-closed* (holding
+on a state, it holds on every subset), U pruned means every successor is
+pruned, and D is not expanded at all. Zero tests are down-closed and
+ones and meets tests up-closed, so a group is down-closed when its
+positive part has no ones or meets test and its subs are down-closed;
+a negated group asks the dual of its inner part. The 3-CNF gadget's dead
+test (the ``_^n`` block has no bit left) is one zero test, so its deepest
+states cost one test each; the machine gadget's (some forbidden pattern
+absorbed) is not down-closed and takes no extra test.
+
 Exploration is capped by a state budget; exceeding it raises rather
 than guessing.
 """
@@ -422,6 +435,21 @@ def _test(
     return test
 
 
+def _down_closed(g: _Group) -> bool:
+    """Whether g, holding on a state, holds on every subset of it: its
+    zero tests sit under an even number of negations, its ones and meets
+    tests under an odd number."""
+    # The loop also visits the subs appended while it runs.
+    todo = [(g, True)]
+    for (negated, zero, ones, meets, subs), down in todo:
+        down = down != negated
+        if (ones or meets) if down else zero:
+            return False
+        for s in subs:
+            todo.append((s, down))
+    return True
+
+
 def _predicate(g: _Group) -> Callable[[int], bool]:
     """A group as one callable. Nested groups run as a jump program over
     their tests, which loops rather than recursing however deep they nest."""
@@ -462,7 +490,7 @@ def _predicate(g: _Group) -> Callable[[int], bool]:
 def _bfs(
     comp: _CompiledSearch,
     accept: Callable[[int], bool],
-    prune: Callable[[int], bool],
+    forecast: _Group,
     budget: int,
     max_len: int | None,
 ) -> tuple[Text | None, int, bool]:
@@ -472,12 +500,23 @@ def _bfs(
     space was exhausted without hitting an accepting state. ``complete``
     is false when a state at depth ``max_len`` still had an unvisited,
     unpruned successor, so the cap, not the state space, ended the scan.
+
+    States where the ``forecast`` group holds are pruned. When it is
+    down-closed, a state whose successors' union is pruned is not
+    expanded: each successor lies inside that union and would be pruned.
     """
     start = comp.initial
     visited: dict[int, tuple[int | None, Symbol | None]] = {start: (None, None)}
     queue: deque[tuple[int, int]] = deque([(start, 0)])
     moves = comp.moves
     gaps = comp.gaps
+    prune = _predicate(forecast)
+    # A forecast that never holds can never skip a state either.
+    closed = forecast != _FALSE and _down_closed(forecast)
+    any_on = 0
+    if closed:
+        for _, on_sym in moves:
+            any_on |= on_sym
     complete = True
     while queue:
         state, depth = queue.popleft()
@@ -495,6 +534,10 @@ def _bfs(
         if at_cap and not complete:
             continue
         kept = state & gaps
+        if closed:
+            union = ((state & any_on) << 1) | kept
+            if prune(union | (union & gaps) << 1):
+                continue
         for sym, on_sym in moves:
             nxt = ((state & on_sym) << 1) | kept
             nxt |= (nxt & gaps) << 1
@@ -531,9 +574,7 @@ def find_witness(
         max_len = expression_size(e)
     comp = _CompiledSearch([e], sigma)
     value, dead, _ = comp.deciders[0]
-    witness, explored, complete = _bfs(
-        comp, _predicate(value), _predicate(dead), budget, max_len
-    )
+    witness, explored, complete = _bfs(comp, _predicate(value), dead, budget, max_len)
     verdict = Verdict.EXHAUSTED_EMPTY if witness is None else Verdict.FOUND
     complete = complete or bound_is_proof
     return SearchOutcome(
@@ -552,9 +593,12 @@ def find_separating_string(
     comp = _CompiledSearch([e1, e2], sigma)
     first, second = comp.deciders
     ev1, ev2 = _predicate(first[0]), _predicate(second[0])
-    prune = _predicate(_agree_forever(first, second))
     witness, explored, complete = _bfs(
-        comp, lambda d: ev1(d) != ev2(d), prune, budget, max_len
+        comp,
+        lambda d: ev1(d) != ev2(d),
+        _agree_forever(first, second),
+        budget,
+        max_len,
     )
     verdict = Verdict.EXHAUSTED_EQUIVALENT if witness is None else Verdict.FOUND
     return SearchOutcome(

@@ -264,7 +264,10 @@ def _add_alphabet(sub: argparse.ArgumentParser, required: bool = True) -> None:
 
 
 def _non_negative_int(raw: str) -> int:
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {value}")
     return value
@@ -316,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_alphabet(p)
     p.add_argument(
         "--cap",
-        type=int,
+        type=_non_negative_int,
         default=DEFAULT_EXPANSION_CAP,
         help="maximum number of generated atoms",
     )
@@ -348,7 +351,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     r = rsubs.add_parser("majority", help="pattern for majority-of-ones")
     r.add_argument(
-        "--n", type=int, required=True, help="text length the pattern is aimed at"
+        "--n",
+        type=_non_negative_int,
+        required=True,
+        help="text length the pattern is aimed at",
     )
     _add_common(r)
     r.set_defaults(func=_cmd_reduce_majority)
@@ -356,7 +362,9 @@ def _build_parser() -> argparse.ArgumentParser:
     r = rsubs.add_parser("tm", help="encode a bounded-space machine run")
     r.add_argument("--machine", required=True, help="machine JSON file, or - for stdin")
     r.add_argument("--input", default="", help="input word, tokens separated by spaces")
-    r.add_argument("--space", type=int, required=True, help="tape cells available")
+    r.add_argument(
+        "--space", type=_non_negative_int, required=True, help="tape cells available"
+    )
     r.add_argument("--alphabet-out", default=None, help="write the alphabet here")
     _add_common(r)
     r.set_defaults(func=_cmd_reduce_tm)
@@ -366,8 +374,10 @@ def _build_parser() -> argparse.ArgumentParser:
     r = ssubs.add_parser("tm", help="run a bounded-space machine")
     r.add_argument("--machine", required=True, help="machine JSON file, or - for stdin")
     r.add_argument("--input", default="", help="input word, tokens separated by spaces")
-    r.add_argument("--space", type=int, required=True, help="tape cells available")
-    r.add_argument("--max-steps", type=int, default=None)
+    r.add_argument(
+        "--space", type=_non_negative_int, required=True, help="tape cells available"
+    )
+    r.add_argument("--max-steps", type=_non_negative_int, default=None)
     _add_common(r)
     r.set_defaults(func=_cmd_simulate_tm)
 

@@ -437,28 +437,44 @@ def to_dot_depth1_dnf(
     The steps: push negations down to atoms, expand every ``_`` over the
     alphabet, then distribute conjunction over disjunction. Evaluation is
     preserved on texts over ``sigma``. The cap bounds the total number of
-    signed atoms the distribution may generate.
+    signed atoms the distribution may generate. The tree is walked
+    bottom-up with an explicit stack, so nesting depth costs no recursion.
     """
+    if cap < 0:
+        raise ValueError(f"cap must not be negative: {cap}")
 
     def check(count: int) -> None:
         if count > cap:
             raise ExplosionCapError(count, cap)
 
-    def rec(node: LikeExpression, positive: bool) -> list[list[SignedAtom]]:
+    done: list[list[list[SignedAtom]]] = []
+    # (expression, positive, children done): a gate comes back once its
+    # children's clause lists are on top of ``done``, in order.
+    todo: list[tuple[LikeExpression, bool, bool]] = [(e, True, False)]
+    while todo:
+        node, positive, ready = todo.pop()
         while isinstance(node, Not):
             node = node.child
             positive = not positive
         if isinstance(node, Atom):
             pats = [normalize(q) for q in _expansions(node.pattern, sigma, cap)]
             if positive:
-                return [[SignedAtom(q, True)] for q in pats]
-            return [[SignedAtom(q, False) for q in pats]]
-        conjunctive = isinstance(node, And) == positive
-        parts = [rec(c, positive) for c in node.children]
-        if not conjunctive:
+                done.append([[SignedAtom(q, True)] for q in pats])
+            else:
+                done.append([[SignedAtom(q, False) for q in pats]])
+            continue
+        if not ready:
+            todo.append((node, positive, True))
+            todo += [(c, positive, False) for c in reversed(node.children)]
+            continue
+        k = len(node.children)
+        parts = done[-k:]
+        del done[-k:]
+        if isinstance(node, And) != positive:
             merged = [clause for part in parts for clause in part]
             check(sum(len(c) for c in merged))
-            return merged
+            done.append(merged)
+            continue
         result: list[list[SignedAtom]] = [[]]
         for part in parts:
             # Sized before it is built: each clause of one side meets
@@ -467,7 +483,5 @@ def to_dot_depth1_dnf(
                 len(result) * sum(map(len, part)) + len(part) * sum(map(len, result))
             )
             result = [left + right for left in result for right in part]
-        return result
-
-    clauses = rec(e, True)
-    return Dnf(tuple(tuple(c) for c in clauses))
+        done.append(result)
+    return Dnf(tuple(tuple(c) for c in done[0]))

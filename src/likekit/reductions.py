@@ -291,6 +291,8 @@ def simulate_tm(
     The history lists every configuration reached, a repeat excluded.
     """
     w = _check_run_args(spec, word, space)
+    if max_steps is not None and max_steps < 0:
+        raise ValueError("max_steps must not be negative")
     tape = list(w) + [spec.blank] * (space - len(w))
     head = 0
     state = spec.start

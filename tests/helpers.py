@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from typing import Callable, Iterator, Sequence
 
 from likekit import (
@@ -18,11 +19,15 @@ from likekit import (
     And,
     Atom,
     Cnf,
+    ExplosionCapError,
     LikeExpression,
     Literal,
     Not,
     Or,
     Pattern,
+    SearchBudgetExceeded,
+    SignedAtom,
+    Symbol,
     Text,
     TmRule,
     TmSpec,
@@ -30,6 +35,7 @@ from likekit import (
     and_,
     atom_patterns,
     evaluate,
+    expand_underscores,
     normalize,
     or_,
 )
@@ -113,6 +119,41 @@ def alternating_chain(depth: int, leaf: LikeExpression) -> LikeExpression:
     for i in reversed(range(depth)):
         e = And((a, e)) if i % 2 == 0 else Or((b, e))
     return e
+
+
+def reference_dnf_clauses(
+    e: LikeExpression, sigma: Alphabet, cap: int
+) -> list[list[SignedAtom]]:
+    """The DNF rewrite's clauses by recursion over the expression, one
+    level per gate, raising ExplosionCapError with the same counts: the
+    reference for the stack-walking rewrite."""
+
+    def check(count: int) -> None:
+        if count > cap:
+            raise ExplosionCapError(count, cap)
+
+    def rec(node: LikeExpression, positive: bool) -> list[list[SignedAtom]]:
+        if isinstance(node, Not):
+            return rec(node.child, not positive)
+        if isinstance(node, Atom):
+            expanded = expand_underscores(node.pattern, sigma, cap)
+            pats = [normalize(q) for q in atom_patterns(expanded)]
+            if positive:
+                return [[SignedAtom(q, True)] for q in pats]
+            return [[SignedAtom(q, False) for q in pats]]
+        parts = [rec(c, positive) for c in node.children]
+        if isinstance(node, And) != positive:
+            merged = [clause for part in parts for clause in part]
+            check(sum(map(len, merged)))
+            return merged
+        result: list[list[SignedAtom]] = [[]]
+        for part in parts:
+            left_atoms, right_atoms = sum(map(len, result)), sum(map(len, part))
+            check(len(result) * right_atoms + len(part) * left_atoms)
+            result = [left + right for left in result for right in part]
+        return result
+
+    return rec(e, True)
 
 
 def brute_force_sat(formula: Cnf) -> tuple[bool, ...] | None:
@@ -258,6 +299,65 @@ def reachable_states(layout: dict, limit: int) -> list[int]:
                 seen[nxt] = None
                 queue.append(nxt)
     return queue
+
+
+def reference_bfs(
+    comp,
+    accept: Callable[[int], bool],
+    prune: Callable[[int], bool],
+    budget: int,
+    max_len: int | None,
+) -> tuple[Text | None, int, bool]:
+    """The witness scan over a compiled search, every state expanded: each
+    successor is computed and tested, as a reference for the search loop
+    that skips states whose successors would all be pruned. Returns
+    (witness, explored, complete) and raises SearchBudgetExceeded at the
+    same point."""
+    start = comp.initial
+    visited: dict[int, tuple[int | None, Symbol | None]] = {start: (None, None)}
+    queue: deque[tuple[int, int]] = deque([(start, 0)])
+    complete = True
+    while queue:
+        state, depth = queue.popleft()
+        if accept(state):
+            parts: list[Symbol] = []
+            cur: int | None = state
+            while cur is not None:
+                parent, sym = visited[cur]
+                if sym is not None:
+                    parts.append(sym)
+                cur = parent
+            parts.reverse()
+            return tuple(parts), len(visited), True
+        at_cap = max_len is not None and depth >= max_len
+        if at_cap and not complete:
+            continue
+        for sym, on_sym in comp.moves:
+            nxt = ((state & on_sym) << 1) | (state & comp.gaps)
+            nxt |= (nxt & comp.gaps) << 1
+            if nxt in visited or prune(nxt):
+                continue
+            if at_cap:
+                complete = False
+                break
+            if len(visited) >= budget:
+                raise SearchBudgetExceeded(len(visited))
+            visited[nxt] = (state, sym)
+            queue.append((nxt, depth + 1))
+    return None, len(visited), complete
+
+
+def group_holds(group: tuple, d: int) -> bool:
+    """Whether a compiled search group (negated, zero, ones, meets, subs)
+    holds on the packed state d, by recursion over the definition."""
+    negated, zero, ones, meets, subs = group
+    inner = (
+        d & zero == 0
+        and d & ones == ones
+        and all(d & m for m in meets)
+        and all(group_holds(s, d) for s in subs)
+    )
+    return inner != negated
 
 
 # --- a small classical regex engine ------------------------------------------

@@ -9,6 +9,7 @@ from likekit import (
     And,
     Atom,
     Cnf,
+    DEFAULT_STATE_BUDGET,
     Literal,
     Not,
     Or,
@@ -18,15 +19,24 @@ from likekit import (
     Verdict,
     and_,
     encode_3sat,
+    encode_tm,
     evaluate,
+    expression_size,
     find_separating_string,
     find_witness,
+    is_monotone,
     match_oracle,
     or_,
     parse_expression,
     parse_pattern,
 )
-from likekit.automata import _CompiledSearch, _agree_forever, _predicate
+from likekit.automata import (
+    _CompiledSearch,
+    _agree_forever,
+    _bfs,
+    _down_closed,
+    _predicate,
+)
 
 from helpers import (
     FALSE_FOREVER,
@@ -36,10 +46,13 @@ from helpers import (
     all_texts,
     alternating_chain,
     brute_force_sat,
+    group_holds,
+    m_bouncer,
     naive_forecasts,
     naive_packed_masks,
     random_pattern,
     reachable_states,
+    reference_bfs,
     shortest_satisfying,
 )
 
@@ -509,3 +522,193 @@ def test_or_holding_a_self_looping_atom_never_dies():
     # A literal outside sigma still kills its atom in the first step.
     out = find_witness(and_(gate, Atom(P("a%z"))), sigma)
     assert out.verdict is Verdict.EXHAUSTED_EMPTY and out.explored == 1
+
+
+# --- skipping states whose successors' union is pruned ------------------------
+
+
+def _reference_search(exprs, sigma, budget, max_len):
+    """find_witness (one expression) or find_separating_string (two) run
+    on the reference scan that expands every state: (witness, explored,
+    complete), or the explored count a budget stop reports."""
+    comp = _CompiledSearch(exprs, sigma)
+    if len(exprs) == 1:
+        (e,) = exprs
+        bound_is_proof = max_len is None and is_monotone(e)
+        if bound_is_proof:
+            max_len = expression_size(e)
+        value, dead, _ = comp.deciders[0]
+        accept, prune = _predicate(value), _predicate(dead)
+    else:
+        bound_is_proof = False
+        ev1, ev2 = (_predicate(groups[0]) for groups in comp.deciders)
+        accept = lambda d: ev1(d) != ev2(d)
+        prune = _predicate(_agree_forever(*comp.deciders))
+    try:
+        witness, explored, complete = reference_bfs(
+            comp, accept, prune, budget, max_len
+        )
+    except SearchBudgetExceeded as exc:
+        return exc.explored
+    return witness, explored, complete or bound_is_proof
+
+
+def _library_search(exprs, sigma, budget, max_len):
+    search = find_witness if len(exprs) == 1 else find_separating_string
+    try:
+        out = search(*exprs, sigma, budget=budget, max_len=max_len)
+    except SearchBudgetExceeded as exc:
+        return exc.explored
+    return out.witness, out.explored, out.complete
+
+
+def _forecast(exprs, sigma):
+    comp = _CompiledSearch(exprs, sigma)
+    if len(exprs) == 1:
+        return comp.deciders[0][1]
+    return _agree_forever(*comp.deciders)
+
+
+def test_skipping_search_agrees_with_full_expansion():
+    rng = random.Random(8086)
+    closed = 0
+    for i in range(1200):
+        chars, syms, _ = _DIFF_SETTINGS[i % 2]
+        sigma = Alphabet.from_chars(chars)
+        make = _random_expr if i % 3 else _random_expr_with_not_runs
+        exprs = [make(rng, syms, 3) for _ in range(1 + i // 600)]
+        closed += _down_closed(_forecast(exprs, sigma))
+        max_len = rng.choice((None, None, 0, 1, 2, 3, 4))
+        budget = rng.choice((1, 2, 3, 5, 8, 13, DEFAULT_STATE_BUDGET))
+        want = _reference_search(exprs, sigma, budget, max_len)
+        assert _library_search(exprs, sigma, budget, max_len) == want, (exprs, i)
+    # The skip is live on a good share of the cases, not a dead branch.
+    assert closed > 300
+
+
+def test_skipping_search_agrees_with_full_expansion_on_the_3cnf_gadget():
+    rng = random.Random(1999)
+    for n in (3, 4, 5):
+        vs = range(1, n + 1)
+        for _ in range(4):
+            clauses = tuple(
+                tuple(v if rng.random() < 0.5 else -v for v in rng.sample(vs, 3))
+                for _ in range(round(4.3 * n))
+            )
+            e, sigma = encode_3sat(Cnf(n, clauses))
+            for budget in (7, 50, DEFAULT_STATE_BUDGET):
+                for max_len in (None, n - 1, n):
+                    want = _reference_search([e], sigma, budget, max_len)
+                    assert _library_search([e], sigma, budget, max_len) == want
+
+
+def test_skipping_search_agrees_with_full_expansion_on_any_closed_forecast():
+    # Built forecasts test single positions, such as the bit the % closure
+    # sets, which compiled forecasts never tell apart from the gap bit.
+    rng = random.Random(6510)
+    for i in range(400):
+        chars, syms, _ = _DIFF_SETTINGS[i % 2]
+        sigma = Alphabet.from_chars(chars)
+        comp = _CompiledSearch([_random_expr(rng, syms, 2)], sigma)
+        forecast = _random_group(rng, comp.state_bits, 1, rng.random() < 0.5)
+        if not _down_closed(forecast):
+            forecast = (False, forecast[1], 0, (), ())
+        accept = _predicate(comp.deciders[0][0])
+        max_len = rng.choice((None, 2, 4))
+        budget = rng.choice((3, 20, DEFAULT_STATE_BUDGET))
+        results = []
+        for scan, prune in ((_bfs, forecast), (reference_bfs, _predicate(forecast))):
+            try:
+                results.append(scan(comp, accept, prune, budget, max_len))
+            except SearchBudgetExceeded as exc:
+                results.append(exc.explored)
+        assert results[0] == results[1], (forecast, i)
+
+
+def _random_group(rng, bits, depth, negated):
+    """A group over ``bits`` bits in the shape ``_gate`` builds: random
+    zero, ones and meets masks, and subs that are always negated."""
+
+    def mask():
+        return rng.getrandbits(bits) & rng.getrandbits(bits)
+
+    zero = mask() if rng.random() < 0.5 else 0
+    ones = mask() & ~zero if rng.random() < 0.4 else 0
+    meets = tuple(mask() or 1 for _ in range(rng.choice((0, 0, 1, 2))))
+    subs = ()
+    if depth:
+        width = rng.choice((0, 1, 2))
+        subs = tuple(_random_group(rng, bits, depth - 1, True) for _ in range(width))
+    return (negated, zero, ones, meets, subs)
+
+
+def _assert_down_closed_is_sound(group, bits):
+    """A down-closed answer must hold: on every state of ``bits`` bits
+    where the group holds, it holds with any one set bit cleared, and so,
+    by induction, on every submask."""
+    if not _down_closed(group):
+        return False
+    for d in range(1 << bits):
+        if group_holds(group, d):
+            rest = d
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                assert group_holds(group, d ^ low), (group, d)
+    return True
+
+
+def _groups_within(group):
+    todo = [group]
+    while todo:
+        g = todo.pop()
+        yield g
+        todo += g[4]
+
+
+def test_down_closed_check_is_sound_on_compiled_groups():
+    rng = random.Random(6502)
+    verdicts = set()
+    tried = 0
+    while tried < 300:
+        chars, syms, _ = _DIFF_SETTINGS[tried % 2]
+        sigma = Alphabet.from_chars(chars)
+        make = _random_expr if tried % 3 else _random_expr_with_not_runs
+        exprs = [make(rng, syms, 2) for _ in range(1 + tried % 2)]
+        comp = _CompiledSearch(exprs, sigma)
+        if comp.state_bits > 10:
+            continue
+        tried += 1
+        groups = [g for groups in comp.deciders for g in groups]
+        if len(exprs) == 2:
+            groups.append(_agree_forever(*comp.deciders))
+        for top in groups:
+            for g in _groups_within(top):
+                verdicts.add(_assert_down_closed_is_sound(g, comp.state_bits))
+    assert verdicts == {True, False}
+
+
+def test_down_closed_check_is_sound_on_built_groups():
+    rng = random.Random(6809)
+    closed = 0
+    for i in range(600):
+        bits = 6 + i % 5
+        group = _random_group(rng, bits, 2, rng.random() < 0.5)
+        closed += _assert_down_closed_is_sound(group, bits)
+    assert closed > 50
+    # Zero tests shrink with the state, ones and meets tests grow with it.
+    assert _down_closed((False, 0b101, 0, (), ()))
+    assert not _down_closed((False, 0, 0b1, (), ()))
+    assert not _down_closed((False, 0, 0, (0b11,), ()))
+    assert _down_closed((True, 0, 0b1, (0b11,), ()))
+    assert not _down_closed((True, 0b1, 0, (), ()))
+    assert _down_closed((False, 0b1, 0, (), ((True, 0, 0b10, (), ()),)))
+    assert not _down_closed((False, 0b1, 0, (), ((True, 0b10, 0, (), ()),)))
+    assert _down_closed((True, 0, 0, (), ()))
+
+
+def test_3cnf_dead_forecast_is_down_closed_and_the_bouncers_is_not():
+    e, sigma = encode_3sat(Cnf(3, ((1, -2, 3), (-1, 2, -3))))
+    assert _down_closed(_CompiledSearch([e], sigma).deciders[0][1])
+    e, sigma = encode_tm(*m_bouncer(2))
+    assert not _down_closed(_CompiledSearch([e], sigma).deciders[0][1])

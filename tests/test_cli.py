@@ -1,13 +1,16 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import likekit
 from likekit import parse_expression
 from likekit.expression import MAX_NESTING
-from likekit.cli import dispatch
+from likekit.cli import _build_parser, dispatch
 
 
 def run(capsys, *argv):
@@ -403,3 +406,86 @@ def test_closed_stdout_ends_quietly():
     assert proc.wait(timeout=60) == 0
     assert head == b"%1%1%1%1%1"
     assert err == b""
+
+
+def _integer_options():
+    """(subcommand path, option) for every option of an integer type,
+    found by walking the parser's subcommands."""
+    found = []
+    todo = [((), _build_parser())]
+    while todo:
+        path, parser = todo.pop()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                todo += [((*path, name), sub) for name, sub in action.choices.items()]
+            elif action.option_strings and action.type is not None:
+                try:
+                    is_int = type(action.type("1")) is int
+                except (ValueError, TypeError, argparse.ArgumentTypeError):
+                    is_int = False
+                if is_int:
+                    found.append((path, action.option_strings[0]))
+    return sorted(found)
+
+
+_INTEGER_OPTIONS = _integer_options()
+
+
+def test_integer_options_are_found():
+    assert {opt for _, opt in _INTEGER_OPTIONS} == {
+        "--budget",
+        "--cap",
+        "--max-len",
+        "--max-steps",
+        "--n",
+        "--space",
+    }
+
+
+@pytest.mark.parametrize(
+    "path, option",
+    _INTEGER_OPTIONS,
+    ids=[" ".join((*path, option)) for path, option in _INTEGER_OPTIONS],
+)
+def test_negative_integer_option_is_refused(capsys, path, option):
+    code, out, err = run(capsys, *path, f"{option}=-1")
+    assert code == 2 and not out
+    assert f"argument {option}: must not be negative" in err and "Traceback" not in err
+    code, out, err = run(capsys, *path, f"{option}=x")
+    assert code == 2 and not out
+    assert f"argument {option}: not an integer: 'x'" in err and "Traceback" not in err
+
+
+def test_negative_limits_are_input_errors(tmp_path, capsys):
+    code, _, err = run(
+        capsys, "dnf", "--expr", 'LIKE "a%"', "--alphabet", "ab", "--cap", "-1"
+    )
+    assert code == 2 and "cap" in err and "above the cap" not in err
+    # The one-step machine of test_simulate_tm, which accepts "1" in one cell.
+    machine = tmp_path / "m.json"
+    machine.write_text(
+        json.dumps(
+            {
+                "states": ["q0", "qa"],
+                "tape_alphabet": ["1", "_blank"],
+                "input_alphabet": ["1"],
+                "start": "q0",
+                "accept": "qa",
+                "delta": [
+                    {
+                        "state": "q0",
+                        "read": "1",
+                        "next": "qa",
+                        "write": "_blank",
+                        "move": "L",
+                    }
+                ],
+            }
+        )
+    )
+    argv = ["simulate", "tm", "--machine", str(machine), "--input", "1"]
+    argv += ["--space", "1"]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, err = run(capsys, *argv, "--max-steps", "-1")
+    assert code == 2 and not out and "--max-steps" in err

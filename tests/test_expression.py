@@ -4,14 +4,18 @@ import tracemalloc
 import pytest
 
 from likekit import (
+    ANY_STRING,
     Alphabet,
     And,
     AnyOne,
     Atom,
     ExplosionCapError,
     ExpressionSyntaxError,
+    Literal,
     Not,
     Or,
+    Pattern,
+    SignedAtom,
     and_,
     atom_patterns,
     evaluate,
@@ -27,7 +31,12 @@ from likekit import (
     to_dot_depth1_dnf,
 )
 
-from helpers import all_texts, alternating_chain, random_pattern
+from helpers import (
+    all_texts,
+    alternating_chain,
+    random_pattern,
+    reference_dnf_clauses,
+)
 
 
 def P(text):
@@ -272,3 +281,50 @@ def test_dnf_cap_fires_before_the_product_is_built():
         tracemalloc.stop()
     assert exc.value.required == 4_500_000 and exc.value.cap == 4096
     assert peak < 10 * 2**20
+
+
+def test_dnf_agrees_with_recursive_reference():
+    rng = random.Random(1066)
+    for i in range(600):
+        sigma = Alphabet.from_chars("ab" if i % 2 else "abc")
+        e = _random_nested(rng, "abz", 3)
+        cap = rng.choice((4, 16, 64, 4096))
+        try:
+            want = reference_dnf_clauses(e, sigma, cap)
+        except ExplosionCapError as exc:
+            with pytest.raises(ExplosionCapError) as got:
+                to_dot_depth1_dnf(e, sigma, cap=cap)
+            assert (got.value.required, got.value.cap) == (exc.required, exc.cap)
+            continue
+        dnf = to_dot_depth1_dnf(e, sigma, cap=cap)
+        assert dnf.clauses == tuple(map(tuple, want)), e
+
+
+def _random_nested(rng, symbols, depth):
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return Atom(random_pattern(rng, symbols, 3))
+    if r < 0.45:
+        return Not(_random_nested(rng, symbols, depth - 1))
+    gate = And if rng.random() < 0.5 else Or
+    n = rng.randint(2, 3)
+    return gate(tuple(_random_nested(rng, symbols, depth - 1) for _ in range(n)))
+
+
+def test_dnf_of_a_deep_or_chain():
+    # 3000 atoms under 2999 right-nested binary ORs, built in the library.
+    sigma = Alphabet.from_chars("ab")
+    atoms = [Atom(Pattern((Literal(f"s{i}"), ANY_STRING))) for i in range(3000)]
+    e = atoms[-1]
+    for a in reversed(atoms[:-1]):
+        e = Or((a, e))
+    dnf = to_dot_depth1_dnf(e, sigma)
+    assert dnf.clauses == tuple((SignedAtom(a.pattern, True),) for a in atoms)
+    # Under a NOT the chain becomes one clause of 3000 negated atoms.
+    (clause,) = to_dot_depth1_dnf(Not(e), sigma).clauses
+    assert clause == tuple(SignedAtom(a.pattern, False) for a in atoms)
+
+
+def test_dnf_refuses_a_negative_cap():
+    with pytest.raises(ValueError, match="negative"):
+        to_dot_depth1_dnf(Atom(P("a%")), Alphabet.from_chars("ab"), cap=-1)

@@ -334,3 +334,10 @@ def test_encode_non_accepting_machine_language_is_empty(build):
     expr, sigma = encode_tm(spec, word, space)
     out = find_witness(expr, sigma)
     assert out.verdict is Verdict.EXHAUSTED_EMPTY
+
+
+def test_simulate_refuses_negative_max_steps():
+    spec, word, space = m_bouncer(2)
+    with pytest.raises(ValueError, match="max_steps"):
+        simulate_tm(spec, word, space, max_steps=-1)
+    assert simulate_tm(spec, word, space, max_steps=0).steps == 0
