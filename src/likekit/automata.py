@@ -57,8 +57,12 @@ test (the ``_^n`` block has no bit left) is one zero test, so its deepest
 states cost one test each; the machine gadget's (some forbidden pattern
 absorbed) is not down-closed and takes no extra test.
 
+``PatternNfa`` is the one-atom view of the same compile: one pattern's
+block, over an alphabet of its own literals, so a text symbol it never
+names steps on the ``_`` mask alone. There is no second automaton.
+
 Exploration is capped by a state budget; exceeding it raises rather
-than guessing.
+than guessing. The start state counts, so a budget of 0 explores nothing.
 """
 
 from __future__ import annotations
@@ -86,8 +90,6 @@ from .pattern import (
     ANY_ONE,
     ANY_STRING,
     Alphabet,
-    AnyOne,
-    AnyString,
     Literal,
     Pattern,
     Symbol,
@@ -106,62 +108,35 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 class PatternNfa:
-    """Nondeterministic position automaton for one pattern.
-
-    The state set after reading a text prefix is a bitmask over positions
-    0..size; bit ``size`` set means the whole pattern can consume the
-    prefix. Transition results are memoized per (mask, symbol). It works
-    on the pattern as given, normalized or not, and serves as the
-    per-atom reference for the packed search.
+    """The position automaton of one pattern, as a one-atom view of the
+    packed search compile: the pattern's block of bits, stepped by the
+    same Shift-And masks the searches use. Its alphabet is the pattern's
+    own literals; any other text symbol steps on the ``_`` mask alone.
     """
 
-    __slots__ = ("pattern", "size", "_tokens", "_memo", "initial_mask", "accept_bit")
+    __slots__ = ("pattern", "_moves", "_any_one", "_gaps", "_initial", "_accept")
 
     def __init__(self, pattern: Pattern) -> None:
         self.pattern = pattern
-        self.size = len(pattern.tokens)
-        self._tokens = pattern.tokens
-        self._memo: dict[tuple[int, Symbol], int] = {}
-        self.accept_bit = 1 << self.size
-        self.initial_mask = self._close(1)
-
-    def _close(self, mask: int) -> int:
-        for i in range(self.size):
-            if mask >> i & 1 and isinstance(self._tokens[i], AnyString):
-                mask |= 1 << (i + 1)
-        return mask
-
-    def _step(self, mask: int, symbol: Symbol) -> int:
-        key = (mask, symbol)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        out = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            i = low.bit_length() - 1
-            if i == self.size:
-                continue
-            tok = self._tokens[i]
-            if isinstance(tok, AnyString):
-                out |= low
-            elif isinstance(tok, AnyOne) or (
-                isinstance(tok, Literal) and tok.symbol == symbol
-            ):
-                out |= low << 1
-        out = self._close(out)
-        self._memo[key] = out
-        return out
+        # An alphabet cannot be empty. A pattern with no literal gets a
+        # placeholder symbol, whose move is the _ mask like any other's.
+        symbols = tuple(dict.fromkeys(pattern.literals())) or ("_",)
+        comp = _CompiledSearch([Atom(pattern)], Alphabet(symbols))
+        self._moves = dict(comp.moves)
+        self._any_one = comp.any_one
+        self._gaps = comp.gaps
+        self._initial = comp.initial
+        self._accept = comp.accept
 
     def accepts(self, t: Text) -> bool:
-        mask = self.initial_mask
+        moves, any_one, gaps = self._moves, self._any_one, self._gaps
+        state = self._initial
         for sym in t:
-            mask = self._step(mask, sym)
-            if not mask:
+            state = ((state & moves.get(sym, any_one)) << 1) | (state & gaps)
+            state |= (state & gaps) << 1
+            if not state:
                 return False
-        return bool(mask & self.accept_bit)
+        return bool(state & self._accept)
 
 
 class Verdict(Enum):
@@ -239,10 +214,10 @@ class _CompiledSearch:
             tape = bytes(map(code.get, reversed(stream), repeat(_OUT)))
             outside &= _mask(tape, _OUT)
             at_literal += [_mask(tape, c) for c in range(_LITERAL, len(code))]
-        any_one = _mask(tape, _ANY_ONE)
+        self.any_one = any_one = _mask(tape, _ANY_ONE)
         self.moves = tuple((sym, at | any_one) for sym, at in zip(symbols, at_literal))
         self.gaps = gaps = _mask(tape, _GAP)
-        self._accept = accept = _mask(tape, _ACCEPT)
+        self.accept = accept = _mask(tape, _ACCEPT)
         full = (1 << width) - 1
         starts = ((accept << 1) | 1) & full
         self.initial = starts | ((starts & gaps) << 1)
@@ -271,7 +246,7 @@ class _CompiledSearch:
         span = 0
         for lo, hi in zip(firsts, ends):
             span |= (1 << self._bounds[hi]) - (1 << self._bounds[lo])
-        return self._accept & span, self._absorb & span, self._reach & span
+        return self.accept & span, self._absorb & span, self._reach & span
 
     def _flat_atoms(self, e: LikeExpression) -> tuple[list[int], bool] | None:
         """The slots of an And/Or whose children are all atoms, or all
@@ -504,7 +479,11 @@ def _bfs(
     States where the ``forecast`` group holds are pruned. When it is
     down-closed, a state whose successors' union is pruned is not
     expanded: each successor lies inside that union and would be pruned.
+    The start state counts against the budget, so a budget below one
+    explores nothing.
     """
+    if budget < 1:
+        raise SearchBudgetExceeded(0)
     start = comp.initial
     visited: dict[int, tuple[int | None, Symbol | None]] = {start: (None, None)}
     queue: deque[tuple[int, int]] = deque([(start, 0)])

@@ -130,9 +130,6 @@ class Pattern:
     def __iter__(self) -> Iterator[Token]:
         return iter(self.tokens)
 
-    def has_any_string(self) -> bool:
-        return any(isinstance(t, AnyString) for t in self.tokens)
-
     def literals(self) -> Iterator[Symbol]:
         for tok in self.tokens:
             if isinstance(tok, Literal):

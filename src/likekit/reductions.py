@@ -241,7 +241,10 @@ def tm_from_json(text: str) -> TmSpec:
     Keys: states, tape_alphabet (must contain "_blank"), input_alphabet,
     start, accept, delta (list of {state, read, next, write, move}).
     """
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("machine description nests too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("machine description must be a JSON object")
     try:

@@ -64,7 +64,8 @@ def P(text):
 def test_nfa_agrees_with_oracle():
     for p in all_patterns("ab", 4):
         nfa = PatternNfa(p)
-        for t in all_texts("ab", 5):
+        # z is no literal of any pattern, so it steps on the _ mask alone.
+        for t in (*all_texts("ab", 5), *all_texts("abz", 4)):
             assert nfa.accepts(t) == match_oracle(p, t), (p, t)
 
 
@@ -134,6 +135,17 @@ def test_budget_exceeded():
     with pytest.raises(SearchBudgetExceeded) as exc:
         find_witness(and_(e, Atom(P("bbbbbbbb"))), sigma, budget=3)
     assert exc.value.explored >= 3
+
+
+def test_budget_zero_explores_nothing():
+    # Even a search the start state alone would decide stops before it.
+    sigma = Alphabet.from_chars("ab")
+    e = Atom(P("%"))
+    for search, exprs in ((find_witness, [e]), (find_separating_string, [e, e])):
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            search(*exprs, sigma, budget=0)
+        assert exc.value.explored == 0
+        assert search(*exprs, sigma, budget=1).explored == 1
 
 
 def test_equivalence_known_pair():

@@ -206,6 +206,16 @@ def test_nonempty_budget_exit_code(capsys):
     assert code == 3 and "budget" in err
 
 
+def test_zero_budget_exit_code(capsys):
+    argv = ["--alphabet", "a", "--budget", "0"]
+    for cmd in (
+        ["equiv", "--e1", 'LIKE "%"', "--e2", 'LIKE "%"'],
+        ["nonempty", "--expr", 'LIKE "%"'],
+    ):
+        code, out, err = run(capsys, *cmd, *argv)
+        assert code == 3 and out == "" and "after exploring 0 states" in err
+
+
 def test_alphabet_file(tmp_path, capsys):
     path = tmp_path / "sigma.txt"
     path.write_text("x1\n~x1\n")

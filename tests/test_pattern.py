@@ -109,9 +109,7 @@ def test_token_mode_render_needs_escape_for_metachar_names():
 def test_pattern_helpers():
     p = parse_pattern("a%_b")
     assert len(p) == 4
-    assert p.has_any_string()
     assert list(p.literals()) == ["a", "b"]
-    assert not parse_pattern("ab_").has_any_string()
 
 
 def test_alphabet_validation():

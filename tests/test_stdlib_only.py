@@ -18,3 +18,11 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names, (path.name, node.lineno, name)
+
+
+def test_package_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10, so no module may use
+    # syntax from a later version.
+    assert SOURCES
+    for path in SOURCES:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
