@@ -35,16 +35,9 @@ from .expression import (
 )
 from .matcher import Text, as_text, match_greedy
 from .normalize import normalize
-from .pattern import (
-    Alphabet,
-    Pattern,
-    parse_pattern,
-    parse_pattern_tokens,
-    render_pattern,
-    render_pattern_tokens,
-    to_classical_regex,
-)
+from .pattern import Alphabet, parse_pattern, render_pattern, to_classical_regex
 from .reductions import (
+    TmSpec,
     encode_3sat,
     encode_majority,
     encode_tm,
@@ -58,18 +51,6 @@ def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     return Path(path).read_text()
-
-
-def _parse_pat(raw: str, args: argparse.Namespace) -> Pattern:
-    if args.tokens:
-        return parse_pattern_tokens(raw, args.escape)
-    return parse_pattern(raw, args.escape)
-
-
-def _render_pat(p: Pattern, args: argparse.Namespace) -> str:
-    if args.tokens:
-        return render_pattern_tokens(p, args.escape)
-    return render_pattern(p, args.escape)
 
 
 def _parse_text(raw: str, args: argparse.Namespace) -> Text:
@@ -132,7 +113,7 @@ def _search_and_report(
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
-    pattern = _parse_pat(args.pattern, args)
+    pattern = parse_pattern(args.pattern, args.escape, args.tokens)
     text = _parse_text(args.text, args)
     if args.alphabet is not None or args.alphabet_file is not None:
         sigma = _load_alphabet(args)
@@ -148,7 +129,8 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
-    out = _render_pat(normalize(_parse_pat(args.pattern, args)), args)
+    pattern = normalize(parse_pattern(args.pattern, args.escape, args.tokens))
+    out = render_pattern(pattern, args.escape, args.tokens)
     _emit(args, {"pattern": out}, out)
     return 0
 
@@ -167,7 +149,10 @@ def _cmd_dnf(args: argparse.Namespace) -> int:
     if args.json:
         clauses = [
             [
-                {"pattern": _render_pat(sa.pattern, args), "positive": sa.positive}
+                {
+                    "pattern": render_pattern(sa.pattern, args.escape, args.tokens),
+                    "positive": sa.positive,
+                }
                 for sa in clause
             ]
             for clause in dnf.clauses
@@ -219,15 +204,18 @@ def _cmd_reduce_majority(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_machine(args: argparse.Namespace) -> tuple[TmSpec, tuple[str, ...]]:
+    """The machine of ``--machine`` and the input word of ``--input``."""
+    return tm_from_json(_read_source(args.machine)), tuple(args.input.split())
+
+
 def _cmd_reduce_tm(args: argparse.Namespace) -> int:
-    spec = tm_from_json(_read_source(args.machine))
-    word = tuple(args.input.split())
+    spec, word = _load_machine(args)
     return _emit_gadget(args, *encode_tm(spec, word, args.space))
 
 
 def _cmd_simulate_tm(args: argparse.Namespace) -> int:
-    spec = tm_from_json(_read_source(args.machine))
-    word = tuple(args.input.split())
+    spec, word = _load_machine(args)
     result = simulate_tm(spec, word, args.space, max_steps=args.max_steps)
     payload = {
         "accepted": result.accepted,
@@ -240,20 +228,25 @@ def _cmd_simulate_tm(args: argparse.Namespace) -> int:
 
 
 def _cmd_to_regex(args: argparse.Namespace) -> int:
-    pattern = _parse_pat(args.pattern, args)
+    pattern = parse_pattern(args.pattern, args.escape, args.tokens)
     sigma = _load_alphabet(args)
     out = to_classical_regex(pattern, sigma)
     _emit(args, {"regex": out}, out)
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--escape", default=None, help="escape character for patterns")
-    sub.add_argument(
-        "--tokens",
-        action="store_true",
-        help="treat patterns and texts as whitespace-separated symbols",
-    )
+def _add_common(sub: argparse.ArgumentParser, syntax: bool = True) -> None:
+    """Add ``--json``, and with ``syntax`` the surface-syntax options of
+    the subcommands that read patterns, texts or alphabets."""
+    if syntax:
+        sub.add_argument(
+            "--escape", default=None, help="escape character for patterns"
+        )
+        sub.add_argument(
+            "--tokens",
+            action="store_true",
+            help="treat patterns and texts as whitespace-separated symbols",
+        )
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
@@ -271,6 +264,18 @@ def _non_negative_int(raw: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {value}")
     return value
+
+
+def _add_machine(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--machine", required=True, help="machine JSON file, or - for stdin"
+    )
+    sub.add_argument(
+        "--input", default="", help="input word, tokens separated by spaces"
+    )
+    sub.add_argument(
+        "--space", type=_non_negative_int, required=True, help="tape cells available"
+    )
 
 
 def _add_search(sub: argparse.ArgumentParser) -> None:
@@ -346,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r = rsubs.add_parser("3sat", help="encode a DIMACS 3-CNF formula")
     r.add_argument("--dimacs", required=True, help="DIMACS file, or - for stdin")
     r.add_argument("--alphabet-out", default=None, help="write the alphabet here")
-    _add_common(r)
+    _add_common(r, syntax=False)
     r.set_defaults(func=_cmd_reduce_3sat)
 
     r = rsubs.add_parser("majority", help="pattern for majority-of-ones")
@@ -356,29 +361,21 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="text length the pattern is aimed at",
     )
-    _add_common(r)
+    _add_common(r, syntax=False)
     r.set_defaults(func=_cmd_reduce_majority)
 
     r = rsubs.add_parser("tm", help="encode a bounded-space machine run")
-    r.add_argument("--machine", required=True, help="machine JSON file, or - for stdin")
-    r.add_argument("--input", default="", help="input word, tokens separated by spaces")
-    r.add_argument(
-        "--space", type=_non_negative_int, required=True, help="tape cells available"
-    )
+    _add_machine(r)
     r.add_argument("--alphabet-out", default=None, help="write the alphabet here")
-    _add_common(r)
+    _add_common(r, syntax=False)
     r.set_defaults(func=_cmd_reduce_tm)
 
     p = subs.add_parser("simulate", help="run a machine directly")
     ssubs = p.add_subparsers(dest="target", required=True)
     r = ssubs.add_parser("tm", help="run a bounded-space machine")
-    r.add_argument("--machine", required=True, help="machine JSON file, or - for stdin")
-    r.add_argument("--input", default="", help="input word, tokens separated by spaces")
-    r.add_argument(
-        "--space", type=_non_negative_int, required=True, help="tape cells available"
-    )
+    _add_machine(r)
     r.add_argument("--max-steps", type=_non_negative_int, default=None)
-    _add_common(r)
+    _add_common(r, syntax=False)
     r.set_defaults(func=_cmd_simulate_tm)
 
     p = subs.add_parser("to-regex", help="translate a pattern to a classical regex")

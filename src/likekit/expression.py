@@ -24,16 +24,7 @@ from typing import Iterator
 
 from .matcher import Text, as_text, match_greedy
 from .normalize import normalize
-from .pattern import (
-    AnyOne,
-    Alphabet,
-    Literal,
-    Pattern,
-    parse_pattern,
-    parse_pattern_tokens,
-    render_pattern,
-    render_pattern_tokens,
-)
+from .pattern import AnyOne, Alphabet, Literal, Pattern, parse_pattern, render_pattern
 
 DEFAULT_EXPANSION_CAP = 4096
 
@@ -54,8 +45,13 @@ class ExplosionCapError(RuntimeError):
     """A rewrite refused to generate more atoms than the configured cap."""
 
     def __init__(self, required: int, cap: int) -> None:
+        # Past 64 bits the count is written as a power of two: decimal
+        # conversion of a huge int is slow and, past Python's digit
+        # limit, raises.
+        bits = required.bit_length()
+        count = required if bits <= 64 else f"at least 2^{bits - 1}"
         super().__init__(
-            f"rewrite would generate {required} atoms, above the cap of {cap}"
+            f"rewrite would generate {count} atoms, above the cap of {cap}"
         )
         self.required = required
         self.cap = cap
@@ -72,58 +68,51 @@ class Not:
 
 
 @dataclass(frozen=True)
-class And:
+class _Gate:
     children: tuple["LikeExpression", ...]
 
     def __post_init__(self) -> None:
         if not isinstance(self.children, tuple):
             object.__setattr__(self, "children", tuple(self.children))
         if len(self.children) < 2:
-            raise ValueError("And needs at least two children")
+            raise ValueError(f"{type(self).__name__} needs at least two children")
 
 
 @dataclass(frozen=True)
-class Or:
-    children: tuple["LikeExpression", ...]
+class And(_Gate):
+    pass
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.children, tuple):
-            object.__setattr__(self, "children", tuple(self.children))
-        if len(self.children) < 2:
-            raise ValueError("Or needs at least two children")
+
+@dataclass(frozen=True)
+class Or(_Gate):
+    pass
 
 
 LikeExpression = Atom | Not | And | Or
 
 
-def and_(*items: LikeExpression) -> LikeExpression:
-    """Conjunction with flattening; a single item passes through unchanged."""
+def _flatten(gate: type[_Gate], items: tuple[LikeExpression, ...]) -> LikeExpression:
     flat: list[LikeExpression] = []
     for item in items:
-        if isinstance(item, And):
+        if isinstance(item, gate):
             flat.extend(item.children)
         else:
             flat.append(item)
     if not flat:
-        raise ValueError("and_ needs at least one item")
+        raise ValueError(f"{gate.__name__.lower()}_ needs at least one item")
     if len(flat) == 1:
         return flat[0]
-    return And(tuple(flat))
+    return gate(tuple(flat))
+
+
+def and_(*items: LikeExpression) -> LikeExpression:
+    """Conjunction with flattening; a single item passes through unchanged."""
+    return _flatten(And, items)
 
 
 def or_(*items: LikeExpression) -> LikeExpression:
     """Disjunction with flattening; a single item passes through unchanged."""
-    flat: list[LikeExpression] = []
-    for item in items:
-        if isinstance(item, Or):
-            flat.extend(item.children)
-        else:
-            flat.append(item)
-    if not flat:
-        raise ValueError("or_ needs at least one item")
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+    return _flatten(Or, items)
 
 
 def atom_patterns(e: LikeExpression) -> Iterator[Pattern]:
@@ -245,13 +234,13 @@ class _Parser:
         self,
         toks: list[tuple[str, str, int]],
         escape: str | None,
-        tokens_mode: bool,
+        tokens: bool,
         length: int,
     ) -> None:
         self.toks = toks
         self.i = 0
         self.escape = escape
-        self.tokens_mode = tokens_mode
+        self.tokens = tokens
         self.length = length
         self.depth = 0
 
@@ -302,16 +291,18 @@ class _Parser:
         if kind == "like":
             self.i += 1
             _, raw, _ = self._take("pattern")
-            if self.tokens_mode:
-                return Atom(parse_pattern_tokens(raw, self.escape))
-            return Atom(parse_pattern(raw, self.escape))
+            return Atom(parse_pattern(raw, self.escape, self.tokens))
         raise ExpressionSyntaxError("expected NOT, '(' or LIKE", pos)
 
 
 def parse_expression(
     text: str, escape: str | None = None, tokens: bool = False
 ) -> LikeExpression:
-    """Parse the expression grammar; connectives come out flattened."""
+    """Parse the expression grammar; connectives come out flattened.
+
+    Each quoted pattern is read by ``parse_pattern`` with ``escape`` and
+    ``tokens``.
+    """
     toks = _lex(text)
     parser = _Parser(toks, escape, tokens, len(text))
     expr = parser.parse_or()
@@ -322,14 +313,18 @@ def parse_expression(
 
 
 def _quote(p: Pattern, escape: str | None, tokens: bool) -> str:
-    surface = render_pattern_tokens(p, escape) if tokens else render_pattern(p, escape)
+    surface = render_pattern(p, escape, tokens)
     return '"' + surface.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def render_expression(
     e: LikeExpression, escape: str | None = None, tokens: bool = False
 ) -> str:
-    """Inverse of parse_expression, up to flattening of nested connectives."""
+    """Inverse of parse_expression, up to flattening of nested connectives.
+
+    Each pattern is written by ``render_pattern`` with ``escape`` and
+    ``tokens``.
+    """
 
     # Pieces are written left to right from a stack of pending strings and
     # (node, context) pairs, so nesting depth costs no recursion.

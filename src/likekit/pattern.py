@@ -7,9 +7,11 @@ necessarily single characters. The wildcard meaning of ``%`` and ``_``
 exists only in the surface syntax; parsed tokens are plain values, so a
 literal percent sign is representable and unambiguous.
 
-Two surface syntaxes are supported. In character mode every character of
-the input is one symbol. In token mode symbols are whitespace-separated
-names, which is required when symbol names are longer than one character
+Two surface syntaxes are supported, and the ``tokens`` flag of
+``parse_pattern`` and ``render_pattern`` is the one place that picks
+between them. In character mode every character of the input is one
+symbol. In token mode symbols are whitespace-separated names, which is
+required when symbol names are longer than one character
 (machine-encoding alphabets, for example).
 
 A pattern matches a whole text, never a substring of it.
@@ -112,6 +114,10 @@ Token = Literal | AnyOne | AnyString
 
 ANY_ONE: AnyOne = object.__new__(AnyOne)
 ANY_STRING: AnyString = object.__new__(AnyString)
+_WILDCARDS: dict[str, Token] = {
+    WILDCARD_ANY_STRING: ANY_STRING,
+    WILDCARD_ANY_ONE: ANY_ONE,
+}
 
 
 @dataclass(frozen=True)
@@ -195,103 +201,58 @@ def _check_escape(escape: str | None) -> None:
         raise ValueError("escape must be a single character other than % and _")
 
 
-def parse_pattern(text: str, escape: str | None = None) -> Pattern:
-    """Parse character-mode surface syntax.
+def parse_pattern(
+    text: str, escape: str | None = None, tokens: bool = False
+) -> Pattern:
+    """Parse surface syntax, in token mode with ``tokens``.
 
-    ``%`` and ``_`` become wildcards, everything else one literal symbol
-    per character. The escape character, when declared, makes the
-    following character literal; a trailing escape is an error.
+    Each unit (a character, or a whitespace-separated word in token mode)
+    is one symbol, and the bare units ``%`` and ``_`` are wildcards. The
+    escape character, when declared, makes the next character literal, or
+    in token mode the rest of the word, so an escaped ``%`` names a literal
+    percent symbol. An escape with nothing to quote is an error at its
+    character index, or at its word index in token mode.
     """
     _check_escape(escape)
-    tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if escape is not None and ch == escape:
-            if i + 1 >= n:
+    out: list[Token] = []
+    units = enumerate(text.split() if tokens else text)
+    for i, unit in units:
+        if escape is not None and unit[0] == escape:
+            quoted = unit[1:] if tokens else next(units, (i, ""))[1]
+            if not quoted:
                 raise PatternSyntaxError("dangling escape", i)
-            tokens.append(Literal(text[i + 1]))
-            i += 2
-            continue
-        if ch == WILDCARD_ANY_STRING:
-            tokens.append(ANY_STRING)
-        elif ch == WILDCARD_ANY_ONE:
-            tokens.append(ANY_ONE)
+            out.append(Literal(quoted))
         else:
-            tokens.append(Literal(ch))
-        i += 1
-    return Pattern(tuple(tokens))
+            # A hit in the intern table skips Literal's Python-level __new__.
+            out.append(_WILDCARDS.get(unit) or _LITERALS.get(unit) or Literal(unit))
+    return Pattern(tuple(out))
 
 
-def render_pattern(p: Pattern, escape: str | None = None) -> str:
-    """Write a pattern back as character-mode surface syntax.
+def render_pattern(
+    p: Pattern, escape: str | None = None, tokens: bool = False
+) -> str:
+    """Write a pattern back as surface syntax, in token mode with ``tokens``.
 
-    Literal metacharacters (and the escape character itself) need the
-    escape to be declared; multi-character symbols cannot be rendered in
-    character mode at all.
+    A literal metacharacter, or a symbol beginning with the escape
+    character, needs the escape to be declared. Character mode takes only
+    one-character symbols, token mode only symbols without whitespace.
     """
     _check_escape(escape)
     out: list[str] = []
     for tok in p.tokens:
-        if isinstance(tok, AnyString):
+        if tok is ANY_STRING:
             out.append(WILDCARD_ANY_STRING)
-        elif isinstance(tok, AnyOne):
+        elif tok is ANY_ONE:
             out.append(WILDCARD_ANY_ONE)
         else:
             sym = tok.symbol
-            if len(sym) != 1:
+            if tokens:
+                if any(map(str.isspace, sym)):
+                    raise RenderError(f"symbol {sym!r} contains whitespace")
+            elif len(sym) != 1:
                 raise RenderError(
                     f"symbol {sym!r} is not a single character; use token mode"
                 )
-            if sym in _METACHARS or sym == escape:
-                if escape is None:
-                    raise RenderError(
-                        f"literal {sym!r} needs an escape character to render"
-                    )
-                out.append(escape + sym)
-            else:
-                out.append(sym)
-    return "".join(out)
-
-
-def parse_pattern_tokens(text: str, escape: str | None = None) -> Pattern:
-    """Parse token-mode surface syntax: whitespace-separated symbol names.
-
-    The bare tokens ``%`` and ``_`` are wildcards. A token starting with
-    the escape character is the literal symbol spelled by the rest of the
-    token, so an escaped ``%`` names a literal percent symbol.
-    """
-    _check_escape(escape)
-    tokens: list[Token] = []
-    for i, word in enumerate(text.split()):
-        if escape is not None and word.startswith(escape):
-            rest = word[1:]
-            if not rest:
-                raise PatternSyntaxError("dangling escape", i)
-            tokens.append(Literal(rest))
-        elif word == WILDCARD_ANY_STRING:
-            tokens.append(ANY_STRING)
-        elif word == WILDCARD_ANY_ONE:
-            tokens.append(ANY_ONE)
-        else:
-            tokens.append(Literal(word))
-    return Pattern(tuple(tokens))
-
-
-def render_pattern_tokens(p: Pattern, escape: str | None = None) -> str:
-    """Write a pattern as whitespace-separated symbol tokens."""
-    _check_escape(escape)
-    out: list[str] = []
-    for tok in p.tokens:
-        if isinstance(tok, AnyString):
-            out.append(WILDCARD_ANY_STRING)
-        elif isinstance(tok, AnyOne):
-            out.append(WILDCARD_ANY_ONE)
-        else:
-            sym = tok.symbol
-            if any(ch.isspace() for ch in sym):
-                raise RenderError(f"symbol {sym!r} contains whitespace")
             if sym in _METACHARS or (escape is not None and sym.startswith(escape)):
                 if escape is None:
                     raise RenderError(
@@ -300,7 +261,7 @@ def render_pattern_tokens(p: Pattern, escape: str | None = None) -> str:
                 out.append(escape + sym)
             else:
                 out.append(sym)
-    return " ".join(out)
+    return (" " if tokens else "").join(out)
 
 
 def to_classical_regex(p: Pattern, sigma: Alphabet) -> str:

@@ -23,7 +23,7 @@ an all-blank tape with the head at cell 0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .expression import Atom, LikeExpression, Not, and_, or_
@@ -193,6 +193,8 @@ class TmSpec:
     accept: str
     rules: tuple[TmRule, ...]
     blank: str = "_blank"
+    # (state, read) -> rule, built from ``rules``.
+    delta: dict[tuple[str, str], TmRule] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for attr in ("states", "tape_alphabet", "input_alphabet", "rules"):
@@ -238,8 +240,9 @@ class TmSpec:
 def tm_from_json(text: str) -> TmSpec:
     """Machine description as a JSON object.
 
-    Keys: states, tape_alphabet (must contain "_blank"), input_alphabet,
-    start, accept, delta (list of {state, read, next, write, move}).
+    Keys: the lists states, tape_alphabet (must contain "_blank"),
+    input_alphabet and delta (of {state, read, next, write, move}), and
+    the names start and accept. A value of the wrong JSON type is refused.
     """
     try:
         data = json.loads(text)
@@ -247,6 +250,9 @@ def tm_from_json(text: str) -> TmSpec:
         raise ValueError("machine description nests too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("machine description must be a JSON object")
+    for key in ("states", "tape_alphabet", "input_alphabet", "delta"):
+        if not isinstance(data.get(key, []), list):
+            raise ValueError(f"machine description: {key!r} must be a JSON list")
     try:
         rules = tuple(
             TmRule(r["state"], r["read"], r["next"], r["write"], r["move"])
@@ -299,7 +305,7 @@ def simulate_tm(
     tape = list(w) + [spec.blank] * (space - len(w))
     head = 0
     state = spec.start
-    delta: dict[tuple[str, str], TmRule] = spec.delta  # type: ignore[attr-defined]
+    delta = spec.delta
     seen: set[tuple[str, int, tuple[str, ...]]] = set()
     configs: list[tuple[str, int, tuple[str, ...]]] = []
     steps = 0
@@ -352,7 +358,7 @@ def encode_tm(
     s = space
     gamma = spec.tape_alphabet
     lam = tuple(gamma) + tuple(spec.states) + (_SEPARATOR,)
-    delta: dict[tuple[str, str], TmRule] = spec.delta  # type: ignore[attr-defined]
+    delta = spec.delta
 
     lit = {y: Literal(y) for y in lam}
     # No set is needed to keep the patterns distinct. The families below

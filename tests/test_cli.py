@@ -105,6 +105,13 @@ def test_dnf_cap_exit_code(capsys):
     assert code == 3 and "error" in err
 
 
+def test_dnf_cap_on_a_huge_count_exit_code(capsys):
+    expr = 'LIKE "' + "_" * 15000 + '"'
+    code, out, err = run(capsys, "dnf", "--alphabet", "ab", "--expr", expr)
+    assert code == 3 and not out
+    assert "at least 2^15000 atoms" in err and "Traceback" not in err
+
+
 def test_equiv_equivalent(capsys):
     code, out, _ = run(
         capsys, "equiv", "--alphabet", "01", "--e1", 'LIKE "%_"', "--e2", 'LIKE "_%"'
@@ -418,17 +425,24 @@ def test_closed_stdout_ends_quietly():
     assert err == b""
 
 
+def _subcommands():
+    """(subcommand path, parser) for every parser in the tree."""
+    todo = [((), _build_parser())]
+    while todo:
+        path, parser = todo.pop()
+        yield path, parser
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                todo += [((*path, name), sub) for name, sub in action.choices.items()]
+
+
 def _integer_options():
     """(subcommand path, option) for every option of an integer type,
     found by walking the parser's subcommands."""
     found = []
-    todo = [((), _build_parser())]
-    while todo:
-        path, parser = todo.pop()
+    for path, parser in _subcommands():
         for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                todo += [((*path, name), sub) for name, sub in action.choices.items()]
-            elif action.option_strings and action.type is not None:
+            if action.option_strings and action.type is not None:
                 try:
                     is_int = type(action.type("1")) is int
                 except (ValueError, TypeError, argparse.ArgumentTypeError):
@@ -499,3 +513,48 @@ def test_negative_limits_are_input_errors(tmp_path, capsys):
     assert code == 0
     code, out, err = run(capsys, *argv, "--max-steps", "-1")
     assert code == 2 and not out and "--max-steps" in err
+
+
+# The surface-syntax options of every runnable subcommand.
+_SYNTAX_OPTIONS = {
+    path: {
+        opt
+        for action in parser._actions
+        for opt in action.option_strings
+        if opt in ("--tokens", "--escape")
+    }
+    for path, parser in _subcommands()
+    if parser.get_default("func") is not None
+}
+
+# Gadget subcommands, with their required options.
+_GADGETS = {
+    ("reduce", "3sat"): ["--dimacs", "f.cnf"],
+    ("reduce", "majority"): ["--n", "3"],
+    ("reduce", "tm"): ["--machine", "m.json", "--space", "2"],
+    ("simulate", "tm"): ["--machine", "m.json", "--space", "2"],
+}
+
+
+def test_only_subcommands_that_read_patterns_take_syntax_options():
+    readers = {
+        ("match",),
+        ("normalize",),
+        ("eval",),
+        ("dnf",),
+        ("equiv",),
+        ("nonempty",),
+        ("to-regex",),
+    }
+    assert set(_SYNTAX_OPTIONS) == readers | set(_GADGETS)
+    for path, opts in _SYNTAX_OPTIONS.items():
+        assert opts == ({"--tokens", "--escape"} if path in readers else set()), path
+
+
+@pytest.mark.parametrize("flag", [["--tokens"], ["--escape", "!"]], ids=" ".join)
+@pytest.mark.parametrize("path", list(_GADGETS), ids=" ".join)
+def test_gadget_subcommand_refuses_syntax_options(capsys, path, flag):
+    code, out, err = run(capsys, *path, *_GADGETS[path], *flag)
+    assert code == 2 and not out
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+    assert "Traceback" not in err

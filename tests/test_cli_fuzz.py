@@ -98,10 +98,12 @@ def _garble(rng, s):
     return s + rng.choice((" AND", " OR (", ' LIKE "a', " NOT", " )", "\\"))
 
 
-def _common(rng, argv):
-    """Add the options every subcommand takes; returns (tokens, escape)."""
+def _common(rng, argv, syntax=True):
+    """Add ``--json``, and with ``syntax`` the surface-syntax options; returns
+    (tokens, escape). The draws are the same either way, so the cases that
+    follow do not depend on which subcommand came first."""
     tokens = rng.random() < 0.25
-    if tokens:
+    if tokens and syntax:
         argv.append("--tokens")
     if rng.random() < 0.5:
         argv.append("--json")
@@ -109,10 +111,10 @@ def _common(rng, argv):
     r = rng.random()
     if r < 0.2:
         escape = "!"
-        argv += ["--escape", "!"]
     elif r < 0.25:
-        argv += ["--escape", rng.choice(("%", "_", "", "!!"))]
-        escape = argv[-1]
+        escape = rng.choice(("%", "_", "", "!!"))
+    if escape is not None and syntax:
+        argv += ["--escape", escape]
     return tokens, escape
 
 
@@ -199,6 +201,7 @@ SUBCOMMANDS = {
     "tm": ["reduce", "tm"],
     "simulate": ["simulate", "tm"],
 }
+GADGETS = ("3sat", "majority", "tm", "simulate")
 BAD_PATHS = ("missing", "undecodable", "dir")
 CNF_FILES = [n for n in FILES if n.startswith("cnf")] + list(BAD_PATHS)
 MACHINE_FILES = [n for n in FILES if n.startswith("machine")] + list(BAD_PATHS)
@@ -210,7 +213,7 @@ def _other_case(rng, path):
     good = rng.random() < 0.6
     kind = rng.choice(list(SUBCOMMANDS))
     argv = list(SUBCOMMANDS[kind])
-    tokens, _ = _common(rng, argv)
+    tokens, _ = _common(rng, argv, syntax=kind not in GADGETS)
     limits = LIMITS if good else LIMITS + BROKEN_LIMITS
     if kind in ("match", "normalize", "to-regex"):
         pattern = _pattern(rng, tokens)

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from likekit import (
+    ANY_ONE,
     ANY_STRING,
     Alphabet,
     And,
@@ -120,11 +121,16 @@ def test_smart_constructors():
     assert or_(a) == a
     assert and_(a, and_(b, c)) == And((a, b, c))
     assert or_(or_(a, b), c) == Or((a, b, c))
-    with pytest.raises(ValueError):
+    assert and_(or_(a, b), c) == And((Or((a, b)), c))
+    assert And((a, b)) != Or((a, b)) and And([a, b]) == And((a, b))
+    assert repr(Or((a, b))) == f"Or(children=({a!r}, {b!r}))"
+    with pytest.raises(ValueError, match="^and_ needs at least one item$"):
         and_()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^or_ needs at least one item$"):
+        or_()
+    with pytest.raises(ValueError, match="^And needs at least two children$"):
         And((a,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Or needs at least two children$"):
         Or((a,))
 
 
@@ -228,6 +234,19 @@ def test_expand_underscores_cap():
     with pytest.raises(ExplosionCapError) as exc:
         expand_underscores(P("_____"), sigma, cap=16)
     assert exc.value.required == 32 and exc.value.cap == 16
+    assert str(exc.value) == "rewrite would generate 32 atoms, above the cap of 16"
+
+
+def test_expansion_cap_reports_a_count_past_the_int_digit_limit():
+    # 2**15000 has 4516 decimal digits, past Python's default limit of 4300
+    # for int to str conversion.
+    sigma = Alphabet.from_chars("ab")
+    with pytest.raises(ExplosionCapError) as exc:
+        expand_underscores(Pattern((ANY_ONE,) * 15000), sigma)
+    assert exc.value.required == 2**15000 and exc.value.cap == 4096
+    assert str(exc.value) == (
+        "rewrite would generate at least 2^15000 atoms, above the cap of 4096"
+    )
 
 
 def test_dnf_atoms_are_wildcard_free_and_normalized():

@@ -8,7 +8,6 @@ from likekit import (
     match_greedy,
     match_oracle,
     parse_pattern,
-    parse_pattern_tokens,
 )
 
 from helpers import all_patterns, all_texts, random_pattern, random_text, realize
@@ -61,7 +60,7 @@ def test_as_text_coercion():
 
 
 def test_multichar_symbols():
-    p = parse_pattern_tokens("# q0 % _blank")
+    p = parse_pattern("# q0 % _blank", tokens=True)
     assert match_greedy(p, ("#", "q0", "_blank"))
     assert match_greedy(p, ("#", "q0", "x", "y", "_blank"))
     assert not match_greedy(p, ("#", "q0", "x"))

@@ -20,9 +20,7 @@ from likekit import (
     expand_underscores,
     match_oracle,
     parse_pattern,
-    parse_pattern_tokens,
     render_pattern,
-    render_pattern_tokens,
     to_classical_regex,
 )
 
@@ -84,7 +82,7 @@ def test_render_multichar_symbol_fails():
 
 
 def test_token_mode_multichar_symbols():
-    p = parse_pattern_tokens("# q0 _blank % _")
+    p = parse_pattern("# q0 _blank % _", tokens=True)
     assert p.tokens == (
         Literal("#"),
         Literal("q0"),
@@ -92,18 +90,18 @@ def test_token_mode_multichar_symbols():
         ANY_STRING,
         ANY_ONE,
     )
-    assert render_pattern_tokens(p) == "# q0 _blank % _"
+    assert render_pattern(p, tokens=True) == "# q0 _blank % _"
 
 
 def test_token_mode_escape():
-    p = parse_pattern_tokens("!% x !_", escape="!")
+    p = parse_pattern("!% x !_", escape="!", tokens=True)
     assert p.tokens == (Literal("%"), Literal("x"), Literal("_"))
-    assert render_pattern_tokens(p, escape="!") == "!% x !_"
+    assert render_pattern(p, escape="!", tokens=True) == "!% x !_"
 
 
 def test_token_mode_render_needs_escape_for_metachar_names():
     with pytest.raises(RenderError):
-        render_pattern_tokens(Pattern((Literal("%"),)))
+        render_pattern(Pattern((Literal("%"),)), tokens=True)
 
 
 def test_pattern_helpers():
@@ -159,8 +157,8 @@ def test_literals_are_interned_however_made():
     made = {
         "character mode": parse_pattern("a!%").tokens[0],
         "escaped character": parse_pattern("!%", escape="!").tokens[0],
-        "token mode": parse_pattern_tokens("q0 %").tokens[0],
-        "escaped token": parse_pattern_tokens("!_", escape="!").tokens[0],
+        "token mode": parse_pattern("q0 %", tokens=True).tokens[0],
+        "escaped token": parse_pattern("!_", escape="!", tokens=True).tokens[0],
         "expand_underscores": expand_underscores(
             parse_pattern("_"), Alphabet.from_chars("ab")
         ).children[1].pattern.tokens[0],
@@ -193,7 +191,7 @@ def test_wildcards_are_singletons():
     assert AnyString() is ANY_STRING
     assert parse_pattern("_%").tokens == (ANY_ONE, ANY_STRING)
     assert parse_pattern("_").tokens[0] is ANY_ONE
-    assert parse_pattern_tokens("%").tokens[0] is ANY_STRING
+    assert parse_pattern("%", tokens=True).tokens[0] is ANY_STRING
     assert ANY_ONE != ANY_STRING
 
 
@@ -210,7 +208,7 @@ def test_tokens_survive_pickle_and_copy(tok):
 
 
 def test_patterns_compare_equal_after_a_round_trip():
-    p = parse_pattern_tokens("# q0 _ % 1 !%", escape="!")
+    p = parse_pattern("# q0 _ % 1 !%", escape="!", tokens=True)
     for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
         assert clone == p and hash(clone) == hash(p)
         assert all(a is b for a, b in zip(clone.tokens, p.tokens))

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from likekit import (
     find_witness,
     match_greedy,
     parse_dimacs,
-    render_pattern_tokens,
+    render_pattern,
     simulate_tm,
     tm_from_json,
 )
@@ -204,6 +205,12 @@ def test_tm_from_json():
         tm_from_json("[1, 2]")
     with pytest.raises(ValueError):
         tm_from_json('{"states": ["q0"]}')
+    # A string where a list belongs is refused, not split into characters.
+    for key in ("states", "tape_alphabet", "input_alphabet", "delta"):
+        data = json.loads(text)
+        data[key] = "10"
+        with pytest.raises(ValueError, match=f"'{key}' must be a JSON list"):
+            tm_from_json(json.dumps(data))
 
 
 def test_simulate_one_step():
@@ -305,8 +312,8 @@ def test_bouncer_gadget_size_is_pinned(space, atoms, state_bits, explored, diges
     # Generation order: the too-short texts come first, the accept state's
     # placement last; the digest pins the order of everything in between.
     assert [len(p) for p in forbidden[: s + 3]] == list(range(s + 3))
-    assert render_pattern_tokens(forbidden[-1]) == "% qa % # % # %"
-    rendered = "\n".join(render_pattern_tokens(p) for p in forbidden)
+    assert render_pattern(forbidden[-1], tokens=True) == "% qa % # % # %"
+    rendered = "\n".join(render_pattern(p, tokens=True) for p in forbidden)
     assert hashlib.sha256(rendered.encode()).hexdigest()[:16] == digest
     out = find_witness(expr, sigma)
     assert out.verdict is Verdict.FOUND
