@@ -235,7 +235,8 @@ def render_pattern(
 
     A literal metacharacter, or a symbol beginning with the escape
     character, needs the escape to be declared. Character mode takes only
-    one-character symbols, token mode only symbols without whitespace.
+    one-character symbols, token mode only nonempty symbols without
+    whitespace.
     """
     _check_escape(escape)
     out: list[str] = []
@@ -247,6 +248,8 @@ def render_pattern(
         else:
             sym = tok.symbol
             if tokens:
+                if not sym:
+                    raise RenderError("the empty symbol has no token to write")
                 if any(map(str.isspace, sym)):
                     raise RenderError(f"symbol {sym!r} contains whitespace")
             elif len(sym) != 1:

@@ -353,6 +353,12 @@ def encode_tm(
     tape cells changing away from the head, a window around the head not
     following the machine's rule, a non-accepting halt, or the accept
     state before the final block.
+
+    A window that breaks the rule is forbidden by its first wrong symbol,
+    with ``_`` after it, so each (rule, left neighbour) costs
+    3 x (|alphabet| - 1) patterns rather than one per wrong triple. The
+    language is exact over the returned alphabet; over a larger one the
+    ``_`` positions also forbid foreign symbols.
     """
     w = _check_run_args(spec, word, space)
     s = space
@@ -365,6 +371,8 @@ def encode_tm(
     # differ in length or in where % and _ stand, but for "% q b %" against
     # "% # # %", and no state is the separator. Within a family the loops
     # range over distinct names: lam has no duplicates, delta keys are unique.
+    # The window rule's three pieces per (rule, left neighbour) differ in how
+    # many `_` close them, so they are distinct too.
     forbidden: list[Pattern] = []
 
     def forbid(tokens: tuple[Token, ...]) -> None:
@@ -404,17 +412,16 @@ def encode_tm(
                 target = (_SEPARATOR, rule.next, rule.write)
             else:
                 target = (rule.next, a, rule.write)
-            window = (lit[a], lit[rule.state], lit[rule.read])
-            for d in lam:
-                for e in lam:
-                    for f in lam:
-                        if (d, e, f) != target:
-                            forbid(
-                                (ANY_STRING,)
-                                + window
-                                + (ANY_ONE,) * (s - 1)
-                                + (lit[d], lit[e], lit[f], ANY_STRING)
-                            )
+            # A wrong triple is cut at its first wrong symbol: the target's
+            # first k symbols, a wrong one, then 2-k `_`. Over lam the 3 x
+            # (|lam| - 1) patterns forbid exactly the |lam|^3 - 1 wrong triples.
+            lead = (ANY_STRING, lit[a], lit[rule.state], lit[rule.read]) + (ANY_ONE,) * (s - 1)
+            for k, want in enumerate(target):
+                prefix = lead + tuple(lit[t] for t in target[:k])
+                rest = (ANY_ONE,) * (2 - k) + (ANY_STRING,)
+                for y in lam:
+                    if y != want:
+                        forbid(prefix + (lit[y],) + rest)
 
     # Tokens away from the state carry over to the next block unchanged.
     quiet = (_SEPARATOR,) + tuple(gamma)

@@ -550,3 +550,73 @@ def m_dirty_accept() -> tuple[TmSpec, tuple[str, ...], int]:
         blank="b",
     )
     return spec, ("1",), 2
+
+
+def reference_encode_tm(
+    spec: TmSpec, word: Sequence[str], space: int
+) -> tuple[LikeExpression, Alphabet]:
+    """The machine-history gadget with every wrong window triple listed.
+
+    Same families and order as ``encode_tm``, except that the window
+    around the head forbids each of the |lam|^3 - 1 wrong triples
+    ``(d, e, f)`` by its own pattern. Valid arguments are assumed.
+    """
+    s = space
+    sep = "#"
+    gamma = tuple(spec.tape_alphabet)
+    lam = gamma + tuple(spec.states) + (sep,)
+    delta = {(r.state, r.read) for r in spec.rules}
+    lit = {y: Literal(y) for y in lam}
+    one, gap = ANY_ONE, ANY_STRING
+    forbidden: list[tuple[Token, ...]] = []
+
+    for j in range(s + 3):
+        forbidden.append((one,) * j)
+    head = (sep, spec.start) + tuple(word) + (spec.blank,) * (s - len(word))
+    for j, want in enumerate(head):
+        for y in lam:
+            if y != want:
+                forbidden.append((one,) * j + (lit[y], gap))
+    tail = (sep,) + (spec.blank,) * s + (spec.accept,)
+    for i, want in enumerate(tail, start=1):
+        for y in lam:
+            if y != want:
+                forbidden.append((gap, lit[y]) + (one,) * (i - 1))
+    for j in range(1, s + 2):
+        forbidden.append((gap, lit[sep]) + (one,) * (j - 1) + (lit[sep], gap))
+    for y in lam:
+        if y != sep:
+            forbidden.append((gap, lit[sep]) + (one,) * (s + 1) + (lit[y], gap))
+    for rule in spec.rules:
+        for a in (sep,) + gamma:
+            if rule.move == "R":
+                target = (a, rule.write, rule.next)
+            elif a == sep:
+                target = (sep, rule.next, rule.write)
+            else:
+                target = (rule.next, a, rule.write)
+            for triple in itertools.product(lam, repeat=3):
+                if triple != target:
+                    forbidden.append(
+                        (gap, lit[a], lit[rule.state], lit[rule.read])
+                        + (one,) * (s - 1)
+                        + tuple(lit[y] for y in triple)
+                        + (gap,)
+                    )
+    quiet = (sep,) + gamma
+    for a, b, c in itertools.product(quiet, repeat=3):
+        for d in lam:
+            if d != b:
+                forbidden.append(
+                    (gap, lit[a], lit[b], lit[c]) + (one,) * s + (lit[d], gap)
+                )
+    for q in spec.states:
+        if q != spec.accept:
+            for b in gamma:
+                if (q, b) not in delta:
+                    forbidden.append((gap, lit[q], lit[b], gap))
+    for rule in spec.rules:
+        if rule.move == "R":
+            forbidden.append((gap, lit[rule.state], lit[rule.read], lit[sep], gap))
+    forbidden.append((gap, lit[spec.accept], gap, lit[sep], gap, lit[sep], gap))
+    return and_(*[Not(Atom(Pattern(t))) for t in forbidden]), Alphabet(lam)

@@ -16,6 +16,7 @@ from likekit import (
     Not,
     Or,
     Pattern,
+    RenderError,
     SignedAtom,
     and_,
     atom_patterns,
@@ -108,6 +109,25 @@ def test_render_round_trip():
     for _ in range(300):
         e = build(3)
         assert parse_expression(render_expression(e)) == e, render_expression(e)
+
+
+@pytest.mark.parametrize("escape", [None, "!"])
+def test_token_mode_render_raises_or_round_trips(escape):
+    rng = random.Random(11)
+    symbols = ("a", "q0", "", "%", "!x")
+    refused = 0
+    for _ in range(300):
+        e = and_(*[Atom(random_pattern(rng, symbols, 4)) for _ in range(2)])
+        try:
+            text = render_expression(e, escape=escape, tokens=True)
+        except RenderError:
+            refused += 1
+            continue
+        assert parse_expression(text, escape=escape, tokens=True) == e, text
+    assert 0 < refused < 300
+    empty = Atom(Pattern((Literal("a"), Literal(""), Literal("b"))))
+    with pytest.raises(RenderError):
+        render_expression(empty, escape=escape, tokens=True)
 
 
 def test_render_quotes_special_characters():

@@ -104,6 +104,14 @@ def test_token_mode_render_needs_escape_for_metachar_names():
         render_pattern(Pattern((Literal("%"),)), tokens=True)
 
 
+@pytest.mark.parametrize("escape", [None, "!"])
+def test_token_mode_render_refuses_the_empty_symbol(escape):
+    p = Pattern((Literal("a"), Literal(""), Literal("b")))
+    for tokens in (False, True):
+        with pytest.raises(RenderError):
+            render_pattern(p, escape=escape, tokens=tokens)
+
+
 def test_pattern_helpers():
     p = parse_pattern("a%_b")
     assert len(p) == 4

@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
 from likekit import (
+    ANY_ONE,
     ANY_STRING,
     Atom,
     Cnf,
@@ -20,6 +22,7 @@ from likekit import (
     encode_majority,
     encode_tm,
     evaluate,
+    find_separating_string,
     find_witness,
     match_greedy,
     parse_dimacs,
@@ -38,6 +41,7 @@ from helpers import (
     m_loop,
     m_one_step,
     m_stuck,
+    reference_encode_tm,
 )
 
 
@@ -299,9 +303,9 @@ def test_encoded_history_is_fragile():
 @pytest.mark.parametrize(
     "space, atoms, state_bits, explored, digest",
     [
-        (2, 2770, 27282, 62, "13167da374c7e6ed"),
-        (3, 2782, 30086, 133, "643c46ee3a2ffddc"),
-        (4, 2794, 32902, 208, "35b191dc17d51fe9"),
+        (2, 370, 3282, 62, "fbfd59fdbd1a43aa"),
+        (3, 382, 3686, 133, "9c823f556078fbd9"),
+        (4, 394, 4102, 208, "ad54e3d764591234"),
     ],
 )
 def test_bouncer_gadget_size_is_pinned(space, atoms, state_bits, explored, digest):
@@ -348,3 +352,74 @@ def test_simulate_refuses_negative_max_steps():
     with pytest.raises(ValueError, match="max_steps"):
         simulate_tm(spec, word, space, max_steps=-1)
     assert simulate_tm(spec, word, space, max_steps=0).steps == 0
+
+
+def _gadget_cases():
+    for space in range(1, 6):
+        yield pytest.param(*m_bouncer(space), id=f"m_bouncer-{space}")
+    for build in (m_one_step, m_loop, m_stuck, m_edge_fall, m_dirty_accept):
+        spec, word, _ = build()
+        for space in range(max(1, len(word)), 6):
+            yield pytest.param(spec, word, space, id=f"{build.__name__}-{space}")
+
+
+GADGET_CASES = list(_gadget_cases())
+
+
+def _expand_closing_underscores(p, symbols):
+    """Every pattern ``p`` names once the ``_`` run just before its final
+    ``%`` is spelled out; any other pattern is returned alone."""
+    toks = p.tokens
+    if not toks or toks[-1] is not ANY_STRING:
+        return [p]
+    k = len(toks) - 1
+    while k > 0 and toks[k - 1] is ANY_ONE:
+        k -= 1
+    return [
+        Pattern(toks[:k] + tuple(Literal(y) for y in fill) + (ANY_STRING,))
+        for fill in itertools.product(symbols, repeat=len(toks) - 1 - k)
+    ]
+
+
+@pytest.mark.parametrize("spec, word, space", GADGET_CASES)
+def test_split_window_expands_to_the_reference_patterns(spec, word, space):
+    expr, sigma = encode_tm(spec, word, space)
+    ref, ref_sigma = reference_encode_tm(spec, word, space)
+    assert sigma == ref_sigma
+    expanded = [
+        q
+        for c in expr.children
+        for q in _expand_closing_underscores(c.child.pattern, sigma.symbols)
+    ]
+    reference = [c.child.pattern for c in ref.children]
+    # Same set, and no wrong triple is forbidden by two pieces.
+    assert len(expanded) == len(reference)
+    assert set(expanded) == set(reference)
+
+
+@pytest.mark.parametrize("spec, word, space", GADGET_CASES)
+def test_split_gadget_is_equivalent_to_the_reference(spec, word, space):
+    expr, sigma = encode_tm(spec, word, space)
+    ref, _ = reference_encode_tm(spec, word, space)
+    assert find_separating_string(ref, expr, sigma).verdict is Verdict.EXHAUSTED_EQUIVALENT
+    out, ref_out = find_witness(expr, sigma), find_witness(ref, sigma)
+    assert (out.verdict, out.witness, out.explored) == (
+        ref_out.verdict,
+        ref_out.witness,
+        ref_out.explored,
+    )
+
+
+@pytest.mark.parametrize("spec, word, space", GADGET_CASES)
+def test_split_gadget_evaluates_like_the_reference(spec, word, space):
+    expr, sigma = encode_tm(spec, word, space)
+    ref, _ = reference_encode_tm(spec, word, space)
+    history = simulate_tm(spec, word, space).history
+    texts = [history] + [
+        history[:i] + (y,) + history[i + 1 :]
+        for i in range(len(history))
+        for y in sigma.symbols
+        if y != history[i]
+    ]
+    for t in texts:
+        assert evaluate(expr, t) == evaluate(ref, t), t
