@@ -5,6 +5,8 @@ import threading
 import pytest
 
 from likekit import (
+    ANY_ONE,
+    ANY_STRING,
     Alphabet,
     And,
     Atom,
@@ -18,6 +20,7 @@ from likekit import (
     SearchBudgetExceeded,
     Verdict,
     and_,
+    decode_3sat_witness,
     encode_3sat,
     encode_tm,
     evaluate,
@@ -26,6 +29,7 @@ from likekit import (
     find_witness,
     is_monotone,
     match_oracle,
+    normalize,
     or_,
     parse_expression,
     parse_pattern,
@@ -45,6 +49,7 @@ from helpers import (
     all_patterns,
     all_texts,
     alternating_chain,
+    assignment_satisfies,
     brute_force_sat,
     group_holds,
     m_bouncer,
@@ -505,10 +510,13 @@ def test_deep_and_or_chain_search():
 
 
 def test_3cnf_gadget_explores_every_assignment_prefix():
-    # The search visits every state up to depth n whatever the clauses, so
-    # the count is the same for every formula with n variables.
+    # The counting forecast keeps exactly the consistent partial
+    # assignments: each state at depth d has set d distinct variables, one
+    # literal each, so there are sum C(n, d) 2^d = 3^n of them whatever the
+    # clauses (the clause atoms never die), and the search visits them all
+    # before it pops a state at depth n.
     rng = random.Random(2718)
-    for n, explored in ((4, 299), (5, 1263), (6, 5276)):
+    for n, explored in ((4, 81), (5, 243), (6, 729)):
         clauses = tuple(
             tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
             for _ in range(round(4.3 * n))
@@ -539,18 +547,28 @@ def test_or_holding_a_self_looping_atom_never_dies():
 # --- skipping states whose successors' union is pruned ------------------------
 
 
+def _full_prune(comp, e):
+    """find_witness's prune as one test per state: the dead forecast, or
+    the counting forecast's slack below zero."""
+    dead = _predicate(comp.deciders[0][1])
+    counting = comp.counting(e)
+    if counting is None:
+        return dead
+    return lambda d: dead(d) or counting.slack(d) < 0
+
+
 def _reference_search(exprs, sigma, budget, max_len):
     """find_witness (one expression) or find_separating_string (two) run
-    on the reference scan that expands every state: (witness, explored,
-    complete), or the explored count a budget stop reports."""
+    on the reference scan that expands every state and tests every
+    successor with the full prune: (witness, explored, complete), or the
+    explored count a budget stop reports."""
     comp = _CompiledSearch(exprs, sigma)
     if len(exprs) == 1:
         (e,) = exprs
         bound_is_proof = max_len is None and is_monotone(e)
         if bound_is_proof:
             max_len = expression_size(e)
-        value, dead, _ = comp.deciders[0]
-        accept, prune = _predicate(value), _predicate(dead)
+        accept, prune = _predicate(comp.deciders[0][0]), _full_prune(comp, e)
     else:
         bound_is_proof = False
         ev1, ev2 = (_predicate(groups[0]) for groups in comp.deciders)
@@ -724,3 +742,289 @@ def test_3cnf_dead_forecast_is_down_closed_and_the_bouncers_is_not():
     assert _down_closed(_CompiledSearch([e], sigma).deciders[0][1])
     e, sigma = encode_tm(*m_bouncer(2))
     assert not _down_closed(_CompiledSearch([e], sigma).deciders[0][1])
+
+
+# --- the counting forecast ----------------------------------------------------
+
+
+def _member_pattern(rng, x):
+    """%x%, at times with its % runs doubled, so that only its normal form
+    shows it is a member."""
+    left, right = rng.randint(1, 2), rng.randint(1, 2)
+    return Pattern((ANY_STRING,) * left + (Literal(x),) + (ANY_STRING,) * right)
+
+
+def _random_counting_expr(rng, syms):
+    """An And of a %-free length atom, members %x% alone or in an Or over
+    symbol sets that often overlap, and other conjuncts. At times the
+    length atom holds a % or sits under an Or, and the others are atoms
+    %xy% or %x_%, negated members or random expressions."""
+    toks = [
+        ANY_ONE if rng.random() < 0.6 else Literal(rng.choice(syms))
+        for _ in range(rng.randint(0, 4))
+    ]
+    if rng.random() < 0.15:
+        toks.insert(rng.randint(0, len(toks)), ANY_STRING)
+    length = Atom(Pattern(tuple(toks)))
+    if rng.random() < 0.1:
+        length = Or((length, Atom(random_pattern(rng, syms, 3))))
+    conjuncts = [length]
+    for _ in range(rng.randint(1, 3)):
+        group = rng.sample(syms, rng.randint(1, 2))
+        atoms = [Atom(_member_pattern(rng, x)) for x in group]
+        conjuncts.append(atoms[0] if len(atoms) == 1 else Or(tuple(atoms)))
+    for _ in range(rng.randint(0, 2)):
+        x, y = rng.choice(syms), rng.choice(syms)
+        conjuncts.append(
+            rng.choice(
+                (
+                    Atom(Pattern((ANY_STRING, Literal(x), Literal(y), ANY_STRING))),
+                    Atom(Pattern((ANY_STRING, Literal(x), ANY_ONE, ANY_STRING))),
+                    Not(Atom(_member_pattern(rng, x))),
+                    _random_expr(rng, syms, 2),
+                )
+            )
+        )
+    rng.shuffle(conjuncts)
+    return And(tuple(conjuncts))
+
+
+def _naive_family(e):
+    """The counting family read off ``normalize``: the length atom's token
+    count and the members' symbol sets, or None."""
+    if not isinstance(e, And):
+        return None
+    length, members, used = None, [], set()
+    for c in e.children:
+        atoms = c.children if isinstance(c, Or) else (c,)
+        if not all(isinstance(a, Atom) for a in atoms):
+            continue
+        forms = [normalize(a.pattern).tokens for a in atoms]
+        if all(
+            len(f) == 3
+            and f[0] is ANY_STRING
+            and f[2] is ANY_STRING
+            and isinstance(f[1], Literal)
+            for f in forms
+        ):
+            symbols = {f[1].symbol for f in forms}
+            if not symbols & used:
+                members.append(symbols)
+                used |= symbols
+        elif length is None and isinstance(c, Atom) and ANY_STRING not in forms[0]:
+            length = len(forms[0])
+    if length is None or not members:
+        return None
+    return length, members
+
+
+def _assert_family_matches_naive(e, sigma):
+    comp = _CompiledSearch([e], sigma)
+    counting, want = comp.counting(e), _naive_family(e)
+    assert (counting is None) == (want is None), e
+    if counting is None:
+        return False
+    length, members = want
+    assert len(counting.members) == len(members), e
+    # At the start the length atom has read nothing and no member is settled.
+    assert counting.slack(comp.initial) == length - len(members), e
+    # Each alphabet symbol's move names the member that holds it.
+    by_owner = {}
+    for (sym, _), owner in zip(comp.moves, counting.owners):
+        if owner:
+            by_owner.setdefault(owner, set()).add(sym)
+    in_sigma = [m & set(sigma.symbols) for m in members]
+    want_groups = sorted(sorted(m) for m in in_sigma if m)
+    assert sorted(map(sorted, by_owner.values())) == want_groups, e
+    return True
+
+
+def test_counting_family_matches_naive_detection():
+    rng = random.Random(1993)
+    found = 0
+    for i in range(600):
+        chars, syms, _ = _DIFF_SETTINGS[i % 2]
+        e = _random_counting_expr(rng, syms)
+        found += _assert_family_matches_naive(e, Alphabet.from_chars(chars))
+    # Both outcomes are common.
+    assert 200 < found < 550
+
+
+def test_counting_family_is_found_only_where_it_holds():
+    sigma = Alphabet.from_chars("abc")
+
+    def compiled(text):
+        e = parse_expression(text)
+        comp = _CompiledSearch([e], sigma)
+        return comp, comp.counting(e)
+
+    # Members are read off normal forms, and taken greedily in conjunct
+    # order: (%b% OR %c%) overlaps the earlier (%a% OR %b%) and is left out.
+    for text, slack in (
+        ('LIKE "__" AND LIKE "%%a%%"', 1),
+        ('LIKE "a_" AND LIKE "%a%" AND LIKE "%b%"', 0),
+        ('LIKE "__" AND (LIKE "%a%" OR LIKE "%b%") AND (LIKE "%b%" OR LIKE "%c%")', 1),
+        ('LIKE "_" AND LIKE "%a%" AND (LIKE "%a%" OR LIKE "%b%") AND LIKE "%c%"', -1),
+        ('LIKE "%a%" AND (LIKE "__" OR LIKE "%b%") AND LIKE "___"', 2),
+    ):
+        comp, counting = compiled(text)
+        assert counting.slack(comp.initial) == slack, text
+    for text in (
+        'LIKE "_%_" AND LIKE "%a%" AND LIKE "%b%"',  # a % in the length atom
+        'LIKE "__" AND NOT LIKE "%a%"',  # a negated member
+        'LIKE "__" AND LIKE "%ab%"',  # a member atom with two literals
+        'LIKE "__" AND LIKE "%a_%"',  # or with a _
+        'LIKE "__" AND (LIKE "%a%" OR LIKE "%a_%")',
+        '(LIKE "__" OR LIKE "%a%") AND LIKE "%b%"',  # the length atom under an Or
+        'NOT (LIKE "__" AND LIKE "%a%")',  # no And on top
+        'LIKE "__" OR LIKE "%a%"',
+        'LIKE "__" AND LIKE "a%"',
+    ):
+        assert compiled(text)[1] is None, text
+
+
+def test_counting_forecast_is_sound():
+    # Every state the rule calls dead has no path to acceptance, over the
+    # whole reachable state graph with nothing pruned.
+    rng = random.Random(2024)
+    dead_by_count = 0
+    for i in range(300):
+        chars, syms, _ = _DIFF_SETTINGS[i % 2]
+        sigma = Alphabet.from_chars(chars)
+        e = _random_counting_expr(rng, syms)
+        comp = _CompiledSearch([e], sigma)
+        counting = comp.counting(e)
+        if counting is None:
+            continue
+        value = naive_forecasts([e], sigma)[0][0][0]
+        succ = {}
+        todo = [comp.initial]
+        while todo:
+            d = todo.pop()
+            if d in succ:
+                continue
+            nxt = [((d & on) << 1) | (d & comp.gaps) for _, on in comp.moves]
+            succ[d] = [n | (n & comp.gaps) << 1 for n in nxt]
+            todo += succ[d]
+        live = {d for d in succ if value(d)}
+        grown = True
+        while grown:
+            more = {
+                d for d, ns in succ.items() if d not in live and live.intersection(ns)
+            }
+            live |= more
+            grown = bool(more)
+        for d in succ:
+            if counting.slack(d) < 0:
+                dead_by_count += 1
+                assert d not in live, (e, d)
+    assert dead_by_count > 100
+
+
+def _witness_scan(e, sigma, max_len, counting):
+    """find_witness's scan with the counting forecast on or off."""
+    comp = _CompiledSearch([e], sigma)
+    bound_is_proof = max_len is None and is_monotone(e)
+    if bound_is_proof:
+        max_len = expression_size(e)
+    value, dead, _ = comp.deciders[0]
+    witness, explored, complete = _bfs(
+        comp,
+        _predicate(value),
+        dead,
+        DEFAULT_STATE_BUDGET,
+        max_len,
+        comp.counting(e) if counting else None,
+    )
+    return witness, explored, complete or bound_is_proof
+
+
+def test_counting_search_agrees_with_full_expansion():
+    rng = random.Random(4004)
+    for i in range(800):
+        chars, syms, _ = _DIFF_SETTINGS[i % 2]
+        sigma = Alphabet.from_chars(chars)
+        e = _random_counting_expr(rng, syms)
+        max_len = rng.choice((None, None, 0, 1, 2, 3))
+        budget = rng.choice((1, 2, 3, 5, 8, 13, DEFAULT_STATE_BUDGET))
+        want = _reference_search([e], sigma, budget, max_len)
+        assert _library_search([e], sigma, budget, max_len) == want, (e, i)
+
+
+def test_counting_rule_on_and_off_agree():
+    # The rule removes only dead states, and a dead state's successors are
+    # dead, so the scan meets the live states in the same order: the same
+    # witness, never more states. On the 3-CNF gadget ``complete`` is the
+    # same too; elsewhere the rule may show that a max_len cut nothing
+    # live off, so it can only turn false into true.
+    rng = random.Random(1999)
+    fewer = 0
+    for n in (3, 4, 5):
+        vs = range(1, n + 1)
+        for _ in range(4):
+            clauses = tuple(
+                tuple(v if rng.random() < 0.5 else -v for v in rng.sample(vs, 3))
+                for _ in range(round(4.3 * n))
+            )
+            e, sigma = encode_3sat(Cnf(n, clauses))
+            for max_len in (None, n - 1, n):
+                on = _witness_scan(e, sigma, max_len, True)
+                off = _witness_scan(e, sigma, max_len, False)
+                assert (on[0], on[2]) == (off[0], off[2])
+                assert on[1] < off[1]
+    for i in range(600):
+        chars, syms, _ = _DIFF_SETTINGS[i % 2]
+        sigma = Alphabet.from_chars(chars)
+        e = _random_counting_expr(rng, syms)
+        max_len = rng.choice((None, None, 1, 2, 3))
+        on = _witness_scan(e, sigma, max_len, True)
+        off = _witness_scan(e, sigma, max_len, False)
+        assert on[0] == off[0] and on[1] <= off[1], (e, i)
+        assert on[2] or not off[2], (e, i)
+        fewer += on[1] < off[1]
+    assert fewer > 50
+
+
+def test_counting_forecast_decides_3cnf_like_brute_force():
+    rng = random.Random(3311)
+    for n in range(3, 8):
+        for k in range(6):
+            clauses = []
+            for _ in range(round(4.3 * n)):
+                # Half the formulas draw variables with repeats, so a clause
+                # can name one literal twice, or a variable and its negation.
+                if k % 2:
+                    vs = rng.sample(range(1, n + 1), 3)
+                else:
+                    vs = [rng.randint(1, n) for _ in range(3)]
+                clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
+            formula = Cnf(n, tuple(clauses))
+            e, sigma = encode_3sat(formula)
+            out = find_witness(e, sigma)
+            assert (out.explored, out.complete) == (3**n, True)
+            if brute_force_sat(formula) is None:
+                assert out.verdict is Verdict.EXHAUSTED_EMPTY
+            else:
+                assert out.verdict is Verdict.FOUND
+                bits = decode_3sat_witness(formula, out.witness)
+                assert assignment_satisfies(formula, bits)
+
+
+def test_3cnf_gadget_at_ten_variables_fits_the_default_budget():
+    # Without the counting forecast the scan visits about 4.15^n states
+    # whatever the clauses, past the default budget of 2^20 at n = 10,
+    # though the formula has only 1024 assignments.
+    rng = random.Random(7919)
+    n = 10
+    clauses = tuple(
+        tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+        for _ in range(43)
+    )
+    formula = Cnf(n, clauses)
+    e, sigma = encode_3sat(formula)
+    out = find_witness(e, sigma)
+    assert (out.explored, out.complete) == (3**n, True)
+    assert (out.verdict is Verdict.FOUND) == (brute_force_sat(formula) is not None)
+    if out.witness is not None:
+        bits = decode_3sat_witness(formula, out.witness)
+        assert assignment_satisfies(formula, bits)
