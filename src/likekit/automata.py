@@ -71,12 +71,27 @@ A successor has one symbol less room and at most one member more
 settled, so only a *tight* state (as many unsettled members as room) has
 successors dead by count: all but those on a symbol of an unsettled
 member, which stay tight. A tight state expands just those moves, in
-alphabet order, and no successor needs a count test. In the 3-CNF
-gadget (``_^n`` and the n per-variable members) the start is tight, so
-the search visits exactly the consistent partial assignments, 3^n states
-for n variables instead of about 4.15^n. The rule is skipped when no
-length atom or no member is found; on the machine gadget, whose
-conjuncts are all negated, one scan of their types tells.
+alphabet order, and no successor needs a count test.
+
+A tight state also fixes what can still be read: the rest of the text is
+exactly one symbol of each unsettled member. A *bound conjunct* is a
+direct conjunct of the member shape that is not taken as a member, each
+of whose symbols in sigma some member holds. It is dead in a tight state
+when it is unsettled and every member holding one of its symbols is
+settled: the conflict test of DPLL (Davis, Logemann and Loveland, 1962)
+on packed states. The witness search tests it on every tight successor
+before queueing it. A tight state is queued with two small ints, its
+unsettled member set and its settled bound set, and expands by a plan
+kept per unsettled set: per move, the successor's unsettled set, the
+bound set the symbol settles, and the bound set dead in the successor
+unless settled. So a tight successor needs no count scan, and its bound
+test is three operations on small ints. In the 3-CNF gadget (``_^n``,
+the n per-variable members, and the clauses as bound conjuncts) the
+start is tight, so the search visits exactly the consistent partial
+assignments that falsify no clause, out of 3^n (about 4.15^n with no
+counting rule at all). The rules are skipped when no length atom or no
+member is found; on the machine gadget, whose conjuncts are all negated,
+one scan of their types tells.
 
 ``PatternNfa`` is the one-atom view of the same compile: one pattern's
 block, over an alphabet of its own literals, so a text symbol it never
@@ -201,18 +216,32 @@ class _Counting:
     """The counting forecast of an And (see the module docstring). The
     length atom's block is ``span``, ending below bit ``end``; each of
     ``members`` is a member's settled mask, the OR of its atoms' trailing
-    ``%`` bits; ``owners`` gives, per move, the settled mask of the member
-    that holds its symbol, or 0."""
+    ``%`` bits. Member i is named by the bit ``1 << i`` in a *member set*,
+    and bound conjunct j by ``1 << j`` in a *bound set*. Each of ``bound``
+    is a bound conjunct's settled mask and the member set holding its
+    symbols. Per move, ``owners`` gives the member set holding its symbol
+    (one bit, or 0) and ``settles`` the bound set holding it. Per member,
+    ``guards`` gives the bound set it holds."""
 
-    __slots__ = ("span", "end", "members", "owners")
+    __slots__ = ("span", "end", "members", "owners", "bound", "settles", "guards")
 
     def __init__(
-        self, span: int, end: int, members: tuple[int, ...], owners: tuple[int, ...]
+        self,
+        span: int,
+        end: int,
+        members: tuple[int, ...],
+        owners: tuple[int, ...],
+        bound: tuple[tuple[int, int], ...],
+        settles: tuple[int, ...],
+        guards: tuple[int, ...],
     ) -> None:
         self.span = span
         self.end = end
         self.members = members
         self.owners = owners
+        self.bound = bound
+        self.settles = settles
+        self.guards = guards
 
     def slack(self, d: int) -> int:
         """Room left minus unsettled members; negative when d is dead by
@@ -222,6 +251,68 @@ class _Counting:
             return -1
         unsettled = [*map(d.__and__, self.members)].count(0)
         return self.end - block.bit_length() - unsettled
+
+    def bound_dead(self, d: int) -> bool:
+        """Whether some bound conjunct is dead in d, valid when slack(d) is
+        0: it is unsettled, and every member holding one of its symbols is
+        settled. The rest of the text is then one symbol of each unsettled
+        member, so none of its symbols can still be read."""
+        unsettled = self.unsettled(d)
+        return any(
+            not d & mask and not holders & unsettled for mask, holders in self.bound
+        )
+
+    def unsettled(self, d: int) -> int:
+        """The member set of the members unsettled in d."""
+        return sum(1 << i for i, mask in enumerate(self.members) if not d & mask)
+
+    def settled(self, d: int) -> int:
+        """The bound set of the bound conjuncts settled in d."""
+        return sum(1 << j for j, (mask, _) in enumerate(self.bound) if d & mask)
+
+    def plan(
+        self, moves: tuple[tuple[Symbol, int], ...], unsettled: int, slack: int
+    ) -> list[tuple[Symbol, int, int, int, int]]:
+        """The moves a state with slack 0 or 1 and these unsettled members
+        expands, in alphabet order, as (symbol, mask, tight, settles,
+        doomed): the successor's unsettled member set if it is tight, else
+        -1; the bound set its symbol settles; and the bound set that is dead
+        in the successor unless settled.
+
+        A tight state expands only the moves that settle a member, and each
+        successor is tight. A state with slack 1 expands every move; those
+        that settle no member leave a tight successor with the same
+        unsettled members."""
+        # A bound conjunct is doomed unless an unsettled member holds it.
+        # After a move that settles member o, the bound conjuncts still held
+        # are those the unsettled members before o and after it hold.
+        opened = [
+            (1 << i, holds)
+            for i, holds in enumerate(self.guards)
+            if unsettled >> i & 1
+        ]
+        held_by_others: dict[int, int] = {}
+        held = 0
+        for bit, holds in opened:
+            held_by_others[bit] = held
+            held |= holds
+        every = (1 << len(self.bound)) - 1
+        here = every & ~held
+        held = 0
+        for bit, holds in reversed(opened):
+            held_by_others[bit] |= held
+            held |= holds
+        steps = []
+        for move, owner, settles in zip(moves, self.owners, self.settles):
+            if owner & unsettled:
+                if slack:
+                    steps.append((*move, -1, 0, 0))
+                else:
+                    doomed = every & ~held_by_others[owner]
+                    steps.append((*move, unsettled & ~owner, settles, doomed))
+            elif slack:
+                steps.append((*move, unsettled, settles, here))
+        return steps
 
 
 class _CompiledSearch:
@@ -375,7 +466,9 @@ class _CompiledSearch:
         """e's counting forecast, or None unless e is an And with a length
         atom and a member among its direct conjuncts. Members are read off
         the normal forms and taken in conjunct order, each only when its
-        symbols are disjoint from every earlier member's."""
+        symbols are disjoint from every earlier member's. A conjunct of the
+        same shape that is not taken is bound when a member holds each of
+        its symbols in sigma."""
         # The length atom is a plain Atom conjunct. Without one, as in the
         # machine gadget's And of negated atoms, the type scan bails before
         # any per-conjunct work.
@@ -385,6 +478,7 @@ class _CompiledSearch:
         length: tuple[int, int] | None = None
         owner: dict[Symbol, int] = {}
         members: list[int] = []
+        others: list[tuple[list[Symbol], int]] = []
         for c in e.children:
             if isinstance(c, Atom):
                 atoms: tuple[LikeExpression, ...] = (c,)
@@ -414,12 +508,32 @@ class _CompiledSearch:
                 settled |= 1 << hi - 2
             else:
                 if owner.keys().isdisjoint(symbols):
+                    owner.update(dict.fromkeys(symbols, len(members)))
                     members.append(settled)
-                    owner.update(dict.fromkeys(symbols, settled))
+                else:
+                    others.append((symbols, settled))
         if length is None or not members:
             return None
-        owners = tuple(owner.get(sym, 0) for sym, _ in self.moves)
-        return _Counting(*length, tuple(members), owners)
+        column = {sym: i for i, (sym, _) in enumerate(self.moves)}
+        settles = [0] * len(column)
+        guards = [0] * len(members)
+        bound: list[tuple[int, int]] = []
+        for symbols, settled in others:
+            readable = [sym for sym in symbols if sym in column]
+            if not all(map(owner.__contains__, readable)):
+                continue
+            bit = 1 << len(bound)
+            holders = 0
+            for sym in readable:
+                i = owner[sym]
+                holders |= 1 << i
+                guards[i] |= bit
+                settles[column[sym]] |= bit
+            bound.append((settled, holders))
+        owners = tuple(1 << owner[sym] if sym in owner else 0 for sym in column)
+        return _Counting(
+            *length, tuple(members), owners, tuple(bound), tuple(settles), tuple(guards)
+        )
 
 
 # A value or forecast compiles to a group, the tuple
@@ -579,17 +693,24 @@ def _bfs(
     States where the ``forecast`` group holds are pruned. When it is
     down-closed, a state whose successors' union is pruned is not
     expanded: each successor lies inside that union and would be pruned.
-    With a ``counting`` forecast, states dead by count are pruned too: a
-    tight state expands only the moves on a symbol of an unsettled member
-    (see the module docstring), and no successor needs a count test.
-    The start state counts against the budget, so a budget below one
-    explores nothing.
+    With a ``counting`` forecast (whose length atom's dead test the
+    ``forecast`` must hold), states dead by count, and tight states with a
+    dead bound conjunct, are pruned too (see the module docstring). A
+    tight state expands only the moves on a symbol of an unsettled member,
+    and its successors are tight: each is queued with its unsettled member
+    set and settled bound set, so it needs no count scan, and its bound
+    test is three operations on small ints. A state with slack 1 expands
+    every move; those on a symbol of no unsettled member leave a tight
+    successor, tested and queued the same way. The start state counts
+    against the budget, so a budget below one explores nothing.
     """
     if budget < 1:
         raise SearchBudgetExceeded(0)
     start = comp.initial
     visited: dict[int, tuple[int | None, Symbol | None]] = {start: (None, None)}
-    queue: deque[tuple[int, int]] = deque([(start, 0)])
+    # Each queued state carries its unsettled member set when it is known to
+    # be tight, else -1, and then its settled bound set.
+    queue: deque[tuple[int, int, int, int]] = deque([(start, 0, -1, 0)])
     moves = comp.moves
     gaps = comp.gaps
     prune = _predicate(forecast)
@@ -599,9 +720,13 @@ def _bfs(
     if closed:
         for _, on_sym in moves:
             any_on |= on_sym
+    # States that no counting rule touches expand every move, untested.
+    every = [(*move, -1, 0, 0) for move in moves]
+    # The plans of states with slack 0 and 1, keyed by unsettled member set.
+    plans: tuple[dict[int, list], dict[int, list]] = ({}, {})
     complete = True
     while queue:
-        state, depth = queue.popleft()
+        state, depth, unsettled, settled = queue.popleft()
         if accept(state):
             parts: list[Symbol] = []
             cur: int | None = state
@@ -620,21 +745,31 @@ def _bfs(
             union = ((state & any_on) << 1) | kept
             if prune(union | (union & gaps) << 1):
                 continue
-        step = moves
-        if counting is not None:
+        if unsettled >= 0:
+            slack = 0
+        elif counting is None:
+            slack = 2
+        else:
             slack = counting.slack(state)
             if slack < 0:
                 continue
-            if not slack:
-                step = [
-                    move
-                    for move, owner in zip(moves, counting.owners)
-                    if owner and not state & owner
-                ]
-        for sym, on_sym in step:
+            if slack < 2:
+                unsettled = counting.unsettled(state)
+                settled = counting.settled(state)
+        if slack > 1:
+            step = every
+        else:
+            step = plans[slack].get(unsettled)
+            if step is None:
+                step = counting.plan(moves, unsettled, slack)
+                plans[slack][unsettled] = step
+        for sym, on_sym, tight, settles, doomed in step:
             nxt = ((state & on_sym) << 1) | kept
             nxt |= (nxt & gaps) << 1
             if nxt in visited:
+                continue
+            # Dead by a bound conjunct: doomed there and still unsettled.
+            if doomed and doomed & ~(settled | settles):
                 continue
             if prune(nxt):
                 continue
@@ -644,7 +779,7 @@ def _bfs(
             if len(visited) >= budget:
                 raise SearchBudgetExceeded(len(visited))
             visited[nxt] = (state, sym)
-            queue.append((nxt, depth + 1))
+            queue.append((nxt, depth + 1, tight, settled | settles))
     return None, len(visited), complete
 
 
@@ -662,7 +797,7 @@ def find_witness(
     shortest witness; otherwise the reachable state space itself is
     finite and exploration terminates without a depth bound. Dead states
     are pruned by the mask forecasts and, when e has one, the counting
-    forecast.
+    forecast and its bound conjuncts.
     """
     bound_is_proof = max_len is None and is_monotone(e)
     if bound_is_proof:
@@ -689,8 +824,9 @@ def find_separating_string(
     """Shortest text on which the two expressions disagree, if any.
 
     States where both expressions are dead, or both settled, are pruned.
-    The counting forecast is not applied here, though a state where it
-    finds both expressions dead could be pruned too.
+    Neither the counting forecast nor its bound-conjunct rule is applied
+    here, though a state where they find both expressions dead could be
+    pruned too.
     """
     comp = _CompiledSearch([e1, e2], sigma)
     first, second = comp.deciders

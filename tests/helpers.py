@@ -168,6 +168,41 @@ def brute_force_sat(formula: Cnf) -> tuple[bool, ...] | None:
     return None
 
 
+def unfalsified_partial_assignments(formula: Cnf) -> int:
+    """How many partial assignments (each variable unset, false or true)
+    leave no clause with every literal set and false.
+
+    Variables are set in order, as two bit sets (those set false and those
+    set true), and a clause is checked once its last variable is set. A
+    falsified clause stays falsified on every extension, so a prefix that
+    falsifies one is counted out with all its extensions.
+    """
+    n = formula.n_vars
+    # Per clause, the variables that must be false and those that must be
+    # true for it to be falsified, filed under its last variable.
+    last: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for clause in formula.clauses:
+        need_false = need_true = 0
+        for lit in clause:
+            if lit > 0:
+                need_false |= 1 << lit
+            else:
+                need_true |= 1 << -lit
+        last[max(map(abs, clause))].append((need_false, need_true))
+
+    def count(v: int, false: int, true: int) -> int:
+        if v > n:
+            return 1
+        # Leaving v unset falsifies no clause that ends at v.
+        total = count(v + 1, false, true)
+        for f, t in ((false | 1 << v, true), (false, true | 1 << v)):
+            if not any(f & nf == nf and t & nt == nt for nf, nt in last[v]):
+                total += count(v + 1, f, t)
+        return total
+
+    return count(1, 0, 0)
+
+
 def assignment_satisfies(formula: Cnf, bits: Sequence[bool]) -> bool:
     return all(
         any(bits[abs(l) - 1] == (l > 0) for l in clause) for clause in formula.clauses
@@ -494,6 +529,32 @@ def m_bouncer(space: int) -> tuple[TmSpec, tuple[str, ...], int]:
         blank="b",
     )
     return spec, ("1",) * (space - 1), space
+
+
+def m_counter(space: int) -> tuple[TmSpec, tuple[str, ...], int]:
+    """Counts in binary between a start and an end marker, lowest bit
+    first, until the carry reaches the end marker; then erases the tape
+    and accepts. The run takes 2^space - 1 steps."""
+    spec = TmSpec(
+        states=("inc", "back", "erase", "qa"),
+        tape_alphabet=("s", "0", "1", "e", "b"),
+        input_alphabet=("s", "0", "e"),
+        start="inc",
+        accept="qa",
+        rules=(
+            TmRule("inc", "s", "inc", "s", "R"),
+            TmRule("inc", "0", "back", "1", "L"),
+            TmRule("inc", "1", "inc", "0", "R"),
+            TmRule("inc", "e", "erase", "b", "L"),
+            TmRule("back", "0", "back", "0", "L"),
+            TmRule("back", "1", "back", "1", "L"),
+            TmRule("back", "s", "inc", "s", "R"),
+            TmRule("erase", "0", "erase", "b", "L"),
+            TmRule("erase", "s", "qa", "b", "L"),
+        ),
+        blank="b",
+    )
+    return spec, ("s",) + ("0",) * (space - 2) + ("e",), space
 
 
 def m_loop() -> tuple[TmSpec, tuple[str, ...], int]:

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+from collections import deque
 
 import pytest
 
@@ -34,6 +35,7 @@ from likekit import (
     parse_expression,
     parse_pattern,
 )
+from likekit import automata
 from likekit.automata import (
     _CompiledSearch,
     _agree_forever,
@@ -59,6 +61,7 @@ from helpers import (
     reachable_states,
     reference_bfs,
     shortest_satisfying,
+    unfalsified_partial_assignments,
 )
 
 
@@ -510,13 +513,14 @@ def test_deep_and_or_chain_search():
 
 
 def test_3cnf_gadget_explores_every_assignment_prefix():
-    # The counting forecast keeps exactly the consistent partial
-    # assignments: each state at depth d has set d distinct variables, one
-    # literal each, so there are sum C(n, d) 2^d = 3^n of them whatever the
-    # clauses (the clause atoms never die), and the search visits them all
-    # before it pops a state at depth n.
+    # The counting forecast keeps only the consistent partial assignments:
+    # each state at depth d has set d distinct variables, one literal each.
+    # The clauses are bound conjuncts, so a clause whose variables are all
+    # set and whose literals are all false kills its state. The search
+    # visits every other partial assignment before it pops a state at
+    # depth n, out of the 3^n consistent ones.
     rng = random.Random(2718)
-    for n, explored in ((4, 81), (5, 243), (6, 729)):
+    for n in (4, 5, 6):
         clauses = tuple(
             tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
             for _ in range(round(4.3 * n))
@@ -524,7 +528,8 @@ def test_3cnf_gadget_explores_every_assignment_prefix():
         formula = Cnf(n, clauses)
         e, sigma = encode_3sat(formula)
         out = find_witness(e, sigma)
-        assert out.explored == explored, n
+        explored = unfalsified_partial_assignments(formula)
+        assert out.explored == explored < 3**n, n
         assert (out.witness is None) == (brute_force_sat(formula) is None), n
 
 
@@ -548,13 +553,21 @@ def test_or_holding_a_self_looping_atom_never_dies():
 
 
 def _full_prune(comp, e):
-    """find_witness's prune as one test per state: the dead forecast, or
-    the counting forecast's slack below zero."""
+    """find_witness's prune as one test per state: the dead forecast, the
+    counting forecast's slack below zero, or a tight state with a dead
+    bound conjunct."""
     dead = _predicate(comp.deciders[0][1])
     counting = comp.counting(e)
     if counting is None:
         return dead
-    return lambda d: dead(d) or counting.slack(d) < 0
+
+    def prune(d):
+        if dead(d):
+            return True
+        slack = counting.slack(d)
+        return slack < 0 or slack == 0 and counting.bound_dead(d)
+
+    return prune
 
 
 def _reference_search(exprs, sigma, budget, max_len):
@@ -756,9 +769,13 @@ def _member_pattern(rng, x):
 
 def _random_counting_expr(rng, syms):
     """An And of a %-free length atom, members %x% alone or in an Or over
-    symbol sets that often overlap, and other conjuncts. At times the
+    symbol sets that often overlap, clauses of the same shape over one to
+    three symbols drawn with repeats, and other conjuncts. At times the
     length atom holds a % or sits under an Or, and the others are atoms
-    %xy% or %x_%, negated members or random expressions."""
+    %xy% or %x_%, negated members or random expressions. A clause or
+    overlapping member is bound when members hold its symbols; a symbol
+    outside sigma does not count, and one that no member holds rules it
+    out."""
     toks = [
         ANY_ONE if rng.random() < 0.6 else Literal(rng.choice(syms))
         for _ in range(rng.randint(0, 4))
@@ -771,6 +788,10 @@ def _random_counting_expr(rng, syms):
     conjuncts = [length]
     for _ in range(rng.randint(1, 3)):
         group = rng.sample(syms, rng.randint(1, 2))
+        atoms = [Atom(_member_pattern(rng, x)) for x in group]
+        conjuncts.append(atoms[0] if len(atoms) == 1 else Or(tuple(atoms)))
+    for _ in range(rng.randint(0, 2)):
+        group = rng.choices(syms, k=rng.randint(1, 3))
         atoms = [Atom(_member_pattern(rng, x)) for x in group]
         conjuncts.append(atoms[0] if len(atoms) == 1 else Or(tuple(atoms)))
     for _ in range(rng.randint(0, 2)):
@@ -789,12 +810,13 @@ def _random_counting_expr(rng, syms):
     return And(tuple(conjuncts))
 
 
-def _naive_family(e):
+def _naive_family(e, sigma):
     """The counting family read off ``normalize``: the length atom's token
-    count and the members' symbol sets, or None."""
+    count and the symbol sets of the members and of the bound conjuncts,
+    or None."""
     if not isinstance(e, And):
         return None
-    length, members, used = None, [], set()
+    length, members, others, used = None, [], [], set()
     for c in e.children:
         atoms = c.children if isinstance(c, Or) else (c,)
         if not all(isinstance(a, Atom) for a in atoms):
@@ -811,43 +833,55 @@ def _naive_family(e):
             if not symbols & used:
                 members.append(symbols)
                 used |= symbols
+            else:
+                others.append(symbols)
         elif length is None and isinstance(c, Atom) and ANY_STRING not in forms[0]:
             length = len(forms[0])
     if length is None or not members:
         return None
-    return length, members
+    bound = [b for b in others if b & set(sigma.symbols) <= used]
+    return length, members, bound
 
 
 def _assert_family_matches_naive(e, sigma):
     comp = _CompiledSearch([e], sigma)
-    counting, want = comp.counting(e), _naive_family(e)
+    counting, want = comp.counting(e), _naive_family(e, sigma)
     assert (counting is None) == (want is None), e
     if counting is None:
         return False
-    length, members = want
+    length, members, bound = want
     assert len(counting.members) == len(members), e
     # At the start the length atom has read nothing and no member is settled.
     assert counting.slack(comp.initial) == length - len(members), e
     # Each alphabet symbol's move names the member that holds it.
-    by_owner = {}
+    readable = set(sigma.symbols)
+    in_sigma = [m & readable for m in members]
     for (sym, _), owner in zip(comp.moves, counting.owners):
-        if owner:
-            by_owner.setdefault(owner, set()).add(sym)
-    in_sigma = [m & set(sigma.symbols) for m in members]
-    want_groups = sorted(sorted(m) for m in in_sigma if m)
-    assert sorted(map(sorted, by_owner.values())) == want_groups, e
-    return True
+        assert owner == sum(1 << i for i, m in enumerate(in_sigma) if sym in m), e
+    # Each bound conjunct is settled by the moves on its symbols and held by
+    # the members that hold them.
+    assert len(counting.bound) == len(bound), e
+    for j, ((_, holders), symbols) in enumerate(zip(counting.bound, bound)):
+        settled_by = {
+            sym for (sym, _), s in zip(comp.moves, counting.settles) if s >> j & 1
+        }
+        assert settled_by == symbols & readable, e
+        assert holders == sum(1 << i for i, m in enumerate(in_sigma) if m & symbols), e
+    return len(bound) + 1
 
 
 def test_counting_family_matches_naive_detection():
     rng = random.Random(1993)
-    found = 0
+    found = with_bound = 0
     for i in range(600):
         chars, syms, _ = _DIFF_SETTINGS[i % 2]
         e = _random_counting_expr(rng, syms)
-        found += _assert_family_matches_naive(e, Alphabet.from_chars(chars))
-    # Both outcomes are common.
+        got = _assert_family_matches_naive(e, Alphabet.from_chars(chars))
+        found += got > 0
+        with_bound += got > 1
+    # Both outcomes are common, and so are bound conjuncts.
     assert 200 < found < 550
+    assert with_bound > 100
 
 
 def test_counting_family_is_found_only_where_it_holds():
@@ -883,42 +917,162 @@ def test_counting_family_is_found_only_where_it_holds():
         assert compiled(text)[1] is None, text
 
 
-def test_counting_forecast_is_sound():
-    # Every state the rule calls dead has no path to acceptance, over the
-    # whole reachable state graph with nothing pruned.
-    rng = random.Random(2024)
-    dead_by_count = 0
-    for i in range(300):
+def _live_states(comp, e, sigma):
+    """The whole reachable state graph of e's compile with nothing pruned,
+    as (every reachable state, the states with a path to acceptance)."""
+    value = naive_forecasts([e], sigma)[0][0][0]
+    succ = {}
+    todo = [comp.initial]
+    while todo:
+        d = todo.pop()
+        if d in succ:
+            continue
+        nxt = [((d & on) << 1) | (d & comp.gaps) for _, on in comp.moves]
+        succ[d] = [n | (n & comp.gaps) << 1 for n in nxt]
+        todo += succ[d]
+    live = {d for d in succ if value(d)}
+    grown = True
+    while grown:
+        more = {d for d, ns in succ.items() if d not in live and live.intersection(ns)}
+        live |= more
+        grown = bool(more)
+    return succ.keys(), live
+
+
+def _counting_cases(seed, count):
+    """Random counting expressions that have a family, with their sigma,
+    compile and forecast."""
+    rng = random.Random(seed)
+    for i in range(count):
         chars, syms, _ = _DIFF_SETTINGS[i % 2]
         sigma = Alphabet.from_chars(chars)
         e = _random_counting_expr(rng, syms)
         comp = _CompiledSearch([e], sigma)
         counting = comp.counting(e)
-        if counting is None:
-            continue
-        value = naive_forecasts([e], sigma)[0][0][0]
-        succ = {}
-        todo = [comp.initial]
-        while todo:
-            d = todo.pop()
-            if d in succ:
-                continue
-            nxt = [((d & on) << 1) | (d & comp.gaps) for _, on in comp.moves]
-            succ[d] = [n | (n & comp.gaps) << 1 for n in nxt]
-            todo += succ[d]
-        live = {d for d in succ if value(d)}
-        grown = True
-        while grown:
-            more = {
-                d for d, ns in succ.items() if d not in live and live.intersection(ns)
-            }
-            live |= more
-            grown = bool(more)
-        for d in succ:
+        if counting is not None:
+            yield e, sigma, comp, counting
+
+
+def test_counting_forecast_is_sound():
+    # Every state the rule calls dead has no path to acceptance, over the
+    # whole reachable state graph with nothing pruned.
+    dead_by_count = 0
+    for e, sigma, comp, counting in _counting_cases(2024, 300):
+        states, live = _live_states(comp, e, sigma)
+        for d in states:
             if counting.slack(d) < 0:
                 dead_by_count += 1
                 assert d not in live, (e, d)
     assert dead_by_count > 100
+
+
+def test_bound_conjunct_rule_is_sound():
+    # Every tight state the bound rule calls dead has no path to
+    # acceptance, over the whole reachable state graph with nothing pruned.
+    # Many are tight states that the count alone keeps.
+    tight = dead_by_bound = 0
+    for e, sigma, comp, counting in _counting_cases(2025, 600):
+        states, live = _live_states(comp, e, sigma)
+        for d in states:
+            if counting.slack(d) == 0:
+                tight += 1
+                if counting.bound_dead(d):
+                    dead_by_bound += 1
+                    assert d not in live, (e, d)
+    assert dead_by_bound > 100 and tight > 2 * dead_by_bound
+
+
+def test_bound_conjuncts_are_found_only_where_they_hold():
+    sigma = Alphabet.from_chars("abc")
+
+    def compiled(text):
+        e = parse_expression(text)
+        comp = _CompiledSearch([e], sigma)
+        return e, comp, comp.counting(e)
+
+    # Members %a% and (%b% OR %c%); a conjunct after them that overlaps
+    # them is bound, with the member set that holds its symbols in sigma.
+    members = 'LIKE "__" AND LIKE "%a%" AND (LIKE "%b%" OR LIKE "%c%")'
+    for conjunct, bound in (
+        ('LIKE "%%a%"', 0b01),
+        ('(LIKE "%a%" OR LIKE "%b%")', 0b11),
+        ('(LIKE "%a%" OR LIKE "%z%")', 0b01),
+        ('(LIKE "%c%" OR LIKE "%c%" OR LIKE "%z%")', 0b10),
+        ('NOT LIKE "%a%"', None),
+        ('(LIKE "%a%" OR LIKE "%b_%")', None),
+    ):
+        _, _, counting = compiled(f"{members} AND {conjunct}")
+        holders = [h for _, h in counting.bound]
+        assert holders == ([] if bound is None else [bound]), conjunct
+    # c is in sigma and held by no member, so a conjunct on it is not bound.
+    _, _, counting = compiled(
+        'LIKE "__" AND LIKE "%a%" AND LIKE "%b%" AND (LIKE "%a%" OR LIKE "%c%")'
+    )
+    assert counting.bound == ()
+
+    e, comp, counting = compiled(f"{members} AND LIKE \"%b%\"")
+    assert counting.owners == (0b01, 0b10, 0b10)
+    assert counting.settles == (0, 1, 0)
+
+    def after(text):
+        d = comp.initial
+        for sym in text:
+            d = ((d & dict(comp.moves)[sym]) << 1) | (d & comp.gaps)
+            d |= (d & comp.gaps) << 1
+        return d
+
+    # Every state here is tight. Once c is read, the one symbol left must
+    # be a, so b can never be read.
+    for text, dead in (("", False), ("a", False), ("b", False), ("c", True)):
+        d = after(text)
+        assert counting.slack(d) == 0, text
+        assert counting.bound_dead(d) == dead, text
+    # The start, a, b and ab: ac and c are dead by the rule, and ba is ab.
+    out = find_witness(e, sigma)
+    assert (out.witness, out.explored) == (("a", "b"), 4)
+
+
+def test_carried_tight_states_agree_with_the_state_level_rule(monkeypatch):
+    # The scan queues each tight state with its unsettled member set and
+    # settled bound set, and tests its successors on those alone. On the
+    # same searches, a scan of each queued state's bits must give the same
+    # sets, and the state-level rule must keep it; a state queued as not
+    # tight must have slack above 0.
+    queued = []
+
+    class Recording(deque):
+        def append(self, item):
+            queued.append(item)
+            super().append(item)
+
+    monkeypatch.setattr(automata, "deque", Recording)
+    rng = random.Random(3031)
+    cases = [
+        (e, sigma, rng.choice((None, None, 1, 2)))
+        for e, sigma, _, _ in _counting_cases(3030, 600)
+    ]
+    for n in (3, 4, 5, 6):
+        clauses = tuple(
+            tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
+            for _ in range(round(4.3 * n))
+        )
+        cases.append((*encode_3sat(Cnf(n, clauses)), None))
+    tight = loose = 0
+    for e, sigma, max_len in cases:
+        counting = _CompiledSearch([e], sigma).counting(e)
+        queued.clear()
+        find_witness(e, sigma, max_len=max_len)
+        for state, _, unsettled, settled in queued:
+            if unsettled < 0:
+                loose += 1
+                assert counting.slack(state) > 0, e
+                continue
+            tight += 1
+            assert counting.slack(state) == 0, e
+            assert unsettled == counting.unsettled(state), e
+            assert settled == counting.settled(state), e
+            assert not counting.bound_dead(state), e
+    assert tight > 300 and loose > 100
 
 
 def _witness_scan(e, sigma, max_len, counting):
@@ -954,11 +1108,10 @@ def test_counting_search_agrees_with_full_expansion():
 def test_counting_rule_on_and_off_agree():
     # The rule removes only dead states, and a dead state's successors are
     # dead, so the scan meets the live states in the same order: the same
-    # witness, never more states. On the 3-CNF gadget ``complete`` is the
-    # same too; elsewhere the rule may show that a max_len cut nothing
-    # live off, so it can only turn false into true.
+    # witness, never more states. The rule may show that a max_len cut
+    # nothing live off, so ``complete`` can only turn false into true.
     rng = random.Random(1999)
-    fewer = 0
+    fewer = flipped = 0
     for n in (3, 4, 5):
         vs = range(1, n + 1)
         for _ in range(4):
@@ -970,8 +1123,12 @@ def test_counting_rule_on_and_off_agree():
             for max_len in (None, n - 1, n):
                 on = _witness_scan(e, sigma, max_len, True)
                 off = _witness_scan(e, sigma, max_len, False)
-                assert (on[0], on[2]) == (off[0], off[2])
-                assert on[1] < off[1]
+                assert on[0] == off[0] and on[1] < off[1]
+                assert on[2] or not off[2]
+                flipped += on[2] and not off[2]
+    # On an unsatisfiable formula every full assignment falsifies a clause,
+    # so a cut one symbol short of full length cuts off nothing live.
+    assert flipped
     for i in range(600):
         chars, syms, _ = _DIFF_SETTINGS[i % 2]
         sigma = Alphabet.from_chars(chars)
@@ -1001,7 +1158,8 @@ def test_counting_forecast_decides_3cnf_like_brute_force():
             formula = Cnf(n, tuple(clauses))
             e, sigma = encode_3sat(formula)
             out = find_witness(e, sigma)
-            assert (out.explored, out.complete) == (3**n, True)
+            explored = unfalsified_partial_assignments(formula)
+            assert (out.explored, out.complete) == (explored, True)
             if brute_force_sat(formula) is None:
                 assert out.verdict is Verdict.EXHAUSTED_EMPTY
             else:
@@ -1010,20 +1168,23 @@ def test_counting_forecast_decides_3cnf_like_brute_force():
                 assert assignment_satisfies(formula, bits)
 
 
-def test_3cnf_gadget_at_ten_variables_fits_the_default_budget():
+def test_3cnf_gadget_at_twelve_variables_fits_the_default_budget():
     # Without the counting forecast the scan visits about 4.15^n states
-    # whatever the clauses, past the default budget of 2^20 at n = 10,
-    # though the formula has only 1024 assignments.
+    # whatever the clauses, past the default budget of 2^20 at n = 10. With
+    # it alone the scan visits all 3^n consistent partial assignments; the
+    # bound conjuncts leave those that falsify no clause, so 12 variables
+    # fit too.
     rng = random.Random(7919)
-    n = 10
+    n = 12
     clauses = tuple(
         tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
-        for _ in range(43)
+        for _ in range(52)
     )
     formula = Cnf(n, clauses)
     e, sigma = encode_3sat(formula)
     out = find_witness(e, sigma)
-    assert (out.explored, out.complete) == (3**n, True)
+    explored = unfalsified_partial_assignments(formula)
+    assert (out.explored, out.complete) == (explored, True)
     assert (out.verdict is Verdict.FOUND) == (brute_force_sat(formula) is not None)
     if out.witness is not None:
         bits = decode_3sat_witness(formula, out.witness)

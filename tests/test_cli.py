@@ -393,6 +393,61 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def test_back_to_back_dispatches_share_no_options(capsys, monkeypatch):
+    # Each call sets only its own options. In any order, a plain call keeps
+    # every default (no --json, --tokens or --escape, and the default
+    # budget, max-len and cap), and the others keep their own options. The
+    # namespace each call parses holds exactly what a fresh parser gives,
+    # so no option of an earlier call lingers either.
+    parse_args = argparse.ArgumentParser.parse_args
+    parsed = []
+
+    def recording(self, *args, **kwargs):
+        parsed.append(parse_args(self, *args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    calls = [
+        (
+            ["nonempty", "--json", "--tokens", "--budget", "2", "--max-len", "1"]
+            + ["--alphabet", "a b", "--expr", 'LIKE "a b" AND NOT LIKE "a"'],
+            3,
+            None,
+        ),
+        (["nonempty", "--alphabet", "ab", "--expr", 'LIKE "a_b"'], 0, "aab\n"),
+        (
+            ["match", "--escape", "!", "--json", "--pattern", "a!%b", "--text", "a%b"],
+            0,
+            '{"matched": true}\n',
+        ),
+        (["match", "--pattern", "a!%b", "--text", "a!xyb"], 0, "match\n"),
+        (["dnf", "--cap", "1", "--expr", 'LIKE "a_"', "--alphabet", "ab"], 3, ""),
+        (
+            ["dnf", "--expr", 'LIKE "a_"', "--alphabet", "ab"],
+            0,
+            'LIKE "aa" OR LIKE "ab"\n',
+        ),
+        (
+            ["equiv", "--alphabet", "ab", "--e1", 'LIKE "%ab%"', "--e2", 'LIKE "%a%b%"'],
+            0,
+            "EQUIVALENT\n",
+        ),
+    ]
+    for order in (calls, calls[::-1], calls[1::2] + calls[::2]):
+        for argv, want_code, want_out in order:
+            parsed.clear()
+            code, out, _ = run(capsys, *argv)
+            assert code == want_code, argv
+            (args,) = parsed
+            assert vars(args) == vars(parse_args(_build_parser(), argv)), argv
+            if want_out is None:
+                report = json.loads(out)
+                got = (report["verdict"], report["explored"], report["complete"])
+                assert got == ("exhausted-empty", 2, False), argv
+            else:
+                assert out == want_out, argv
+
+
 def test_console_entry_point():
     # Run the package under test, installed or not.
     src = str(Path(likekit.__file__).resolve().parents[1])

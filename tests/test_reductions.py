@@ -36,6 +36,7 @@ from helpers import (
     assignment_satisfies,
     brute_force_sat,
     m_bouncer,
+    m_counter,
     m_dirty_accept,
     m_edge_fall,
     m_loop,
@@ -286,6 +287,19 @@ def test_encode_accepting_machine_language_is_the_history():
     fence = Not(Atom(Pattern(tuple(Literal(s) for s in run.history))))
     again = find_witness(and_(expr, fence), sigma)
     assert again.verdict is Verdict.EXHAUSTED_EMPTY
+
+
+@pytest.mark.parametrize("space, explored", [(3, 394), (4, 958), (5, 2102)])
+def test_counter_machine_witness_is_its_history(space, explored):
+    # A long run over wide states: 2^space - 1 steps, about 3500 atoms and
+    # 36k-43k state bits, and no counting family.
+    spec, word, s = m_counter(space)
+    run = simulate_tm(spec, word, s)
+    assert run.accepted and run.steps == 2**space - 1
+    expr, sigma = encode_tm(spec, word, s)
+    out = find_witness(expr, sigma)
+    assert out.verdict is Verdict.FOUND and out.witness == run.history
+    assert out.explored == explored
 
 
 def test_encoded_history_is_fragile():
