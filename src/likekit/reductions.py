@@ -99,10 +99,6 @@ def _lit_symbol(lit: int) -> Symbol:
     return f"x{lit}" if lit > 0 else f"~x{-lit}"
 
 
-def _contains(symbol: Symbol) -> Pattern:
-    return Pattern((ANY_STRING, Literal(symbol), ANY_STRING))
-
-
 def encode_3sat(formula: Cnf) -> tuple[LikeExpression, Alphabet]:
     """Monotone expression satisfiable over the literal alphabet iff the
     formula is satisfiable.
@@ -113,17 +109,18 @@ def encode_3sat(formula: Cnf) -> tuple[LikeExpression, Alphabet]:
     contradict a variable.
     """
     n = formula.n_vars
+    lits = (*range(1, n + 1), *range(-1, -n - 1, -1))
+    # One %x% atom per literal, shared by every conjunct that names it.
+    contains = {
+        lit: Atom(Pattern((ANY_STRING, Literal(_lit_symbol(lit)), ANY_STRING)))
+        for lit in lits
+    }
     parts: list[LikeExpression] = [Atom(Pattern((ANY_ONE,) * n))]
     for v in range(1, n + 1):
-        parts.append(
-            or_(Atom(_contains(_lit_symbol(v))), Atom(_contains(_lit_symbol(-v))))
-        )
+        parts.append(or_(contains[v], contains[-v]))
     for clause in formula.clauses:
-        parts.append(or_(*[Atom(_contains(_lit_symbol(lit))) for lit in clause]))
-    symbols = tuple(_lit_symbol(v) for v in range(1, n + 1)) + tuple(
-        _lit_symbol(-v) for v in range(1, n + 1)
-    )
-    return and_(*parts), Alphabet(symbols)
+        parts.append(or_(*[contains[lit] for lit in clause]))
+    return and_(*parts), Alphabet(tuple(map(_lit_symbol, lits)))
 
 
 def decode_3sat_witness(formula: Cnf, witness: Sequence[Symbol]) -> tuple[bool, ...]:

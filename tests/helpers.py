@@ -203,6 +203,42 @@ def unfalsified_partial_assignments(formula: Cnf) -> int:
     return count(1, 0, 0)
 
 
+def sorted_unfalsified_prefixes(formula: Cnf) -> int:
+    """How many literal sequences, read in the 3-CNF gadget's alphabet
+    order (x1..xn, then ~x1..~xn), are consistent, falsify no clause, and
+    still have a later literal for every unset variable.
+
+    Each sequence is a run of increasing positions in that order. A
+    sequence failing one of the three conditions fails it on every
+    extension, so the walk does not extend it.
+    """
+    n = formula.n_vars
+    order = [*range(1, n + 1), *range(-1, -n - 1, -1)]
+    clauses = [({abs(lit) for lit in c}, set(c)) for c in formula.clauses]
+    # The variables with a literal at each position or later.
+    later = [{abs(lit) for lit in order[i:]} for i in range(2 * n + 1)]
+    every = set(range(1, n + 1))
+
+    def kept(seq: list[int]) -> bool:
+        lits = {order[i] for i in seq}
+        if any(-lit in lits for lit in lits):
+            return False
+        set_vars = {abs(lit) for lit in lits}
+        if any(vs <= set_vars and not lits & c for vs, c in clauses):
+            return False
+        return every <= set_vars | later[seq[-1] + 1 if seq else 0]
+
+    total = 0
+    todo: list[list[int]] = [[]]
+    while todo:
+        seq = todo.pop()
+        if kept(seq):
+            total += 1
+            start = seq[-1] + 1 if seq else 0
+            todo += [seq + [i] for i in range(start, 2 * n)]
+    return total
+
+
 def assignment_satisfies(formula: Cnf, bits: Sequence[bool]) -> bool:
     return all(
         any(bits[abs(l) - 1] == (l > 0) for l in clause) for clause in formula.clauses
@@ -342,18 +378,24 @@ def reference_bfs(
     prune: Callable[[int], bool],
     budget: int,
     max_len: int | None,
+    spent: Callable[[int, int], bool] | None = None,
 ) -> tuple[Text | None, int, bool]:
     """The witness scan over a compiled search, every state expanded: each
     successor is computed and tested, as a reference for the search loop
     that skips states whose successors would all be pruned. Returns
     (witness, explored, complete) and raises SearchBudgetExceeded at the
-    same point."""
+    same point.
+
+    With ``spent``, the scan reads in alphabet order: each state records
+    the column of the symbol that reached it and expands only the later
+    columns, and a successor reached on column c is pruned too when
+    spent(successor, c) holds."""
     start = comp.initial
     visited: dict[int, tuple[int | None, Symbol | None]] = {start: (None, None)}
-    queue: deque[tuple[int, int]] = deque([(start, 0)])
+    queue: deque[tuple[int, int, int]] = deque([(start, 0, -1)])
     complete = True
     while queue:
-        state, depth = queue.popleft()
+        state, depth, last = queue.popleft()
         if accept(state):
             parts: list[Symbol] = []
             cur: int | None = state
@@ -367,10 +409,14 @@ def reference_bfs(
         at_cap = max_len is not None and depth >= max_len
         if at_cap and not complete:
             continue
-        for sym, on_sym in comp.moves:
+        for col, (sym, on_sym) in enumerate(comp.moves):
+            if spent is not None and col <= last:
+                continue
             nxt = ((state & on_sym) << 1) | (state & comp.gaps)
             nxt |= (nxt & comp.gaps) << 1
             if nxt in visited or prune(nxt):
+                continue
+            if spent is not None and spent(nxt, col):
                 continue
             if at_cap:
                 complete = False
@@ -378,7 +424,7 @@ def reference_bfs(
             if len(visited) >= budget:
                 raise SearchBudgetExceeded(len(visited))
             visited[nxt] = (state, sym)
-            queue.append((nxt, depth + 1))
+            queue.append((nxt, depth + 1, col))
     return None, len(visited), complete
 
 

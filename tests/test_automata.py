@@ -61,6 +61,7 @@ from helpers import (
     reachable_states,
     reference_bfs,
     shortest_satisfying,
+    sorted_unfalsified_prefixes,
     unfalsified_partial_assignments,
 )
 
@@ -516,9 +517,12 @@ def test_3cnf_gadget_explores_every_assignment_prefix():
     # The counting forecast keeps only the consistent partial assignments:
     # each state at depth d has set d distinct variables, one literal each.
     # The clauses are bound conjuncts, so a clause whose variables are all
-    # set and whose literals are all false kills its state. The search
-    # visits every other partial assignment before it pops a state at
-    # depth n, out of the 3^n consistent ones.
+    # set and whose literals are all false kills its state. The gadget is
+    # ordered, so each assignment is read in alphabet order only, and a
+    # state dies once an unset variable has no literal left in a later
+    # column. The search visits every other sorted prefix before it pops a
+    # state at depth n: fewer than the unfalsified partial assignments,
+    # themselves fewer than the 3^n consistent ones.
     rng = random.Random(2718)
     for n in (4, 5, 6):
         clauses = tuple(
@@ -528,8 +532,8 @@ def test_3cnf_gadget_explores_every_assignment_prefix():
         formula = Cnf(n, clauses)
         e, sigma = encode_3sat(formula)
         out = find_witness(e, sigma)
-        explored = unfalsified_partial_assignments(formula)
-        assert out.explored == explored < 3**n, n
+        explored = sorted_unfalsified_prefixes(formula)
+        assert out.explored == explored < unfalsified_partial_assignments(formula) < 3**n
         assert (out.witness is None) == (brute_force_sat(formula) is None), n
 
 
@@ -553,13 +557,15 @@ def test_or_holding_a_self_looping_atom_never_dies():
 
 
 def _full_prune(comp, e):
-    """find_witness's prune as one test per state: the dead forecast, the
-    counting forecast's slack below zero, or a tight state with a dead
-    bound conjunct."""
+    """find_witness's prunes as (prune, spent). prune is one test per
+    state: the dead forecast, the counting forecast's slack below zero, or
+    a tight state with a dead bound conjunct. spent, for an ordered
+    counting forecast (else None), tests a state reached on column c: some
+    unsettled member has no symbol in a later column."""
     dead = _predicate(comp.deciders[0][1])
     counting = comp.counting(e)
     if counting is None:
-        return dead
+        return dead, None
 
     def prune(d):
         if dead(d):
@@ -567,7 +573,20 @@ def _full_prune(comp, e):
         slack = counting.slack(d)
         return slack < 0 or slack == 0 and counting.bound_dead(d)
 
-    return prune
+    if not counting.ordered:
+        return prune, None
+    columns = [
+        [c for c, owner in enumerate(counting.owners) if owner >> i & 1]
+        for i in range(len(counting.members))
+    ]
+
+    def spent(d, col):
+        return any(
+            not d & settled and all(c <= col for c in cols)
+            for settled, cols in zip(counting.members, columns)
+        )
+
+    return prune, spent
 
 
 def _reference_search(exprs, sigma, budget, max_len):
@@ -581,15 +600,16 @@ def _reference_search(exprs, sigma, budget, max_len):
         bound_is_proof = max_len is None and is_monotone(e)
         if bound_is_proof:
             max_len = expression_size(e)
-        accept, prune = _predicate(comp.deciders[0][0]), _full_prune(comp, e)
+        accept = _predicate(comp.deciders[0][0])
+        prune, spent = _full_prune(comp, e)
     else:
         bound_is_proof = False
         ev1, ev2 = (_predicate(groups[0]) for groups in comp.deciders)
         accept = lambda d: ev1(d) != ev2(d)
-        prune = _predicate(_agree_forever(*comp.deciders))
+        prune, spent = _predicate(_agree_forever(*comp.deciders)), None
     try:
         witness, explored, complete = reference_bfs(
-            comp, accept, prune, budget, max_len
+            comp, accept, prune, budget, max_len, spent
         )
     except SearchBudgetExceeded as exc:
         return exc.explored
@@ -1027,9 +1047,32 @@ def test_bound_conjuncts_are_found_only_where_they_hold():
         d = after(text)
         assert counting.slack(d) == 0, text
         assert counting.bound_dead(d) == dead, text
-    # The start, a, b and ab: ac and c are dead by the rule, and ba is ab.
+    # The start, a and ab: ac and c are dead by the rule, and the search is
+    # ordered, so b, whose member %a% has no symbol after it, is dead too.
+    assert counting.ordered
     out = find_witness(e, sigma)
-    assert (out.witness, out.explored) == (("a", "b"), 4)
+    assert (out.witness, out.explored) == (("a", "b"), 3)
+
+
+def _read_in_order(comp, state):
+    """The columns of the symbols x whose %x% block has read x in the
+    state, in alphabet order, when reading them so from the start reaches
+    that very state; else None."""
+    stream = comp._stream
+    read = []
+    for col, (sym, _) in enumerate(comp.moves):
+        trailing = [
+            i + 1
+            for i in range(1, len(stream) - 2)
+            if stream[i - 1 : i + 2] == [ANY_STRING, Literal(sym), ANY_STRING]
+        ]
+        if any(state >> bit & 1 for bit in trailing):
+            read.append(col)
+    d = comp.initial
+    for col in read:
+        d = ((d & comp.moves[col][1]) << 1) | (d & comp.gaps)
+        d |= (d & comp.gaps) << 1
+    return read if d == state else None
 
 
 def test_carried_tight_states_agree_with_the_state_level_rule(monkeypatch):
@@ -1037,7 +1080,9 @@ def test_carried_tight_states_agree_with_the_state_level_rule(monkeypatch):
     # settled bound set, and tests its successors on those alone. On the
     # same searches, a scan of each queued state's bits must give the same
     # sets, and the state-level rule must keep it; a state queued as not
-    # tight must have slack above 0.
+    # tight must have slack above 0. In an ordered search every queued
+    # state is reached by reading its member symbols in alphabet order,
+    # each once, and carries the column of the last.
     queued = []
 
     class Recording(deque):
@@ -1057,12 +1102,20 @@ def test_carried_tight_states_agree_with_the_state_level_rule(monkeypatch):
             for _ in range(round(4.3 * n))
         )
         cases.append((*encode_3sat(Cnf(n, clauses)), None))
-    tight = loose = 0
+    tight = loose = ordered = 0
     for e, sigma, max_len in cases:
-        counting = _CompiledSearch([e], sigma).counting(e)
+        comp = _CompiledSearch([e], sigma)
+        counting = comp.counting(e)
         queued.clear()
         find_witness(e, sigma, max_len=max_len)
-        for state, _, unsettled, settled in queued:
+        for state, depth, unsettled, settled, last in queued:
+            if counting.ordered:
+                ordered += 1
+                read = _read_in_order(comp, state)
+                assert read is not None and len(read) == depth, e
+                assert last == read[-1], e
+            else:
+                assert last == -1, e
             if unsettled < 0:
                 loose += 1
                 assert counting.slack(state) > 0, e
@@ -1072,7 +1125,163 @@ def test_carried_tight_states_agree_with_the_state_level_rule(monkeypatch):
             assert unsettled == counting.unsettled(state), e
             assert settled == counting.settled(state), e
             assert not counting.bound_dead(state), e
-    assert tight > 300 and loose > 100
+    assert tight > 300 and loose > 100 and ordered > 100
+
+
+def test_order_is_used_only_where_the_guard_holds():
+    # Each And below is outside the guard, so its search reads every order
+    # and explores what the scan before the order rule explored.
+    sigma = Alphabet.from_chars("abc")
+    for text, witness, explored in (
+        # A length atom with a literal: the witness ba is not sorted.
+        ('LIKE "b_" AND LIKE "%a%" AND LIKE "%b%"', ("b", "a"), 3),
+        # A length atom holding %: no counting family at all.
+        ('LIKE "_%_" AND LIKE "%a%" AND LIKE "%b%"', ("a", "b"), 8),
+        # A second length-shaped conjunct, holding %.
+        ('LIKE "__" AND LIKE "_%" AND LIKE "%a%" AND LIKE "%b%"', ("a", "b"), 4),
+        # A conjunct that reads order: ab and ba differ on it.
+        ('LIKE "__" AND LIKE "%a%" AND LIKE "%b%" AND LIKE "%ab%"', ("a", "b"), 5),
+        ('LIKE "__" AND LIKE "%a%" AND LIKE "%b%" AND LIKE "%ba%"', ("b", "a"), 5),
+        # A negated conjunct is not of the member shape.
+        ('LIKE "__" AND LIKE "%b%" AND LIKE "%c%" AND NOT LIKE "%a%"', ("b", "c"), 4),
+        # A conjunct on c, which no member holds, is not bound.
+        (
+            'LIKE "__" AND LIKE "%a%" AND LIKE "%b%" AND (LIKE "%a%" OR LIKE "%c%")',
+            ("a", "b"),
+            4,
+        ),
+        # A start with slack: aab is read, so symbols repeat.
+        ('LIKE "___" AND LIKE "%a%" AND LIKE "%b%"', ("a", "a", "b"), 8),
+    ):
+        e = parse_expression(text)
+        counting = _CompiledSearch([e], sigma).counting(e)
+        assert counting is None or not counting.ordered, text
+        out = find_witness(e, sigma)
+        assert (out.witness, out.explored, out.complete) == (witness, explored, True)
+        assert _reference_search([e], sigma, DEFAULT_STATE_BUDGET, None) == (
+            witness,
+            explored,
+            True,
+        )
+    # Inside the guard, b is dead by order: %a% has no symbol after it.
+    e = parse_expression('LIKE "__" AND LIKE "%a%" AND LIKE "%b%"')
+    assert _CompiledSearch([e], sigma).counting(e).ordered
+    out = find_witness(e, sigma)
+    assert (out.witness, out.explored) == (("a", "b"), 3)
+
+
+def _random_ordered_expr(rng, syms):
+    """An And that the order guard often admits: an all-_ length atom as
+    long as the members, one to three members over disjoint symbol groups
+    (the symbol outside sigma among them), and clauses of one to three
+    member-shaped atoms over symbols drawn with repeats, in any order. At
+    times the length atom has one _ more, or one other conjunct breaks
+    the guard."""
+    pool = list(syms)
+    rng.shuffle(pool)
+    conjuncts = []
+    while pool and len(conjuncts) < 3 and (not conjuncts or rng.random() < 0.7):
+        k = rng.randint(1, 2)
+        group, pool = pool[:k], pool[k:]
+        atoms = [Atom(_member_pattern(rng, x)) for x in group]
+        conjuncts.append(atoms[0] if len(atoms) == 1 else Or(tuple(atoms)))
+    room = len(conjuncts) + (rng.random() < 0.15)
+    conjuncts.append(Atom(Pattern((ANY_ONE,) * room)))
+    for _ in range(rng.randint(0, 3)):
+        group = rng.choices(syms, k=rng.randint(1, 3))
+        atoms = [Atom(_member_pattern(rng, x)) for x in group]
+        conjuncts.append(atoms[0] if len(atoms) == 1 else Or(tuple(atoms)))
+    if rng.random() < 0.15:
+        x, y = rng.choice(syms), rng.choice(syms)
+        conjuncts.append(
+            rng.choice(
+                (
+                    Atom(Pattern((ANY_STRING, Literal(x), Literal(y), ANY_STRING))),
+                    Not(Atom(_member_pattern(rng, x))),
+                    _random_expr(rng, syms, 2),
+                )
+            )
+        )
+    rng.shuffle(conjuncts)
+    return And(tuple(conjuncts))
+
+
+def test_witnesses_agree_with_enumeration_of_every_text():
+    # The ground truth reads every text up to length 4, in any order, not
+    # only sorted ones: the witness is the first accepted text in
+    # shortest-then-alphabet order, and the verdicts agree. No witness of
+    # these cases is longer than 4.
+    rng = random.Random(6174)
+    ordered = 0
+    for i in range(4000):
+        chars, syms, _ = _DIFF_SETTINGS[i % 2]
+        sigma = Alphabet.from_chars(chars)
+        if i < 2000:
+            e = _random_counting_expr(rng, syms)
+        else:
+            e = _random_ordered_expr(rng, syms)
+        counting = _CompiledSearch([e], sigma).counting(e)
+        ordered += counting is not None and counting.ordered
+        max_len = rng.choice((None, 4))
+        out = find_witness(e, sigma, max_len=max_len)
+        assert out.witness == shortest_satisfying(e, sigma, 4), (e, i)
+        if max_len is None and out.witness is None:
+            assert out.complete, (e, i)
+    assert ordered >= 200
+
+
+def _least_gadget_text(formula, e, sigma):
+    """The first length-n text in alphabet order that the gadget e of the
+    formula accepts, by enumeration. An accepted text names each of the n
+    variables and satisfies each clause, so a prefix that repeats a
+    variable, or names every variable of a clause and none of its
+    literals, is skipped with all its extensions."""
+    n = formula.n_vars
+    clauses = [
+        ({abs(lit) for lit in c}, {f"x{lit}" if lit > 0 else f"~x{-lit}" for lit in c})
+        for c in formula.clauses
+    ]
+    var = {sym: int(sym.lstrip("~x")) for sym in sigma.symbols}
+    todo = [()]
+    while todo:
+        t = todo.pop()
+        used = {var[sym] for sym in t}
+        if len(used) < len(t) or any(
+            vs <= used and not lits.intersection(t) for vs, lits in clauses
+        ):
+            continue
+        if len(t) == n:
+            if evaluate(e, t):
+                return t
+            continue
+        todo += [t + (sym,) for sym in reversed(sigma.symbols)]
+    return None
+
+
+def test_3cnf_witnesses_agree_with_enumeration_of_every_text():
+    # Formulas with repeated variables, so a clause can name one literal
+    # twice or a variable and its negation. Up to 4 variables every text up
+    # to length n is read; past that, every length-n text in alphabet order
+    # up to the first accepted one, skipping only prefixes that no accepted
+    # text extends.
+    rng = random.Random(2357)
+    for n in range(3, 8):
+        for _ in range(6):
+            clauses = tuple(
+                tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
+                for _ in range(round(4.3 * n))
+            )
+            formula = Cnf(n, clauses)
+            e, sigma = encode_3sat(formula)
+            out = find_witness(e, sigma)
+            assert out.complete
+            satisfiable = brute_force_sat(formula) is not None
+            assert (out.witness is not None) == satisfiable
+            if n <= 4:
+                want = shortest_satisfying(e, sigma, n)
+            else:
+                want = _least_gadget_text(formula, e, sigma)
+            assert out.witness == want, formula
 
 
 def _witness_scan(e, sigma, max_len, counting):
@@ -1158,7 +1367,7 @@ def test_counting_forecast_decides_3cnf_like_brute_force():
             formula = Cnf(n, tuple(clauses))
             e, sigma = encode_3sat(formula)
             out = find_witness(e, sigma)
-            explored = unfalsified_partial_assignments(formula)
+            explored = sorted_unfalsified_prefixes(formula)
             assert (out.explored, out.complete) == (explored, True)
             if brute_force_sat(formula) is None:
                 assert out.verdict is Verdict.EXHAUSTED_EMPTY
@@ -1168,12 +1377,24 @@ def test_counting_forecast_decides_3cnf_like_brute_force():
                 assert assignment_satisfies(formula, bits)
 
 
+def _assert_3cnf_search_matches_brute_force(formula):
+    e, sigma = encode_3sat(formula)
+    out = find_witness(e, sigma)
+    assert out.complete
+    assert (out.verdict is Verdict.FOUND) == (brute_force_sat(formula) is not None)
+    if out.witness is not None:
+        bits = decode_3sat_witness(formula, out.witness)
+        assert assignment_satisfies(formula, bits)
+        assert list(out.witness) == sorted(out.witness, key=sigma.symbols.index)
+    return out
+
+
 def test_3cnf_gadget_at_twelve_variables_fits_the_default_budget():
     # Without the counting forecast the scan visits about 4.15^n states
     # whatever the clauses, past the default budget of 2^20 at n = 10. With
-    # it alone the scan visits all 3^n consistent partial assignments; the
-    # bound conjuncts leave those that falsify no clause, so 12 variables
-    # fit too.
+    # the count and the bound conjuncts the scan visits the partial
+    # assignments that falsify no clause, reached along every order; read
+    # in alphabet order only, each is reached once, and far fewer are left.
     rng = random.Random(7919)
     n = 12
     clauses = tuple(
@@ -1181,11 +1402,20 @@ def test_3cnf_gadget_at_twelve_variables_fits_the_default_budget():
         for _ in range(52)
     )
     formula = Cnf(n, clauses)
-    e, sigma = encode_3sat(formula)
-    out = find_witness(e, sigma)
-    explored = unfalsified_partial_assignments(formula)
-    assert (out.explored, out.complete) == (explored, True)
-    assert (out.verdict is Verdict.FOUND) == (brute_force_sat(formula) is not None)
-    if out.witness is not None:
-        bits = decode_3sat_witness(formula, out.witness)
-        assert assignment_satisfies(formula, bits)
+    out = _assert_3cnf_search_matches_brute_force(formula)
+    assert out.explored == sorted_unfalsified_prefixes(formula)
+    assert out.explored < unfalsified_partial_assignments(formula) // 10
+
+
+def test_3cnf_gadget_at_sixteen_variables_fits_the_default_budget():
+    # Read along every order, this formula's 7007193 unfalsified partial
+    # assignments pass the default budget of 2^20; in alphabet order the
+    # search keeps 65477 states.
+    rng = random.Random(1601)
+    n = 16
+    clauses = tuple(
+        tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+        for _ in range(69)
+    )
+    out = _assert_3cnf_search_matches_brute_force(Cnf(n, clauses))
+    assert out.explored == 65477

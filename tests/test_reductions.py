@@ -8,6 +8,7 @@ import pytest
 from likekit import (
     ANY_ONE,
     ANY_STRING,
+    Alphabet,
     Atom,
     Cnf,
     Literal,
@@ -25,11 +26,14 @@ from likekit import (
     find_separating_string,
     find_witness,
     match_greedy,
+    or_,
     parse_dimacs,
+    render_expression,
     render_pattern,
     simulate_tm,
     tm_from_json,
 )
+from likekit.cli import dispatch
 
 from helpers import (
     all_texts,
@@ -123,6 +127,56 @@ def test_3sat_random_agreement():
             assert out.verdict is Verdict.FOUND, f
             assert len(out.witness) == n
             assert assignment_satisfies(f, decode_3sat_witness(f, out.witness))
+
+
+def _encode_3sat_atom_per_occurrence(formula):
+    """encode_3sat as it was built before its atoms were shared: a new
+    %x% atom for every occurrence of a literal."""
+
+    def sym(lit):
+        return f"x{lit}" if lit > 0 else f"~x{-lit}"
+
+    def contains(lit):
+        return Atom(Pattern((ANY_STRING, Literal(sym(lit)), ANY_STRING)))
+
+    n = formula.n_vars
+    parts = [Atom(Pattern((ANY_ONE,) * n))]
+    parts += [or_(contains(v), contains(-v)) for v in range(1, n + 1)]
+    parts += [or_(*map(contains, clause)) for clause in formula.clauses]
+    lits = [*range(1, n + 1), *range(-1, -n - 1, -1)]
+    return and_(*parts), Alphabet(tuple(map(sym, lits)))
+
+
+def test_3sat_encoding_shares_one_atom_per_literal(tmp_path, capsys):
+    rng = random.Random(4711)
+    for n in range(1, 7):
+        clauses = tuple(
+            tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
+            for _ in range(rng.randint(1, 3 * n))
+        )
+        formula = Cnf(n, clauses)
+        expr, sigma = encode_3sat(formula)
+        want, want_sigma = _encode_3sat_atom_per_occurrence(formula)
+        assert (expr, sigma) == (want, want_sigma)
+        # Every occurrence of a literal is the one atom of its variable's Or.
+        length, *rest = expr.children
+        per_var, per_clause = rest[:n], rest[n:]
+        shared = {}
+        for gate in per_var:
+            for atom in gate.children:
+                shared[atom.pattern.tokens[1].symbol] = atom
+        assert len(shared) == 2 * n
+        for gate, clause in zip(per_clause, clauses):
+            atoms = gate.children if len(clause) > 1 else (gate,)
+            for atom in atoms:
+                assert atom is shared[atom.pattern.tokens[1].symbol]
+        # The CLI renders the same text as before.
+        cnf = tmp_path / "f.cnf"
+        body = "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
+        cnf.write_text(f"p cnf {n} {len(clauses)}\n{body}")
+        assert dispatch(["reduce", "3sat", "--dimacs", str(cnf)]) == 0
+        out = capsys.readouterr().out
+        assert out == render_expression(want, tokens=True) + "\n"
 
 
 def test_decode_rejects_undecided_witness():
