@@ -45,33 +45,20 @@ nested groups run as a jump program, so evaluation loops instead of
 recursing. The witness search prunes dead states; the separator prunes
 states where both expressions are dead or both are settled.
 
-The step and the closure are monotone in the state bits, so every
-successor of D lies inside the union U of all of them, one step on the
-OR of the move masks. When the prune forecast is *down-closed* (holding
-on a state, it holds on every subset), U pruned means every successor is
-pruned, and D is not expanded at all. Zero tests are down-closed and
-ones and meets tests up-closed, so a group is down-closed when its
-positive part has no ones or meets test and its subs are down-closed;
-a negated group asks the dual of its inner part. The 3-CNF gadget's dead
-test (the ``_^n`` block has no bit left) is one zero test, so its deepest
-states are not expanded; the machine gadget's (some forbidden pattern
-absorbed) is not down-closed and takes no extra test.
-
 No mask test sees that too few symbols are left to meet every conjunct,
 so the witness search adds a *counting* forecast, found once per compile
 among the direct conjuncts of a top-level AND. A *length atom* is a
-conjunct atom with no ``%``: it matches only after exactly ``room`` more
-symbols, its token count less the position of its one set bit. A
-*member* is a conjunct ``%x%``, or an OR of such atoms; it is settled
-once one of its symbols has been read, and members are taken in conjunct
-order while their symbol sets stay pairwise disjoint. A symbol settles at
-most one member, so a state with more unsettled members than room is
-dead. That test is down-closed too, so the successor-union skip stands.
-A successor has one symbol less room and at most one member more
-settled, so only a *tight* state (as many unsettled members as room) has
-successors dead by count: all but those on a symbol of an unsettled
-member, which stay tight. A tight state expands just those moves, in
-alphabet order, and no successor needs a count test.
+conjunct atom with no ``%``: it matches only after exactly ``room``
+symbols, its token count, so a live state at depth k has ``room - k``
+left. A *member* is a conjunct ``%x%``, or an OR of such atoms; it is
+settled once one of its symbols has been read, and members are taken in
+conjunct order while their symbol sets stay pairwise disjoint. A symbol
+settles at most one member, so a state with more unsettled members than
+room left is dead; its *slack* is the difference. A successor has one
+symbol less room and at most one member more settled, so a move that
+settles no member costs one slack, and only a *tight* state (slack 0)
+has successors dead by count: all but those on a symbol of an unsettled
+member, which stay tight.
 
 A tight state also fixes what can still be read: the rest of the text is
 exactly one symbol of each unsettled member. A *bound conjunct* is a
@@ -80,15 +67,19 @@ of whose symbols in sigma some member holds. It is dead in a tight state
 when it is unsettled and every member holding one of its symbols is
 settled: the conflict test of DPLL (Davis, Logemann and Loveland, 1962)
 on packed states. The witness search tests it on every tight successor
-before queueing it. A tight state is queued with two small ints, its
-unsettled member set and its settled bound set, and each move is tested
-on them: the successor's unsettled set ``tight`` drops the move's member,
-the bound conjuncts ``doomed`` are those no member of ``tight`` holds, and
-the successor is dead when a doomed one is neither settled nor settled by
-the move. The set a member set holds, the OR of its members' bound sets,
-is memoized per search, each set from the one without its lowest member.
-So a tight successor needs no count scan, and its bound test is a few
-operations on small ints.
+before queueing it.
+
+Every state of a counting search is queued with two small ints, its
+unsettled member set and its settled bound set; the start carries every
+member unsettled and no bound conjunct settled, since a ``%x%`` block's
+trailing ``%`` is set only once x has been read. Each move is tested on
+them alone: the successor's unsettled set drops the move's member, its
+slack is the state's less one unless the move settles a member, and when
+that slack is 0 the bound conjuncts no member of the new set holds must
+each be settled, before or by the move. The set a member set holds, the
+OR of its members' bound sets, is memoized per search, each set from the
+one without its lowest member. So no state needs a count scan, and a
+tight successor's bound test is a few operations on small ints.
 
 Most such Ands cannot tell one order of a text from another. The search
 is *ordered* when the length atom is all ``_``, every direct conjunct is
@@ -258,13 +249,18 @@ class _Counting:
     symbols. Per move (alphabet column), ``owners`` gives the member set
     holding its symbol (one bit, or 0) and ``settles`` the bound set
     holding it. Per member, ``guards`` gives the bound set it holds.
-    ``ordered`` tells whether the search may read in alphabet order only;
-    then per column ``spent`` gives the member set with no symbol in a
-    later column, else it is all 0."""
+    ``room`` is the length atom's token count, so a state at depth k has
+    slack ``room - k`` less its unsettled members. ``ordered`` tells
+    whether the search may read in alphabet order only; then per column
+    ``spent`` gives the member set with no symbol in a later column, else
+    it is all 0. The search carries the member and bound sets on its
+    queue; ``slack``, ``unsettled``, ``settled`` and ``bound_dead`` read
+    them off one packed state, for tests."""
 
     __slots__ = (
         "span",
         "end",
+        "room",
         "members",
         "owners",
         "bound",
@@ -287,12 +283,15 @@ class _Counting:
     ) -> None:
         self.span = span
         self.end = end
+        self.room = end - (span & -span).bit_length()
         self.members = members
         self.owners = owners
         self.bound = bound
         self.settles = settles
         self.guards = guards
-        self.ordered = ordered
+        # Only a tight start, with every member unsettled, keeps every
+        # queued state tight.
+        self.ordered = ordered = ordered and self.room == len(members)
         self.spent = (0,) * len(owners)
         if ordered:
             # A member's highest column, or -1 when sigma holds none of its
@@ -573,11 +572,6 @@ class _CompiledSearch:
                 settles[column[sym]] |= bit
             bound.append((settled, holders))
         owners = tuple(1 << owner[sym] if sym in owner else 0 for sym in column)
-        if ordered:
-            # Only a tight start keeps every queued state tight.
-            span, end = length
-            room = end - (self.initial & span).bit_length()
-            ordered = room == len(members)
         return _Counting(
             *length,
             tuple(members),
@@ -676,21 +670,6 @@ def _test(
     return test
 
 
-def _down_closed(g: _Group) -> bool:
-    """Whether g, holding on a state, holds on every subset of it: its
-    zero tests sit under an even number of negations, its ones and meets
-    tests under an odd number."""
-    # The loop also visits the subs appended while it runs.
-    todo = [(g, True)]
-    for (negated, zero, ones, meets, subs), down in todo:
-        down = down != negated
-        if (ones or meets) if down else zero:
-            return False
-        for s in subs:
-            todo.append((s, down))
-    return True
-
-
 def _predicate(g: _Group) -> Callable[[int], bool]:
     """A group as one callable. Nested groups run as a jump program over
     their tests, which loops rather than recursing however deep they nest."""
@@ -743,46 +722,42 @@ def _bfs(
     is false when a state at depth ``max_len`` still had an unvisited,
     unpruned successor, so the cap, not the state space, ended the scan.
 
-    States where the ``forecast`` group holds are pruned. When it is
-    down-closed, a state whose successors' union is pruned is not
-    expanded: each successor lies inside that union and would be pruned.
-    With a ``counting`` forecast (whose length atom's dead test the
-    ``forecast`` must hold), states dead by count, and tight states with a
-    dead bound conjunct, are pruned too (see the module docstring). A
-    tight state expands only the moves on a symbol of an unsettled member,
-    and its successors are tight: each is queued with its unsettled member
-    set and settled bound set, so it needs no count scan, and its bound
-    test is a few operations on small ints. A state with slack 1 expands
-    every move; those on a symbol of no unsettled member leave a tight
-    successor, tested and queued the same way. When the forecast is
-    ordered, each queued state also carries the column of the last symbol
-    read, and expands only the moves in later columns. The start state
-    counts against the budget, so a budget below one explores nothing.
+    States where the ``forecast`` group holds are pruned. With a
+    ``counting`` forecast (whose length atom's dead test the ``forecast``
+    must hold), every state is queued with its unsettled member set and
+    its settled bound set, the start with every member unsettled and no
+    bound conjunct settled, and its slack is the room left after its depth
+    less its unsettled members (see the module docstring). A move that
+    settles no member costs one slack; a successor whose slack would go
+    below zero is dead by count, and a tight one (slack 0) is dead when a
+    bound conjunct is, which the small sets tell in a few operations. When
+    the forecast is ordered, each queued state also carries the column of
+    the last symbol read, and expands only the moves in later columns. The
+    start state counts against the budget, so a budget below one explores
+    nothing.
     """
     if budget < 1:
         raise SearchBudgetExceeded(0)
     start = comp.initial
     visited: dict[int, tuple[int | None, Symbol | None]] = {start: (None, None)}
-    # Each queued state carries its unsettled member set when it is known to
-    # be tight, else -1; then its settled bound set, and the column of its
-    # last symbol in an ordered search, else -1.
-    queue: deque[tuple[int, int, int, int, int]] = deque([(start, 0, -1, 0, -1)])
     moves = comp.moves
     gaps = comp.gaps
     prune = _predicate(forecast)
-    # A forecast that never holds can never skip a state either.
-    closed = forecast != _FALSE and _down_closed(forecast)
-    any_on = 0
-    if closed:
-        for _, on_sym in moves:
-            any_on |= on_sym
-    ordered = False
+    every_member = 0
     if counting is not None:
-        owners, settles, spent = counting.owners, counting.settles, counting.spent
+        room, owners = counting.room, counting.owners
+        settles, spent = counting.settles, counting.spent
+        every_member = (1 << len(counting.members)) - 1
         every_bound = (1 << len(counting.bound)) - 1
         ordered = counting.ordered
         # The bound set each tight successor's unsettled members hold.
         held = {0: 0}
+    # Each queued state carries its depth, its unsettled member set and
+    # settled bound set (0 with no counting forecast), and the column of its
+    # last symbol in an ordered search, else -1.
+    queue: deque[tuple[int, int, int, int, int]] = deque(
+        [(start, 0, every_member, 0, -1)]
+    )
     complete = True
     while queue:
         state, depth, unsettled, settled, last = queue.popleft()
@@ -800,25 +775,10 @@ def _bfs(
         if at_cap and not complete:
             continue
         kept = state & gaps
-        if closed:
-            union = ((state & any_on) << 1) | kept
-            if prune(union | (union & gaps) << 1):
-                continue
-        if unsettled >= 0:
-            slack = 0
-        elif counting is None:
-            slack = 2
-        else:
-            slack = counting.slack(state)
-            if slack < 0:
-                continue
-            if slack < 2:
-                unsettled = counting.unsettled(state)
-                settled = counting.settled(state)
-        if slack > 1:
-            # No counting rule touches this state: every move, untested. A
-            # loop of its own, since the per-move counting tests below cost
-            # the machine gadget's search (no counting forecast) about 3%.
+        if counting is None:
+            # Every move, untested. A loop of its own, since the per-move
+            # counting tests below cost the machine gadget's search (no
+            # counting forecast) about 3%.
             for sym, on_sym in moves:
                 nxt = ((state & on_sym) << 1) | kept
                 nxt |= (nxt & gaps) << 1
@@ -830,34 +790,31 @@ def _bfs(
                 if len(visited) >= budget:
                     raise SearchBudgetExceeded(len(visited))
                 visited[nxt] = (state, sym)
-                queue.append((nxt, depth + 1, -1, 0, -1))
+                queue.append((nxt, depth + 1, 0, 0, -1))
             continue
+        slack = room - depth - unsettled.bit_count()
         for col in range(last + 1, len(moves)):
-            owner = owners[col]
-            if owner & unsettled:
-                # A move that settles a member: from slack 1 the successor
-                # has slack 1 and is tested as it is popped.
-                if slack:
-                    tight = -1
-                else:
-                    tight = unsettled ^ owner
-                    # In an ordered search, dead when an unsettled member
-                    # has no symbol in a later column.
-                    if tight & spent[col]:
-                        continue
-            elif slack:
-                tight = unsettled
-            else:
+            # The member the move settles, if any; a move that settles none
+            # costs one slack.
+            owner = owners[col] & unsettled
+            left = slack if owner else slack - 1
+            if left < 0:
                 continue
+            rest = unsettled ^ owner
             now = settled | settles[col]
-            # Dead by a bound conjunct: no unsettled member holds it, and
-            # it is still unsettled.
-            if tight >= 0 and every_bound:
-                hold = held.get(tight)
-                if hold is None:
-                    hold = counting.held(tight, held)
-                if every_bound & ~(hold | now):
+            if not left:
+                # A tight successor. In an ordered search it is dead when an
+                # unsettled member has no symbol in a later column.
+                if rest & spent[col]:
                     continue
+                # Dead by a bound conjunct: no unsettled member holds it,
+                # and it is still unsettled.
+                if every_bound:
+                    hold = held.get(rest)
+                    if hold is None:
+                        hold = counting.held(rest, held)
+                    if every_bound & ~(hold | now):
+                        continue
             sym, on_sym = moves[col]
             nxt = ((state & on_sym) << 1) | kept
             nxt |= (nxt & gaps) << 1
@@ -869,7 +826,7 @@ def _bfs(
             if len(visited) >= budget:
                 raise SearchBudgetExceeded(len(visited))
             visited[nxt] = (state, sym)
-            queue.append((nxt, depth + 1, tight, now, col if ordered else -1))
+            queue.append((nxt, depth + 1, rest, now, col if ordered else -1))
     return None, len(visited), complete
 
 

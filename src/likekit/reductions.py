@@ -61,23 +61,31 @@ class Cnf:
 
 
 def parse_dimacs(text: str) -> Cnf:
-    """Read DIMACS CNF with exactly three literals per clause."""
-    n_vars = 0
-    n_clauses = -1
+    """Read DIMACS CNF with exactly three literals per clause. One problem
+    line ``p cnf <variables> <clauses>``, with counts not below zero, comes
+    before every clause."""
+    header: tuple[int, int] | None = None
     body: list[int] = []
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if header is not None:
+                raise ValueError(f"second problem line: {line!r}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"bad problem line: {line!r}")
-            n_vars, n_clauses = int(parts[2]), int(parts[3])
+            header = int(parts[2]), int(parts[3])
+            if min(header) < 0:
+                raise ValueError(f"negative count in problem line: {line!r}")
             continue
+        if header is None:
+            raise ValueError(f"clause before the problem line: {line!r}")
         body.extend(int(tok) for tok in line.split())
-    if n_clauses < 0:
+    if header is None:
         raise ValueError("missing problem line")
+    n_vars, n_clauses = header
     clauses: list[tuple[int, int, int]] = []
     current: list[int] = []
     for lit in body:

@@ -381,10 +381,10 @@ def reference_bfs(
     spent: Callable[[int, int], bool] | None = None,
 ) -> tuple[Text | None, int, bool]:
     """The witness scan over a compiled search, every state expanded: each
-    successor is computed and tested, as a reference for the search loop
-    that skips states whose successors would all be pruned. Returns
-    (witness, explored, complete) and raises SearchBudgetExceeded at the
-    same point.
+    successor is computed and tested with ``prune`` on its own bits, as a
+    reference for the search loop, which expands only the moves that the
+    counting forecast's carried sets leave. Returns (witness, explored,
+    complete) and raises SearchBudgetExceeded at the same point.
 
     With ``spent``, the scan reads in alphabet order: each state records
     the column of the symbol that reached it and expands only the later
@@ -426,19 +426,6 @@ def reference_bfs(
             visited[nxt] = (state, sym)
             queue.append((nxt, depth + 1, col))
     return None, len(visited), complete
-
-
-def group_holds(group: tuple, d: int) -> bool:
-    """Whether a compiled search group (negated, zero, ones, meets, subs)
-    holds on the packed state d, by recursion over the definition."""
-    negated, zero, ones, meets, subs = group
-    inner = (
-        d & zero == 0
-        and d & ones == ones
-        and all(d & m for m in meets)
-        and all(group_holds(s, d) for s in subs)
-    )
-    return inner != negated
 
 
 # --- a small classical regex engine ------------------------------------------

@@ -23,7 +23,6 @@ from likekit import (
     and_,
     decode_3sat_witness,
     encode_3sat,
-    encode_tm,
     evaluate,
     expression_size,
     find_separating_string,
@@ -40,7 +39,6 @@ from likekit.automata import (
     _CompiledSearch,
     _agree_forever,
     _bfs,
-    _down_closed,
     _predicate,
 )
 
@@ -53,8 +51,6 @@ from helpers import (
     alternating_chain,
     assignment_satisfies,
     brute_force_sat,
-    group_holds,
-    m_bouncer,
     naive_forecasts,
     naive_packed_masks,
     random_pattern,
@@ -553,7 +549,7 @@ def test_or_holding_a_self_looping_atom_never_dies():
     assert out.verdict is Verdict.EXHAUSTED_EMPTY and out.explored == 1
 
 
-# --- skipping states whose successors' union is pruned ------------------------
+# --- the search against a scan that expands every state ----------------------
 
 
 def _full_prune(comp, e):
@@ -625,28 +621,17 @@ def _library_search(exprs, sigma, budget, max_len):
     return out.witness, out.explored, out.complete
 
 
-def _forecast(exprs, sigma):
-    comp = _CompiledSearch(exprs, sigma)
-    if len(exprs) == 1:
-        return comp.deciders[0][1]
-    return _agree_forever(*comp.deciders)
-
-
 def test_skipping_search_agrees_with_full_expansion():
     rng = random.Random(8086)
-    closed = 0
     for i in range(1200):
         chars, syms, _ = _DIFF_SETTINGS[i % 2]
         sigma = Alphabet.from_chars(chars)
         make = _random_expr if i % 3 else _random_expr_with_not_runs
         exprs = [make(rng, syms, 3) for _ in range(1 + i // 600)]
-        closed += _down_closed(_forecast(exprs, sigma))
         max_len = rng.choice((None, None, 0, 1, 2, 3, 4))
         budget = rng.choice((1, 2, 3, 5, 8, 13, DEFAULT_STATE_BUDGET))
         want = _reference_search(exprs, sigma, budget, max_len)
         assert _library_search(exprs, sigma, budget, max_len) == want, (exprs, i)
-    # The skip is live on a good share of the cases, not a dead branch.
-    assert closed > 300
 
 
 def test_skipping_search_agrees_with_full_expansion_on_the_3cnf_gadget():
@@ -665,7 +650,7 @@ def test_skipping_search_agrees_with_full_expansion_on_the_3cnf_gadget():
                     assert _library_search([e], sigma, budget, max_len) == want
 
 
-def test_skipping_search_agrees_with_full_expansion_on_any_closed_forecast():
+def test_search_agrees_with_full_expansion_on_any_built_forecast():
     # Built forecasts test single positions, such as the bit the % closure
     # sets, which compiled forecasts never tell apart from the gap bit.
     rng = random.Random(6510)
@@ -674,8 +659,6 @@ def test_skipping_search_agrees_with_full_expansion_on_any_closed_forecast():
         sigma = Alphabet.from_chars(chars)
         comp = _CompiledSearch([_random_expr(rng, syms, 2)], sigma)
         forecast = _random_group(rng, comp.state_bits, 1, rng.random() < 0.5)
-        if not _down_closed(forecast):
-            forecast = (False, forecast[1], 0, (), ())
         accept = _predicate(comp.deciders[0][0])
         max_len = rng.choice((None, 2, 4))
         budget = rng.choice((3, 20, DEFAULT_STATE_BUDGET))
@@ -703,78 +686,6 @@ def _random_group(rng, bits, depth, negated):
         width = rng.choice((0, 1, 2))
         subs = tuple(_random_group(rng, bits, depth - 1, True) for _ in range(width))
     return (negated, zero, ones, meets, subs)
-
-
-def _assert_down_closed_is_sound(group, bits):
-    """A down-closed answer must hold: on every state of ``bits`` bits
-    where the group holds, it holds with any one set bit cleared, and so,
-    by induction, on every submask."""
-    if not _down_closed(group):
-        return False
-    for d in range(1 << bits):
-        if group_holds(group, d):
-            rest = d
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                assert group_holds(group, d ^ low), (group, d)
-    return True
-
-
-def _groups_within(group):
-    todo = [group]
-    while todo:
-        g = todo.pop()
-        yield g
-        todo += g[4]
-
-
-def test_down_closed_check_is_sound_on_compiled_groups():
-    rng = random.Random(6502)
-    verdicts = set()
-    tried = 0
-    while tried < 300:
-        chars, syms, _ = _DIFF_SETTINGS[tried % 2]
-        sigma = Alphabet.from_chars(chars)
-        make = _random_expr if tried % 3 else _random_expr_with_not_runs
-        exprs = [make(rng, syms, 2) for _ in range(1 + tried % 2)]
-        comp = _CompiledSearch(exprs, sigma)
-        if comp.state_bits > 10:
-            continue
-        tried += 1
-        groups = [g for groups in comp.deciders for g in groups]
-        if len(exprs) == 2:
-            groups.append(_agree_forever(*comp.deciders))
-        for top in groups:
-            for g in _groups_within(top):
-                verdicts.add(_assert_down_closed_is_sound(g, comp.state_bits))
-    assert verdicts == {True, False}
-
-
-def test_down_closed_check_is_sound_on_built_groups():
-    rng = random.Random(6809)
-    closed = 0
-    for i in range(600):
-        bits = 6 + i % 5
-        group = _random_group(rng, bits, 2, rng.random() < 0.5)
-        closed += _assert_down_closed_is_sound(group, bits)
-    assert closed > 50
-    # Zero tests shrink with the state, ones and meets tests grow with it.
-    assert _down_closed((False, 0b101, 0, (), ()))
-    assert not _down_closed((False, 0, 0b1, (), ()))
-    assert not _down_closed((False, 0, 0, (0b11,), ()))
-    assert _down_closed((True, 0, 0b1, (0b11,), ()))
-    assert not _down_closed((True, 0b1, 0, (), ()))
-    assert _down_closed((False, 0b1, 0, (), ((True, 0, 0b10, (), ()),)))
-    assert not _down_closed((False, 0b1, 0, (), ((True, 0b10, 0, (), ()),)))
-    assert _down_closed((True, 0, 0, (), ()))
-
-
-def test_3cnf_dead_forecast_is_down_closed_and_the_bouncers_is_not():
-    e, sigma = encode_3sat(Cnf(3, ((1, -2, 3), (-1, 2, -3))))
-    assert _down_closed(_CompiledSearch([e], sigma).deciders[0][1])
-    e, sigma = encode_tm(*m_bouncer(2))
-    assert not _down_closed(_CompiledSearch([e], sigma).deciders[0][1])
 
 
 # --- the counting forecast ----------------------------------------------------
@@ -1076,13 +987,13 @@ def _read_in_order(comp, state):
 
 
 def test_carried_tight_states_agree_with_the_state_level_rule(monkeypatch):
-    # The scan queues each tight state with its unsettled member set and
-    # settled bound set, and tests its successors on those alone. On the
-    # same searches, a scan of each queued state's bits must give the same
-    # sets, and the state-level rule must keep it; a state queued as not
-    # tight must have slack above 0. In an ordered search every queued
-    # state is reached by reading its member symbols in alphabet order,
-    # each once, and carries the column of the last.
+    # The scan queues every state with its unsettled member set and settled
+    # bound set, reads its slack off its depth and those sets, and tests its
+    # successors on them alone. On the same searches, a scan of each queued
+    # state's bits must give the same sets and the same slack, and the
+    # state-level rule must keep it. In an ordered search every queued state
+    # is reached by reading its member symbols in alphabet order, each
+    # once, and carries the column of the last.
     queued = []
 
     class Recording(deque):
@@ -1116,16 +1027,26 @@ def test_carried_tight_states_agree_with_the_state_level_rule(monkeypatch):
                 assert last == read[-1], e
             else:
                 assert last == -1, e
-            if unsettled < 0:
-                loose += 1
-                assert counting.slack(state) > 0, e
-                continue
-            tight += 1
-            assert counting.slack(state) == 0, e
             assert unsettled == counting.unsettled(state), e
             assert settled == counting.settled(state), e
+            slack = counting.slack(state)
+            assert slack == counting.room - depth - unsettled.bit_count(), e
+            if slack > 0:
+                loose += 1
+                continue
+            tight += 1
+            assert slack == 0, e
             assert not counting.bound_dead(state), e
     assert tight > 300 and loose > 100 and ordered > 100
+
+
+def test_search_starts_with_every_member_unsettled_and_no_bound_settled():
+    # The scan queues its start with these sets without reading its bits:
+    # a %x% block's trailing % is set only once x has been read.
+    for _, _, comp, counting in _counting_cases(2000, 2000):
+        every_member = (1 << len(counting.members)) - 1
+        assert counting.unsettled(comp.initial) == every_member
+        assert counting.settled(comp.initial) == 0
 
 
 def test_order_is_used_only_where_the_guard_holds():

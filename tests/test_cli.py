@@ -257,6 +257,21 @@ def test_reduce_3sat(tmp_path, capsys):
     assert '"_ _"' in out
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p cnf 2 -1\n",
+        "1 -2 -2 0\np cnf 2 1\n",
+        "p cnf 2 1\np cnf 2 1\n1 -2 -2 0\n",
+    ],
+)
+def test_reduce_3sat_refuses_a_bad_problem_line(tmp_path, capsys, text):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(text)
+    code, out, err = run(capsys, "reduce", "3sat", "--dimacs", str(cnf))
+    assert code == 2 and out == "" and "problem line" in err
+
+
 def test_simulate_tm(tmp_path, capsys):
     machine = tmp_path / "m.json"
     machine.write_text(

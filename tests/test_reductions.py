@@ -75,6 +75,11 @@ p cnf 3 2
     f = parse_dimacs(text)
     assert f.n_vars == 3
     assert f.clauses == ((1, -2, 3), (-1, 2, -3))
+    # Comments and blank lines may follow the header, and a formula may
+    # have no clause.
+    text = "c a\n\np cnf 3 2\nc b\n1 -2 3 0\n\n-1 2 -3 0\nc c\n"
+    assert parse_dimacs(text) == f
+    assert parse_dimacs("p cnf 1 0\n") == Cnf(1, ())
 
 
 @pytest.mark.parametrize(
@@ -89,6 +94,25 @@ p cnf 3 2
 )
 def test_parse_dimacs_rejects(text):
     with pytest.raises(ValueError):
+        parse_dimacs(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # -1 is a clause count, not a missing header.
+        ("p cnf 2 -1\n", "negative count"),
+        ("p cnf -3 0\n", "negative count"),
+        # A clause before the header, whole or in part.
+        ("1 2 3 0\np cnf 3 1\n", "clause before the problem line"),
+        ("c ok\n1 2\np cnf 3 1\n3 0\n", "clause before the problem line"),
+        # A second header, equal to the first or not.
+        ("p cnf 3 1\np cnf 3 1\n1 2 3 0\n", "second problem line"),
+        ("p cnf 3 1\n1 2 3 0\np cnf 3 0\n", "second problem line"),
+    ],
+)
+def test_parse_dimacs_rejects_bad_headers(text, message):
+    with pytest.raises(ValueError, match=message):
         parse_dimacs(text)
 
 
