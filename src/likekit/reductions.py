@@ -50,8 +50,7 @@ class Cnf:
     def __post_init__(self) -> None:
         if self.n_vars < 1:
             raise ValueError("formula needs at least one variable")
-        if not isinstance(self.clauses, tuple):
-            object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
+        object.__setattr__(self, "clauses", tuple(map(tuple, self.clauses)))
         for clause in self.clauses:
             if len(clause) != 3:
                 raise ValueError(f"clause {clause!r} does not have three literals")
@@ -60,10 +59,19 @@ class Cnf:
                     raise ValueError(f"literal {lit} out of range")
 
 
+def _dimacs_int(token: str) -> int:
+    """A DIMACS number: ASCII digits with an optional leading ``-``."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a DIMACS integer: {token!r}")
+    return int(token)
+
+
 def parse_dimacs(text: str) -> Cnf:
     """Read DIMACS CNF with exactly three literals per clause. One problem
     line ``p cnf <variables> <clauses>``, with counts not below zero, comes
-    before every clause."""
+    before every clause. Counts and literals are ASCII digits with an
+    optional leading ``-``."""
     header: tuple[int, int] | None = None
     body: list[int] = []
     for line in text.splitlines():
@@ -76,13 +84,13 @@ def parse_dimacs(text: str) -> Cnf:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"bad problem line: {line!r}")
-            header = int(parts[2]), int(parts[3])
+            header = _dimacs_int(parts[2]), _dimacs_int(parts[3])
             if min(header) < 0:
                 raise ValueError(f"negative count in problem line: {line!r}")
             continue
         if header is None:
             raise ValueError(f"clause before the problem line: {line!r}")
-        body.extend(int(tok) for tok in line.split())
+        body.extend(map(_dimacs_int, line.split()))
     if header is None:
         raise ValueError("missing problem line")
     n_vars, n_clauses = header

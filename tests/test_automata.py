@@ -27,7 +27,6 @@ from likekit import (
     expression_size,
     find_separating_string,
     find_witness,
-    is_monotone,
     match_oracle,
     normalize,
     or_,
@@ -53,6 +52,7 @@ from helpers import (
     brute_force_sat,
     naive_forecasts,
     naive_packed_masks,
+    random_monotone_expression,
     random_pattern,
     reachable_states,
     reference_bfs,
@@ -122,7 +122,7 @@ def test_max_len_below_the_shortest_witness_is_incomplete():
     neg = and_(Not(Atom(P("a%"))), Atom(P("%a%")))
     out = find_witness(neg, Alphabet.from_chars("ab"), max_len=1)
     assert out.verdict is Verdict.EXHAUSTED_EMPTY and not out.complete
-    # Monotone expressions get the token-count bound, which is a proof.
+    # With no max_len the search exhausts the state space, which is a proof.
     out = find_witness(Atom(P("a_")), Alphabet.from_chars("b"))
     assert out.verdict is Verdict.EXHAUSTED_EMPTY and out.complete
 
@@ -208,8 +208,6 @@ def test_search_agrees_with_enumeration():
 def test_monotone_witness_matches_enumeration():
     rng = random.Random(313)
     sigma = Alphabet.from_chars("ab")
-    from helpers import random_monotone_expression
-
     for _ in range(150):
         e = random_monotone_expression(rng, "ab", 6)
         out = find_witness(e, sigma)
@@ -218,6 +216,32 @@ def test_monotone_witness_matches_enumeration():
             assert out.witness == expected
         else:
             assert expected is None
+
+
+def test_monotone_search_needs_no_state_past_the_token_count():
+    # A negation-free expression with a witness has one no longer than its
+    # token count. The search does not use that bound: it exhausts the
+    # state space. Capped at the token count it cuts off no live state, so
+    # both searches explore the same states and both are complete.
+    rng = random.Random(1515)
+    cases = []
+    for i in range(600):
+        chars, syms, _ = _DIFF_SETTINGS[i % 2]
+        e = random_monotone_expression(rng, syms, rng.randint(2, 10))
+        cases.append((e, Alphabet.from_chars(chars)))
+    for n in range(3, 9):
+        for _ in range(4):
+            clauses = tuple(
+                tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
+                for _ in range(round(4.3 * n))
+            )
+            cases.append(encode_3sat(Cnf(n, clauses)))
+    for e, sigma in cases:
+        free = find_witness(e, sigma)
+        capped = find_witness(e, sigma, max_len=expression_size(e))
+        assert free.complete and capped.complete, e
+        got = (free.verdict, free.witness, free.explored)
+        assert got == (capped.verdict, capped.witness, capped.explored), e
 
 
 def test_outcome_reports_exploration():
@@ -422,8 +446,9 @@ def _assert_forecasts_match_reference(exprs, sigma, limit=3000, table=None):
     if table is None:
         table = _reference_table(exprs, sigma, limit)
     comp = _CompiledSearch(exprs, sigma)
-    compiled = [tuple(map(_predicate, groups)) for groups in comp.deciders]
-    both = _predicate(_agree_forever(*comp.deciders)) if len(exprs) == 2 else None
+    groups = [comp.forecasts(e) for e in exprs]
+    compiled = [tuple(map(_predicate, g)) for g in groups]
+    both = _predicate(_agree_forever(*groups)) if len(exprs) == 2 else None
     for d, row in table.items():
         for (value, dead, settled), (ev, fate) in zip(compiled, row):
             assert value(d) == ev, (exprs, d)
@@ -471,7 +496,7 @@ def test_forecasts_agree_with_reference_on_the_3cnf_gadget():
         # Every %x% atom self-loops on its first bit, so only _^n can die.
         comp = _CompiledSearch([e], sigma)
         reach = comp._masks([comp._slot[id(e.children[0].pattern)]])[2]
-        assert comp.deciders[0][1] == (True, 0, 0, (reach,), ())
+        assert comp.forecasts(e)[1] == (True, 0, 0, (reach,), ())
 
 
 def test_forecasts_agree_with_reference_on_deep_chains():
@@ -538,12 +563,12 @@ def test_or_holding_a_self_looping_atom_never_dies():
     # %a% keeps its first bit set on every text, so the OR is never false
     # forever: its dead test is the constant false group.
     gate = or_(Atom(P("%a%")), Atom(P("b")))
-    assert _CompiledSearch([gate], sigma).deciders[0][1] == (True, 0, 0, (), ())
+    assert _CompiledSearch([gate], sigma).forecasts(gate)[1] == (True, 0, 0, (), ())
     # Under an AND only the other conjunct's reach is tested.
     e = and_(gate, Atom(P("a_")))
     comp = _CompiledSearch([e], sigma)
     reach = comp._masks([comp._slot[id(e.children[1].pattern)]])[2]
-    assert comp.deciders[0][1] == (True, 0, 0, (reach,), ())
+    assert comp.forecasts(e)[1] == (True, 0, 0, (reach,), ())
     # A literal outside sigma still kills its atom in the first step.
     out = find_witness(and_(gate, Atom(P("a%z"))), sigma)
     assert out.verdict is Verdict.EXHAUSTED_EMPTY and out.explored == 1
@@ -558,7 +583,7 @@ def _full_prune(comp, e):
     a tight state with a dead bound conjunct. spent, for an ordered
     counting forecast (else None), tests a state reached on column c: some
     unsettled member has no symbol in a later column."""
-    dead = _predicate(comp.deciders[0][1])
+    dead = _predicate(comp.forecasts(e)[1])
     counting = comp.counting(e)
     if counting is None:
         return dead, None
@@ -591,25 +616,18 @@ def _reference_search(exprs, sigma, budget, max_len):
     successor with the full prune: (witness, explored, complete), or the
     explored count a budget stop reports."""
     comp = _CompiledSearch(exprs, sigma)
+    groups = [comp.forecasts(e) for e in exprs]
     if len(exprs) == 1:
-        (e,) = exprs
-        bound_is_proof = max_len is None and is_monotone(e)
-        if bound_is_proof:
-            max_len = expression_size(e)
-        accept = _predicate(comp.deciders[0][0])
-        prune, spent = _full_prune(comp, e)
+        accept = _predicate(groups[0][0])
+        prune, spent = _full_prune(comp, exprs[0])
     else:
-        bound_is_proof = False
-        ev1, ev2 = (_predicate(groups[0]) for groups in comp.deciders)
+        ev1, ev2 = (_predicate(g[0]) for g in groups)
         accept = lambda d: ev1(d) != ev2(d)
-        prune, spent = _predicate(_agree_forever(*comp.deciders)), None
+        prune, spent = _predicate(_agree_forever(*groups)), None
     try:
-        witness, explored, complete = reference_bfs(
-            comp, accept, prune, budget, max_len, spent
-        )
+        return reference_bfs(comp, accept, prune, budget, max_len, spent)
     except SearchBudgetExceeded as exc:
         return exc.explored
-    return witness, explored, complete or bound_is_proof
 
 
 def _library_search(exprs, sigma, budget, max_len):
@@ -657,9 +675,10 @@ def test_search_agrees_with_full_expansion_on_any_built_forecast():
     for i in range(400):
         chars, syms, _ = _DIFF_SETTINGS[i % 2]
         sigma = Alphabet.from_chars(chars)
-        comp = _CompiledSearch([_random_expr(rng, syms, 2)], sigma)
+        e = _random_expr(rng, syms, 2)
+        comp = _CompiledSearch([e], sigma)
         forecast = _random_group(rng, comp.state_bits, 1, rng.random() < 0.5)
-        accept = _predicate(comp.deciders[0][0])
+        accept = _predicate(comp.forecasts(e)[0])
         max_len = rng.choice((None, 2, 4))
         budget = rng.choice((3, 20, DEFAULT_STATE_BUDGET))
         results = []
@@ -1208,11 +1227,8 @@ def test_3cnf_witnesses_agree_with_enumeration_of_every_text():
 def _witness_scan(e, sigma, max_len, counting):
     """find_witness's scan with the counting forecast on or off."""
     comp = _CompiledSearch([e], sigma)
-    bound_is_proof = max_len is None and is_monotone(e)
-    if bound_is_proof:
-        max_len = expression_size(e)
-    value, dead, _ = comp.deciders[0]
-    witness, explored, complete = _bfs(
+    value, dead, _ = comp.forecasts(e)
+    return _bfs(
         comp,
         _predicate(value),
         dead,
@@ -1220,7 +1236,6 @@ def _witness_scan(e, sigma, max_len, counting):
         max_len,
         comp.counting(e) if counting else None,
     )
-    return witness, explored, complete or bound_is_proof
 
 
 def test_counting_search_agrees_with_full_expansion():

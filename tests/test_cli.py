@@ -272,6 +272,16 @@ def test_reduce_3sat_refuses_a_bad_problem_line(tmp_path, capsys, text):
     assert code == 2 and out == "" and "problem line" in err
 
 
+@pytest.mark.parametrize("token", ["1_0", "+1", "٣"])
+def test_reduce_3sat_refuses_a_number_that_is_not_ascii_digits(tmp_path, capsys, token):
+    # Python's int() reads each of these; DIMACS does not.
+    for text in (f"p cnf {token} 1\n1 1 1 0\n", f"p cnf 3 1\n{token} 2 3 0\n"):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "reduce", "3sat", "--dimacs", str(cnf))
+        assert code == 2 and out == "" and repr(token) in err, text
+
+
 def test_simulate_tm(tmp_path, capsys):
     machine = tmp_path / "m.json"
     machine.write_text(

@@ -63,6 +63,13 @@ def test_cnf_validation():
         Cnf(2, ((1, 2, 0),))
     with pytest.raises(ValueError):
         Cnf(2, ((1, 2, 3),))
+    # Clauses given as lists, inside a tuple or not, are kept as tuples, so
+    # the value hashes and compares like one built from tuples.
+    for clauses in (([1, 2, 3],), [[1, 2, 3]], [(1, 2, 3)]):
+        f = Cnf(3, clauses)
+        assert f.clauses == ((1, 2, 3),)
+        assert f == Cnf(3, ((1, 2, 3),))
+        assert hash(f) == hash(Cnf(3, ((1, 2, 3),)))
 
 
 def test_parse_dimacs():
@@ -80,6 +87,8 @@ p cnf 3 2
     text = "c a\n\np cnf 3 2\nc b\n1 -2 3 0\n\n-1 2 -3 0\nc c\n"
     assert parse_dimacs(text) == f
     assert parse_dimacs("p cnf 1 0\n") == Cnf(1, ())
+    # Leading zeros and a negative zero count are plain ASCII integers.
+    assert parse_dimacs("p cnf 03 -0\n") == Cnf(3, ())
 
 
 @pytest.mark.parametrize(
@@ -90,6 +99,17 @@ p cnf 3 2
         "p cnf 3 1\n1 2 0\n",
         "p cnf 3 1\n1 2 3\n",
         "p cnf 3 1\n1 2 3 4 0\n",
+        # Only ASCII digits with an optional leading -, in counts and
+        # literals alike.
+        "p cnf 1_0 1\n1 2 3 0\n",
+        "p cnf 3 +1\n1 2 3 0\n",
+        "p cnf ٣ 1\n1 2 3 0\n",
+        "p cnf 3 1\n+1 2 3 0\n",
+        "p cnf 3 1\n1 2 ٣ 0\n",
+        "p cnf 3 1\n1 2 3 0_0\n",
+        "p cnf 3 1\n1 2 -\n3 0\n",
+        "p cnf 3 1\n1 2 --3 0\n",
+        "p cnf 3 1\n1 2 ³ 0\n",
     ],
 )
 def test_parse_dimacs_rejects(text):
