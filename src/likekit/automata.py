@@ -42,8 +42,9 @@ constant false; in the 3-CNF gadget only the ``_^n`` atom is left to
 test. Tests merge at compile time (zero tests under an all, and nonzero
 tests under an any, share one union mask; constants drop out), and
 nested groups run as a jump program, so evaluation loops instead of
-recursing. The witness search prunes dead states; the separator prunes
-states where both expressions are dead or both are settled.
+recursing. The witness search prunes dead states. The separator is the
+lesser witness of the witness searches for ``e1 AND NOT e2`` and ``e2 AND
+NOT e1``, where a state of the first is dead when e1 is dead or e2 settled.
 
 No mask test sees that too few symbols are left to meet every conjunct,
 so the witness search adds a *counting* forecast, found once per search
@@ -142,7 +143,7 @@ from enum import Enum
 from itertools import repeat
 from typing import Callable
 
-from .expression import And, Atom, LikeExpression, Not, Or, atom_patterns
+from .expression import And, Atom, LikeExpression, Not, Or, and_, atom_patterns
 from .matcher import Text
 from .normalize import normalize
 from .pattern import (
@@ -250,8 +251,7 @@ class _Counting:
     whether the search may read in alphabet order only; then per column
     ``spent`` gives the member set with no symbol in a later column, else
     it is all 0. The search carries the member and bound sets on its
-    queue; ``slack``, ``unsettled``, ``settled`` and ``bound_dead`` read
-    them off one packed state, for tests."""
+    queue."""
 
     __slots__ = (
         "span",
@@ -300,33 +300,6 @@ class _Counting:
                 sum(1 << i for i, last in enumerate(top) if last <= col)
                 for col in range(len(owners))
             )
-
-    def slack(self, d: int) -> int:
-        """Room left minus unsettled members; negative when d is dead by
-        count or its length block is empty."""
-        block = d & self.span
-        if not block:
-            return -1
-        unsettled = [*map(d.__and__, self.members)].count(0)
-        return self.end - block.bit_length() - unsettled
-
-    def bound_dead(self, d: int) -> bool:
-        """Whether some bound conjunct is dead in d, valid when slack(d) is
-        0: it is unsettled, and every member holding one of its symbols is
-        settled. The rest of the text is then one symbol of each unsettled
-        member, so none of its symbols can still be read."""
-        unsettled = self.unsettled(d)
-        return any(
-            not d & mask and not holders & unsettled for mask, holders in self.bound
-        )
-
-    def unsettled(self, d: int) -> int:
-        """The member set of the members unsettled in d."""
-        return sum(1 << i for i, mask in enumerate(self.members) if not d & mask)
-
-    def settled(self, d: int) -> int:
-        """The bound set of the bound conjuncts settled in d."""
-        return sum(1 << j for j, (mask, _) in enumerate(self.bound) if d & mask)
 
     def held(self, unsettled: int, memo: dict[int, int]) -> int:
         """The bound set these members hold, the OR of their ``guards``,
@@ -631,16 +604,6 @@ def _gate(parts: tuple[_Group, ...], disjunction: bool) -> _Group:
     return (disjunction, zero, ones, tuple(meets), tuple(subs))
 
 
-def _agree_forever(
-    first: tuple[_Group, _Group, _Group], second: tuple[_Group, _Group, _Group]
-) -> _Group:
-    """Both expressions stay false, or both stay true, on every extension:
-    from (value, dead, settled) groups, (dead1 and dead2) or (settled1 and
-    settled2)."""
-    both_dead = _gate((first[1], second[1]), False)
-    return _gate((both_dead, _gate((first[2], second[2]), False)), True)
-
-
 def _test(
     negated: bool, zero: int, ones: int, meets: tuple[int, ...]
 ) -> Callable[[int], bool]:
@@ -824,6 +787,57 @@ def _bfs(
     return None, len(visited), complete
 
 
+def _least_witness(
+    comp: _CompiledSearch,
+    searches: list[tuple[_Group, _Group, _Counting | None]],
+    budget: int,
+    max_len: int | None,
+    exhausted: Verdict,
+) -> SearchOutcome:
+    """The least witness (shortest, then first in alphabet order) of the
+    searches, each a value group, dead group and counting forecast run by
+    ``_bfs`` in turn, capped at the witness found so far. They share the
+    start and the budget: ``explored`` counts the start once, also in a
+    budget stop. ``complete`` holds with a witness, else if all searches do."""
+    column = {sym: col for col, (sym, _) in enumerate(comp.moves)}.get
+    best: Text | None = None
+    explored = 1  # the start, which every search visits
+    complete = True
+    for value, dead, counting in searches:
+        try:
+            witness, n, done = _bfs(
+                comp, _predicate(value), dead, budget + 1 - explored, max_len, counting
+            )
+        except SearchBudgetExceeded as exc:
+            raise SearchBudgetExceeded(explored - 1 + exc.explored) from None
+        explored += n - 1
+        complete = complete and done
+        if witness is not None:
+            rank = (len(witness), [*map(column, witness)])
+            if best is None or rank < best_rank:
+                best, best_rank, max_len = witness, rank, len(witness)
+    verdict = exhausted if best is None else Verdict.FOUND
+    complete = complete or best is not None
+    return SearchOutcome(verdict, best, explored, complete, comp.atoms, comp.state_bits)
+
+
+def _separator_halves(
+    comp: _CompiledSearch, e1: LikeExpression, e2: LikeExpression
+) -> list[tuple[_Group, _Group, _Counting | None]]:
+    """The searches for ``e1 AND NOT e2`` and ``e2 AND NOT e1``: value "v1 and
+    not v2" and dead "d1 or s2" gated from the two expressions' groups, and
+    a counting forecast, which needs an And as the first expression."""
+    f1, f2 = comp.forecasts(e1), comp.forecasts(e2)
+    return [
+        (
+            _gate((v, (not w[0], *w[1:])), False),
+            _gate((d, s), True),
+            comp.counting(and_(a, Not(b))) if isinstance(a, And) else None,
+        )
+        for a, (v, d, _), b, (w, _, s) in ((e1, f1, e2, f2), (e2, f2, e1, f1))
+    ]
+
+
 def find_witness(
     e: LikeExpression,
     sigma: Alphabet,
@@ -844,13 +858,8 @@ def find_witness(
     """
     comp = _CompiledSearch([e], sigma)
     value, dead, _ = comp.forecasts(e)
-    witness, explored, complete = _bfs(
-        comp, _predicate(value), dead, budget, max_len, comp.counting(e)
-    )
-    verdict = Verdict.EXHAUSTED_EMPTY if witness is None else Verdict.FOUND
-    return SearchOutcome(
-        verdict, witness, explored, complete, comp.atoms, comp.state_bits
-    )
+    searches = [(value, dead, comp.counting(e))]
+    return _least_witness(comp, searches, budget, max_len, Verdict.EXHAUSTED_EMPTY)
 
 
 def find_separating_string(
@@ -860,24 +869,12 @@ def find_separating_string(
     budget: int = DEFAULT_STATE_BUDGET,
     max_len: int | None = None,
 ) -> SearchOutcome:
-    """Shortest text on which the two expressions disagree, if any.
-
-    States where both expressions are dead, or both settled, are pruned.
-    None of the counting rules (the count, the bound conjuncts, the
-    alphabet order) is applied here, though a state where they find both
-    expressions dead could be pruned too.
+    """Shortest text on which the two expressions disagree, if any: the
+    lesser of the witnesses of ``e1 AND NOT e2`` and ``e2 AND NOT e1``, two
+    searches over one compile, each pruned as by ``find_witness`` (its NOT
+    conjunct keeps the alphabet order off). They share the start state and
+    the budget, so ``explored`` is their sum with the start counted once.
     """
     comp = _CompiledSearch([e1, e2], sigma)
-    first, second = comp.forecasts(e1), comp.forecasts(e2)
-    ev1, ev2 = _predicate(first[0]), _predicate(second[0])
-    witness, explored, complete = _bfs(
-        comp,
-        lambda d: ev1(d) != ev2(d),
-        _agree_forever(first, second),
-        budget,
-        max_len,
-    )
-    verdict = Verdict.EXHAUSTED_EQUIVALENT if witness is None else Verdict.FOUND
-    return SearchOutcome(
-        verdict, witness, explored, complete, comp.atoms, comp.state_bits
-    )
+    halves = _separator_halves(comp, e1, e2)
+    return _least_witness(comp, halves, budget, max_len, Verdict.EXHAUSTED_EQUIVALENT)

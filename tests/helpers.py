@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from types import SimpleNamespace
 from typing import Callable, Iterator, Sequence
 
 from likekit import (
@@ -19,6 +20,7 @@ from likekit import (
     And,
     Atom,
     Cnf,
+    DEFAULT_STATE_BUDGET,
     ExplosionCapError,
     LikeExpression,
     Literal,
@@ -426,6 +428,92 @@ def reference_bfs(
             visited[nxt] = (state, sym)
             queue.append((nxt, depth + 1, col))
     return None, len(visited), complete
+
+
+def reference_separator(
+    e1: LikeExpression, e2: LikeExpression, sigma: Alphabet, max_len: int | None
+) -> tuple[Text | None, bool]:
+    """The shortest text on which e1 and e2 disagree, first in alphabet order
+    among those, as (witness, complete): one joint ``reference_bfs`` over
+    the ``naive_packed_masks`` states that accepts where the two values
+    differ and prunes where the three-valued forecasts of ``naive_forecasts``
+    say both are false forever or both true forever. That prune never cuts
+    a separator; without it any state a ``max_len`` cut off, dead or not,
+    would make the scan incomplete."""
+    (ev1, fate1), (ev2, fate2) = naive_forecasts([e1, e2], sigma)[0]
+    layout = naive_packed_masks([e1, e2], sigma)
+    space = SimpleNamespace(
+        initial=layout["initial"], moves=layout["moves"], gaps=layout["gaps"]
+    )
+
+    def agree_forever(d: int) -> bool:
+        f1 = fate1(d)
+        return f1 != UNDECIDED and f1 == fate2(d)
+
+    witness, _, complete = reference_bfs(
+        space,
+        lambda d: ev1(d) != ev2(d),
+        agree_forever,
+        DEFAULT_STATE_BUDGET,
+        max_len,
+    )
+    return witness, complete
+
+
+# --- the counting forecast on one packed state -------------------------------
+#
+# A naive reference for the counting forecast the search compiles (see the
+# module docstring of likekit.automata). Each reads the forecast's public
+# fields and one packed state bit by bit.
+
+
+def _bit_positions(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _any_bit(d: int, mask: int) -> bool:
+    return any(d >> i & 1 for i in _bit_positions(mask))
+
+
+def counting_unsettled(counting, d: int) -> int:
+    """The member set (bit i for member i) of the members that no symbol
+    read in d has settled: none of a member's trailing % bits is set."""
+    return sum(
+        1 << i for i, mask in enumerate(counting.members) if not _any_bit(d, mask)
+    )
+
+
+def counting_settled(counting, d: int) -> int:
+    """The bound set (bit j for bound conjunct j) of the bound conjuncts
+    settled in d: one of the conjunct's trailing % bits is set."""
+    return sum(
+        1 << j for j, (mask, _) in enumerate(counting.bound) if _any_bit(d, mask)
+    )
+
+
+def counting_slack(counting, d: int) -> int:
+    """The symbols the length atom still needs after d, less the members
+    still unsettled; -1 when the length atom's block has no bit set. The
+    length atom has no %, so its block holds one bit at most: the position
+    after the symbols read so far."""
+    read = [k for k, i in enumerate(_bit_positions(counting.span)) if d >> i & 1]
+    if not read:
+        return -1
+    (depth,) = read
+    return counting.room - depth - bin(counting_unsettled(counting, d)).count("1")
+
+
+def counting_bound_dead(counting, d: int) -> bool:
+    """Whether some bound conjunct is dead in d, read as a tight state
+    (slack 0), where the rest of the text is one symbol of each unsettled
+    member: the conjunct is unsettled, and no member that holds one of its
+    symbols is unsettled."""
+    unsettled = counting_unsettled(counting, d)
+    return any(
+        not _any_bit(d, mask)
+        and not any(unsettled >> i & 1 for i in _bit_positions(holders))
+        for mask, holders in counting.bound
+    )
 
 
 # --- a small classical regex engine ------------------------------------------

@@ -23,6 +23,7 @@ from likekit import (
     and_,
     decode_3sat_witness,
     encode_3sat,
+    encode_tm,
     evaluate,
     expression_size,
     find_separating_string,
@@ -36,9 +37,9 @@ from likekit import (
 from likekit import automata
 from likekit.automata import (
     _CompiledSearch,
-    _agree_forever,
     _bfs,
     _predicate,
+    _separator_halves,
 )
 
 from helpers import (
@@ -50,12 +51,19 @@ from helpers import (
     alternating_chain,
     assignment_satisfies,
     brute_force_sat,
+    counting_bound_dead,
+    counting_settled,
+    counting_slack,
+    counting_unsettled,
+    m_one_step,
     naive_forecasts,
     naive_packed_masks,
     random_monotone_expression,
     random_pattern,
     reachable_states,
     reference_bfs,
+    reference_encode_tm,
+    reference_separator,
     shortest_satisfying,
     sorted_unfalsified_prefixes,
     unfalsified_partial_assignments,
@@ -151,6 +159,59 @@ def test_budget_zero_explores_nothing():
             search(*exprs, sigma, budget=0)
         assert exc.value.explored == 0
         assert search(*exprs, sigma, budget=1).explored == 1
+
+
+def test_separator_halves_share_the_start_and_the_budget():
+    # Equivalent over 01, so both halves exhaust. Each half explores what
+    # find_witness explores on its And, and the start is counted once.
+    e1, e2 = Atom(P("%01%")), Atom(P("%0%1%"))
+    sigma = Alphabet.from_chars("01")
+    first = find_witness(and_(e1, Not(e2)), sigma).explored
+    second = find_witness(and_(e2, Not(e1)), sigma).explored
+    total = first + second - 1
+    assert first > 1 and second > 1
+    assert find_separating_string(e1, e2, sigma).explored == total
+    assert find_separating_string(e1, e2, sigma, budget=total).explored == total
+    # A budget stop in either half reports the shared total, which is the
+    # budget; from a budget of first on, the second half is the one stopped.
+    for budget in range(total):
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            find_separating_string(e1, e2, sigma, budget=budget)
+        assert exc.value.explored == budget
+
+
+def test_separator_is_incomplete_when_a_cap_cuts_one_half():
+    # % is true on every text, so the half for NOT ___% AND NOT % is dead
+    # from the start and complete; the other half's witnesses are the texts
+    # of length 3 or more, which max_len 2 cuts off.
+    sigma = Alphabet.from_chars("ab")
+    e1, e2 = Atom(P("%")), Not(Atom(P("___%")))
+    cut = find_witness(and_(e1, Not(e2)), sigma, max_len=2)
+    whole = find_witness(and_(e2, Not(e1)), sigma, max_len=2)
+    assert not cut.complete and whole.complete
+    for pair in ((e1, e2), (e2, e1)):
+        out = find_separating_string(*pair, sigma, max_len=2)
+        assert (out.verdict, out.complete) == (Verdict.EXHAUSTED_EQUIVALENT, False)
+        out = find_separating_string(*pair, sigma, max_len=3)
+        assert (out.witness, out.complete) == (("a", "a", "a"), True)
+
+
+def test_separator_applies_the_counting_rules_to_each_half():
+    # A 5-variable gadget against the same gadget without its last clause.
+    # Each half is an And of a gadget's conjuncts and a NOT, so it has that
+    # gadget's counting forecast. The joint search with no counting rule
+    # explored 1263 states here.
+    rng = random.Random(2)
+    n = 5
+    clauses = tuple(
+        tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+        for _ in range(round(4.3 * n))
+    )
+    e, sigma = encode_3sat(Cnf(n, clauses))
+    fewer, _ = encode_3sat(Cnf(n, clauses[:-1]))
+    out = find_separating_string(e, fewer, sigma)
+    assert out.witness == ("x1", "x2", "x5", "~x3", "~x4")
+    assert (out.explored, out.complete) == (276, True)
 
 
 def test_equivalence_known_pair():
@@ -356,6 +417,64 @@ def test_packed_separator_agrees_with_brute_force():
             assert first is None, (e1, e2)
 
 
+def _assert_separator_matches_joint_reference(e1, e2, sigma, max_len):
+    """The separator's verdict, witness and ``complete`` against one joint
+    scan on the naive forecasts. Where a counting rule shows that a cap cut
+    off only dead states, the separator alone may be complete; then no
+    separator exists at any length. Returns whether that happened."""
+    out = find_separating_string(e1, e2, sigma, max_len=max_len)
+    witness, complete = reference_separator(e1, e2, sigma, max_len)
+    assert out.witness == witness, (e1, e2, max_len)
+    found = Verdict.EXHAUSTED_EQUIVALENT if witness is None else Verdict.FOUND
+    assert out.verdict is found, (e1, e2, max_len)
+    if out.complete == complete:
+        return False
+    assert out.complete and reference_separator(e1, e2, sigma, None)[0] is None
+    return True
+
+
+def test_separator_agrees_with_the_joint_reference():
+    rng = random.Random(6611)
+    for i in range(1500):
+        chars, syms, _ = _DIFF_SETTINGS[i % 2]
+        make = _random_expr if i % 3 else _random_expr_with_not_runs
+        e1, e2 = make(rng, syms, 3), make(rng, syms, 3)
+        max_len = rng.choice((None, 0, 1, 2, 3, 4))
+        sigma = Alphabet.from_chars(chars)
+        assert not _assert_separator_matches_joint_reference(e1, e2, sigma, max_len)
+
+
+def test_separator_agrees_with_the_joint_reference_on_gadgets():
+    # 3-CNF gadgets against the same gadget without its last clause, both
+    # ways round. A cap one symbol short of n on an unsatisfiable gadget
+    # cuts off only states dead by count, so there the separator is
+    # complete and the joint scan is not.
+    rng = random.Random(7)
+    sharper = 0
+    for n, count in ((3, 4), (4, 4), (5, 1)):
+        vs = range(1, n + 1)
+        for _ in range(count):
+            clauses = tuple(
+                tuple(v if rng.random() < 0.5 else -v for v in rng.sample(vs, 3))
+                for _ in range(round(4.3 * n))
+            )
+            e, sigma = encode_3sat(Cnf(n, clauses))
+            fewer, _ = encode_3sat(Cnf(n, clauses[:-1]))
+            for max_len in (None, n - 1, n):
+                for pair in ((e, fewer), (fewer, e)):
+                    sharper += _assert_separator_matches_joint_reference(
+                        *pair, sigma, max_len
+                    )
+    assert sharper
+    # The machine gadget against its reference with every wrong window
+    # triple listed: equivalent, and so within every cap too.
+    spec, word, space = m_one_step()
+    expr, sigma = encode_tm(spec, word, space)
+    ref, _ = reference_encode_tm(spec, word, space)
+    for max_len in (None, 1, 3):
+        _assert_separator_matches_joint_reference(ref, expr, sigma, max_len)
+
+
 def test_packed_atom_acceptance_agrees_with_nfa_and_oracle():
     # A search for "p and exactly the literal text t", capped at |t|,
     # finds t exactly when the packed automaton accepts t on p's block.
@@ -446,17 +565,26 @@ def _assert_forecasts_match_reference(exprs, sigma, limit=3000, table=None):
     if table is None:
         table = _reference_table(exprs, sigma, limit)
     comp = _CompiledSearch(exprs, sigma)
-    groups = [comp.forecasts(e) for e in exprs]
-    compiled = [tuple(map(_predicate, g)) for g in groups]
-    both = _predicate(_agree_forever(*groups)) if len(exprs) == 2 else None
+    compiled = [tuple(map(_predicate, comp.forecasts(e))) for e in exprs]
+    # A pair's separator halves, for e1 AND NOT e2 and e2 AND NOT e1: value
+    # and dead groups, each gated from the two expressions' groups.
+    halves = []
+    if len(exprs) == 2:
+        halves = [
+            (_predicate(value), _predicate(dead))
+            for value, dead, _ in _separator_halves(comp, *exprs)
+        ]
     for d, row in table.items():
         for (value, dead, settled), (ev, fate) in zip(compiled, row):
             assert value(d) == ev, (exprs, d)
             assert dead(d) == (fate == FALSE_FOREVER), (exprs, d)
             assert settled(d) == (fate == TRUE_FOREVER), (exprs, d)
-        if both is not None:
-            (_, f1), (_, f2) = row
-            assert both(d) == (f1 != UNDECIDED and f1 == f2), (exprs, d)
+        for (value, dead), (ev, fate), (other_ev, other_fate) in zip(
+            halves, row, row[::-1]
+        ):
+            assert value(d) == (ev and not other_ev), (exprs, d)
+            want = fate == FALSE_FOREVER or other_fate == TRUE_FOREVER
+            assert dead(d) == want, (exprs, d)
 
 
 def _not_run(rng, e):
@@ -591,8 +719,8 @@ def _full_prune(comp, e):
     def prune(d):
         if dead(d):
             return True
-        slack = counting.slack(d)
-        return slack < 0 or slack == 0 and counting.bound_dead(d)
+        slack = counting_slack(counting, d)
+        return slack < 0 or slack == 0 and counting_bound_dead(counting, d)
 
     if not counting.ordered:
         return prune, None
@@ -614,20 +742,37 @@ def _reference_search(exprs, sigma, budget, max_len):
     """find_witness (one expression) or find_separating_string (two) run
     on the reference scan that expands every state and tests every
     successor with the full prune: (witness, explored, complete), or the
-    explored count a budget stop reports."""
+    explored count a budget stop reports. A pair runs as two witness
+    scans, for e1 AND NOT e2 and then e2 AND NOT e1, each compiled from
+    that And; they share the start and the budget, the second is capped
+    at the first witness's length, and the lesser witness wins."""
     comp = _CompiledSearch(exprs, sigma)
-    groups = [comp.forecasts(e) for e in exprs]
-    if len(exprs) == 1:
-        accept = _predicate(groups[0][0])
-        prune, spent = _full_prune(comp, exprs[0])
-    else:
-        ev1, ev2 = (_predicate(g[0]) for g in groups)
-        accept = lambda d: ev1(d) != ev2(d)
-        prune, spent = _predicate(_agree_forever(*groups)), None
-    try:
-        return reference_bfs(comp, accept, prune, budget, max_len, spent)
-    except SearchBudgetExceeded as exc:
-        return exc.explored
+    searches = exprs
+    if len(exprs) == 2:
+        e1, e2 = exprs
+        searches = [and_(e1, Not(e2)), and_(e2, Not(e1))]
+    best, explored, complete = None, 1, True
+    for e in searches:
+        accept = _predicate(comp.forecasts(e)[0])
+        prune, spent = _full_prune(comp, e)
+        try:
+            witness, n, done = reference_bfs(
+                comp, accept, prune, budget - explored + 1, max_len, spent
+            )
+        except SearchBudgetExceeded as exc:
+            return explored - 1 + exc.explored
+        explored += n - 1
+        complete = complete and done
+        if witness is not None and (
+            best is None or _alphabet_rank(witness, sigma) < _alphabet_rank(best, sigma)
+        ):
+            best, max_len = witness, len(witness)
+    return best, explored, complete or best is not None
+
+
+def _alphabet_rank(text, sigma):
+    """Shortest first, then first in the alphabet's declaration order."""
+    return len(text), [sigma.symbols.index(sym) for sym in text]
 
 
 def _library_search(exprs, sigma, budget, max_len):
@@ -802,7 +947,7 @@ def _assert_family_matches_naive(e, sigma):
     length, members, bound = want
     assert len(counting.members) == len(members), e
     # At the start the length atom has read nothing and no member is settled.
-    assert counting.slack(comp.initial) == length - len(members), e
+    assert counting_slack(counting, comp.initial) == length - len(members), e
     # Each alphabet symbol's move names the member that holds it.
     readable = set(sigma.symbols)
     in_sigma = [m & readable for m in members]
@@ -852,7 +997,7 @@ def test_counting_family_is_found_only_where_it_holds():
         ('LIKE "%a%" AND (LIKE "__" OR LIKE "%b%") AND LIKE "___"', 2),
     ):
         comp, counting = compiled(text)
-        assert counting.slack(comp.initial) == slack, text
+        assert counting_slack(counting, comp.initial) == slack, text
     for text in (
         'LIKE "_%_" AND LIKE "%a%" AND LIKE "%b%"',  # a % in the length atom
         'LIKE "__" AND NOT LIKE "%a%"',  # a negated member
@@ -910,7 +1055,7 @@ def test_counting_forecast_is_sound():
     for e, sigma, comp, counting in _counting_cases(2024, 300):
         states, live = _live_states(comp, e, sigma)
         for d in states:
-            if counting.slack(d) < 0:
+            if counting_slack(counting, d) < 0:
                 dead_by_count += 1
                 assert d not in live, (e, d)
     assert dead_by_count > 100
@@ -924,9 +1069,9 @@ def test_bound_conjunct_rule_is_sound():
     for e, sigma, comp, counting in _counting_cases(2025, 600):
         states, live = _live_states(comp, e, sigma)
         for d in states:
-            if counting.slack(d) == 0:
+            if counting_slack(counting, d) == 0:
                 tight += 1
-                if counting.bound_dead(d):
+                if counting_bound_dead(counting, d):
                     dead_by_bound += 1
                     assert d not in live, (e, d)
     assert dead_by_bound > 100 and tight > 2 * dead_by_bound
@@ -975,8 +1120,8 @@ def test_bound_conjuncts_are_found_only_where_they_hold():
     # be a, so b can never be read.
     for text, dead in (("", False), ("a", False), ("b", False), ("c", True)):
         d = after(text)
-        assert counting.slack(d) == 0, text
-        assert counting.bound_dead(d) == dead, text
+        assert counting_slack(counting, d) == 0, text
+        assert counting_bound_dead(counting, d) == dead, text
     # The start, a and ab: ac and c are dead by the rule, and the search is
     # ordered, so b, whose member %a% has no symbol after it, is dead too.
     assert counting.ordered
@@ -1046,16 +1191,16 @@ def test_carried_tight_states_agree_with_the_state_level_rule(monkeypatch):
                 assert last == read[-1], e
             else:
                 assert last == -1, e
-            assert unsettled == counting.unsettled(state), e
-            assert settled == counting.settled(state), e
-            slack = counting.slack(state)
+            assert unsettled == counting_unsettled(counting, state), e
+            assert settled == counting_settled(counting, state), e
+            slack = counting_slack(counting, state)
             assert slack == counting.room - depth - unsettled.bit_count(), e
             if slack > 0:
                 loose += 1
                 continue
             tight += 1
             assert slack == 0, e
-            assert not counting.bound_dead(state), e
+            assert not counting_bound_dead(counting, state), e
     assert tight > 300 and loose > 100 and ordered > 100
 
 
@@ -1064,8 +1209,8 @@ def test_search_starts_with_every_member_unsettled_and_no_bound_settled():
     # a %x% block's trailing % is set only once x has been read.
     for _, _, comp, counting in _counting_cases(2000, 2000):
         every_member = (1 << len(counting.members)) - 1
-        assert counting.unsettled(comp.initial) == every_member
-        assert counting.settled(comp.initial) == 0
+        assert counting_unsettled(counting, comp.initial) == every_member
+        assert counting_settled(counting, comp.initial) == 0
 
 
 def test_order_is_used_only_where_the_guard_holds():
