@@ -9,7 +9,8 @@ Equivalence and emptiness questions about boolean combinations of
 patterns reduce to graph search: a breadth-first scan over the product
 of the atoms' automata that either finds a witness text or exhausts the
 reachable state space. Every distinct normalized atom owns a block of
-m+1 bits in one Python int, and one search state is that int. A step
+m+1 bits in one Python int (sibling atoms may share one, see below), and
+one search state is that int. A step
 reads a symbol in all atoms at once, Shift-And style (Baeza-Yates and
 Gonnet, 1992) with ``_`` classes and ``%`` gaps (Navarro and Raffinot,
 2002, ch. 4)::
@@ -22,11 +23,33 @@ where ``B[symbol]`` marks the positions holding that symbol or ``_`` and
 normalized pattern never has ``%`` before ``%`` or ``_``, and no bit
 crosses into the next block because accept bits are in neither mask.
 
-The masks come from one byte tape: the distinct normal forms side by
-side, each followed by its accept slot, highest bit first, one code per
-bit (accept slot, ``%``, ``_``, one per sigma literal, literal outside
-sigma; 252 literals to a tape). A mask is one ``bytes.translate`` to
-``0``/``1`` digits and one ``int(digits, 2)``; the rest is int algebra.
+The masks come from one byte tape: the blocks side by side, each
+followed by its accept slot, highest bit first, one code per bit (accept
+slot, ``%``, ``_``, one per sigma literal, one per class, literal outside
+sigma; 252 literals and classes to a tape). A mask is one
+``bytes.translate`` to ``0``/``1`` digits and one ``int(digits, 2)``; the
+rest is int algebra.
+
+*Class blocks.* When the compile holds one expression, an OR of atoms or
+an AND of negated atoms (``find_witness`` on the machine gadget, say),
+distinct normal forms alike but for their last literal, which is in
+sigma, share one block: a private class entry, the set of those literals,
+stands at that position. A class is coded after sigma's literals, and a
+symbol's move mask marks its own literal and every class holding it, as
+Shift-And reads a character class. After every step the class block is
+the bitwise OR of its members' blocks: the bits up to the class position
+agree in every member, the class bit is the OR of the members' bits, and
+every later bit follows the same masks, which distribute over OR. So the
+block's accept, absorb and reach tests are the "some member" tests the
+gate needs, and the verdict, the witness and ``complete`` are those of the
+unmerged search; only ``explored`` can fall, as states get coarser. The
+machine gadget's rule families (``% a b c _^s d %`` for every wrong d, and
+the like) are such siblings: the bouncer's state at space 4 narrows from
+4102 to 882 bits, and the counter machine's at space 5 from 43274 to 4915.
+Every other compile keeps one block per normal form: two expressions (the
+separator), any other shape (the 3-CNF gadget, ``PatternNfa``), or sigma
+and the classes past one tape. No counting forecast reads a class block,
+since a merged AND has no plain atom conjunct to be its length atom.
 
 Pruning rests on two forecasts per expression, compiled like its value
 to mask tests on the packed int: *dead* (false on every extension of the
@@ -236,6 +259,48 @@ def _mask(tape: bytes, c: int) -> int:
     return int(tape.translate(b"0" * c + b"1" + b"0" * (255 - c)), 2)
 
 
+def _sibling_blocks(
+    forms: list[tuple[object, ...]], symbols: tuple[Symbol, ...]
+) -> tuple[list[tuple[object, ...]], list[int], list[frozenset[Symbol]]] | None:
+    """The blocks of normal forms that share class blocks: forms alike but
+    for their last literal, which is in sigma, become one block with the
+    class of those literals in its place, where the first of them stands.
+    Returns (blocks, the block of each form, the distinct classes), or None
+    when no two forms are siblings or sigma and the classes do not fit one
+    tape."""
+    in_sigma = set(symbols)
+    wild = (ANY_ONE, ANY_STRING)
+    family: dict[tuple, list[int]] = {}
+    for i, toks in enumerate(forms):
+        at = len(toks) - 1
+        while at >= 0 and toks[at] in wild:
+            at -= 1
+        if at >= 0 and toks[at].symbol in in_sigma:
+            family.setdefault((toks[:at], toks[at + 1 :]), []).append(i)
+    blocks = list(forms)
+    joins: dict[int, int] = {}  # a form that joins an earlier sibling's block
+    classes: dict[frozenset[Symbol], frozenset[Symbol]] = {}
+    for (before, after), members in family.items():
+        if len(members) > 1:
+            at = len(before)
+            cls = frozenset([forms[i][at].symbol for i in members])
+            cls = classes.setdefault(cls, cls)
+            blocks[members[0]] = (*before, cls, *after)
+            joins.update(dict.fromkeys(members[1:], members[0]))
+    if not joins or len(symbols) + len(classes) > _CHUNK:
+        return None
+    kept: list[tuple[object, ...]] = []
+    block_of: list[int] = []
+    for i, toks in enumerate(blocks):
+        first = joins.get(i)
+        if first is None:
+            block_of.append(len(kept))
+            kept.append(toks)
+        else:
+            block_of.append(block_of[first])
+    return kept, block_of, list(classes)
+
+
 class _Counting:
     """The counting forecast of an And (see the module docstring). The
     length atom's block is ``span``, ending below bit ``end``; each of
@@ -317,8 +382,9 @@ class _Counting:
 
 
 class _CompiledSearch:
-    """All distinct normalized atoms packed into one int: the block layout
-    and the step, accept, absorb and reach masks. ``forecasts`` compiles an
+    """All distinct normalized atoms packed into one int, siblings in a
+    class block when the compile allows it: the block layout and the step,
+    accept, absorb and reach masks. ``forecasts`` compiles an
     expression's value, dead and settled groups, mask tests on that int
     that ``_predicate`` turns into callables."""
 
@@ -328,34 +394,52 @@ class _CompiledSearch:
         # The expressions keep every keyed object alive while this runs.
         self._slot: dict[int, int] = {}
         slot_of_form: dict[tuple[Token, ...], int] = {}
-        stream: list[object] = []
-        # Atom slot i owns bits bounds[i] up to bounds[i + 1] - 1, the
-        # last being its accept slot.
-        bounds = [0]
         for e in exprs:
             for p in atom_patterns(e):
-                if id(p) in self._slot:
-                    continue
-                toks = normalize(p).tokens
-                slot = slot_of_form.setdefault(toks, len(bounds) - 1)
-                if slot == len(bounds) - 1:
-                    stream += toks
-                    stream.append(_SLOT)
-                    bounds.append(len(stream))
-                self._slot[id(p)] = slot
+                if id(p) not in self._slot:
+                    toks = normalize(p).tokens
+                    self._slot[id(p)] = slot_of_form.setdefault(toks, len(slot_of_form))
+        self.atoms = len(slot_of_form)
+        symbols = sigma.symbols
+        blocks: list[tuple[object, ...]] = list(slot_of_form)
+        classes: list[frozenset[Symbol]] = []
+        # Only a lone Or of atoms or And of negated atoms shares class blocks.
+        e = exprs[0]
+        flat = len(exprs) == 1 and isinstance(e, (And, Or)) and self._flat_atoms(e)
+        if flat and flat[1] == isinstance(e, And):
+            merged = _sibling_blocks(blocks, symbols)
+            if merged is not None:
+                blocks, block_of, classes = merged
+                slots = map(block_of.__getitem__, self._slot.values())
+                self._slot = dict(zip(self._slot, slots))
+        stream: list[object] = []
+        # Block i owns bits bounds[i] up to bounds[i + 1] - 1, the last
+        # being its accept slot.
+        bounds = [0]
+        for toks in blocks:
+            stream += toks
+            stream.append(_SLOT)
+            bounds.append(len(stream))
         self._bounds = bounds
         self._stream = stream
-        self.atoms = len(bounds) - 1
         self.state_bits = width = len(stream)
-        symbols = sigma.symbols
         at_literal: list[int] = []
         outside = -1
         for lo in range(0, len(symbols), _CHUNK):
-            chunk = map(Literal, symbols[lo : lo + _CHUNK])
-            code = dict(zip((_SLOT, ANY_STRING, ANY_ONE, *chunk), range(_OUT)))
+            chunk = symbols[lo : lo + _CHUNK]
+            known = (_SLOT, ANY_STRING, ANY_ONE, *map(Literal, chunk), *classes)
+            code = dict(zip(known, range(_OUT)))
             tape = bytes(map(code.get, reversed(stream), repeat(_OUT)))
             outside &= _mask(tape, _OUT)
-            at_literal += [_mask(tape, c) for c in range(_LITERAL, len(code))]
+            at_literal += [
+                _mask(tape, c) for c in range(_LITERAL, _LITERAL + len(chunk))
+            ]
+        # A symbol also moves on every class holding it. Classes come only
+        # with one chunk, so the last tape holds them all.
+        for cls in classes:
+            on_class = _mask(tape, code[cls])
+            for sym in cls:
+                at_literal[symbols.index(sym)] |= on_class
         self.any_one = any_one = _mask(tape, _ANY_ONE)
         self.moves = tuple((sym, at | any_one) for sym, at in zip(symbols, at_literal))
         self.gaps = gaps = _mask(tape, _GAP)

@@ -3,7 +3,8 @@
 Exit codes follow one convention across subcommands: 0 for a positive
 verdict (match, equivalent, witness found, accepted), 1 for the negative
 counterpart, 2 for unusable input, 3 for hitting a search budget, an
-expansion cap, or a ``--max-len`` cap that left the search unfinished.
+expansion cap, a gadget size ceiling, or a ``--max-len`` cap that left the
+search unfinished.
 A reader that closes stdout early ends the run quietly with 0.
 """
 
@@ -45,6 +46,21 @@ from .reductions import (
     simulate_tm,
     tm_from_json,
 )
+
+
+# Gadget sizes past these ceilings are refused with exit 3 before the
+# gadget is built. A 3-CNF gadget takes about 1 KB per declared variable
+# (13 MB at the ceiling); a machine gadget's tokens grow with the square
+# of its tape (22 MB for the tests' counter machine at the ceiling).
+_MAX_3SAT_VARIABLES = 10_000
+_MAX_TM_SPACE = 256
+
+
+class _GadgetTooLarge(RuntimeError):
+    """A gadget size past its ceiling."""
+
+    def __init__(self, what: str, size: int, ceiling: int) -> None:
+        super().__init__(f"{what} {size} is above the ceiling of {ceiling}")
 
 
 def _read_source(path: str) -> str:
@@ -194,7 +210,10 @@ def _emit_gadget(
 
 
 def _cmd_reduce_3sat(args: argparse.Namespace) -> int:
-    return _emit_gadget(args, *encode_3sat(parse_dimacs(_read_source(args.dimacs))))
+    formula = parse_dimacs(_read_source(args.dimacs))
+    if formula.n_vars > _MAX_3SAT_VARIABLES:
+        raise _GadgetTooLarge("variable count", formula.n_vars, _MAX_3SAT_VARIABLES)
+    return _emit_gadget(args, *encode_3sat(formula))
 
 
 def _cmd_reduce_majority(args: argparse.Namespace) -> int:
@@ -211,6 +230,8 @@ def _load_machine(args: argparse.Namespace) -> tuple[TmSpec, tuple[str, ...]]:
 
 def _cmd_reduce_tm(args: argparse.Namespace) -> int:
     spec, word = _load_machine(args)
+    if args.space > _MAX_TM_SPACE:
+        raise _GadgetTooLarge("--space", args.space, _MAX_TM_SPACE)
     return _emit_gadget(args, *encode_tm(spec, word, args.space))
 
 
@@ -396,7 +417,7 @@ def dispatch(argv: list[str]) -> int:
     handler: Callable[[argparse.Namespace], int] = args.func
     try:
         return handler(args)
-    except (SearchBudgetExceeded, ExplosionCapError) as exc:
+    except (SearchBudgetExceeded, ExplosionCapError, _GadgetTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:

@@ -306,6 +306,149 @@ def naive_packed_masks(
     }
 
 
+# Codes one byte tape holds for sigma's literals and the class blocks'
+# symbol sets together.
+TAPE_LITERALS = 252
+
+
+def naive_class_layout(
+    exprs: Sequence[LikeExpression], sigma: Alphabet
+) -> dict[str, object]:
+    """``naive_packed_masks`` with sibling atoms sharing one block, filed
+    position by position from explicit symbol sets, as a reference.
+
+    Only a lone expression that is an OR of atoms or an AND of negated atoms
+    merges. Its distinct normal forms are grouped by the tokens before and
+    after their last literal, when that literal is in sigma, and a group of
+    two or more becomes one block, placed where its first form would be,
+    whose position there admits the set of the group's literals. Every other
+    position admits one literal, every symbol (``_``), every symbol and
+    itself (``%``) or nothing (a literal outside sigma). The layout is
+    ``naive_packed_masks``'s when nothing merges, or when sigma and the
+    distinct sets do not fit in ``TAPE_LITERALS``. ``blocks`` pairs every
+    atom occurrence, in preorder, with its shared block's masks.
+    """
+    unmerged = naive_packed_masks(exprs, sigma)
+    if len(exprs) != 1:
+        return unmerged
+    (e,) = exprs
+    if isinstance(e, Or):
+        atoms = list(e.children)
+    elif isinstance(e, And) and all(isinstance(c, Not) for c in e.children):
+        atoms = [c.child for c in e.children]
+    else:
+        return unmerged
+    if not all(isinstance(a, Atom) for a in atoms):
+        return unmerged
+
+    def sibling_key(form: Pattern):
+        literals = [i for i, tok in enumerate(form.tokens) if isinstance(tok, Literal)]
+        if not literals or form.tokens[literals[-1]].symbol not in sigma.symbols:
+            return None
+        last = literals[-1]
+        return form.tokens[:last], form.tokens[last + 1 :]
+
+    forms = list(dict.fromkeys(normalize(a.pattern) for a in atoms))
+    groups: dict[tuple, list[Pattern]] = {}
+    for form in forms:
+        key = sibling_key(form)
+        if key is not None:
+            groups.setdefault(key, []).append(form)
+    groups = {key: group for key, group in groups.items() if len(group) > 1}
+    sets = {
+        key: {form.tokens[len(key[0])].symbol for form in group}
+        for key, group in groups.items()
+    }
+    distinct = {frozenset(s) for s in sets.values()}
+    if not groups or len(sigma.symbols) + len(distinct) > TAPE_LITERALS:
+        return unmerged
+
+    # Each block as a list of positions: "%", "_", or the set of symbols
+    # its literal admits.
+    def positions(tokens, key=None):
+        out = []
+        for i, tok in enumerate(tokens):
+            if tok == ANY_STRING:
+                out.append("%")
+            elif tok == ANY_ONE:
+                out.append("_")
+            elif key is not None and i == len(key[0]):
+                out.append(set(sets[key]))
+            else:
+                out.append({tok.symbol} & set(sigma.symbols))
+        return out
+
+    literal_at: dict[str, list[int]] = {sym: [] for sym in sigma.symbols}
+    any_one_at: list[int] = []
+    gap_at: list[int] = []
+    start_at: list[int] = []
+    masks_of_key: dict[object, tuple[int, int, int]] = {}
+    masks_of_form: dict[Pattern, tuple[int, int, int]] = {}
+    offset = 0
+    for form in forms:
+        key = sibling_key(form)
+        if key not in groups:
+            key = form
+        if key not in masks_of_key:
+            block = positions(form.tokens, key if key in groups else None)
+            reach_from = offset
+            for pos, admits in enumerate(block, offset):
+                if admits == "_":
+                    any_one_at.append(pos)
+                elif admits == "%":
+                    gap_at.append(pos)
+                else:
+                    for sym in admits:
+                        literal_at[sym].append(pos)
+                    if not admits:
+                        reach_from = pos + 1
+            start_at.append(offset)
+            if block and block[0] == "%":
+                start_at.append(offset + 1)
+            accept = 1 << (offset + len(block))
+            masks_of_key[key] = (
+                accept,
+                accept >> 1 if block and block[-1] == "%" else 0,
+                (accept << 1) - (1 << reach_from),
+            )
+            offset += len(block) + 1
+        masks_of_form[form] = masks_of_key[key]
+
+    def bits(at: list[int]) -> int:
+        return sum(1 << pos for pos in set(at))
+
+    any_one = bits(any_one_at)
+    return {
+        "moves": tuple((sym, bits(at) | any_one) for sym, at in literal_at.items()),
+        "gaps": bits(gap_at),
+        "initial": bits(start_at),
+        "atoms": len(forms),
+        "state_bits": offset,
+        "blocks": [(a.pattern, masks_of_form[normalize(a.pattern)]) for a in atoms],
+    }
+
+
+def flat_search_reference(
+    e: LikeExpression, layout: dict, max_len: int | None = None
+) -> tuple[Text | None, int, bool]:
+    """``reference_bfs`` for an OR of atoms or an AND of negated atoms over
+    a layout of ``naive_packed_masks`` or ``naive_class_layout``: (witness,
+    explored, complete). The OR holds when some block accepts and is dead
+    when no bit of any block's reach is set; the AND holds when no block
+    accepts and is dead once some block's absorb bit is set."""
+    accept = absorb = reach = 0
+    for _, (a, b, r) in layout["blocks"]:
+        accept, absorb, reach = accept | a, absorb | b, reach | r
+    space = SimpleNamespace(
+        initial=layout["initial"], moves=layout["moves"], gaps=layout["gaps"]
+    )
+    if isinstance(e, Or):
+        holds, dead = (lambda d: d & accept != 0), (lambda d: d & reach == 0)
+    else:
+        holds, dead = (lambda d: d & accept == 0), (lambda d: d & absorb != 0)
+    return reference_bfs(space, holds, dead, DEFAULT_STATE_BUDGET, max_len)
+
+
 TRUE_FOREVER, FALSE_FOREVER, UNDECIDED = 1, -1, 0
 
 
@@ -320,10 +463,12 @@ def naive_forecasts(
     otherwise. An atom is true forever once its absorb bit is set and false
     forever once no bit of its reach is; NOT flips a forecast; AND is false
     forever when a child is and true forever when all are, OR dually. The
-    masks come from ``naive_packed_masks``, which is returned too. Deep
-    expressions need a raised recursion limit.
+    masks come from ``naive_class_layout``, the layout the search compiles,
+    which is returned too; an atom in a shared block reads that block's
+    masks, which tell the OR of its siblings. Deep expressions need a raised
+    recursion limit.
     """
-    layout = naive_packed_masks(exprs, sigma)
+    layout = naive_class_layout(exprs, sigma)
     blocks = iter(layout["blocks"])
 
     def compile_(e: LikeExpression):

@@ -33,6 +33,7 @@ from likekit import (
     or_,
     parse_expression,
     parse_pattern,
+    simulate_tm,
 )
 from likekit import automata
 from likekit.automata import (
@@ -55,7 +56,15 @@ from helpers import (
     counting_settled,
     counting_slack,
     counting_unsettled,
+    flat_search_reference,
+    m_bouncer,
+    m_counter,
+    m_dirty_accept,
+    m_edge_fall,
+    m_loop,
     m_one_step,
+    m_stuck,
+    naive_class_layout,
     naive_forecasts,
     naive_packed_masks,
     random_monotone_expression,
@@ -239,6 +248,36 @@ def test_normal_form_equivalences():
     for before, after in [("%_", "_%"), ("%%", "%"), ("_%_%_", "___%")]:
         out = find_separating_string(Atom(P(before)), Atom(P(after)), sigma)
         assert out.verdict is Verdict.EXHAUSTED_EQUIVALENT, (before, after)
+
+
+def test_census_of_small_normal_forms():
+    # Over 012, the normal forms of up to 4 tokens that agree on every text
+    # of up to 3 symbols fall into buckets. Each bucket is split by the
+    # separator's witness for two of its forms, a longer text, until every
+    # part holds one form, so no two of them are equivalent.
+    sigma = Alphabet.from_chars("012")
+    forms = list(dict.fromkeys(normalize(p) for p in all_patterns("012", 4)))
+    texts = list(all_texts("012", 3))
+    buckets = {}
+    for form in forms:
+        language = tuple(match_oracle(form, t) for t in texts)
+        buckets.setdefault(language, []).append(form)
+    collisions = [bucket for bucket in buckets.values() if len(bucket) > 1]
+    assert len(collisions) > 50
+    while collisions:
+        p, q, *_ = bucket = collisions.pop()
+        out = find_separating_string(Atom(p), Atom(q), sigma)
+        assert out.verdict is Verdict.FOUND and len(out.witness) > 3, (p, q)
+        assert match_oracle(p, out.witness) != match_oracle(q, out.witness)
+        for side in (True, False):
+            part = [f for f in bucket if match_oracle(f, out.witness) == side]
+            if len(part) > 1:
+                collisions.append(part)
+    # Over 01 the substring order collapses some distinct forms.
+    sigma = Alphabet.from_chars("01")
+    for p, q in (("%01%", "%0%1%"), ("%001%", "%00%1%")):
+        out = find_separating_string(Atom(P(p)), Atom(P(q)), sigma)
+        assert (out.verdict, out.complete) == (Verdict.EXHAUSTED_EQUIVALENT, True)
 
 
 def test_search_agrees_with_enumeration():
@@ -494,7 +533,7 @@ def test_packed_atom_acceptance_agrees_with_nfa_and_oracle():
 
 def _assert_compile_matches_reference(exprs, sigma):
     comp = _CompiledSearch(exprs, sigma)
-    want = naive_packed_masks(exprs, sigma)
+    want = naive_class_layout(exprs, sigma)
     assert comp.moves == want["moves"]
     assert (comp.gaps, comp.initial) == (want["gaps"], want["initial"])
     assert (comp.atoms, comp.state_bits) == (want["atoms"], want["state_bits"])
@@ -531,6 +570,115 @@ def test_compile_of_a_wide_alphabet_agrees_with_reference():
     for _ in range(40):
         exprs = [_random_expr(rng, pool, 2) for _ in range(2)]
         _assert_compile_matches_reference(exprs, sigma)
+
+
+# --- class blocks for sibling atoms -------------------------------------------
+
+
+def _random_flat_family(rng):
+    """An OR of atoms or an AND of negated atoms over abcz, for a search over
+    abc: a few sibling families, each a shared frame around a last literal
+    that varies (z, outside the alphabet, among them) with a tail of ``_``
+    and ``%`` only, and a few unrelated atoms."""
+    atoms = []
+    for _ in range(rng.randint(1, 3)):
+        head = random_pattern(rng, "abcz", 3).tokens
+        wild = (ANY_ONE, ANY_STRING)
+        tail = tuple(rng.choice(wild) for _ in range(rng.randint(0, 2)))
+        for last in rng.sample("abcz", rng.randint(1, 4)):
+            atoms.append(Atom(Pattern((*head, Literal(last), *tail))))
+    atoms += [Atom(random_pattern(rng, "abcz", 4)) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(atoms)
+    if len(atoms) < 2:
+        atoms.append(Atom(random_pattern(rng, "abcz", 4)))
+    if rng.random() < 0.5:
+        return Or(tuple(atoms))
+    return And(tuple(Not(a) for a in atoms))
+
+
+def test_class_blocks_agree_with_the_unmerged_reference():
+    # Each family of siblings shares one block, whose state is the OR of
+    # its members' blocks, so the verdict, witness and complete are the
+    # unmerged scan's; only coarser states can make explored fall, and it
+    # is the scan's over the naive class layout.
+    rng = random.Random(1717)
+    sigma = Alphabet.from_chars("abc")
+    merged = fell = 0
+    for i in range(1200):
+        e = _random_flat_family(rng)
+        max_len = rng.choice((None, None, 0, 1, 2, 3))
+        out = find_witness(e, sigma, max_len=max_len)
+        plain = naive_packed_masks([e], sigma)
+        classes = naive_class_layout([e], sigma)
+        witness, explored, complete = flat_search_reference(e, plain, max_len)
+        found = Verdict.EXHAUSTED_EMPTY if witness is None else Verdict.FOUND
+        assert (out.verdict, out.witness, out.complete) == (found, witness, complete), i
+        assert out.explored <= explored, i
+        assert flat_search_reference(e, classes, max_len) == (
+            witness,
+            out.explored,
+            complete,
+        ), i
+        assert (out.atoms, out.state_bits) == (plain["atoms"], classes["state_bits"]), i
+        _assert_compile_matches_reference([e], sigma)
+        merged += classes["state_bits"] < plain["state_bits"]
+        fell += out.explored < explored
+    assert merged > 800 and fell > 100, (merged, fell)
+
+
+def test_compiles_past_one_tape_or_of_other_shapes_stay_unmerged():
+    # Siblings over 300 symbols: sigma alone fills more than one tape.
+    symbols = tuple(f"s{i}" for i in range(300))
+    e = or_(*[Atom(Pattern((ANY_STRING, Literal(s), ANY_ONE))) for s in symbols[:40]])
+    # Over 250 symbols, three distinct classes do not fit the 252 codes.
+    near = symbols[:250]
+    tight = or_(
+        *[
+            Atom(Pattern((Literal(head), Literal(s))))
+            for head, group in (("s0", near[:2]), ("s1", near[:3]), ("s2", near[1:3]))
+            for s in group
+        ]
+    )
+    # The 3-CNF gadget is an AND with plain atoms among its conjuncts.
+    gadget, gadget_sigma = encode_3sat(Cnf(3, ((1, 2, 3), (-1, -2, -3))))
+    cases = ((e, Alphabet(symbols)), (tight, Alphabet(near)), (gadget, gadget_sigma))
+    for expr, sigma in cases:
+        out = find_witness(expr, sigma)
+        plain = naive_packed_masks([expr], sigma)
+        assert (out.atoms, out.state_bits) == (plain["atoms"], plain["state_bits"])
+        _assert_compile_matches_reference([expr], sigma)
+    # With one symbol fewer, sigma and the three classes fill one tape.
+    fits = Alphabet(near[:249])
+    plain = naive_packed_masks([tight], fits)
+    assert find_witness(tight, fits).state_bits < plain["state_bits"]
+
+
+def _machine_runs():
+    for space in range(2, 7):
+        for build in (m_bouncer, m_counter):
+            yield pytest.param(*build(space), id=f"{build.__name__}-{space}")
+    for build in (m_one_step, m_loop, m_stuck, m_edge_fall, m_dirty_accept):
+        spec, word, _ = build()
+        for space in range(max(2, len(word)), 7):
+            yield pytest.param(spec, word, space, id=f"{build.__name__}-{space}")
+
+
+@pytest.mark.parametrize("spec, word, space", list(_machine_runs()))
+def test_class_blocks_agree_with_the_unmerged_reference_on_machines(spec, word, space):
+    # Fenced, an accepting machine's gadget forbids its history too, and
+    # the search exhausts every state the history's prefixes reach.
+    expr, sigma = encode_tm(spec, word, space)
+    exprs = [expr]
+    run = simulate_tm(spec, word, space)
+    if run.accepted:
+        exprs.append(and_(expr, Not(Atom(Pattern(tuple(map(Literal, run.history)))))))
+    for e in exprs:
+        out = find_witness(e, sigma)
+        witness, explored, complete = flat_search_reference(
+            e, naive_packed_masks([e], sigma)
+        )
+        assert (out.witness, out.complete) == (witness, complete)
+        assert out.explored <= explored
 
 
 # --- forecasts compiled to mask tests ----------------------------------------

@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -372,6 +374,50 @@ def test_reduce_tm_round_trip(tmp_path, capsys):
     assert data["alphabet"] == ["1", "_blank", "q0", "qa", "#"]
     expr = parse_expression(data["expression"], tokens=True)
     assert expr is not None
+
+
+def test_gadget_size_ceilings_fire_before_the_gadget_is_built(tmp_path, capsys):
+    # A 20-byte header declaring 10^7 variables would ask for about 10 GB.
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 10000000 0\n")
+    tracemalloc.start()
+    started = time.perf_counter()
+    code, out, err = run(capsys, "reduce", "3sat", "--dimacs", str(cnf))
+    elapsed = time.perf_counter() - started
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 3 and out == "" and "10000000" in err and "ceiling" in err
+    assert elapsed < 0.5 and peak < 2**20, (elapsed, peak)
+    # At the ceilings the gadgets are built.
+    cnf.write_text("p cnf 10000 0\n")
+    assert run(capsys, "reduce", "3sat", "--dimacs", str(cnf))[0] == 0
+    machine = tmp_path / "m.json"
+    machine.write_text(
+        json.dumps(
+            {
+                "states": ["q0", "qa"],
+                "tape_alphabet": ["1", "_blank"],
+                "input_alphabet": ["1"],
+                "start": "q0",
+                "accept": "qa",
+                "delta": [
+                    {
+                        "state": "q0",
+                        "read": "1",
+                        "next": "qa",
+                        "write": "_blank",
+                        "move": "L",
+                    }
+                ],
+            }
+        )
+    )
+    reduce_tm = ("reduce", "tm", "--machine", str(machine), "--input", "1", "--space")
+    code, out, err = run(capsys, *reduce_tm, "257")
+    assert code == 3 and out == "" and "--space 257" in err
+    code, out, err = run(capsys, *reduce_tm, str(10**12))
+    assert code == 3 and out == ""
+    assert run(capsys, *reduce_tm, "256")[0] == 0
 
 
 def test_to_regex(capsys):

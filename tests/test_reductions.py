@@ -39,6 +39,7 @@ from helpers import (
     all_texts,
     assignment_satisfies,
     brute_force_sat,
+    flat_search_reference,
     m_bouncer,
     m_counter,
     m_dirty_accept,
@@ -46,6 +47,8 @@ from helpers import (
     m_loop,
     m_one_step,
     m_stuck,
+    naive_class_layout,
+    naive_packed_masks,
     reference_encode_tm,
 )
 
@@ -387,17 +390,31 @@ def test_encode_accepting_machine_language_is_the_history():
     assert again.verdict is Verdict.EXHAUSTED_EMPTY
 
 
-@pytest.mark.parametrize("space, explored", [(3, 394), (4, 958), (5, 2102)])
-def test_counter_machine_witness_is_its_history(space, explored):
-    # A long run over wide states: 2^space - 1 steps, about 3500 atoms and
-    # 36k-43k state bits, and no counting family.
+# Explored counts of the counter machine's search, whose sibling atoms
+# share class blocks: the scan over the naive class layout.
+COUNTER_CLASS_EXPLORED = {3: 374, 4: 906, 5: 1986}
+
+
+@pytest.mark.parametrize("space, plain_explored", [(3, 394), (4, 958), (5, 2102)])
+def test_counter_machine_witness_is_its_history(space, plain_explored):
+    # A long run over wide states: 2^space - 1 steps, about 3500 atoms, and
+    # no counting family. With one block per atom a state is 36k-43k bits
+    # and the scan explores plain_explored states; the search shares class
+    # blocks, so its state is 4k-5k bits and it explores fewer.
     spec, word, s = m_counter(space)
     run = simulate_tm(spec, word, s)
     assert run.accepted and run.steps == 2**space - 1
     expr, sigma = encode_tm(spec, word, s)
     out = find_witness(expr, sigma)
+    explored = COUNTER_CLASS_EXPLORED[space]
     assert out.verdict is Verdict.FOUND and out.witness == run.history
     assert out.explored == explored
+    for layout, count in (
+        (naive_packed_masks, plain_explored),
+        (naive_class_layout, explored),
+    ):
+        scan = flat_search_reference(expr, layout([expr], sigma))
+        assert scan == (run.history, count, True)
 
 
 def test_encoded_history_is_fragile():
@@ -412,15 +429,20 @@ def test_encoded_history_is_fragile():
     assert not evaluate(expr, tuple(mangled))
 
 
+# (state bits, explored) of the bouncer's search, whose sibling atoms
+# share class blocks: the naive class layout and its scan.
+BOUNCER_CLASS_PINS = {2: (694, 62), 3: (786, 130), 4: (882, 202)}
+
+
 @pytest.mark.parametrize(
-    "space, atoms, state_bits, explored, digest",
+    "space, atoms, plain_bits, plain_explored, digest",
     [
         (2, 370, 3282, 62, "fbfd59fdbd1a43aa"),
         (3, 382, 3686, 133, "9c823f556078fbd9"),
         (4, 394, 4102, 208, "ad54e3d764591234"),
     ],
 )
-def test_bouncer_gadget_size_is_pinned(space, atoms, state_bits, explored, digest):
+def test_bouncer_gadget_size_is_pinned(space, atoms, plain_bits, plain_explored, digest):
     spec, word, s = m_bouncer(space)
     expr, sigma = encode_tm(spec, word, s)
     forbidden = [c.child.pattern for c in expr.children]
@@ -433,7 +455,17 @@ def test_bouncer_gadget_size_is_pinned(space, atoms, state_bits, explored, diges
     assert hashlib.sha256(rendered.encode()).hexdigest()[:16] == digest
     out = find_witness(expr, sigma)
     assert out.verdict is Verdict.FOUND
+    state_bits, explored = BOUNCER_CLASS_PINS[space]
     assert (out.atoms, out.state_bits, out.explored) == (atoms, state_bits, explored)
+    # One block per atom gives the plain pins; sibling atoms sharing class
+    # blocks give the search's.
+    for layout, bits, count in (
+        (naive_packed_masks, plain_bits, plain_explored),
+        (naive_class_layout, state_bits, explored),
+    ):
+        laid = layout([expr], sigma)
+        assert (laid["atoms"], laid["state_bits"]) == (atoms, bits)
+        assert flat_search_reference(expr, laid)[1:] == (count, True)
 
 
 @pytest.mark.parametrize(
@@ -515,11 +547,13 @@ def test_split_gadget_is_equivalent_to_the_reference(spec, word, space):
     ref, _ = reference_encode_tm(spec, word, space)
     assert find_separating_string(ref, expr, sigma).verdict is Verdict.EXHAUSTED_EQUIVALENT
     out, ref_out = find_witness(expr, sigma), find_witness(ref, sigma)
-    assert (out.verdict, out.witness, out.explored) == (
-        ref_out.verdict,
-        ref_out.witness,
-        ref_out.explored,
-    )
+    assert (out.verdict, out.witness) == (ref_out.verdict, ref_out.witness)
+    # Class blocks coarsen the two gadgets' states differently, so the two
+    # explore alike only as the scan over the unmerged layout.
+    scan = flat_search_reference(expr, naive_packed_masks([expr], sigma))
+    ref_scan = flat_search_reference(ref, naive_packed_masks([ref], sigma))
+    assert scan == ref_scan == (out.witness, scan[1], True)
+    assert out.explored <= scan[1] and ref_out.explored <= scan[1]
 
 
 @pytest.mark.parametrize("spec, word, space", GADGET_CASES)
