@@ -48,16 +48,18 @@ from .reductions import (
 )
 
 
-# Gadget sizes past these ceilings are refused with exit 3 before the
-# gadget is built. A 3-CNF gadget takes about 1 KB per declared variable
-# (13 MB at the ceiling); a machine gadget's tokens grow with the square
-# of its tape (22 MB for the tests' counter machine at the ceiling).
+# Sizes past these ceilings are refused with exit 3 before anything is
+# built. A 3-CNF gadget takes about 1 KB per declared variable (13 MB at
+# the ceiling). A machine gadget's tokens grow with the square of its tape
+# (22 MB for the tests' counter machine at 256 cells), and a simulated run
+# allocates the whole tape and keeps every configuration, about 2 KB each
+# at 256 cells; unchecked, a --space of 10^6 took 128 MB before any limit.
 _MAX_3SAT_VARIABLES = 10_000
 _MAX_TM_SPACE = 256
 
 
 class _GadgetTooLarge(RuntimeError):
-    """A gadget size past its ceiling."""
+    """A gadget or tape size past its ceiling."""
 
     def __init__(self, what: str, size: int, ceiling: int) -> None:
         super().__init__(f"{what} {size} is above the ceiling of {ceiling}")
@@ -224,14 +226,16 @@ def _cmd_reduce_majority(args: argparse.Namespace) -> int:
 
 
 def _load_machine(args: argparse.Namespace) -> tuple[TmSpec, tuple[str, ...]]:
-    """The machine of ``--machine`` and the input word of ``--input``."""
-    return tm_from_json(_read_source(args.machine)), tuple(args.input.split())
+    """The machine of ``--machine`` and the input word of ``--input``, once
+    ``--space`` is known to be under its ceiling."""
+    spec = tm_from_json(_read_source(args.machine))
+    if args.space > _MAX_TM_SPACE:
+        raise _GadgetTooLarge("--space", args.space, _MAX_TM_SPACE)
+    return spec, tuple(args.input.split())
 
 
 def _cmd_reduce_tm(args: argparse.Namespace) -> int:
     spec, word = _load_machine(args)
-    if args.space > _MAX_TM_SPACE:
-        raise _GadgetTooLarge("--space", args.space, _MAX_TM_SPACE)
     return _emit_gadget(args, *encode_tm(spec, word, args.space))
 
 

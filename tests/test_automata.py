@@ -33,12 +33,14 @@ from likekit import (
     or_,
     parse_expression,
     parse_pattern,
+    render_pattern,
     simulate_tm,
 )
 from likekit import automata
 from likekit.automata import (
     _CompiledSearch,
     _bfs,
+    _flat_atoms,
     _predicate,
     _separator_halves,
 )
@@ -538,13 +540,13 @@ def _assert_compile_matches_reference(exprs, sigma):
     assert (comp.gaps, comp.initial) == (want["gaps"], want["initial"])
     assert (comp.atoms, comp.state_bits) == (want["atoms"], want["state_bits"])
     for p, masks in want["blocks"]:
-        assert comp._masks([comp._slot[id(p)]]) == masks, p
-    # A group's masks are the union of its atoms' masks, runs of slots or not.
+        assert comp._masks([p]) == masks, p
+    # A group's masks are the union of its atoms' masks.
     for group in (want["blocks"], want["blocks"][::2], want["blocks"][1::3]):
         union = [0, 0, 0]
         for _, masks in group:
             union = [u | m for u, m in zip(union, masks)]
-        assert comp._masks([comp._slot[id(p)] for p, _ in group]) == tuple(union)
+        assert comp._masks([p for p, _ in group]) == tuple(union)
 
 
 def test_compile_agrees_with_token_by_token_reference():
@@ -575,25 +577,45 @@ def test_compile_of_a_wide_alphabet_agrees_with_reference():
 # --- class blocks for sibling atoms -------------------------------------------
 
 
-def _random_flat_family(rng):
-    """An OR of atoms or an AND of negated atoms over abcz, for a search over
-    abc: a few sibling families, each a shared frame around a last literal
-    that varies (z, outside the alphabet, among them) with a tail of ``_``
-    and ``%`` only, and a few unrelated atoms."""
+def _random_flat_family(rng, pool="abcz"):
+    """An OR of atoms or an AND of negated atoms over the pool, for a search
+    over the pool less z: a few sibling families, each a shared frame around
+    a last literal that varies (z, outside the alphabet, among them) with a
+    tail of ``_`` and ``%`` only, and a few unrelated atoms."""
     atoms = []
     for _ in range(rng.randint(1, 3)):
-        head = random_pattern(rng, "abcz", 3).tokens
+        head = random_pattern(rng, pool, 3).tokens
         wild = (ANY_ONE, ANY_STRING)
         tail = tuple(rng.choice(wild) for _ in range(rng.randint(0, 2)))
-        for last in rng.sample("abcz", rng.randint(1, 4)):
+        for last in rng.sample(pool, rng.randint(1, len(pool))):
             atoms.append(Atom(Pattern((*head, Literal(last), *tail))))
-    atoms += [Atom(random_pattern(rng, "abcz", 4)) for _ in range(rng.randint(0, 2))]
+    atoms += [Atom(random_pattern(rng, pool, 4)) for _ in range(rng.randint(0, 2))]
     rng.shuffle(atoms)
     if len(atoms) < 2:
         atoms.append(Atom(random_pattern(rng, "abcz", 4)))
     if rng.random() < 0.5:
         return Or(tuple(atoms))
     return And(tuple(Not(a) for a in atoms))
+
+
+def _assert_search_is_the_class_layout_scan(e, sigma, max_len=None):
+    """The search's verdict, witness, explored count and complete are the
+    scan's over the naive class layout, and its atoms and state bits the
+    layout's; returns the outcome."""
+    out = find_witness(e, sigma, max_len=max_len)
+    plain = naive_packed_masks([e], sigma)
+    classes = naive_class_layout([e], sigma)
+    witness, explored, complete = flat_search_reference(e, classes, max_len)
+    found = Verdict.EXHAUSTED_EMPTY if witness is None else Verdict.FOUND
+    assert (out.verdict, out.witness, out.explored, out.complete) == (
+        found,
+        witness,
+        explored,
+        complete,
+    )
+    assert (out.atoms, out.state_bits) == (plain["atoms"], classes["state_bits"])
+    _assert_compile_matches_reference([e], sigma)
+    return out
 
 
 def test_class_blocks_agree_with_the_unmerged_reference():
@@ -624,6 +646,13 @@ def test_class_blocks_agree_with_the_unmerged_reference():
         merged += classes["state_bits"] < plain["state_bits"]
         fell += out.explored < explored
     assert merged > 800 and fell > 100, (merged, fell)
+    # Over two to four symbols, from draws of their own.
+    rng = random.Random(1818)
+    for _ in range(400):
+        pool = "abcd"[: rng.randint(2, 4)] + "z"
+        e = _random_flat_family(rng, pool)
+        sigma = Alphabet.from_chars(pool[:-1])
+        _assert_search_is_the_class_layout_scan(e, sigma, rng.choice((None, None, 2)))
 
 
 def test_compiles_past_one_tape_or_of_other_shapes_stay_unmerged():
@@ -647,6 +676,8 @@ def test_compiles_past_one_tape_or_of_other_shapes_stay_unmerged():
         plain = naive_packed_masks([expr], sigma)
         assert (out.atoms, out.state_bits) == (plain["atoms"], plain["state_bits"])
         _assert_compile_matches_reference([expr], sigma)
+    for expr, sigma in cases[:2]:
+        _assert_search_is_the_class_layout_scan(expr, sigma)
     # With one symbol fewer, sigma and the three classes fill one tape.
     fits = Alphabet(near[:249])
     plain = naive_packed_masks([tight], fits)
@@ -654,31 +685,87 @@ def test_compiles_past_one_tape_or_of_other_shapes_stay_unmerged():
 
 
 def _machine_runs():
-    for space in range(2, 7):
+    """Every machine at tape sizes 1-6 that its input fits."""
+    for space in range(1, 7):
         for build in (m_bouncer, m_counter):
-            yield pytest.param(*build(space), id=f"{build.__name__}-{space}")
-    for build in (m_one_step, m_loop, m_stuck, m_edge_fall, m_dirty_accept):
-        spec, word, _ = build()
-        for space in range(max(2, len(word)), 7):
-            yield pytest.param(spec, word, space, id=f"{build.__name__}-{space}")
+            spec, word, _ = build(space)
+            if len(word) <= space:
+                yield pytest.param(spec, word, space, id=f"{build.__name__}-{space}")
+        for build in (m_one_step, m_loop, m_stuck, m_edge_fall, m_dirty_accept):
+            spec, word, _ = build()
+            if len(word) <= space:
+                yield pytest.param(spec, word, space, id=f"{build.__name__}-{space}")
+
+
+def _fenced_and_unfenced(spec, word, space):
+    """The machine gadget, and the gadget that also forbids the run's history."""
+    expr, sigma = encode_tm(spec, word, space)
+    history = Pattern(tuple(map(Literal, simulate_tm(spec, word, space).history)))
+    return [(expr, sigma), (and_(expr, Not(Atom(history))), sigma)]
 
 
 @pytest.mark.parametrize("spec, word, space", list(_machine_runs()))
 def test_class_blocks_agree_with_the_unmerged_reference_on_machines(spec, word, space):
-    # Fenced, an accepting machine's gadget forbids its history too, and
-    # the search exhausts every state the history's prefixes reach.
-    expr, sigma = encode_tm(spec, word, space)
-    exprs = [expr]
-    run = simulate_tm(spec, word, space)
-    if run.accepted:
-        exprs.append(and_(expr, Not(Atom(Pattern(tuple(map(Literal, run.history)))))))
-    for e in exprs:
-        out = find_witness(e, sigma)
+    # Fenced, the gadget forbids the run's history too; for an accepting
+    # machine the search then exhausts every state the history's prefixes
+    # reach. The search is the scan over the naive class layout, and it
+    # explores no more states than the scan over the unmerged one.
+    for e, sigma in _fenced_and_unfenced(spec, word, space):
         witness, explored, complete = flat_search_reference(
             e, naive_packed_masks([e], sigma)
         )
+        out = _assert_search_is_the_class_layout_scan(e, sigma)
         assert (out.witness, out.complete) == (witness, complete)
         assert out.explored <= explored
+
+
+# --- reading the atoms once --------------------------------------------------
+
+
+def _count_normalize(monkeypatch):
+    """The list that every pattern the compile normalizes is appended to."""
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return normalize(p)
+
+    monkeypatch.setattr(automata, "normalize", counted)
+    return calls
+
+
+def test_machine_gadgets_are_read_once_and_never_normalized(monkeypatch):
+    # encode_tm builds every pattern in normal form, so the wildcard tape
+    # flags no form and the compile calls normalize on none. The gadget's
+    # one gate is read once, by the compile; forecasts reuses the read.
+    calls = _count_normalize(monkeypatch)
+    reads = []
+
+    def flat_atoms(e):
+        reads.append(e)
+        return _flat_atoms(e)
+
+    monkeypatch.setattr(automata, "_flat_atoms", flat_atoms)
+    for param in _machine_runs():
+        for e, sigma in _fenced_and_unfenced(*param.values):
+            reads.clear()
+            find_witness(e, sigma)
+            assert reads == [e]
+    assert calls == []
+
+
+def test_only_the_forms_the_wildcard_tape_flags_are_normalized(monkeypatch):
+    calls = _count_normalize(monkeypatch)
+    # %_a and _%a share a normal form, counted once; %a and %b, and _%a and
+    # _%b, are siblings that share a class block.
+    texts = ("%%a", "%b", "%_a", "_%a", "_%b", "a%%")
+    e = and_(*[Not(Atom(P(t))) for t in texts])
+    sigma = Alphabet.from_chars("ab")
+    comp = _CompiledSearch([e], sigma)
+    assert sorted(map(render_pattern, calls)) == ["%%a", "%_a", "a%%"]
+    assert comp.atoms == naive_packed_masks([e], sigma)["atoms"] == 5
+    assert comp.state_bits == naive_class_layout([e], sigma)["state_bits"] == 10
+    _assert_compile_matches_reference([e], sigma)
 
 
 # --- forecasts compiled to mask tests ----------------------------------------
@@ -771,7 +858,7 @@ def test_forecasts_agree_with_reference_on_the_3cnf_gadget():
         _assert_forecasts_match_reference([e], sigma)
         # Every %x% atom self-loops on its first bit, so only _^n can die.
         comp = _CompiledSearch([e], sigma)
-        reach = comp._masks([comp._slot[id(e.children[0].pattern)]])[2]
+        reach = comp._masks([e.children[0].pattern])[2]
         assert comp.forecasts(e)[1] == (True, 0, 0, (reach,), ())
 
 
@@ -843,7 +930,7 @@ def test_or_holding_a_self_looping_atom_never_dies():
     # Under an AND only the other conjunct's reach is tested.
     e = and_(gate, Atom(P("a_")))
     comp = _CompiledSearch([e], sigma)
-    reach = comp._masks([comp._slot[id(e.children[1].pattern)]])[2]
+    reach = comp._masks([e.children[1].pattern])[2]
     assert comp.forecasts(e)[1] == (True, 0, 0, (reach,), ())
     # A literal outside sigma still kills its atom in the first step.
     out = find_witness(and_(gate, Atom(P("a%z"))), sigma)

@@ -376,6 +376,19 @@ def test_reduce_tm_round_trip(tmp_path, capsys):
     assert expr is not None
 
 
+# Reads the single 1, blanks it and accepts, at any tape size.
+ONE_STEP_MACHINE = {
+    "states": ["q0", "qa"],
+    "tape_alphabet": ["1", "_blank"],
+    "input_alphabet": ["1"],
+    "start": "q0",
+    "accept": "qa",
+    "delta": [
+        {"state": "q0", "read": "1", "next": "qa", "write": "_blank", "move": "L"}
+    ],
+}
+
+
 def test_gadget_size_ceilings_fire_before_the_gadget_is_built(tmp_path, capsys):
     # A 20-byte header declaring 10^7 variables would ask for about 10 GB.
     cnf = tmp_path / "f.cnf"
@@ -392,32 +405,34 @@ def test_gadget_size_ceilings_fire_before_the_gadget_is_built(tmp_path, capsys):
     cnf.write_text("p cnf 10000 0\n")
     assert run(capsys, "reduce", "3sat", "--dimacs", str(cnf))[0] == 0
     machine = tmp_path / "m.json"
-    machine.write_text(
-        json.dumps(
-            {
-                "states": ["q0", "qa"],
-                "tape_alphabet": ["1", "_blank"],
-                "input_alphabet": ["1"],
-                "start": "q0",
-                "accept": "qa",
-                "delta": [
-                    {
-                        "state": "q0",
-                        "read": "1",
-                        "next": "qa",
-                        "write": "_blank",
-                        "move": "L",
-                    }
-                ],
-            }
-        )
-    )
+    machine.write_text(json.dumps(ONE_STEP_MACHINE))
     reduce_tm = ("reduce", "tm", "--machine", str(machine), "--input", "1", "--space")
     code, out, err = run(capsys, *reduce_tm, "257")
     assert code == 3 and out == "" and "--space 257" in err
     code, out, err = run(capsys, *reduce_tm, str(10**12))
     assert code == 3 and out == ""
     assert run(capsys, *reduce_tm, "256")[0] == 0
+
+
+def test_simulate_space_ceiling_fires_before_the_tape_is_built(tmp_path, capsys):
+    # Unchecked, a --space of 10^6 allocated 128 MB of tape and
+    # configurations before any limit fired.
+    machine = tmp_path / "m.json"
+    machine.write_text(json.dumps(ONE_STEP_MACHINE))
+    simulate = ("simulate", "tm", "--machine", str(machine), "--input", "1", "--space")
+    tracemalloc.start()
+    started = time.perf_counter()
+    code, out, err = run(capsys, *simulate, str(10**12))
+    elapsed = time.perf_counter() - started
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 3 and out == "" and f"--space {10**12}" in err and "ceiling" in err
+    assert elapsed < 0.5 and peak < 2**20, (elapsed, peak)
+    code, out, err = run(capsys, *simulate, "257")
+    assert code == 3 and out == "" and "--space 257" in err
+    # At the ceiling the run happens: it blanks the 1 and accepts.
+    code, out, _ = run(capsys, *simulate, "256", "--json")
+    assert code == 0 and json.loads(out)["accepted"]
 
 
 def test_to_regex(capsys):

@@ -7,8 +7,10 @@ unknown flags. Every run must exit 0-3 with no exception escaping
 ``dispatch`` (the console entry point would print it as a traceback), and
 every search must report what the library call on the same input reports.
 
-Huge ``--n`` and ``--space`` values are left out: they spend memory before
-any cap fires.
+Sizes past their ceilings are drawn too: huge ``reduce tm`` and ``simulate
+tm`` ``--space`` values and DIMACS headers declaring more than 10000
+variables must exit 3. Huge ``--n`` values are left out: ``reduce majority``
+has no ceiling, so they would spend memory before any cap fires.
 """
 
 import json
@@ -243,6 +245,28 @@ def _other_case(rng, path):
     return argv
 
 
+def _ceiling_case(rng, path, write):
+    """A size past its ceiling, which must exit 3 before anything is built:
+    a huge ``--space`` for ``reduce tm`` or ``simulate tm``, or a DIMACS
+    header declaring more than 10000 variables."""
+    kind = rng.choice(("tm", "simulate", "3sat"))
+    argv = list(SUBCOMMANDS[kind])
+    _common(rng, argv, syntax=False)
+    past = rng.choice((1, 10**3, 10**6, 10**12, 10**40)) + rng.randrange(1000)
+    if kind == "3sat":
+        name = f"huge_{past}.cnf"
+        write(name, f"p cnf {10_000 + past} 1\n1 2 -1 0\n")
+        argv += ["--dimacs", path(name)]
+    else:
+        argv += ["--machine", path("machine"), "--space", str(256 + past)]
+        argv += ["--input", rng.choice(("", "1", "1 1", "1 x"))]
+    if kind == "simulate" and rng.random() < 0.5:
+        argv += ["--max-steps", rng.choice(LIMITS)]
+    if kind != "simulate" and rng.random() < 0.3:
+        argv += ["--alphabet-out", path("out")]
+    return argv
+
+
 def _broken_argv(rng, path):
     """Usage errors: a dropped argument, an unknown flag, no subcommand."""
     argv = _search_case(rng, path)[0] if rng.random() < 0.5 else _other_case(rng, path)
@@ -277,6 +301,9 @@ def test_cli_fuzz(tmp_path, capsys):
     def path(name):
         return str(tmp_path / name)
 
+    def write(name, text):
+        (tmp_path / name).write_text(text)
+
     rng = random.Random(31337)
     cases = [(argv, None) for argv in _file_sweep(path)]
     for _ in range(400):
@@ -286,6 +313,10 @@ def test_cli_fuzz(tmp_path, capsys):
         else:
             make = _other_case if r < 0.9 else _broken_argv
             cases.append((make(rng, path), None))
+    # Drawn from their own stream, so the cases above stay as they were.
+    rng = random.Random(27182)
+    for _ in range(60):
+        cases.append((_ceiling_case(rng, path, write), lambda: (3, None)))
 
     codes = {0: 0, 1: 0, 2: 0, 3: 0}
     checked = 0
