@@ -58,10 +58,9 @@ masks. Any other shape is read by ``atom_patterns``. A wildcard tape of
 the distinct forms shows which hold ``%%`` or ``%_``, and only those go
 through ``normalize``: none of the machine gadget's, which is built
 normal. One pass over the normal forms keys each one's family and gives
-it the family's block. Compile and forecasts take 0.60 and 0.66 ms at
-bouncer spaces 2 and 4 (370 and 394 atoms), against 0.92 and 0.99 ms with
-every form normalized and the families keyed in three passes (best of
-300, Python 3.11, 2 shared cores).
+it the family's block. Compile and forecasts take about 0.60 and 0.68 ms
+at bouncer spaces 2 and 4 (370 and 394 atoms; best of 15 runs of 20,
+Python 3.11, 2 shared cores).
 
 Pruning rests on two forecasts per expression, compiled like its value
 to mask tests on the packed int: *dead* (false on every extension of the
@@ -97,17 +96,20 @@ has successors dead by count: all but those on a symbol of an unsettled
 member, which stay tight.
 
 A tight state also fixes what can still be read: the rest of the text is
-exactly one symbol of each unsettled member. A *bound conjunct* is a
-direct conjunct of the member shape that is not taken as a member, each
-of whose symbols in sigma some member holds. It is dead in a tight state
-when it is unsettled and every member holding one of its symbols is
-settled: the conflict test of DPLL (Davis, Logemann and Loveland, 1962)
-on packed states. The witness search tests it on every tight successor
-before queueing it.
+exactly one symbol of each unsettled member. So a symbol that no member
+holds, like one outside sigma, is never read from a tight state. Every
+direct conjunct of the member shape that is not taken as a member is a
+*bound conjunct*, held by the members that hold its symbols in sigma. It
+is dead in a tight state when it is unsettled and every member holding
+it is settled: the conflict test of DPLL (Davis, Logemann and Loveland,
+1962) on packed states. The witness search tests it on every tight
+successor before queueing it.
 
-Every state of a counting search is queued with two small ints, its
-unsettled member set and its settled bound set; the start carries every
-member unsettled and no bound conjunct settled, since a ``%x%`` block's
+``_CompiledSearch.counting`` decides the whole forecast once per search,
+into a plain record (``_Counting``) that the scan only reads. Every
+state of a counting search is queued with two small ints, its unsettled
+member set and its settled bound set; the start carries every member
+unsettled and no bound conjunct settled, since a ``%x%`` block's
 trailing ``%`` is set only once x has been read. Each move is tested on
 them alone: the successor's unsettled set drops the move's member, its
 slack is the state's less one unless the move settles a member, and when
@@ -119,11 +121,11 @@ tight successor's bound test is a few operations on small ints.
 
 Most such Ands cannot tell one order of a text from another. The search
 is *ordered* when the length atom is all ``_``, every direct conjunct is
-the length atom, a member or a bound conjunct, and the start is tight (so
-every queued state is tight). Then each queued state also carries the
-column (alphabet index) of the last symbol read, expands only the moves
-in later columns, and a successor is dead when some unsettled member has
-no symbol in a later column: per column, the member set whose highest
+the length atom or of the member shape, and the start is tight (so every
+queued state is tight). Then each queued state also carries the column
+(alphabet index) of the last symbol read, expands only the moves in
+later columns, and a successor is dead when some unsettled member has no
+symbol in a later column: per column, the member set whose highest
 column is at or below it, one AND of small ints. This breaks the symmetry
 of reordering a text (Crawford, Ginsberg, Luks and Roy, 1996) and keeps
 one text per set of symbols read. It is sound for three reasons:
@@ -176,7 +178,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .expression import And, Atom, LikeExpression, Not, Or, and_, atom_patterns
 from .matcher import Text
@@ -304,84 +306,46 @@ def _flat_atoms(e: LikeExpression) -> tuple[list[Pattern], bool] | None:
     return patterns, negated
 
 
-class _Counting:
-    """The counting forecast of an And (see the module docstring). The
-    length atom's block is ``span``, ending below bit ``end``; each of
-    ``members`` is a member's settled mask, the OR of its atoms' trailing
-    ``%`` bits. Member i is named by the bit ``1 << i`` in a *member set*,
-    and bound conjunct j by ``1 << j`` in a *bound set*. Each of ``bound``
-    is a bound conjunct's settled mask and the member set holding its
-    symbols. Per move (alphabet column), ``owners`` gives the member set
+class _Counting(NamedTuple):
+    """The counting forecast of an And (see the module docstring), as
+    ``_CompiledSearch.counting`` decides it. The length atom's block is
+    ``span`` and ``room`` its token count, so a state at depth k has slack
+    ``room - k`` less its unsettled members. Each of ``members`` is a
+    member's settled mask, the OR of its atoms' trailing ``%`` bits.
+    Member i is named by the bit ``1 << i`` in a *member set*, and bound
+    conjunct j by ``1 << j`` in a *bound set*. Each of ``bound`` is a bound
+    conjunct's settled mask and the member set holding its symbols in
+    sigma. Per move (alphabet column), ``owners`` gives the member set
     holding its symbol (one bit, or 0) and ``settles`` the bound set
     holding it. Per member, ``guards`` gives the bound set it holds.
-    ``room`` is the length atom's token count, so a state at depth k has
-    slack ``room - k`` less its unsettled members. ``ordered`` tells
-    whether the search may read in alphabet order only; then per column
-    ``spent`` gives the member set with no symbol in a later column, else
-    it is all 0. The search carries the member and bound sets on its
-    queue."""
+    ``ordered`` tells whether the search may read in alphabet order only;
+    then per column ``spent`` gives the member set with no symbol in a
+    later column, else it is all 0."""
 
-    __slots__ = (
-        "span",
-        "end",
-        "room",
-        "members",
-        "owners",
-        "bound",
-        "settles",
-        "guards",
-        "ordered",
-        "spent",
-    )
+    span: int
+    room: int
+    members: tuple[int, ...]
+    owners: tuple[int, ...]
+    bound: tuple[tuple[int, int], ...]
+    settles: tuple[int, ...]
+    guards: tuple[int, ...]
+    ordered: bool
+    spent: tuple[int, ...]
 
-    def __init__(
-        self,
-        span: int,
-        end: int,
-        members: tuple[int, ...],
-        owners: tuple[int, ...],
-        bound: tuple[tuple[int, int], ...],
-        settles: tuple[int, ...],
-        guards: tuple[int, ...],
-        ordered: bool,
-    ) -> None:
-        self.span = span
-        self.end = end
-        self.room = end - (span & -span).bit_length()
-        self.members = members
-        self.owners = owners
-        self.bound = bound
-        self.settles = settles
-        self.guards = guards
-        # Only a tight start, with every member unsettled, keeps every
-        # queued state tight.
-        self.ordered = ordered = ordered and self.room == len(members)
-        self.spent = (0,) * len(owners)
-        if ordered:
-            # A member's highest column, or -1 when sigma holds none of its
-            # symbols; it is spent at every column at or past that one.
-            top = [-1] * len(members)
-            for col, owner in enumerate(owners):
-                if owner:
-                    top[owner.bit_length() - 1] = col
-            self.spent = tuple(
-                sum(1 << i for i, last in enumerate(top) if last <= col)
-                for col in range(len(owners))
-            )
 
-    def held(self, unsettled: int, memo: dict[int, int]) -> int:
-        """The bound set these members hold, the OR of their ``guards``,
-        memoized in memo (which must map 0 to 0) along the chain of sets
-        that drop the lowest member one at a time."""
-        chain = []
-        while unsettled not in memo:
-            chain.append(unsettled)
-            unsettled &= unsettled - 1
-        held = memo[unsettled]
-        for u in reversed(chain):
-            held |= self.guards[(u & -u).bit_length() - 1]
-            memo[u] = held
-        return held
+def _held(guards: tuple[int, ...], unsettled: int, memo: dict[int, int]) -> int:
+    """The bound set these members hold, the OR of their ``guards``,
+    memoized in memo (which must map 0 to 0) along the chain of sets that
+    drop the lowest member one at a time."""
+    chain = []
+    while unsettled not in memo:
+        chain.append(unsettled)
+        unsettled &= unsettled - 1
+    held = memo[unsettled]
+    for u in reversed(chain):
+        held |= guards[(u & -u).bit_length() - 1]
+        memo[u] = held
+    return held
 
 
 class _CompiledSearch:
@@ -568,8 +532,8 @@ class _CompiledSearch:
         """e's counting forecast, or None unless e is an And with a length
         atom and a member among its direct conjuncts. Members are read off
         the normal forms and taken in conjunct order, each only when its
-        symbols are disjoint from every earlier member's. A conjunct of the
-        same shape that is not taken is bound when a member holds each of
+        symbols are disjoint from every earlier member's. Every other
+        conjunct of the same shape is bound, held by the members that hold
         its symbols in sigma."""
         # The length atom is a plain Atom conjunct. Without one, as in the
         # machine gadget's And of negated atoms, the type scan bails before
@@ -577,7 +541,7 @@ class _CompiledSearch:
         if not isinstance(e, And) or Atom not in set(map(type, e.children)):
             return None
         slot_of, bounds, stream = self._slot, self._bounds, self._stream
-        length: tuple[int, int] | None = None
+        span = room = 0
         owner: dict[Symbol, int] = {}
         members: list[int] = []
         others: list[tuple[list[Symbol], int]] = []
@@ -607,9 +571,9 @@ class _CompiledSearch:
                     and form[2] is ANY_STRING
                     and isinstance(form[1], Literal)
                 ):
-                    if length is None and a is c and ANY_STRING not in form:
-                        length = ((1 << hi) - (1 << lo), hi)
-                        ordered = ordered and form.count(ANY_ONE) == len(form)
+                    if not span and a is c and ANY_STRING not in form:
+                        span, room = (1 << hi) - (1 << lo), len(form)
+                        ordered = ordered and form.count(ANY_ONE) == room
                     else:
                         ordered = False
                     break
@@ -622,34 +586,50 @@ class _CompiledSearch:
                     members.append(settled)
                 else:
                     others.append((symbols, settled))
-        if length is None or not members:
+        if not span or not members:
             return None
-        column = {sym: i for i, (sym, _) in enumerate(self.moves)}
+        column = {sym: col for col, (sym, _) in enumerate(self.moves)}
         settles = [0] * len(column)
         guards = [0] * len(members)
         bound: list[tuple[int, int]] = []
         for symbols, settled in others:
-            readable = [sym for sym in symbols if sym in column]
-            if not all(map(owner.__contains__, readable)):
-                ordered = False
-                continue
+            # A symbol outside sigma is never read; one in sigma that no
+            # member holds is never read in a tight state.
             bit = 1 << len(bound)
             holders = 0
-            for sym in readable:
-                i = owner[sym]
-                holders |= 1 << i
-                guards[i] |= bit
-                settles[column[sym]] |= bit
+            for sym in symbols:
+                if sym in column:
+                    settles[column[sym]] |= bit
+                    if sym in owner:
+                        holders |= 1 << owner[sym]
+                        guards[owner[sym]] |= bit
             bound.append((settled, holders))
         owners = tuple(1 << owner[sym] if sym in owner else 0 for sym in column)
+        spent = (0,) * len(owners)
+        # Only a tight start, with every member unsettled, keeps every
+        # queued state tight.
+        ordered = ordered and room == len(members)
+        if ordered:
+            # A member's highest column, or -1 when sigma holds none of its
+            # symbols; it is spent at every column at or past that one.
+            top = [-1] * len(members)
+            for col, bit in enumerate(owners):
+                if bit:
+                    top[bit.bit_length() - 1] = col
+            spent = tuple(
+                sum(1 << i for i, last in enumerate(top) if last <= col)
+                for col in range(len(owners))
+            )
         return _Counting(
-            *length,
+            span,
+            room,
             tuple(members),
             owners,
             tuple(bound),
             tuple(settles),
             tuple(guards),
             ordered,
+            spent,
         )
 
 
@@ -805,11 +785,9 @@ def _bfs(
     prune = _predicate(forecast)
     every_member = 0
     if counting is not None:
-        room, owners = counting.room, counting.owners
-        settles, spent = counting.settles, counting.spent
-        every_member = (1 << len(counting.members)) - 1
-        every_bound = (1 << len(counting.bound)) - 1
-        ordered = counting.ordered
+        _, room, members, owners, bound, settles, guards, ordered, spent = counting
+        every_member = (1 << len(members)) - 1
+        every_bound = (1 << len(bound)) - 1
         # The bound set each tight successor's unsettled members hold.
         held = {0: 0}
     # Each queued state carries its depth, its unsettled member set and
@@ -872,7 +850,7 @@ def _bfs(
                 if every_bound:
                     hold = held.get(rest)
                     if hold is None:
-                        hold = counting.held(rest, held)
+                        hold = _held(guards, rest, held)
                     if every_bound & ~(hold | now):
                         continue
             sym, on_sym = moves[col]

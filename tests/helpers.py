@@ -18,6 +18,8 @@ from likekit import (
     ANY_STRING,
     Alphabet,
     And,
+    AnyOne,
+    AnyString,
     Atom,
     Cnf,
     DEFAULT_STATE_BUDGET,
@@ -55,6 +57,33 @@ def all_patterns(symbols: Sequence[str], max_len: int) -> Iterator[Pattern]:
     for n in range(max_len + 1):
         for combo in itertools.product(tokens, repeat=n):
             yield Pattern(combo)
+
+
+def normalize_reference(p: Pattern) -> Pattern:
+    """The normal form of p, rebuilt token by token: each wildcard run
+    becomes its _ count, then one % when it held any."""
+    out: list[Token] = []
+    ones = 0
+    star = False
+
+    def flush() -> None:
+        nonlocal ones, star
+        out.extend([ANY_ONE] * ones)
+        if star:
+            out.append(ANY_STRING)
+        ones = 0
+        star = False
+
+    for tok in p.tokens:
+        if isinstance(tok, AnyOne):
+            ones += 1
+        elif isinstance(tok, AnyString):
+            star = True
+        else:
+            flush()
+            out.append(tok)
+    flush()
+    return Pattern(tuple(out))
 
 
 def random_text(rng: random.Random, symbols: Sequence[str], max_len: int) -> Text:
@@ -648,17 +677,23 @@ def counting_slack(counting, d: int) -> int:
     return counting.room - depth - bin(counting_unsettled(counting, d)).count("1")
 
 
-def counting_bound_dead(counting, d: int) -> bool:
-    """Whether some bound conjunct is dead in d, read as a tight state
-    (slack 0), where the rest of the text is one symbol of each unsettled
-    member: the conjunct is unsettled, and no member that holds one of its
-    symbols is unsettled."""
+def counting_dead_bound(counting, d: int) -> int:
+    """The bound set of the bound conjuncts dead in d, read as a tight
+    state (slack 0), where the rest of the text is one symbol of each
+    unsettled member: the conjunct is unsettled, and no member that holds
+    one of its symbols is unsettled."""
     unsettled = counting_unsettled(counting, d)
-    return any(
-        not _any_bit(d, mask)
+    return sum(
+        1 << j
+        for j, (mask, holders) in enumerate(counting.bound)
+        if not _any_bit(d, mask)
         and not any(unsettled >> i & 1 for i in _bit_positions(holders))
-        for mask, holders in counting.bound
     )
+
+
+def counting_bound_dead(counting, d: int) -> bool:
+    """Whether some bound conjunct is dead in d, read as a tight state."""
+    return counting_dead_bound(counting, d) != 0
 
 
 # --- a small classical regex engine ------------------------------------------

@@ -55,6 +55,7 @@ from helpers import (
     assignment_satisfies,
     brute_force_sat,
     counting_bound_dead,
+    counting_dead_bound,
     counting_settled,
     counting_slack,
     counting_unsettled,
@@ -1102,10 +1103,9 @@ def _random_counting_expr(rng, syms):
     symbol sets that often overlap, clauses of the same shape over one to
     three symbols drawn with repeats, and other conjuncts. At times the
     length atom holds a % or sits under an Or, and the others are atoms
-    %xy% or %x_%, negated members or random expressions. A clause or
-    overlapping member is bound when members hold its symbols; a symbol
-    outside sigma does not count, and one that no member holds rules it
-    out."""
+    %xy% or %x_%, negated members or random expressions. Every clause or
+    overlapping member is bound; its holders are the members that hold
+    one of its symbols in sigma."""
     toks = [
         ANY_ONE if rng.random() < 0.6 else Literal(rng.choice(syms))
         for _ in range(rng.randint(0, 4))
@@ -1140,10 +1140,10 @@ def _random_counting_expr(rng, syms):
     return And(tuple(conjuncts))
 
 
-def _naive_family(e, sigma):
+def _naive_family(e):
     """The counting family read off ``normalize``: the length atom's token
-    count and the symbol sets of the members and of the bound conjuncts,
-    or None."""
+    count and the symbol sets of the members and of the bound conjuncts
+    (every conjunct of the member shape not taken as a member), or None."""
     if not isinstance(e, And):
         return None
     length, members, others, used = None, [], [], set()
@@ -1169,13 +1169,12 @@ def _naive_family(e, sigma):
             length = len(forms[0])
     if length is None or not members:
         return None
-    bound = [b for b in others if b & set(sigma.symbols) <= used]
-    return length, members, bound
+    return length, members, others
 
 
 def _assert_family_matches_naive(e, sigma):
     comp = _CompiledSearch([e], sigma)
-    counting, want = comp.counting(e), _naive_family(e, sigma)
+    counting, want = comp.counting(e), _naive_family(e)
     assert (counting is None) == (want is None), e
     if counting is None:
         return False
@@ -1211,7 +1210,7 @@ def test_counting_family_matches_naive_detection():
         with_bound += got > 1
     # Both outcomes are common, and so are bound conjuncts.
     assert 200 < found < 550
-    assert with_bound > 100
+    assert with_bound > 330
 
 
 def test_counting_family_is_found_only_where_it_holds():
@@ -1299,17 +1298,26 @@ def test_counting_forecast_is_sound():
 def test_bound_conjunct_rule_is_sound():
     # Every tight state the bound rule calls dead has no path to
     # acceptance, over the whole reachable state graph with nothing pruned.
-    # Many are tight states that the count alone keeps.
-    tight = dead_by_bound = 0
+    # Many are tight states that the count alone keeps, and some are dead
+    # by a conjunct with a symbol in sigma that no member holds.
+    tight = dead_by_bound = by_unheld = 0
     for e, sigma, comp, counting in _counting_cases(2025, 600):
         states, live = _live_states(comp, e, sigma)
+        # The bound set of the conjuncts settled by a move no member owns.
+        unheld = 0
+        for settles, owner in zip(counting.settles, counting.owners):
+            if not owner:
+                unheld |= settles
         for d in states:
             if counting_slack(counting, d) == 0:
                 tight += 1
-                if counting_bound_dead(counting, d):
+                dead = counting_dead_bound(counting, d)
+                if dead:
                     dead_by_bound += 1
+                    by_unheld += dead & unheld != 0
                     assert d not in live, (e, d)
     assert dead_by_bound > 100 and tight > 2 * dead_by_bound
+    assert by_unheld > 0
 
 
 def test_bound_conjuncts_are_found_only_where_they_hold():
@@ -1334,11 +1342,13 @@ def test_bound_conjuncts_are_found_only_where_they_hold():
         _, _, counting = compiled(f"{members} AND {conjunct}")
         holders = [h for _, h in counting.bound]
         assert holders == ([] if bound is None else [bound]), conjunct
-    # c is in sigma and held by no member, so a conjunct on it is not bound.
+    # c is in sigma and held by no member: a conjunct on it is still bound,
+    # held by %a% alone, and the moves on a and on c settle it.
     _, _, counting = compiled(
         'LIKE "__" AND LIKE "%a%" AND LIKE "%b%" AND (LIKE "%a%" OR LIKE "%c%")'
     )
-    assert counting.bound == ()
+    assert [h for _, h in counting.bound] == [0b01]
+    assert counting.settles == (1, 0, 1)
 
     e, comp, counting = compiled(f"{members} AND LIKE \"%b%\"")
     assert counting.owners == (0b01, 0b10, 0b10)
@@ -1464,12 +1474,6 @@ def test_order_is_used_only_where_the_guard_holds():
         ('LIKE "__" AND LIKE "%a%" AND LIKE "%b%" AND LIKE "%ba%"', ("b", "a"), 5),
         # A negated conjunct is not of the member shape.
         ('LIKE "__" AND LIKE "%b%" AND LIKE "%c%" AND NOT LIKE "%a%"', ("b", "c"), 4),
-        # A conjunct on c, which no member holds, is not bound.
-        (
-            'LIKE "__" AND LIKE "%a%" AND LIKE "%b%" AND (LIKE "%a%" OR LIKE "%c%")',
-            ("a", "b"),
-            4,
-        ),
         # A start with slack: aab is read, so symbols repeat.
         ('LIKE "___" AND LIKE "%a%" AND LIKE "%b%"', ("a", "a", "b"), 8),
     ):
@@ -1483,11 +1487,16 @@ def test_order_is_used_only_where_the_guard_holds():
             explored,
             True,
         )
-    # Inside the guard, b is dead by order: %a% has no symbol after it.
-    e = parse_expression('LIKE "__" AND LIKE "%a%" AND LIKE "%b%"')
-    assert _CompiledSearch([e], sigma).counting(e).ordered
-    out = find_witness(e, sigma)
-    assert (out.witness, out.explored) == (("a", "b"), 3)
+    # Inside the guard, b is dead by order: %a% has no symbol after it. A
+    # conjunct on c, which no member holds, is bound and keeps the guard.
+    for text in (
+        'LIKE "__" AND LIKE "%a%" AND LIKE "%b%"',
+        'LIKE "__" AND LIKE "%a%" AND LIKE "%b%" AND (LIKE "%a%" OR LIKE "%c%")',
+    ):
+        e = parse_expression(text)
+        assert _CompiledSearch([e], sigma).counting(e).ordered, text
+        out = find_witness(e, sigma)
+        assert (out.witness, out.explored) == (("a", "b"), 3), text
 
 
 def _random_ordered_expr(rng, syms):
