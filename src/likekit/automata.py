@@ -120,22 +120,22 @@ one without its lowest member. So no state needs a count scan, and a
 tight successor's bound test is a few operations on small ints.
 
 Most such Ands cannot tell one order of a text from another. The search
-is *ordered* when the length atom is all ``_``, every direct conjunct is
-the length atom or of the member shape, and the start is tight (so every
-queued state is tight). Then each queued state also carries the column
-(alphabet index) of the last symbol read, expands only the moves in
-later columns, and a successor is dead when some unsettled member has no
-symbol in a later column: per column, the member set whose highest
-column is at or below it, one AND of small ints. This breaks the symmetry
-of reordering a text (Crawford, Ginsberg, Luks and Roy, 1996) and keeps
-one text per set of symbols read. It is sound for three reasons:
+is *ordered* when the start is tight (so every queued state is tight) and
+every distinct normal form in the compile is ``%x%`` or all ``_``. Then
+each queued state also carries the column (alphabet index) of the last
+symbol read, expands only the moves in later columns, and a successor is
+dead when some unsettled member has no symbol in a later column: per
+column, the member set whose highest column is at or below it, one AND
+of small ints. This breaks the symmetry of reordering a text (Crawford,
+Ginsberg, Luks and Roy, 1996) and keeps one text per set of symbols
+read. It is sound for three reasons:
 
-1. Every conjunct depends only on the text's length and its set of
-   symbols, so the language is closed under permutation. If it is not
-   empty, its least witness (shortest first, then alphabet order) is
-   sorted, since sorting a text keeps it in the language and is never
-   later in alphabet order; a search of sorted texts alone finds the same
-   verdict and the same witness.
+1. Every atom, and so every boolean combination of atoms, depends only
+   on the text's length and its set of symbols, so the language is
+   closed under permutation. If it is not empty, its least witness
+   (shortest first, then alphabet order) is sorted, since sorting a text
+   keeps it in the language and is never later in alphabet order; a
+   search of sorted texts alone finds the same verdict and witness.
 2. A tight-from-start search reads only member symbols, each at most
    once, and each has its own ``%x%`` block, whose trailing ``%`` is set
    once it is read. So the packed state fixes the set of symbols read, and
@@ -145,10 +145,13 @@ one text per set of symbols read. It is sound for three reasons:
    sorted permutation, itself a witness, whose prefix of length
    ``max_len`` is queued, so a cut that drops a live successor is seen.
 
-Any other And, such as the machine gadget or one with a conjunct like
-``%ab%``, ``NOT %a%`` or ``a_``, is searched in every order as before. In
-the 3-CNF gadget (``_^n``, the n per-variable members, and the clauses as
-bound conjuncts) the search is ordered: it visits the sorted literal
+A compile holding any other form, as the machine gadget does, or ``%ab%``
+or ``a_``, is searched in every order. ``NOT %a%``, or any nesting of
+``%x%`` and all-``_`` atoms, keeps the order, and so does a separator of
+two such expressions: the half ``e1 AND NOT e2`` has e1's counting
+forecast, as a NOT conjunct adds nothing to it. In the 3-CNF gadget
+(``_^n``, the n per-variable members, and the clauses as bound
+conjuncts) the search is ordered: it visits the sorted literal
 sequences that are consistent, falsify no clause and still have a later
 literal for every unset variable: a median of 27 / 54.5 / 111 states at
 4-6 variables over 60 random formulas of 4.3n clauses each (the partial
@@ -180,7 +183,7 @@ from enum import Enum
 from itertools import repeat
 from typing import Callable, NamedTuple
 
-from .expression import And, Atom, LikeExpression, Not, Or, and_, atom_patterns
+from .expression import And, Atom, LikeExpression, Not, Or, atom_patterns
 from .matcher import Text
 from .normalize import normalize
 from .pattern import (
@@ -318,9 +321,10 @@ class _Counting(NamedTuple):
     sigma. Per move (alphabet column), ``owners`` gives the member set
     holding its symbol (one bit, or 0) and ``settles`` the bound set
     holding it. Per member, ``guards`` gives the bound set it holds.
-    ``ordered`` tells whether the search may read in alphabet order only;
-    then per column ``spent`` gives the member set with no symbol in a
-    later column, else it is all 0."""
+    ``ordered`` tells whether the search reads in alphabet order only: the
+    start is tight and every normal form of the compile is ``%x%`` or all
+    ``_``. Then per column ``spent`` gives the member set with no symbol in
+    a later column, else it is all 0."""
 
     span: int
     room: int
@@ -331,6 +335,11 @@ class _Counting(NamedTuple):
     guards: tuple[int, ...]
     ordered: bool
     spent: tuple[int, ...]
+
+
+def _is_member(form: tuple[Token, ...]) -> bool:
+    """Whether a normal form (no ``%`` before ``%`` or ``_``) is ``%x%``."""
+    return len(form) == 3 and form[0] is form[2] is ANY_STRING
 
 
 def _held(guards: tuple[int, ...], unsettled: int, memo: dict[int, int]) -> int:
@@ -417,7 +426,8 @@ class _CompiledSearch:
                 classes = {}
         self._slot = slot
         self._bounds = bounds
-        self._stream = stream
+        # Read by ``counting`` alone, which never sees a class block.
+        self._forms = forms
         self.state_bits = width = len(stream)
         at_literal: list[int] = []
         outside = -1
@@ -540,42 +550,24 @@ class _CompiledSearch:
         # any per-conjunct work.
         if not isinstance(e, And) or Atom not in set(map(type, e.children)):
             return None
-        slot_of, bounds, stream = self._slot, self._bounds, self._stream
+        slot_of, bounds, forms = self._slot, self._bounds, self._forms
         span = room = 0
         owner: dict[Symbol, int] = {}
         members: list[int] = []
         others: list[tuple[list[Symbol], int]] = []
-        # Whether every conjunct is the length atom, all _, or of the member
-        # shape: then e depends only on the length and the set of symbols.
-        ordered = True
         for c in e.children:
-            if isinstance(c, Atom):
-                atoms: tuple[LikeExpression, ...] = (c,)
-            elif isinstance(c, Or):
-                atoms = c.children
-            else:
-                ordered = False
-                continue
+            atoms = c.children if isinstance(c, Or) else (c,)
             symbols: list[Symbol] = []
             settled = 0
             for a in atoms:
                 if not isinstance(a, Atom):
-                    ordered = False
                     break
                 slot = slot_of[id(a.pattern)]
                 lo, hi = bounds[slot], bounds[slot + 1]
-                form = stream[lo : hi - 1]
-                if not (
-                    len(form) == 3
-                    and form[0] is ANY_STRING
-                    and form[2] is ANY_STRING
-                    and isinstance(form[1], Literal)
-                ):
+                form = forms[slot]
+                if not _is_member(form):
                     if not span and a is c and ANY_STRING not in form:
                         span, room = (1 << hi) - (1 << lo), len(form)
-                        ordered = ordered and form.count(ANY_ONE) == room
-                    else:
-                        ordered = False
                     break
                 symbols.append(form[1].symbol)
                 # The trailing %, set once the literal has been read.
@@ -605,10 +597,13 @@ class _CompiledSearch:
                         guards[owner[sym]] |= bit
             bound.append((settled, holders))
         owners = tuple(1 << owner[sym] if sym in owner else 0 for sym in column)
+        # Only a tight start keeps every queued state tight. Forms that are
+        # each %x% or all _ make every expression over them depend on the
+        # length and the set of symbols alone; their scan runs second.
+        ordered = room == len(members) and all(
+            _is_member(f) or f.count(ANY_ONE) == len(f) for f in forms
+        )
         spent = (0,) * len(owners)
-        # Only a tight start, with every member unsettled, keeps every
-        # queued state tight.
-        ordered = ordered and room == len(members)
         if ordered:
             # A member's highest column, or -1 when sigma holds none of its
             # symbols; it is spent at every column at or past that one.
@@ -907,15 +902,16 @@ def _separator_halves(
 ) -> list[tuple[_Group, _Group, _Counting | None]]:
     """The searches for ``e1 AND NOT e2`` and ``e2 AND NOT e1``: value "v1 and
     not v2" and dead "d1 or s2" gated from the two expressions' groups, and
-    a counting forecast, which needs an And as the first expression."""
+    the first expression's counting forecast: a NOT conjunct adds no length
+    atom, member or bound conjunct."""
     f1, f2 = comp.forecasts(e1), comp.forecasts(e2)
     return [
         (
             _gate((v, (not w[0], *w[1:])), False),
             _gate((d, s), True),
-            comp.counting(and_(a, Not(b))) if isinstance(a, And) else None,
+            comp.counting(a),
         )
-        for a, (v, d, _), b, (w, _, s) in ((e1, f1, e2, f2), (e2, f2, e1, f1))
+        for a, (v, d, _), (w, _, s) in ((e1, f1, f2), (e2, f2, f1))
     ]
 
 
@@ -932,9 +928,9 @@ def find_witness(
     with no max_len ends by itself, and ``complete`` is false only when an
     explicit max_len cut off an unpruned state. Dead states
     are pruned by the mask forecasts and, when e has one, the counting
-    forecast and its bound conjuncts. When e depends only on the length
-    and the set of symbols of a text and its start is tight, texts are
-    read in alphabet order only: the verdict, the witness and ``complete``
+    forecast and its bound conjuncts. When every atom of e is ``%x%`` or
+    all ``_`` in normal form and its start is tight, texts are read in
+    alphabet order only: the verdict, the witness and ``complete``
     are those of the search in every order, with fewer states explored.
     """
     comp = _CompiledSearch([e], sigma)
@@ -952,9 +948,10 @@ def find_separating_string(
 ) -> SearchOutcome:
     """Shortest text on which the two expressions disagree, if any: the
     lesser of the witnesses of ``e1 AND NOT e2`` and ``e2 AND NOT e1``, two
-    searches over one compile, each pruned as by ``find_witness`` (its NOT
-    conjunct keeps the alphabet order off). They share the start state and
-    the budget, so ``explored`` is their sum with the start counted once.
+    searches over one compile, each pruned as by ``find_witness`` and read
+    in alphabet order when every atom of both is ``%x%`` or all ``_`` and
+    its first expression starts tight. They share the start state and the
+    budget, so ``explored`` is their sum with the start counted once.
     """
     comp = _CompiledSearch([e1, e2], sigma)
     halves = _separator_halves(comp, e1, e2)

@@ -19,7 +19,7 @@ A pattern matches a whole text, never a substring of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 Symbol = str
@@ -151,6 +151,8 @@ class Alphabet:
     """
 
     symbols: tuple[Symbol, ...]
+    # The symbols as a set, built from ``symbols``, so membership is O(1).
+    _members: frozenset[Symbol] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.symbols, tuple):
@@ -160,8 +162,10 @@ class Alphabet:
         for sym in self.symbols:
             if not isinstance(sym, str) or not sym:
                 raise ValueError("alphabet symbols must be nonempty strings")
-        if len(set(self.symbols)) != len(self.symbols):
+        members = frozenset(self.symbols)
+        if len(members) != len(self.symbols):
             raise ValueError("alphabet symbols must be distinct")
+        object.__setattr__(self, "_members", members)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -170,7 +174,7 @@ class Alphabet:
         return iter(self.symbols)
 
     def __contains__(self, sym: object) -> bool:
-        return sym in self.symbols
+        return sym in self._members
 
     @classmethod
     def from_chars(cls, text: str) -> "Alphabet":

@@ -240,6 +240,23 @@ def test_alphabet_file(tmp_path, capsys):
     assert code == 0 and out.strip() == "~x1"
 
 
+def test_match_checks_a_large_alphabet_in_linear_time(tmp_path, capsys):
+    # Each text symbol is looked up in the alphabet. A scan of the symbol
+    # tuple per lookup took about 1.6 s here; a set lookup takes a few ms.
+    path = tmp_path / "sigma.txt"
+    symbols = [f"s{i}" for i in range(20000)]
+    path.write_text("\n".join(symbols))
+    match = ("match", "--tokens", "--alphabet-file", str(path), "--pattern", "%")
+    text = " ".join(symbols[-5000:])
+    started = time.perf_counter()
+    code, out, _ = run(capsys, *match, "--text", text)
+    elapsed = time.perf_counter() - started
+    assert code == 0 and out.strip() == "match"
+    assert elapsed < 0.5, elapsed
+    code, out, err = run(capsys, *match, "--text", text + " t0")
+    assert code == 2 and out == "" and "'t0' not in the alphabet" in err
+
+
 def test_reduce_majority(capsys):
     code, out, _ = run(capsys, "reduce", "majority", "--n", "3")
     assert code == 0 and out.strip() == "%1%1%"
