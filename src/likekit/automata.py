@@ -106,18 +106,21 @@ it is settled: the conflict test of DPLL (Davis, Logemann and Loveland,
 successor before queueing it.
 
 ``_CompiledSearch.counting`` decides the whole forecast once per search,
-into a plain record (``_Counting``) that the scan only reads. Every
-state of a counting search is queued with two small ints, its unsettled
-member set and its settled bound set; the start carries every member
-unsettled and no bound conjunct settled, since a ``%x%`` block's
-trailing ``%`` is set only once x has been read. Each move is tested on
-them alone: the successor's unsettled set drops the move's member, its
-slack is the state's less one unless the move settles a member, and when
-that slack is 0 the bound conjuncts no member of the new set holds must
-each be settled, before or by the move. The set a member set holds, the
-OR of its members' bound sets, is memoized per search, each set from the
-one without its lowest member. So no state needs a count scan, and a
-tight successor's bound test is a few operations on small ints.
+into a plain record (``_Counting``) that the scan only reads. It reads
+symbols off the normal forms, never a bit position: the length atom's
+token count, each member's symbol set and each bound conjunct's symbols,
+laid out per member and per alphabet column. Every state of a counting
+search is queued with two small ints, its unsettled member set and its
+settled bound set; the start carries every member unsettled and no bound
+conjunct settled, since a ``%x%`` block's trailing ``%`` is set only once
+x has been read. Each move is tested on them alone: the successor's
+unsettled set drops the move's member, its slack is the state's less one
+unless the move settles a member, and when that slack is 0 the bound
+conjuncts no member of the new set holds must each be settled, before or
+by the move. The set a member set holds, the OR of its members' bound
+sets, is memoized per search, each set from the one without its lowest
+member. So no state needs a count scan, and a tight successor's bound
+test is a few operations on small ints.
 
 Most such Ands cannot tell one order of a text from another. The search
 is *ordered* when the start is tight (so every queued state is tight) and
@@ -311,26 +314,23 @@ def _flat_atoms(e: LikeExpression) -> tuple[list[Pattern], bool] | None:
 
 class _Counting(NamedTuple):
     """The counting forecast of an And (see the module docstring), as
-    ``_CompiledSearch.counting`` decides it. The length atom's block is
-    ``span`` and ``room`` its token count, so a state at depth k has slack
-    ``room - k`` less its unsettled members. Each of ``members`` is a
-    member's settled mask, the OR of its atoms' trailing ``%`` bits.
-    Member i is named by the bit ``1 << i`` in a *member set*, and bound
-    conjunct j by ``1 << j`` in a *bound set*. Each of ``bound`` is a bound
-    conjunct's settled mask and the member set holding its symbols in
-    sigma. Per move (alphabet column), ``owners`` gives the member set
-    holding its symbol (one bit, or 0) and ``settles`` the bound set
-    holding it. Per member, ``guards`` gives the bound set it holds.
-    ``ordered`` tells whether the search reads in alphabet order only: the
-    start is tight and every normal form of the compile is ``%x%`` or all
-    ``_``. Then per column ``spent`` gives the member set with no symbol in
-    a later column, else it is all 0."""
+    ``_CompiledSearch.counting`` decides it: what the scan reads, and
+    nothing else. ``room`` is the length atom's token count, so a state at
+    depth k has slack ``room - k`` less its unsettled members. Member i is
+    named by the bit ``1 << i`` in a *member set*, and bound conjunct j of
+    the ``bound`` bound conjuncts by ``1 << j`` in a *bound set*. Per move
+    (alphabet column), ``owners`` gives the member set holding its symbol
+    (one bit, or 0) and ``settles`` the bound set holding it. Per member,
+    ``guards`` gives the bound set it holds, so it has one entry per member
+    and is the holder relation: bound conjunct j is held by the members
+    whose guards have bit j. ``ordered`` tells whether the search reads in
+    alphabet order only: the start is tight and every normal form of the
+    compile is ``%x%`` or all ``_``. Then per column ``spent`` gives the
+    member set with no symbol in a later column, else it is all 0."""
 
-    span: int
     room: int
-    members: tuple[int, ...]
     owners: tuple[int, ...]
-    bound: tuple[tuple[int, int], ...]
+    bound: int
     settles: tuple[int, ...]
     guards: tuple[int, ...]
     ordered: bool
@@ -448,6 +448,8 @@ class _CompiledSearch:
                 at_literal[symbols.index(sym)] |= on_class
         self.any_one = any_one = _mask(tape, _ANY_ONE)
         self.moves = tuple((sym, at | any_one) for sym, at in zip(symbols, at_literal))
+        # Each symbol's column, its index in sigma and in moves.
+        self.column = {sym: col for col, sym in enumerate(symbols)}
         self.gaps = gaps = _mask(tape, _GAP)
         self.accept = accept = _mask(tape, _ACCEPT)
         full = (1 << width) - 1
@@ -544,70 +546,60 @@ class _CompiledSearch:
         the normal forms and taken in conjunct order, each only when its
         symbols are disjoint from every earlier member's. Every other
         conjunct of the same shape is bound, held by the members that hold
-        its symbols in sigma."""
+        its symbols in sigma. Only symbols are read, never the layout."""
         # The length atom is a plain Atom conjunct. Without one, as in the
         # machine gadget's And of negated atoms, the type scan bails before
         # any per-conjunct work.
         if not isinstance(e, And) or Atom not in set(map(type, e.children)):
             return None
-        slot_of, bounds, forms = self._slot, self._bounds, self._forms
-        span = room = 0
+        slot_of, forms = self._slot, self._forms
+        room = -1
         owner: dict[Symbol, int] = {}
-        members: list[int] = []
-        others: list[tuple[list[Symbol], int]] = []
+        members = 0
+        others: list[list[Symbol]] = []
         for c in e.children:
             atoms = c.children if isinstance(c, Or) else (c,)
             symbols: list[Symbol] = []
-            settled = 0
             for a in atoms:
                 if not isinstance(a, Atom):
                     break
-                slot = slot_of[id(a.pattern)]
-                lo, hi = bounds[slot], bounds[slot + 1]
-                form = forms[slot]
+                form = forms[slot_of[id(a.pattern)]]
                 if not _is_member(form):
-                    if not span and a is c and ANY_STRING not in form:
-                        span, room = (1 << hi) - (1 << lo), len(form)
+                    if room < 0 and a is c and ANY_STRING not in form:
+                        room = len(form)
                     break
                 symbols.append(form[1].symbol)
-                # The trailing %, set once the literal has been read.
-                settled |= 1 << hi - 2
             else:
                 if owner.keys().isdisjoint(symbols):
-                    owner.update(dict.fromkeys(symbols, len(members)))
-                    members.append(settled)
+                    owner.update(dict.fromkeys(symbols, members))
+                    members += 1
                 else:
-                    others.append((symbols, settled))
-        if not span or not members:
+                    others.append(symbols)
+        if room < 0 or not members:
             return None
-        column = {sym: col for col, (sym, _) in enumerate(self.moves)}
+        column = self.column
         settles = [0] * len(column)
-        guards = [0] * len(members)
-        bound: list[tuple[int, int]] = []
-        for symbols, settled in others:
+        guards = [0] * members
+        for j, symbols in enumerate(others):
             # A symbol outside sigma is never read; one in sigma that no
             # member holds is never read in a tight state.
-            bit = 1 << len(bound)
-            holders = 0
             for sym in symbols:
                 if sym in column:
-                    settles[column[sym]] |= bit
+                    settles[column[sym]] |= 1 << j
                     if sym in owner:
-                        holders |= 1 << owner[sym]
-                        guards[owner[sym]] |= bit
-            bound.append((settled, holders))
+                        guards[owner[sym]] |= 1 << j
         owners = tuple(1 << owner[sym] if sym in owner else 0 for sym in column)
         # Only a tight start keeps every queued state tight. Forms that are
         # each %x% or all _ make every expression over them depend on the
         # length and the set of symbols alone; their scan runs second.
-        ordered = room == len(members) and all(
+        ordered = room == members and all(
             _is_member(f) or f.count(ANY_ONE) == len(f) for f in forms
         )
         spent = (0,) * len(owners)
         if ordered:
             # A member's highest column, or -1 when sigma holds none of its
             # symbols; it is spent at every column at or past that one.
-            top = [-1] * len(members)
+            top = [-1] * members
             for col, bit in enumerate(owners):
                 if bit:
                     top[bit.bit_length() - 1] = col
@@ -616,15 +608,7 @@ class _CompiledSearch:
                 for col in range(len(owners))
             )
         return _Counting(
-            span,
-            room,
-            tuple(members),
-            owners,
-            tuple(bound),
-            tuple(settles),
-            tuple(guards),
-            ordered,
-            spent,
+            room, owners, len(others), tuple(settles), tuple(guards), ordered, spent
         )
 
 
@@ -780,9 +764,9 @@ def _bfs(
     prune = _predicate(forecast)
     every_member = 0
     if counting is not None:
-        _, room, members, owners, bound, settles, guards, ordered, spent = counting
-        every_member = (1 << len(members)) - 1
-        every_bound = (1 << len(bound)) - 1
+        room, owners, bound, settles, guards, ordered, spent = counting
+        every_member = (1 << len(guards)) - 1
+        every_bound = (1 << bound) - 1
         # The bound set each tight successor's unsettled members hold.
         held = {0: 0}
     # Each queued state carries its depth, its unsettled member set and
@@ -875,7 +859,7 @@ def _least_witness(
     ``_bfs`` in turn, capped at the witness found so far. They share the
     start and the budget: ``explored`` counts the start once, also in a
     budget stop. ``complete`` holds with a witness, else if all searches do."""
-    column = {sym: col for col, (sym, _) in enumerate(comp.moves)}.get
+    column = comp.column.get
     best: Text | None = None
     explored = 1  # the start, which every search visits
     complete = True

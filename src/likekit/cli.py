@@ -54,8 +54,11 @@ from .reductions import (
 # (22 MB for the tests' counter machine at 256 cells), and a simulated run
 # allocates the whole tape and keeps every configuration, about 2 KB each
 # at 256 cells; unchecked, a --space of 10^6 took 128 MB before any limit.
+# The majority pattern and its rendering grow linearly with --n, to about
+# 35 MB of allocations at the ceiling.
 _MAX_3SAT_VARIABLES = 10_000
 _MAX_TM_SPACE = 256
+_MAX_MAJORITY_N = 2_000_000
 
 
 class _GadgetTooLarge(RuntimeError):
@@ -219,6 +222,8 @@ def _cmd_reduce_3sat(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce_majority(args: argparse.Namespace) -> int:
+    if args.n > _MAX_MAJORITY_N:
+        raise _GadgetTooLarge("--n", args.n, _MAX_MAJORITY_N)
     pattern = encode_majority(args.n)
     out = render_pattern(pattern)
     _emit(args, {"pattern": out}, out)

@@ -637,8 +637,81 @@ def reference_separator(
 # --- the counting forecast on one packed state -------------------------------
 #
 # A naive reference for the counting forecast the search compiles (see the
-# module docstring of likekit.automata). Each reads the forecast's public
-# fields and one packed state bit by bit.
+# module docstring of likekit.automata). ``naive_counting`` builds a record
+# of its own from the expression's family, read off ``normalize``, and from
+# the bits the compile gives each normal form; it never reads the library's
+# counting record. The others read that naive record and one packed state
+# bit by bit.
+
+
+def naive_family(
+    e: LikeExpression,
+) -> tuple[tuple[Token, ...], list[set[Symbol]], list[set[Symbol]]] | None:
+    """The counting family read off ``normalize``: the length atom's normal
+    form and the symbol sets of the members and of the bound conjuncts
+    (every conjunct of the member shape not taken as a member), or None."""
+    if not isinstance(e, And):
+        return None
+    length, members, others, used = None, [], [], set()
+    for c in e.children:
+        atoms = c.children if isinstance(c, Or) else (c,)
+        if not all(isinstance(a, Atom) for a in atoms):
+            continue
+        forms = [normalize(a.pattern).tokens for a in atoms]
+        if all(
+            len(f) == 3
+            and f[0] is ANY_STRING
+            and f[2] is ANY_STRING
+            and isinstance(f[1], Literal)
+            for f in forms
+        ):
+            symbols = {f[1].symbol for f in forms}
+            if not symbols & used:
+                members.append(symbols)
+                used |= symbols
+            else:
+                others.append(symbols)
+        elif length is None and isinstance(c, Atom) and ANY_STRING not in forms[0]:
+            length = forms[0]
+    if length is None or not members:
+        return None
+    return length, members, others
+
+
+def naive_counting(comp, e: LikeExpression) -> SimpleNamespace | None:
+    """e's ``naive_family`` laid out on the compile's blocks, or None. The
+    length atom's block is ``span`` and ``room`` its token count. Each of
+    ``members`` is a member's settled mask, the trailing % bits of the
+    ``%x%`` blocks of its symbols, and ``symbols`` holds its symbol set.
+    Each of ``bound`` is a bound conjunct's settled mask and the member set
+    holding one of its symbols in sigma, the symbols of the compile's
+    moves. Block i of the compile owns bits ``_bounds[i]`` up to
+    ``_bounds[i + 1] - 1``, its accept bit last."""
+    family = naive_family(e)
+    if family is None:
+        return None
+    length, members, others = family
+    forms, bounds = comp._forms, comp._bounds
+
+    def trailing(symbols: set[Symbol]) -> int:
+        return sum(
+            1 << bounds[forms.index((ANY_STRING, Literal(x), ANY_STRING)) + 1] - 2
+            for x in symbols
+        )
+
+    at = forms.index(length)
+    readable = {sym for sym, _ in comp.moves}
+    in_sigma = [m & readable for m in members]
+    return SimpleNamespace(
+        span=(1 << bounds[at + 1]) - (1 << bounds[at]),
+        room=len(length),
+        members=[trailing(m) for m in members],
+        symbols=members,
+        bound=[
+            (trailing(s), sum(1 << i for i, m in enumerate(in_sigma) if m & s))
+            for s in others
+        ],
+    )
 
 
 def _bit_positions(mask: int) -> list[int]:
@@ -649,51 +722,47 @@ def _any_bit(d: int, mask: int) -> bool:
     return any(d >> i & 1 for i in _bit_positions(mask))
 
 
-def counting_unsettled(counting, d: int) -> int:
+def counting_unsettled(ref, d: int) -> int:
     """The member set (bit i for member i) of the members that no symbol
     read in d has settled: none of a member's trailing % bits is set."""
-    return sum(
-        1 << i for i, mask in enumerate(counting.members) if not _any_bit(d, mask)
-    )
+    return sum(1 << i for i, mask in enumerate(ref.members) if not _any_bit(d, mask))
 
 
-def counting_settled(counting, d: int) -> int:
+def counting_settled(ref, d: int) -> int:
     """The bound set (bit j for bound conjunct j) of the bound conjuncts
     settled in d: one of the conjunct's trailing % bits is set."""
-    return sum(
-        1 << j for j, (mask, _) in enumerate(counting.bound) if _any_bit(d, mask)
-    )
+    return sum(1 << j for j, (mask, _) in enumerate(ref.bound) if _any_bit(d, mask))
 
 
-def counting_slack(counting, d: int) -> int:
+def counting_slack(ref, d: int) -> int:
     """The symbols the length atom still needs after d, less the members
     still unsettled; -1 when the length atom's block has no bit set. The
     length atom has no %, so its block holds one bit at most: the position
     after the symbols read so far."""
-    read = [k for k, i in enumerate(_bit_positions(counting.span)) if d >> i & 1]
+    read = [k for k, i in enumerate(_bit_positions(ref.span)) if d >> i & 1]
     if not read:
         return -1
     (depth,) = read
-    return counting.room - depth - bin(counting_unsettled(counting, d)).count("1")
+    return ref.room - depth - bin(counting_unsettled(ref, d)).count("1")
 
 
-def counting_dead_bound(counting, d: int) -> int:
+def counting_dead_bound(ref, d: int) -> int:
     """The bound set of the bound conjuncts dead in d, read as a tight
     state (slack 0), where the rest of the text is one symbol of each
     unsettled member: the conjunct is unsettled, and no member that holds
     one of its symbols is unsettled."""
-    unsettled = counting_unsettled(counting, d)
+    unsettled = counting_unsettled(ref, d)
     return sum(
         1 << j
-        for j, (mask, holders) in enumerate(counting.bound)
+        for j, (mask, holders) in enumerate(ref.bound)
         if not _any_bit(d, mask)
         and not any(unsettled >> i & 1 for i in _bit_positions(holders))
     )
 
 
-def counting_bound_dead(counting, d: int) -> bool:
+def counting_bound_dead(ref, d: int) -> bool:
     """Whether some bound conjunct is dead in d, read as a tight state."""
-    return counting_dead_bound(counting, d) != 0
+    return counting_dead_bound(ref, d) != 0
 
 
 # --- a small classical regex engine ------------------------------------------

@@ -68,6 +68,8 @@ from helpers import (
     m_one_step,
     m_stuck,
     naive_class_layout,
+    naive_counting,
+    naive_family,
     naive_forecasts,
     naive_packed_masks,
     random_monotone_expression,
@@ -966,27 +968,27 @@ def _full_prune(comp, e):
     counting forecast (else None), tests a state reached on column c: some
     unsettled member has no symbol in a later column."""
     dead = _predicate(comp.forecasts(e)[1])
-    counting = comp.counting(e)
-    if counting is None:
+    ref = naive_counting(comp, e)
+    if ref is None:
         return dead, None
 
     def prune(d):
         if dead(d):
             return True
-        slack = counting_slack(counting, d)
-        return slack < 0 or slack == 0 and counting_bound_dead(counting, d)
+        slack = counting_slack(ref, d)
+        return slack < 0 or slack == 0 and counting_bound_dead(ref, d)
 
-    if not counting.ordered:
+    if not comp.counting(e).ordered:
         return prune, None
     columns = [
-        [c for c, owner in enumerate(counting.owners) if owner >> i & 1]
-        for i in range(len(counting.members))
+        [c for c, (sym, _) in enumerate(comp.moves) if sym in symbols]
+        for symbols in ref.symbols
     ]
 
     def spent(d, col):
         return any(
             not d & settled and all(c <= col for c in cols)
-            for settled, cols in zip(counting.members, columns)
+            for settled, cols in zip(ref.members, columns)
         )
 
     return prune, spent
@@ -1158,48 +1160,26 @@ def _random_counting_expr(rng, syms):
     return And(tuple(conjuncts))
 
 
-def _naive_family(e):
-    """The counting family read off ``normalize``: the length atom's token
-    count and the symbol sets of the members and of the bound conjuncts
-    (every conjunct of the member shape not taken as a member), or None."""
-    if not isinstance(e, And):
-        return None
-    length, members, others, used = None, [], [], set()
-    for c in e.children:
-        atoms = c.children if isinstance(c, Or) else (c,)
-        if not all(isinstance(a, Atom) for a in atoms):
-            continue
-        forms = [normalize(a.pattern).tokens for a in atoms]
-        if all(
-            len(f) == 3
-            and f[0] is ANY_STRING
-            and f[2] is ANY_STRING
-            and isinstance(f[1], Literal)
-            for f in forms
-        ):
-            symbols = {f[1].symbol for f in forms}
-            if not symbols & used:
-                members.append(symbols)
-                used |= symbols
-            else:
-                others.append(symbols)
-        elif length is None and isinstance(c, Atom) and ANY_STRING not in forms[0]:
-            length = len(forms[0])
-    if length is None or not members:
-        return None
-    return length, members, others
+def _holders(counting):
+    """Per bound conjunct, the member set holding it: ``guards`` transposed."""
+    return [
+        sum(1 << i for i, guard in enumerate(counting.guards) if guard >> j & 1)
+        for j in range(counting.bound)
+    ]
 
 
 def _assert_family_matches_naive(e, sigma):
     comp = _CompiledSearch([e], sigma)
-    counting, want = comp.counting(e), _naive_family(e)
+    counting, want = comp.counting(e), naive_family(e)
     assert (counting is None) == (want is None), e
     if counting is None:
         return False
     length, members, bound = want
-    assert len(counting.members) == len(members), e
+    assert len(counting.guards) == len(members), e
+    assert counting.room == len(length), e
     # At the start the length atom has read nothing and no member is settled.
-    assert counting_slack(counting, comp.initial) == length - len(members), e
+    start = counting_slack(naive_counting(comp, e), comp.initial)
+    assert start == counting.room - len(counting.guards), e
     # Each alphabet symbol's move names the member that holds it.
     readable = set(sigma.symbols)
     in_sigma = [m & readable for m in members]
@@ -1207,8 +1187,8 @@ def _assert_family_matches_naive(e, sigma):
         assert owner == sum(1 << i for i, m in enumerate(in_sigma) if sym in m), e
     # Each bound conjunct is settled by the moves on its symbols and held by
     # the members that hold them.
-    assert len(counting.bound) == len(bound), e
-    for j, ((_, holders), symbols) in enumerate(zip(counting.bound, bound)):
+    assert counting.bound == len(bound), e
+    for j, (holders, symbols) in enumerate(zip(_holders(counting), bound)):
         settled_by = {
             sym for (sym, _), s in zip(comp.moves, counting.settles) if s >> j & 1
         }
@@ -1248,8 +1228,8 @@ def test_counting_family_is_found_only_where_it_holds():
         ('LIKE "_" AND LIKE "%a%" AND (LIKE "%a%" OR LIKE "%b%") AND LIKE "%c%"', -1),
         ('LIKE "%a%" AND (LIKE "__" OR LIKE "%b%") AND LIKE "___"', 2),
     ):
-        comp, counting = compiled(text)
-        assert counting_slack(counting, comp.initial) == slack, text
+        _, counting = compiled(text)
+        assert counting.room - len(counting.guards) == slack, text
     for text in (
         'LIKE "_%_" AND LIKE "%a%" AND LIKE "%b%"',  # a % in the length atom
         'LIKE "__" AND NOT LIKE "%a%"',  # a negated member
@@ -1288,7 +1268,7 @@ def _live_states(comp, e, sigma):
 
 def _counting_cases(seed, count):
     """Random counting expressions that have a family, with their sigma,
-    compile and forecast."""
+    compile, forecast and ``naive_counting`` record."""
     rng = random.Random(seed)
     for i in range(count):
         chars, syms, _ = _DIFF_SETTINGS[i % 2]
@@ -1297,17 +1277,17 @@ def _counting_cases(seed, count):
         comp = _CompiledSearch([e], sigma)
         counting = comp.counting(e)
         if counting is not None:
-            yield e, sigma, comp, counting
+            yield e, sigma, comp, counting, naive_counting(comp, e)
 
 
 def test_counting_forecast_is_sound():
     # Every state the rule calls dead has no path to acceptance, over the
     # whole reachable state graph with nothing pruned.
     dead_by_count = 0
-    for e, sigma, comp, counting in _counting_cases(2024, 300):
+    for e, sigma, comp, _, ref in _counting_cases(2024, 300):
         states, live = _live_states(comp, e, sigma)
         for d in states:
-            if counting_slack(counting, d) < 0:
+            if counting_slack(ref, d) < 0:
                 dead_by_count += 1
                 assert d not in live, (e, d)
     assert dead_by_count > 100
@@ -1319,7 +1299,7 @@ def test_bound_conjunct_rule_is_sound():
     # Many are tight states that the count alone keeps, and some are dead
     # by a conjunct with a symbol in sigma that no member holds.
     tight = dead_by_bound = by_unheld = 0
-    for e, sigma, comp, counting in _counting_cases(2025, 600):
+    for e, sigma, comp, counting, ref in _counting_cases(2025, 600):
         states, live = _live_states(comp, e, sigma)
         # The bound set of the conjuncts settled by a move no member owns.
         unheld = 0
@@ -1327,9 +1307,9 @@ def test_bound_conjunct_rule_is_sound():
             if not owner:
                 unheld |= settles
         for d in states:
-            if counting_slack(counting, d) == 0:
+            if counting_slack(ref, d) == 0:
                 tight += 1
-                dead = counting_dead_bound(counting, d)
+                dead = counting_dead_bound(ref, d)
                 if dead:
                     dead_by_bound += 1
                     by_unheld += dead & unheld != 0
@@ -1358,17 +1338,17 @@ def test_bound_conjuncts_are_found_only_where_they_hold():
         ('(LIKE "%a%" OR LIKE "%b_%")', None),
     ):
         _, _, counting = compiled(f"{members} AND {conjunct}")
-        holders = [h for _, h in counting.bound]
-        assert holders == ([] if bound is None else [bound]), conjunct
+        assert _holders(counting) == ([] if bound is None else [bound]), conjunct
     # c is in sigma and held by no member: a conjunct on it is still bound,
     # held by %a% alone, and the moves on a and on c settle it.
     _, _, counting = compiled(
         'LIKE "__" AND LIKE "%a%" AND LIKE "%b%" AND (LIKE "%a%" OR LIKE "%c%")'
     )
-    assert [h for _, h in counting.bound] == [0b01]
+    assert _holders(counting) == [0b01]
     assert counting.settles == (1, 0, 1)
 
     e, comp, counting = compiled(f"{members} AND LIKE \"%b%\"")
+    ref = naive_counting(comp, e)
     assert counting.owners == (0b01, 0b10, 0b10)
     assert counting.settles == (0, 1, 0)
 
@@ -1383,8 +1363,8 @@ def test_bound_conjuncts_are_found_only_where_they_hold():
     # be a, so b can never be read.
     for text, dead in (("", False), ("a", False), ("b", False), ("c", True)):
         d = after(text)
-        assert counting_slack(counting, d) == 0, text
-        assert counting_bound_dead(counting, d) == dead, text
+        assert counting_slack(ref, d) == 0, text
+        assert counting_bound_dead(ref, d) == dead, text
     # The start, a and ab: ac and c are dead by the rule, and the search is
     # ordered, so b, whose member %a% has no symbol after it, is dead too.
     assert counting.ordered
@@ -1432,7 +1412,7 @@ def test_carried_tight_states_agree_with_the_state_level_rule(monkeypatch):
     rng = random.Random(3031)
     cases = [
         (e, sigma, rng.choice((None, None, 1, 2)))
-        for e, sigma, _, _ in _counting_cases(3030, 600)
+        for e, sigma, _, _, _ in _counting_cases(3030, 600)
     ]
     for n in (3, 4, 5, 6):
         clauses = tuple(
@@ -1443,7 +1423,7 @@ def test_carried_tight_states_agree_with_the_state_level_rule(monkeypatch):
     tight = loose = ordered = 0
     for e, sigma, max_len in cases:
         comp = _CompiledSearch([e], sigma)
-        counting = comp.counting(e)
+        counting, ref = comp.counting(e), naive_counting(comp, e)
         queued.clear()
         find_witness(e, sigma, max_len=max_len)
         for state, depth, unsettled, settled, last in queued:
@@ -1454,26 +1434,72 @@ def test_carried_tight_states_agree_with_the_state_level_rule(monkeypatch):
                 assert last == read[-1], e
             else:
                 assert last == -1, e
-            assert unsettled == counting_unsettled(counting, state), e
-            assert settled == counting_settled(counting, state), e
-            slack = counting_slack(counting, state)
+            assert unsettled == counting_unsettled(ref, state), e
+            assert settled == counting_settled(ref, state), e
+            slack = counting_slack(ref, state)
             assert slack == counting.room - depth - unsettled.bit_count(), e
             if slack > 0:
                 loose += 1
                 continue
             tight += 1
             assert slack == 0, e
-            assert not counting_bound_dead(counting, state), e
+            assert not counting_bound_dead(ref, state), e
     assert tight > 300 and loose > 100 and ordered > 100
 
 
 def test_search_starts_with_every_member_unsettled_and_no_bound_settled():
     # The scan queues its start with these sets without reading its bits:
     # a %x% block's trailing % is set only once x has been read.
-    for _, _, comp, counting in _counting_cases(2000, 2000):
-        every_member = (1 << len(counting.members)) - 1
-        assert counting_unsettled(counting, comp.initial) == every_member
-        assert counting_settled(counting, comp.initial) == 0
+    for _, _, comp, counting, ref in _counting_cases(2000, 2000):
+        every_member = (1 << len(counting.guards)) - 1
+        assert counting_unsettled(ref, comp.initial) == every_member
+        assert counting_settled(ref, comp.initial) == 0
+
+
+def test_counting_record_is_the_same_in_any_compile_that_holds_the_expression():
+    # The record is read off symbols, not off the layout, so a compile that
+    # also holds a second expression, before or after, gives the first the
+    # same record. Only the order follows every form of the compile: more
+    # forms can break its guard, never make it.
+    rng = random.Random(4041)
+    cases = []
+    for i in range(600):
+        chars, syms, _ = _DIFF_SETTINGS[i % 2]
+        make = (_random_counting_expr, _random_ordered_expr)[i % 3 == 0]
+        other = rng.choice(
+            (
+                lambda: _random_counting_expr(rng, syms),
+                lambda: _random_ordered_expr(rng, syms),
+                lambda: _random_expr(rng, syms, 2),
+            )
+        )
+        cases.append((make(rng, syms), other(), Alphabet.from_chars(chars)))
+    for n in (3, 4, 5, 6, 7, 8):
+        for _ in range(3):
+            clauses = tuple(
+                tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
+                for _ in range(round(4.3 * n))
+            )
+            gadget, sigma = encode_3sat(Cnf(n, clauses))
+            less = encode_3sat(Cnf(n, clauses[:-1]))[0]
+            cases += [(gadget, less, sigma), (less, gadget, sigma)]
+    found = broken = 0
+    for e1, e2, sigma in cases:
+        alone = _CompiledSearch([e1], sigma).counting(e1)
+        for exprs in ([e1, e2], [e2, e1]):
+            shared = _CompiledSearch(exprs, sigma).counting(e1)
+            assert (shared is None) == (alone is None), (e1, e2)
+            if alone is None:
+                continue
+            found += 1
+            same = shared._replace(ordered=alone.ordered, spent=alone.spent)
+            assert same == alone, (e1, e2)
+            assert alone.ordered or not shared.ordered, (e1, e2)
+            if shared.ordered:
+                assert shared.spent == alone.spent, (e1, e2)
+            else:
+                broken += alone.ordered
+    assert found > 900 and broken > 100, (found, broken)
 
 
 def test_order_is_used_only_where_the_guard_holds():

@@ -452,6 +452,23 @@ def test_simulate_space_ceiling_fires_before_the_tape_is_built(tmp_path, capsys)
     assert code == 0 and json.loads(out)["accepted"]
 
 
+def test_majority_ceiling_fires_before_the_pattern_is_built(capsys):
+    # Unchecked, --n 10^7 allocated about 180 MB before anything was written.
+    tracemalloc.start()
+    started = time.perf_counter()
+    code, out, err = run(capsys, "reduce", "majority", "--n", str(10**40))
+    elapsed = time.perf_counter() - started
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 3 and out == "" and f"--n {10**40}" in err and "ceiling" in err
+    assert elapsed < 0.5 and peak < 2**20, (elapsed, peak)
+    code, out, err = run(capsys, "reduce", "majority", "--n", "2000001")
+    assert code == 3 and out == "" and err.startswith("error: --n 2000001")
+    # At the ceiling the pattern is built: 10^6 + 1 ones, each after a %.
+    code, out, _ = run(capsys, "reduce", "majority", "--n", "2000000")
+    assert code == 0 and out.strip() == "%1" * 1_000_001 + "%"
+
+
 def test_to_regex(capsys):
     code, out, _ = run(capsys, "to-regex", "--alphabet", "ab", "--pattern", "a%")
     assert code == 0 and out.strip() == "a(a+b)*"

@@ -8,9 +8,8 @@ unknown flags. Every run must exit 0-3 with no exception escaping
 every search must report what the library call on the same input reports.
 
 Sizes past their ceilings are drawn too: huge ``reduce tm`` and ``simulate
-tm`` ``--space`` values and DIMACS headers declaring more than 10000
-variables must exit 3. Huge ``--n`` values are left out: ``reduce majority``
-has no ceiling, so they would spend memory before any cap fires.
+tm`` ``--space`` values, ``reduce majority`` ``--n`` values above 2000000
+and DIMACS headers declaring more than 10000 variables must exit 3.
 """
 
 import json
@@ -247,9 +246,10 @@ def _other_case(rng, path):
 
 def _ceiling_case(rng, path, write):
     """A size past its ceiling, which must exit 3 before anything is built:
-    a huge ``--space`` for ``reduce tm`` or ``simulate tm``, or a DIMACS
-    header declaring more than 10000 variables."""
-    kind = rng.choice(("tm", "simulate", "3sat"))
+    a huge ``--space`` for ``reduce tm`` or ``simulate tm``, a huge ``--n``
+    for ``reduce majority``, or a DIMACS header declaring more than 10000
+    variables."""
+    kind = rng.choice(("tm", "simulate", "3sat", "majority"))
     argv = list(SUBCOMMANDS[kind])
     _common(rng, argv, syntax=False)
     past = rng.choice((1, 10**3, 10**6, 10**12, 10**40)) + rng.randrange(1000)
@@ -257,12 +257,14 @@ def _ceiling_case(rng, path, write):
         name = f"huge_{past}.cnf"
         write(name, f"p cnf {10_000 + past} 1\n1 2 -1 0\n")
         argv += ["--dimacs", path(name)]
+    elif kind == "majority":
+        argv += ["--n", str(2_000_000 + past)]
     else:
         argv += ["--machine", path("machine"), "--space", str(256 + past)]
         argv += ["--input", rng.choice(("", "1", "1 1", "1 x"))]
     if kind == "simulate" and rng.random() < 0.5:
         argv += ["--max-steps", rng.choice(LIMITS)]
-    if kind != "simulate" and rng.random() < 0.3:
+    if kind in ("3sat", "tm") and rng.random() < 0.3:
         argv += ["--alphabet-out", path("out")]
     return argv
 
