@@ -54,13 +54,13 @@ since a merged AND has no plain atom conjunct to be its length atom.
 *Reading the atoms.* ``_flat_atoms`` reads a lone expression whose
 children are all atoms, or all negated atoms, once; an OR of atoms or an
 AND of negated atoms holds every block, so its forecasts are the whole
-masks. Any other shape is read by ``atom_patterns``. A wildcard tape of
-the distinct forms shows which hold ``%%`` or ``%_``, and only those go
-through ``normalize``: none of the machine gadget's, which is built
-normal. One pass over the normal forms keys each one's family and gives
-it the family's block. Compile and forecasts take about 0.60 and 0.68 ms
-at bouncer spaces 2 and 4 (370 and 394 atoms; best of 15 runs of 20,
-Python 3.11, 2 shared cores).
+masks. Any other shape is read by ``atom_patterns``. The forms are keyed
+by their tokens and laid out once, a pass over them giving each its
+family's block, and again, each non-normal one through ``normalize``,
+only when the first chunk's tape shows ``%%`` or ``%_``: never for the
+machine gadget, which is built normal. Compile and forecasts take about
+0.47 and 0.53 ms at bouncer spaces 2 and 4 (370 and 394 atoms; best of
+15 runs of 20, Python 3.11, 2 shared cores).
 
 Pruning rests on two forecasts per expression, compiled like its value
 to mask tests on the packed int: *dead* (false on every extension of the
@@ -183,12 +183,13 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import accumulate, count, repeat
+from operator import attrgetter, or_
 from typing import Callable, NamedTuple
 
 from .expression import And, Atom, LikeExpression, Not, Or, atom_patterns
 from .matcher import Text
-from .normalize import normalize
+from .normalize import is_normalized, normalize
 from .pattern import (
     ANY_ONE,
     ANY_STRING,
@@ -272,10 +273,19 @@ _ACCEPT, _GAP, _ANY_ONE, _LITERAL = range(4)
 _OUT = 255
 _CHUNK = _OUT - _LITERAL
 _SLOT = object()  # stands for an accept slot in the token stream
-# The wildcard tape's codes; any literal codes as ".".
-_WILD = {_SLOT: ord("|"), ANY_STRING: ord("%"), ANY_ONE: ord("_")}
 # Per code, the table that translates a tape to 1 where it holds the code.
 _DIGITS = [b"0" * c + b"1" + b"0" * (255 - c) for c in range(256)]
+_tokens = attrgetter("tokens")
+
+
+def _normal_tokens(p: Pattern) -> tuple[Token, ...]:
+    """The tokens of p's normal form, normalizing only a p that is not."""
+    return p.tokens if is_normalized(p) else normalize(p).tokens
+
+
+def _codes(chunk: tuple[Symbol, ...]) -> dict[object, int]:
+    """The codes of the accept slot, %, _ and a chunk of sigma's literals."""
+    return dict(zip((_SLOT, ANY_STRING, ANY_ONE, *map(Literal, chunk)), range(_OUT)))
 
 
 def _mask(tape: bytes, c: int) -> int:
@@ -359,10 +369,10 @@ def _held(guards: tuple[int, ...], unsettled: int, memo: dict[int, int]) -> int:
 
 class _CompiledSearch:
     """All distinct normalized atoms packed into one int, siblings in a
-    class block when the compile allows it: the block layout and the step,
-    accept, absorb and reach masks. ``forecasts`` compiles an
-    expression's value, dead and settled groups, mask tests on that int
-    that ``_predicate`` turns into callables."""
+    class block when the compile allows it: the block layout, laid out
+    again normalized only if the first tape shows a non-normal form, and
+    the step, accept, absorb and reach masks. ``forecasts`` compiles an
+    expression's value, dead and settled groups to mask tests on that int."""
 
     def __init__(self, exprs: list[LikeExpression], sigma: Alphabet) -> None:
         symbols = sigma.symbols
@@ -372,60 +382,57 @@ class _CompiledSearch:
         flat = len(exprs) == 1 and isinstance(e, (And, Or)) and _flat_atoms(e)
         self._top = (e, flat) if flat else (None, None)
         patterns = flat[0] if flat else [p for x in exprs for p in atom_patterns(x)]
-        # Forms are token tuples, which hash in C; each Pattern object is
-        # keyed by id(), and the expressions keep them alive.
-        index: dict[tuple[Token, ...], int] = {}
-        slot = {id(p): index.setdefault(p.tokens, len(index)) for p in patterns}
-        forms = list(index)
-        stream, bounds = _join(forms)
-        # A form is normal unless a % stands before % or _: one wildcard
-        # tape finds those, so a gadget built normal calls no normalize.
-        tape = bytes(map(_WILD.get, stream, repeat(ord("."))))
-        if b"%%" in tape or b"%_" in tape:
-            parts = tape.split(b"|")
-            bad = {f for f, w in zip(forms, parts) if b"%%" in w or b"%_" in w}
-            index = {}
-            for p in patterns:
-                toks = normalize(p).tokens if p.tokens in bad else p.tokens
-                slot[id(p)] = index.setdefault(toks, len(index))
-            forms = list(index)
-            stream, bounds = _join(forms)
+        # Read backwards, the first chunk's tape shows % before % or _ as
+        # \x01\x01 or \x02\x01: slots code 0, literals and classes 3 up, and
+        # a class block's members share its other tokens. Only then are the
+        # forms laid out again, normalized (old classes keep unused codes).
+        code = _codes(symbols[:_CHUNK])
+        for key in (_tokens, _normal_tokens):
+            # Forms are token tuples, which hash in C; each Pattern object is
+            # keyed by id(), and the expressions keep them alive.
+            index: dict[tuple[Token, ...], int] = {}
+            slot = {id(p): index.setdefault(key(p), len(index)) for p in patterns}
+            blocks = forms = list(index)
+            classes: dict[frozenset[Symbol], frozenset[Symbol]] = {}
+            if flat and flat[1] == isinstance(e, And):
+                # One pass gives each form the block of its family, the tokens
+                # before and after its last literal if that is in sigma, and
+                # collects the family's literals.
+                in_sigma = set(symbols)
+                family: dict[tuple, int] = {}
+                sibs: dict[int, list[Symbol]] = {}
+                heads: list[tuple[object, ...]] = []
+                block_of: list[int] = []
+                for toks in forms:
+                    at = len(toks) - 1
+                    while at >= 0 and (toks[at] is ANY_STRING or toks[at] is ANY_ONE):
+                        at -= 1
+                    fam = toks
+                    if at >= 0 and toks[at].symbol in in_sigma:
+                        fam = (toks[:at], toks[at + 1 :])
+                    i = family.setdefault(fam, len(heads))
+                    if i == len(heads):
+                        heads.append(toks)
+                    if fam is not toks:
+                        sibs.setdefault(i, []).append(toks[at].symbol)
+                    block_of.append(i)
+                for fam, i in family.items():
+                    if len(sibs.get(i, ())) > 1:
+                        cls = frozenset(sibs[i])
+                        cls = classes.setdefault(cls, cls)
+                        heads[i] = (*fam[0], cls, *fam[1])
+                if len(heads) < len(forms) and len(symbols) + len(classes) <= _CHUNK:
+                    slot = dict(zip(slot, map(block_of.__getitem__, slot.values())))
+                    blocks = heads
+                    code.update(zip(classes, count(_LITERAL + len(symbols))))
+                else:
+                    classes = {}
+            stream, bounds = _join(blocks)
+            tape = bytes(map(code.get, reversed(stream), repeat(_OUT)))
+            if b"\x01\x01" not in tape and b"\x02\x01" not in tape:
+                break
         self.atoms = len(forms)
-        classes: dict[frozenset[Symbol], frozenset[Symbol]] = {}
-        if flat and flat[1] == isinstance(e, And):
-            # One pass gives each form the block of its family, the tokens
-            # before and after its last literal if that is in sigma, and
-            # collects the family's literals.
-            in_sigma = set(symbols)
-            family: dict[tuple, int] = {}
-            sibs: dict[int, list[Symbol]] = {}
-            heads: list[tuple[object, ...]] = []
-            block_of: list[int] = []
-            for toks in forms:
-                at = len(toks) - 1
-                while at >= 0 and (toks[at] is ANY_STRING or toks[at] is ANY_ONE):
-                    at -= 1
-                key = toks
-                if at >= 0 and toks[at].symbol in in_sigma:
-                    key = (toks[:at], toks[at + 1 :])
-                i = family.setdefault(key, len(heads))
-                if i == len(heads):
-                    heads.append(toks)
-                if key is not toks:
-                    sibs.setdefault(i, []).append(toks[at].symbol)
-                block_of.append(i)
-            for key, i in family.items():
-                if len(sibs.get(i, ())) > 1:
-                    cls = frozenset(sibs[i])
-                    cls = classes.setdefault(cls, cls)
-                    heads[i] = (*key[0], cls, *key[1])
-            if len(heads) < len(forms) and len(symbols) + len(classes) <= _CHUNK:
-                slot = dict(zip(slot, map(block_of.__getitem__, slot.values())))
-                stream, bounds = _join(heads)
-            else:
-                classes = {}
-        self._slot = slot
-        self._bounds = bounds
+        self._slot, self._bounds = slot, bounds
         # Read by ``counting`` alone, which never sees a class block.
         self._forms = forms
         self.state_bits = width = len(stream)
@@ -433,9 +440,8 @@ class _CompiledSearch:
         outside = -1
         for lo in range(0, len(symbols), _CHUNK):
             chunk = symbols[lo : lo + _CHUNK]
-            known = (_SLOT, ANY_STRING, ANY_ONE, *map(Literal, chunk), *classes)
-            code = dict(zip(known, range(_OUT)))
-            tape = bytes(map(code.get, reversed(stream), repeat(_OUT)))
+            if lo:
+                tape = bytes(map(_codes(chunk).get, reversed(stream), repeat(_OUT)))
             outside &= _mask(tape, _OUT)
             at_literal += [
                 _mask(tape, c) for c in range(_LITERAL, _LITERAL + len(chunk))
@@ -597,16 +603,9 @@ class _CompiledSearch:
         )
         spent = (0,) * len(owners)
         if ordered:
-            # A member's highest column, or -1 when sigma holds none of its
-            # symbols; it is spent at every column at or past that one.
-            top = [-1] * members
-            for col, bit in enumerate(owners):
-                if bit:
-                    top[bit.bit_length() - 1] = col
-            spent = tuple(
-                sum(1 << i for i, last in enumerate(top) if last <= col)
-                for col in range(len(owners))
-            )
+            # Per column, the members that no later column's owners hold.
+            later = [*accumulate(reversed(owners[1:]), or_, initial=0)]
+            spent = tuple((1 << members) - 1 & ~x for x in reversed(later))
         return _Counting(
             room, owners, len(others), tuple(settles), tuple(guards), ordered, spent
         )
@@ -732,7 +731,7 @@ def _bfs(
     forecast: _Group,
     budget: int,
     max_len: int | None,
-    counting: _Counting | None = None,
+    counting: _Counting | None,
 ) -> tuple[Text | None, int, bool]:
     """Shortest-first, alphabet-order-first scan over reachable states.
 

@@ -21,6 +21,7 @@ from likekit import (
     SearchBudgetExceeded,
     Verdict,
     and_,
+    atom_patterns,
     decode_3sat_witness,
     encode_3sat,
     encode_tm,
@@ -28,6 +29,7 @@ from likekit import (
     expression_size,
     find_separating_string,
     find_witness,
+    is_normalized,
     match_oracle,
     normalize,
     or_,
@@ -41,6 +43,7 @@ from likekit.automata import (
     _CompiledSearch,
     _bfs,
     _flat_atoms,
+    _join,
     _predicate,
     _separator_halves,
 )
@@ -646,7 +649,7 @@ def test_class_blocks_agree_with_the_unmerged_reference():
     # is the scan's over the naive class layout.
     rng = random.Random(1717)
     sigma = Alphabet.from_chars("abc")
-    merged = fell = 0
+    merged = fell = faulty = 0
     for i in range(1200):
         e = _random_flat_family(rng)
         max_len = rng.choice((None, None, 0, 1, 2, 3))
@@ -666,7 +669,13 @@ def test_class_blocks_agree_with_the_unmerged_reference():
         _assert_compile_matches_reference([e], sigma)
         merged += classes["state_bits"] < plain["state_bits"]
         fell += out.explored < explored
+        # A merged compile holding a non-normal form is laid out twice,
+        # the second time through the class pass on the normal forms.
+        faulty += classes["state_bits"] < plain["state_bits"] and not all(
+            map(is_normalized, atom_patterns(e))
+        )
     assert merged > 800 and fell > 100, (merged, fell)
+    assert faulty > 400, faulty
     # Over two to four symbols, from draws of their own.
     rng = random.Random(1818)
     for _ in range(400):
@@ -755,11 +764,27 @@ def _count_normalize(monkeypatch):
     return calls
 
 
+def _count_joins(monkeypatch):
+    """The list that the block count of every join the compile makes is
+    appended to."""
+    joins = []
+
+    def counted(blocks):
+        joins.append(len(blocks))
+        return _join(blocks)
+
+    monkeypatch.setattr(automata, "_join", counted)
+    return joins
+
+
 def test_machine_gadgets_are_read_once_and_never_normalized(monkeypatch):
-    # encode_tm builds every pattern in normal form, so the wildcard tape
-    # flags no form and the compile calls normalize on none. The gadget's
-    # one gate is read once, by the compile; forecasts reuses the read.
+    # encode_tm builds every pattern in normal form, so the first tape shows
+    # no %% or %_, and the compile lays the forms out once and calls
+    # normalize on none. The gadget's one gate is read once, by the compile;
+    # forecasts reuses the read. Its blocks, class blocks or not, are
+    # joined into one stream once.
     calls = _count_normalize(monkeypatch)
+    joins = _count_joins(monkeypatch)
     reads = []
 
     def flat_atoms(e):
@@ -770,13 +795,18 @@ def test_machine_gadgets_are_read_once_and_never_normalized(monkeypatch):
     for param in _machine_runs():
         for e, sigma in _fenced_and_unfenced(*param.values):
             reads.clear()
+            joins.clear()
             find_witness(e, sigma)
             assert reads == [e]
+            assert len(joins) == 1, param.id
     assert calls == []
 
 
-def test_only_the_forms_the_wildcard_tape_flags_are_normalized(monkeypatch):
+def test_only_the_non_normal_forms_are_normalized(monkeypatch):
+    # Only the patterns not in normal form go through normalize, after the
+    # first tape shows a %% or %_ and the forms are laid out again.
     calls = _count_normalize(monkeypatch)
+    joins = _count_joins(monkeypatch)
     # %_a and _%a share a normal form, counted once; %a and %b, and _%a and
     # _%b, are siblings that share a class block.
     texts = ("%%a", "%b", "%_a", "_%a", "_%b", "a%%")
@@ -784,6 +814,9 @@ def test_only_the_forms_the_wildcard_tape_flags_are_normalized(monkeypatch):
     sigma = Alphabet.from_chars("ab")
     comp = _CompiledSearch([e], sigma)
     assert sorted(map(render_pattern, calls)) == ["%%a", "%_a", "a%%"]
+    # Two layouts, one join each: the first keys the six forms as written
+    # (five blocks, _%a and _%b a class), the second their normal forms.
+    assert joins == [5, 3]
     assert comp.atoms == naive_packed_masks([e], sigma)["atoms"] == 5
     assert comp.state_bits == naive_class_layout([e], sigma)["state_bits"] == 10
     _assert_compile_matches_reference([e], sigma)
@@ -1085,7 +1118,7 @@ def test_search_agrees_with_full_expansion_on_any_built_forecast():
         results = []
         for scan, prune in ((_bfs, forecast), (reference_bfs, _predicate(forecast))):
             try:
-                results.append(scan(comp, accept, prune, budget, max_len))
+                results.append(scan(comp, accept, prune, budget, max_len, None))
             except SearchBudgetExceeded as exc:
                 results.append(exc.explored)
         assert results[0] == results[1], (forecast, i)
