@@ -181,7 +181,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, count, repeat
 from operator import attrgetter, or_
@@ -198,6 +197,7 @@ from .pattern import (
     Pattern,
     Symbol,
     Token,
+    _Record,
 )
 
 DEFAULT_STATE_BUDGET = 1 << 20
@@ -249,8 +249,7 @@ class Verdict(Enum):
     EXHAUSTED_EMPTY = "exhausted-empty"
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(_Record):
     """Result of a witness or separator search.
 
     ``complete`` is false when an explicit ``max_len`` cut off states
@@ -259,12 +258,36 @@ class SearchOutcome:
     normalized atoms packed into the state and ``state_bits`` its width.
     """
 
+    __slots__ = __match_args__ = (
+        "verdict",
+        "witness",
+        "explored",
+        "complete",
+        "atoms",
+        "state_bits",
+    )
     verdict: Verdict
     witness: Text | None
     explored: int
     complete: bool
-    atoms: int = 0
-    state_bits: int = 0
+    atoms: int
+    state_bits: int
+
+    def __init__(
+        self,
+        verdict: Verdict,
+        witness: Text | None,
+        explored: int,
+        complete: bool,
+        atoms: int = 0,
+        state_bits: int = 0,
+    ) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "explored", explored)
+        object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "state_bits", state_bits)
 
 
 # Tape codes. One chunk of sigma's literals takes the codes from _LITERAL

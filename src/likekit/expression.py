@@ -19,12 +19,19 @@ separated by ``%`` only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .matcher import Text, as_text, match_greedy
 from .normalize import normalize
-from .pattern import AnyOne, Alphabet, Literal, Pattern, parse_pattern, render_pattern
+from .pattern import (
+    AnyOne,
+    Alphabet,
+    Literal,
+    Pattern,
+    _Record,
+    parse_pattern,
+    render_pattern,
+)
 
 DEFAULT_EXPANSION_CAP = 4096
 
@@ -57,35 +64,40 @@ class ExplosionCapError(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(_Record):
+    __slots__ = __match_args__ = ("pattern",)
     pattern: Pattern
 
+    def __init__(self, pattern: Pattern) -> None:
+        object.__setattr__(self, "pattern", pattern)
 
-@dataclass(frozen=True)
-class Not:
+
+class Not(_Record):
+    __slots__ = __match_args__ = ("child",)
     child: "LikeExpression"
 
+    def __init__(self, child: "LikeExpression") -> None:
+        object.__setattr__(self, "child", child)
 
-@dataclass(frozen=True)
-class _Gate:
+
+class _Gate(_Record):
+    __slots__ = __match_args__ = ("children",)
     children: tuple["LikeExpression", ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.children, tuple):
-            object.__setattr__(self, "children", tuple(self.children))
-        if len(self.children) < 2:
+    def __init__(self, children: Iterable["LikeExpression"]) -> None:
+        if not isinstance(children, tuple):
+            children = tuple(children)
+        if len(children) < 2:
             raise ValueError(f"{type(self).__name__} needs at least two children")
+        object.__setattr__(self, "children", children)
 
 
-@dataclass(frozen=True)
 class And(_Gate):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Or(_Gate):
-    pass
+    __slots__ = ()
 
 
 LikeExpression = Atom | Not | And | Or
@@ -396,14 +408,17 @@ def expand_underscores(
     return or_(*[Atom(q) for q in _expansions(p, sigma, cap)])
 
 
-@dataclass(frozen=True)
-class SignedAtom:
+class SignedAtom(_Record):
+    __slots__ = __match_args__ = ("pattern", "positive")
     pattern: Pattern
     positive: bool
 
+    def __init__(self, pattern: Pattern, positive: bool) -> None:
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "positive", positive)
 
-@dataclass(frozen=True)
-class Dnf:
+
+class Dnf(_Record):
     """Disjunction of conjunctions of possibly negated atoms.
 
     Every atom is free of ``_``: it consists of constant factors separated
@@ -411,7 +426,11 @@ class Dnf:
     and trailing ``%`` tokens in the pattern itself.
     """
 
+    __slots__ = __match_args__ = ("clauses",)
     clauses: tuple[tuple[SignedAtom, ...], ...]
+
+    def __init__(self, clauses: tuple[tuple[SignedAtom, ...], ...]) -> None:
+        object.__setattr__(self, "clauses", clauses)
 
     def to_expression(self) -> LikeExpression:
         def clause_expr(clause: tuple[SignedAtom, ...]) -> LikeExpression:

@@ -19,8 +19,8 @@ A pattern matches a whole text, never a substring of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 Symbol = str
 
@@ -120,15 +120,63 @@ _WILDCARDS: dict[str, Token] = {
 }
 
 
-@dataclass(frozen=True)
-class Pattern:
+class _Record:
+    """Base of the package's immutable records.
+
+    A record is a slotted class whose ``__match_args__`` names its fields
+    in constructor order. Equality (between records of the same class
+    only), hashing, repr and pickling read those fields alone, so a slot
+    built from them, such as a lookup table, stays out. Each subclass
+    writes its own ``__init__`` and sets its slots with
+    ``object.__setattr__``; assigning or deleting an attribute afterwards
+    raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        # One field gives the bare value, several give a tuple.
+        cls._key = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        mine, theirs = self._key(self), self._key(other)
+        # Identity first, as a tuple of fields compares its items.
+        return mine is theirs or mine == theirs
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        # A loop, not a generator: nesting then costs repr no more depth than hash.
+        fields = []
+        for f in self.__match_args__:
+            fields.append(f"{f}={getattr(self, f)!r}")
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+class Pattern(_Record):
     """Immutable token sequence. The empty pattern matches only the empty text."""
 
-    tokens: tuple[Token, ...] = ()
+    __slots__ = __match_args__ = ("tokens",)
+    tokens: tuple[Token, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.tokens, tuple):
-            object.__setattr__(self, "tokens", tuple(self.tokens))
+    def __init__(self, tokens: Iterable[Token] = ()) -> None:
+        object.__setattr__(
+            self, "tokens", tokens if isinstance(tokens, tuple) else tuple(tokens)
+        )
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -142,29 +190,31 @@ class Pattern:
                 yield tok.symbol
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(_Record):
     """Nonempty ordered collection of distinct symbols.
 
     Declaration order is significant: searches enumerate candidate texts in
     this order, which makes every reported witness deterministic.
     """
 
+    __match_args__ = ("symbols",)
+    # _members: the symbols as a set, built from ``symbols``, so membership is O(1).
+    __slots__ = ("symbols", "_members")
     symbols: tuple[Symbol, ...]
-    # The symbols as a set, built from ``symbols``, so membership is O(1).
-    _members: frozenset[Symbol] = field(init=False, repr=False, compare=False)
+    _members: frozenset[Symbol]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.symbols, tuple):
-            object.__setattr__(self, "symbols", tuple(self.symbols))
-        if not self.symbols:
+    def __init__(self, symbols: Iterable[Symbol]) -> None:
+        if not isinstance(symbols, tuple):
+            symbols = tuple(symbols)
+        if not symbols:
             raise ValueError("alphabet must contain at least one symbol")
-        for sym in self.symbols:
+        for sym in symbols:
             if not isinstance(sym, str) or not sym:
                 raise ValueError("alphabet symbols must be nonempty strings")
-        members = frozenset(self.symbols)
-        if len(members) != len(self.symbols):
+        members = frozenset(symbols)
+        if len(members) != len(symbols):
             raise ValueError("alphabet symbols must be distinct")
+        object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "_members", members)
 
     def __len__(self) -> int:

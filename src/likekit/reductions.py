@@ -22,9 +22,7 @@ an all-blank tape with the head at cell 0.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .expression import Atom, LikeExpression, Not, and_, or_
 from .pattern import (
@@ -35,28 +33,31 @@ from .pattern import (
     Pattern,
     Symbol,
     Token,
+    _Record,
 )
 
 # --- 3-CNF ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cnf:
+class Cnf(_Record):
     """A 3-CNF formula: clauses are triples of nonzero literal integers."""
 
+    __slots__ = __match_args__ = ("n_vars", "clauses")
     n_vars: int
     clauses: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.n_vars < 1:
+    def __init__(self, n_vars: int, clauses: Iterable[Iterable[int]]) -> None:
+        if n_vars < 1:
             raise ValueError("formula needs at least one variable")
-        object.__setattr__(self, "clauses", tuple(map(tuple, self.clauses)))
-        for clause in self.clauses:
+        clauses = tuple(map(tuple, clauses))
+        for clause in clauses:
             if len(clause) != 3:
                 raise ValueError(f"clause {clause!r} does not have three literals")
             for lit in clause:
-                if lit == 0 or abs(lit) > self.n_vars:
+                if lit == 0 or abs(lit) > n_vars:
                     raise ValueError(f"literal {lit} out of range")
+        object.__setattr__(self, "n_vars", n_vars)
+        object.__setattr__(self, "clauses", clauses)
 
 
 def _dimacs_int(token: str) -> int:
@@ -182,72 +183,99 @@ def _check_name(name: str, what: str) -> None:
             raise ValueError(f"bad {what} name {name!r}")
 
 
-@dataclass(frozen=True)
-class TmRule:
+class TmRule(_Record):
+    __slots__ = __match_args__ = ("state", "read", "next", "write", "move")
     state: str
     read: str
     next: str
     write: str
     move: str
 
+    def __init__(self, state: str, read: str, next: str, write: str, move: str) -> None:
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "read", read)
+        object.__setattr__(self, "next", next)
+        object.__setattr__(self, "write", write)
+        object.__setattr__(self, "move", move)
 
-@dataclass(frozen=True)
-class TmSpec:
+
+class TmSpec(_Record):
     """Deterministic single-tape machine with a distinguished accept state.
 
     The accept state has no outgoing rules; states and tape symbols are
     disjoint name sets, and the separator ``#`` is reserved.
     """
 
+    __match_args__ = (
+        "states",
+        "tape_alphabet",
+        "input_alphabet",
+        "start",
+        "accept",
+        "rules",
+        "blank",
+    )
+    # delta: (state, read) -> rule, built from ``rules``.
+    __slots__ = (*__match_args__, "delta")
     states: tuple[str, ...]
     tape_alphabet: tuple[str, ...]
     input_alphabet: tuple[str, ...]
     start: str
     accept: str
     rules: tuple[TmRule, ...]
-    blank: str = "_blank"
-    # (state, read) -> rule, built from ``rules``.
-    delta: dict[tuple[str, str], TmRule] = field(init=False, repr=False, compare=False)
+    blank: str
+    delta: dict[tuple[str, str], TmRule]
 
-    def __post_init__(self) -> None:
-        for attr in ("states", "tape_alphabet", "input_alphabet", "rules"):
-            value = getattr(self, attr)
-            if not isinstance(value, tuple):
-                object.__setattr__(self, attr, tuple(value))
-        states, tape = set(self.states), set(self.tape_alphabet)
-        if len(states) != len(self.states) or len(tape) != len(self.tape_alphabet):
+    def __init__(
+        self,
+        states: Iterable[str],
+        tape_alphabet: Iterable[str],
+        input_alphabet: Iterable[str],
+        start: str,
+        accept: str,
+        rules: Iterable[TmRule],
+        blank: str = "_blank",
+    ) -> None:
+        states, tape_alphabet, input_alphabet, rules = (
+            v if isinstance(v, tuple) else tuple(v)
+            for v in (states, tape_alphabet, input_alphabet, rules)
+        )
+        state_set, tape = set(states), set(tape_alphabet)
+        if len(state_set) != len(states) or len(tape) != len(tape_alphabet):
             raise ValueError("duplicate state or tape symbol names")
-        if states & tape:
+        if state_set & tape:
             raise ValueError("states and tape symbols must use disjoint names")
-        if _SEPARATOR in states | tape:
+        if _SEPARATOR in state_set | tape:
             raise ValueError(f"{_SEPARATOR!r} is reserved for the history separator")
-        for name in self.states:
+        for name in states:
             _check_name(name, "state")
-        for name in self.tape_alphabet:
+        for name in tape_alphabet:
             _check_name(name, "tape symbol")
-        if self.start not in states or self.accept not in states:
+        if start not in state_set or accept not in state_set:
             raise ValueError("start and accept must be listed states")
-        if self.blank not in tape:
+        if blank not in tape:
             raise ValueError("blank symbol must be in the tape alphabet")
-        if not set(self.input_alphabet) <= tape:
+        if not set(input_alphabet) <= tape:
             raise ValueError("input alphabet must be part of the tape alphabet")
-        if self.blank in self.input_alphabet:
+        if blank in input_alphabet:
             raise ValueError("blank cannot be an input symbol")
         delta: dict[tuple[str, str], TmRule] = {}
-        for rule in self.rules:
-            if rule.state not in states or rule.next not in states:
+        for rule in rules:
+            if rule.state not in state_set or rule.next not in state_set:
                 raise ValueError(f"rule {rule} uses an unknown state")
             if rule.read not in tape or rule.write not in tape:
                 raise ValueError(f"rule {rule} uses an unknown tape symbol")
             if rule.move not in _MOVES:
                 raise ValueError(f"rule {rule} has move {rule.move!r}")
-            if rule.state == self.accept:
+            if rule.state == accept:
                 raise ValueError("the accept state cannot have outgoing rules")
             key = (rule.state, rule.read)
             if key in delta:
                 raise ValueError(f"duplicate rule for {key}")
             delta[key] = rule
-        object.__setattr__(self, "delta", delta)
+        values = (states, tape_alphabet, input_alphabet, start, accept, rules, blank, delta)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
 
 def tm_from_json(text: str) -> TmSpec:
@@ -257,6 +285,8 @@ def tm_from_json(text: str) -> TmSpec:
     input_alphabet and delta (of {state, read, next, write, move}), and
     the names start and accept. A value of the wrong JSON type is refused.
     """
+    import json
+
     try:
         data = json.loads(text)
     except RecursionError:
@@ -284,11 +314,16 @@ def tm_from_json(text: str) -> TmSpec:
     return spec
 
 
-@dataclass(frozen=True)
-class TmRunResult:
+class TmRunResult(_Record):
+    __slots__ = __match_args__ = ("accepted", "history", "steps")
     accepted: bool
     history: tuple[Symbol, ...]
     steps: int
+
+    def __init__(self, accepted: bool, history: tuple[Symbol, ...], steps: int) -> None:
+        object.__setattr__(self, "accepted", accepted)
+        object.__setattr__(self, "history", history)
+        object.__setattr__(self, "steps", steps)
 
 
 def _check_run_args(spec: TmSpec, word: Sequence[str], space: int) -> tuple[str, ...]:

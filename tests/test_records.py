@@ -1,0 +1,244 @@
+"""The package's immutable records: patterns, alphabets, expression nodes,
+search outcomes and the gadgets' formulas and machines.
+
+Each record is pinned on what callers can see: constructor keywords and
+defaults, ``__match_args__``, repr text, equality only within one class,
+hashing, immutability, and pickle, ``copy`` and ``deepcopy`` round trips
+that rebuild the derived slots (``Alphabet._members``, ``TmSpec.delta``).
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from likekit import (
+    ANY_ONE,
+    ANY_STRING,
+    Alphabet,
+    And,
+    Atom,
+    Cnf,
+    Dnf,
+    Literal,
+    Not,
+    Or,
+    Pattern,
+    SearchOutcome,
+    SignedAtom,
+    TmRule,
+    TmRunResult,
+    TmSpec,
+    Verdict,
+)
+
+P_REPR = "Pattern(tokens=(Literal(symbol='a'), AnyString(), AnyOne()))"
+RULE_REPR = "TmRule(state='q0', read='1', next='qa', write='_blank', move='L')"
+
+
+def _pattern() -> Pattern:
+    return Pattern((Literal("a"), ANY_STRING, ANY_ONE))
+
+
+def _rule() -> TmRule:
+    return TmRule("q0", "1", "qa", "_blank", "L")
+
+
+def _spec() -> TmSpec:
+    return TmSpec(("q0", "qa"), ("1", "_blank"), ("1",), "q0", "qa", (_rule(),))
+
+
+# name -> (builder, repr, __match_args__). Each call of a builder makes
+# fresh objects all the way down.
+RECORDS = {
+    "Pattern": (_pattern, P_REPR, ("tokens",)),
+    "Alphabet": (
+        lambda: Alphabet(("a", "bc")),
+        "Alphabet(symbols=('a', 'bc'))",
+        ("symbols",),
+    ),
+    "Atom": (lambda: Atom(_pattern()), f"Atom(pattern={P_REPR})", ("pattern",)),
+    "Not": (
+        lambda: Not(Atom(_pattern())),
+        f"Not(child=Atom(pattern={P_REPR}))",
+        ("child",),
+    ),
+    "And": (
+        lambda: And((Atom(_pattern()), Not(Atom(_pattern())))),
+        f"And(children=(Atom(pattern={P_REPR}), Not(child=Atom(pattern={P_REPR}))))",
+        ("children",),
+    ),
+    "Or": (
+        lambda: Or((Atom(_pattern()), Not(Atom(_pattern())))),
+        f"Or(children=(Atom(pattern={P_REPR}), Not(child=Atom(pattern={P_REPR}))))",
+        ("children",),
+    ),
+    "SignedAtom": (
+        lambda: SignedAtom(_pattern(), False),
+        f"SignedAtom(pattern={P_REPR}, positive=False)",
+        ("pattern", "positive"),
+    ),
+    "Dnf": (
+        lambda: Dnf(((SignedAtom(_pattern(), True),), (SignedAtom(_pattern(), False),))),
+        f"Dnf(clauses=((SignedAtom(pattern={P_REPR}, positive=True),),"
+        f" (SignedAtom(pattern={P_REPR}, positive=False),)))",
+        ("clauses",),
+    ),
+    "SearchOutcome": (
+        lambda: SearchOutcome(Verdict.FOUND, ("a",), 3, True, 1, 4),
+        "SearchOutcome(verdict=<Verdict.FOUND: 'found'>, witness=('a',),"
+        " explored=3, complete=True, atoms=1, state_bits=4)",
+        ("verdict", "witness", "explored", "complete", "atoms", "state_bits"),
+    ),
+    "Cnf": (
+        lambda: Cnf(2, ((1, -2, 2),)),
+        "Cnf(n_vars=2, clauses=((1, -2, 2),))",
+        ("n_vars", "clauses"),
+    ),
+    "TmRule": (_rule, RULE_REPR, ("state", "read", "next", "write", "move")),
+    "TmSpec": (
+        _spec,
+        "TmSpec(states=('q0', 'qa'), tape_alphabet=('1', '_blank'),"
+        " input_alphabet=('1',), start='q0', accept='qa',"
+        f" rules=({RULE_REPR},), blank='_blank')",
+        ("states", "tape_alphabet", "input_alphabet", "start", "accept", "rules", "blank"),
+    ),
+    "TmRunResult": (
+        lambda: TmRunResult(True, ("#", "q0", "1", "#"), 1),
+        "TmRunResult(accepted=True, history=('#', 'q0', '1', '#'), steps=1)",
+        ("accepted", "history", "steps"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_repr_and_match_args_are_pinned(name):
+    build, text, fields = RECORDS[name]
+    record = build()
+    assert type(record).__name__ == name
+    assert repr(record) == text
+    assert type(record).__match_args__ == fields
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_built_apart_are_equal_and_hash_alike(name):
+    build = RECORDS[name][0]
+    a, b = build(), build()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != object() and a != repr(a)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable_and_have_no_dict(name):
+    record = RECORDS[name][0]()
+    fields = type(record).__match_args__
+    for field in fields:
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, before)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field) is before
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert not hasattr(record, "__dict__")
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_pickle_copy_and_deepcopy_round_trips(name):
+    record = RECORDS[name][0]()
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    clones = [pickle.loads(pickle.dumps(record, proto)) for proto in protocols]
+    clones += [copy.copy(record), copy.deepcopy(record)]
+    for clone in clones:
+        assert type(clone) is type(record)
+        assert clone == record and hash(clone) == hash(record)
+        assert repr(clone) == repr(record)
+
+
+def test_same_fields_in_another_class_are_unequal():
+    a, b = Atom(_pattern()), Not(Atom(_pattern()))
+    assert And((a, b)) != Or((a, b))
+    assert Atom(_pattern()) != SignedAtom(_pattern(), True)
+    assert Not(Atom(_pattern())) != Atom(_pattern())
+    assert _pattern() != _pattern().tokens
+    assert Alphabet(("a",)) != ("a",)
+
+
+def test_derived_slots_are_rebuilt_and_kept_out_of_comparison():
+    sigma = Alphabet(("a", "bc"))
+    assert "_members" not in Alphabet.__match_args__
+    assert "_members" not in repr(sigma)
+    for clone in (pickle.loads(pickle.dumps(sigma)), copy.copy(sigma), copy.deepcopy(sigma)):
+        assert clone._members == frozenset({"a", "bc"})
+        assert "bc" in clone and "b" not in clone
+    spec = _spec()
+    assert "delta" not in TmSpec.__match_args__
+    assert "delta" not in repr(spec)
+    for clone in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+        assert clone.delta == spec.delta == {("q0", "1"): _rule()}
+    assert copy.deepcopy(spec).delta is not spec.delta
+
+
+def test_keyword_construction_and_defaults():
+    assert Pattern() == Pattern(tokens=()) and Pattern().tokens == ()
+    assert Pattern(tokens=[ANY_ONE]).tokens == (ANY_ONE,)
+    assert Alphabet(symbols=["a", "b"]).symbols == ("a", "b")
+    assert Atom(pattern=_pattern()) == Atom(_pattern())
+    assert Not(child=Atom(_pattern())) == Not(Atom(_pattern()))
+    assert And(children=[Atom(_pattern()), Atom(_pattern())]).children == (Atom(_pattern()),) * 2
+    assert SignedAtom(pattern=_pattern(), positive=True) == SignedAtom(_pattern(), True)
+    assert Dnf(clauses=()) == Dnf(())
+    outcome = SearchOutcome(
+        verdict=Verdict.EXHAUSTED_EMPTY, witness=None, explored=5, complete=False
+    )
+    assert (outcome.atoms, outcome.state_bits) == (0, 0)
+    assert outcome == SearchOutcome(Verdict.EXHAUSTED_EMPTY, None, 5, False, 0, 0)
+    assert Cnf(n_vars=1, clauses=[[1, 1, -1]]).clauses == ((1, 1, -1),)
+    rule = TmRule(state="q0", read="1", next="qa", write="_blank", move="L")
+    assert rule == _rule()
+    spec = TmSpec(
+        states=["q0", "qa"],
+        tape_alphabet=["1", "_blank"],
+        input_alphabet=["1"],
+        start="q0",
+        accept="qa",
+        rules=[rule],
+    )
+    assert spec.blank == "_blank" and spec == _spec()
+    assert spec.states == ("q0", "qa") and spec.rules == (rule,)
+    other = TmSpec(("q0", "qa"), ("1", "b"), ("1",), "q0", "qa", (), blank="b")
+    assert other.blank == "b" and other != spec
+    assert TmRunResult(accepted=False, history=(), steps=0).steps == 0
+
+
+def test_records_destructure_in_match_statements():
+    match Not(Atom(_pattern())):
+        case Not(Atom(Pattern(tokens))):
+            assert tokens == _pattern().tokens
+        case _:
+            pytest.fail("Not(Atom(Pattern)) did not match")
+    match SearchOutcome(Verdict.FOUND, ("a",), 3, True):
+        case SearchOutcome(Verdict.FOUND, witness, _, True, atoms, bits):
+            assert (witness, atoms, bits) == (("a",), 0, 0)
+        case _:
+            pytest.fail("SearchOutcome did not match")
+    match _spec():
+        case TmSpec(_, _, _, start, accept, (TmRule(_, _, nxt, _, "L"),), blank):
+            assert (start, accept, nxt, blank) == ("q0", "qa", "qa", "_blank")
+        case _:
+            pytest.fail("TmSpec did not match")
+
+
+def test_records_nested_400_deep_hash_compare_repr_and_pickle():
+    # hash, ==, repr and pickle each recurse through the nodes, about two
+    # frames a level, so 400 levels fit the default limit of 1000.
+    deep, twin = Atom(_pattern()), Atom(_pattern())
+    for _ in range(400):
+        deep, twin = Not(deep), Not(twin)
+    assert deep == twin and hash(deep) == hash(twin)
+    assert repr(deep) == "Not(child=" * 400 + f"Atom(pattern={P_REPR})" + ")" * 400
+    assert pickle.loads(pickle.dumps(deep)) == deep

@@ -1,8 +1,11 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "likekit").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "likekit").glob("*.py"))
 
 
 def test_package_imports_only_the_standard_library():
@@ -26,3 +29,23 @@ def test_package_parses_as_python_3_10():
     assert SOURCES
     for path in SOURCES:
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+def test_import_loads_no_code_generation_or_json_modules():
+    # The records are plain slotted classes, and only tm_from_json reads
+    # JSON, so a fresh interpreter's import pulls in none of these.
+    probe = (
+        "import sys; before = set(sys.modules); import likekit; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(done.stdout.split())
+    assert "likekit" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "json"}, sorted(loaded)
