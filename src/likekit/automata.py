@@ -54,13 +54,14 @@ since a merged AND has no plain atom conjunct to be its length atom.
 *Reading the atoms.* ``_flat_atoms`` reads a lone expression whose
 children are all atoms, or all negated atoms, once; an OR of atoms or an
 AND of negated atoms holds every block, so its forecasts are the whole
-masks. Any other shape is read by ``atom_patterns``. The forms are keyed
-by their tokens and laid out once, a pass over them giving each its
-family's block, and again, each non-normal one through ``normalize``,
-only when the first chunk's tape shows ``%%`` or ``%_``: never for the
-machine gadget, which is built normal. Compile and forecasts take about
-0.47 and 0.53 ms at bouncer spaces 2 and 4 (370 and 394 atoms; best of
-15 runs of 20, Python 3.11, 2 shared cores).
+masks. Any other shape is read by ``atom_patterns``, and ``forecasts``
+cuts the masks to each inner gate's blocks, an atom being a one-pattern
+OR. The forms are keyed by their tokens and laid out once, a pass over
+them giving each its family's block, and again, each non-normal one
+through ``normalize``, only when the first chunk's tape shows ``%%`` or
+``%_``: never for the machine gadget, which is built normal. Compile and
+forecasts take about 0.47 and 0.53 ms at bouncer spaces 2 and 4 (370 and
+394 atoms; best of 15 runs of 20, Python 3.11, 2 shared cores).
 
 Pruning rests on two forecasts per expression, compiled like its value
 to mask tests on the packed int: *dead* (false on every extension of the
@@ -330,7 +331,10 @@ def _join(blocks: list[tuple[object, ...]]) -> tuple[list[object], list[int]]:
 
 def _flat_atoms(e: LikeExpression) -> tuple[list[Pattern], bool] | None:
     """The patterns of an And/Or whose children are all atoms, or all
-    negated atoms, with the polarity; None for any other shape."""
+    negated atoms, with the polarity; an atom reads as a one-pattern Or,
+    and any other shape gives None."""
+    if isinstance(e, Atom):
+        return [e.pattern], False
     children = e.children
     negated = isinstance(children[0], Not)
     patterns = []
@@ -399,6 +403,8 @@ class _CompiledSearch:
 
     def __init__(self, exprs: list[LikeExpression], sigma: Alphabet) -> None:
         symbols = sigma.symbols
+        # Each symbol's column, its index in sigma and in moves.
+        self.column = column = sigma._index
         # A lone gate of atoms, or of negated atoms, is read once, and
         # forecasts reuses the read; any other shape goes to the walker.
         e = exprs[0]
@@ -421,7 +427,6 @@ class _CompiledSearch:
                 # One pass gives each form the block of its family, the tokens
                 # before and after its last literal if that is in sigma, and
                 # collects the family's literals.
-                in_sigma = set(symbols)
                 family: dict[tuple, int] = {}
                 sibs: dict[int, list[Symbol]] = {}
                 heads: list[tuple[object, ...]] = []
@@ -431,7 +436,7 @@ class _CompiledSearch:
                     while at >= 0 and (toks[at] is ANY_STRING or toks[at] is ANY_ONE):
                         at -= 1
                     fam = toks
-                    if at >= 0 and toks[at].symbol in in_sigma:
+                    if at >= 0 and toks[at].symbol in column:
                         fam = (toks[:at], toks[at + 1 :])
                     i = family.setdefault(fam, len(heads))
                     if i == len(heads):
@@ -474,11 +479,9 @@ class _CompiledSearch:
         for cls in classes:
             on_class = _mask(tape, code[cls])
             for sym in cls:
-                at_literal[symbols.index(sym)] |= on_class
+                at_literal[column[sym]] |= on_class
         self.any_one = any_one = _mask(tape, _ANY_ONE)
         self.moves = tuple((sym, at | any_one) for sym, at in zip(symbols, at_literal))
-        # Each symbol's column, its index in sigma and in moves.
-        self.column = {sym: col for col, sym in enumerate(symbols)}
         self.gaps = gaps = _mask(tape, _GAP)
         self.accept = accept = _mask(tape, _ACCEPT)
         full = (1 << width) - 1
@@ -521,7 +524,6 @@ class _CompiledSearch:
         every extension of the current text) and settled (true on every
         extension). Built bottom-up with an explicit stack, so nesting
         depth costs no recursion."""
-        slot_of, bounds = self._slot, self._bounds
         absorb, reach = self._absorb, self._reach
         top, top_flat = self._top
         done: list[tuple[_Group, _Group, _Group]] = []
@@ -534,12 +536,7 @@ class _CompiledSearch:
             while isinstance(node, Not):
                 node = node.child
                 negated = not negated
-            if isinstance(node, Atom):
-                slot = slot_of[id(node.pattern)]
-                hi = bounds[slot + 1]
-                span = (1 << hi) - (1 << bounds[slot])
-                parts = self._any_atom(1 << hi - 1, absorb & span, reach & span)
-            elif ready:
+            if ready:
                 k = len(node.children)
                 value, dead, settled = zip(*done[-k:])
                 del done[-k:]
@@ -555,7 +552,7 @@ class _CompiledSearch:
                     todo.append((node, negated, True))
                     todo += [(c, False, False) for c in reversed(node.children)]
                     continue
-                # An Or of atoms, or an And of negated atoms: its negation.
+                # One atom, an Or of atoms, or an And of negated atoms (its negation).
                 # The lone gate the compile read holds every block.
                 patterns, flip = flat
                 if node is top:
@@ -880,7 +877,10 @@ def _least_witness(
     searches, each a value group, dead group and counting forecast run by
     ``_bfs`` in turn, capped at the witness found so far. They share the
     start and the budget: ``explored`` counts the start once, also in a
-    budget stop. ``complete`` holds with a witness, else if all searches do."""
+    budget stop. ``complete`` holds with a witness, else if all searches do.
+    A negative ``max_len`` is refused with ``ValueError``."""
+    if max_len is not None and max_len < 0:
+        raise ValueError("max_len must not be negative")
     column = comp.column.get
     best: Text | None = None
     explored = 1  # the start, which every search visits

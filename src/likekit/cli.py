@@ -86,7 +86,16 @@ def _join(t: Text, args: argparse.Namespace) -> str:
 
 def _load_alphabet(args: argparse.Namespace) -> Alphabet:
     if args.alphabet_file is not None:
-        return Alphabet.from_lines(Path(args.alphabet_file).read_text())
+        sigma = Alphabet.from_lines(Path(args.alphabet_file).read_text())
+        # In character mode a longer symbol would print as text that reads
+        # back as several symbols.
+        if not args.tokens:
+            for sym in sigma:
+                if len(sym) > 1:
+                    raise ValueError(
+                        f"alphabet symbol {sym!r} is not one character; use --tokens"
+                    )
+        return sigma
     if args.tokens:
         return Alphabet(tuple(args.alphabet.split()))
     return Alphabet.from_chars(args.alphabet)

@@ -381,6 +381,8 @@ def render_expression(
 
 
 def _expansions(p: Pattern, sigma: Alphabet, cap: int) -> list[Pattern]:
+    if cap < 0:
+        raise ValueError(f"cap must not be negative: {cap}")
     holes = [i for i, tok in enumerate(p.tokens) if isinstance(tok, AnyOne)]
     required = len(sigma) ** len(holes)
     if required > cap:
@@ -454,8 +456,6 @@ def to_dot_depth1_dnf(
     signed atoms the distribution may generate. The tree is walked
     bottom-up with an explicit stack, so nesting depth costs no recursion.
     """
-    if cap < 0:
-        raise ValueError(f"cap must not be negative: {cap}")
 
     def check(count: int) -> None:
         if count > cap:

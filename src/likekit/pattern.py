@@ -51,7 +51,7 @@ class Literal:
     Tokens are interned and immutable: equal symbols give the same object,
     ``AnyOne()`` and ``AnyString()`` are singletons, and equality and
     hashing are identity's, so hashing and comparing token tuples stays
-    inside C.
+    inside C. The empty symbol is refused with ``ValueError``.
     """
 
     __slots__ = ("symbol",)
@@ -61,6 +61,9 @@ class Literal:
     def __new__(cls, symbol: Symbol) -> "Literal":
         tok = _LITERALS.get(symbol)
         if tok is None:
+            # Checked on a miss only: "" is never interned.
+            if symbol == "":
+                raise ValueError("a literal's symbol must be nonempty")
             tok = object.__new__(cls)
             object.__setattr__(tok, "symbol", symbol)
             # setdefault keeps whichever of two racing constructors came first.
@@ -198,10 +201,10 @@ class Alphabet(_Record):
     """
 
     __match_args__ = ("symbols",)
-    # _members: the symbols as a set, built from ``symbols``, so membership is O(1).
-    __slots__ = ("symbols", "_members")
+    # _index: each symbol's position, built from ``symbols``, so membership is O(1).
+    __slots__ = ("symbols", "_index")
     symbols: tuple[Symbol, ...]
-    _members: frozenset[Symbol]
+    _index: dict[Symbol, int]
 
     def __init__(self, symbols: Iterable[Symbol]) -> None:
         if not isinstance(symbols, tuple):
@@ -211,11 +214,11 @@ class Alphabet(_Record):
         for sym in symbols:
             if not isinstance(sym, str) or not sym:
                 raise ValueError("alphabet symbols must be nonempty strings")
-        members = frozenset(symbols)
-        if len(members) != len(symbols):
+        index = dict(zip(symbols, range(len(symbols))))
+        if len(index) != len(symbols):
             raise ValueError("alphabet symbols must be distinct")
         object.__setattr__(self, "symbols", symbols)
-        object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -224,7 +227,7 @@ class Alphabet(_Record):
         return iter(self.symbols)
 
     def __contains__(self, sym: object) -> bool:
-        return sym in self._members
+        return sym in self._index
 
     @classmethod
     def from_chars(cls, text: str) -> "Alphabet":
@@ -289,8 +292,7 @@ def render_pattern(
 
     A literal metacharacter, or a symbol beginning with the escape
     character, needs the escape to be declared. Character mode takes only
-    one-character symbols, token mode only nonempty symbols without
-    whitespace.
+    one-character symbols, token mode only symbols without whitespace.
     """
     _check_escape(escape)
     out: list[str] = []
@@ -302,8 +304,6 @@ def render_pattern(
         else:
             sym = tok.symbol
             if tokens:
-                if not sym:
-                    raise RenderError("the empty symbol has no token to write")
                 if any(map(str.isspace, sym)):
                     raise RenderError(f"symbol {sym!r} contains whitespace")
             elif len(sym) != 1:

@@ -30,6 +30,7 @@ from likekit import (
     find_separating_string,
     find_witness,
     is_normalized,
+    match_greedy,
     match_oracle,
     normalize,
     or_,
@@ -77,7 +78,9 @@ from helpers import (
     naive_packed_masks,
     random_monotone_expression,
     random_pattern,
+    random_text,
     reachable_states,
+    realize,
     reference_bfs,
     reference_encode_tm,
     reference_separator,
@@ -96,7 +99,20 @@ def test_nfa_agrees_with_oracle():
         nfa = PatternNfa(p)
         # z is no literal of any pattern, so it steps on the _ mask alone.
         for t in (*all_texts("ab", 5), *all_texts("abz", 4)):
-            assert nfa.accepts(t) == match_oracle(p, t), (p, t)
+            assert nfa.accepts(t) == match_oracle(p, t) == match_greedy(p, t), (p, t)
+    # Literals spelled % and _, names longer than one character, one with a
+    # space, and text symbols the pattern never names. Half the texts are
+    # built to match.
+    rng = random.Random(24)
+    symbols = ("%", "_", "a", "ab", "a b", "!")
+    for _ in range(3000):
+        p = random_pattern(rng, rng.sample(symbols, rng.randint(1, 3)), 5)
+        if rng.random() < 0.5:
+            t = realize(rng, p, symbols)
+        else:
+            t = random_text(rng, symbols, 6)
+        nfa = PatternNfa(p)
+        assert nfa.accepts(t) == match_oracle(p, t) == match_greedy(p, t), (p, t)
 
 
 def test_witness_shortest_and_alphabet_order():
@@ -157,6 +173,20 @@ def test_explicit_max_len_is_a_hard_cap():
     e = Atom(P("___"))
     assert find_witness(e, sigma, max_len=2).verdict is Verdict.EXHAUSTED_EMPTY
     assert find_witness(e, sigma, max_len=3).witness == ("a", "a", "a")
+
+
+def test_negative_max_len_is_refused():
+    # The empty pattern's witness () is longer than a cap of -1.
+    sigma = Alphabet.from_chars("ab")
+    e = Atom(P(""))
+    for search, exprs in ((find_witness, [e]), (find_separating_string, [e, Not(e)])):
+        assert search(*exprs, sigma, max_len=0).witness == ()
+        with pytest.raises(ValueError, match="max_len"):
+            search(*exprs, sigma, max_len=-1)
+        # A budget below one still stops before the start state.
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            search(*exprs, sigma, budget=0, max_len=0)
+        assert exc.value.explored == 0
 
 
 def test_budget_exceeded():

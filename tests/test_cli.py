@@ -240,6 +240,23 @@ def test_alphabet_file(tmp_path, capsys):
     assert code == 0 and out.strip() == "~x1"
 
 
+def test_character_mode_refuses_a_longer_alphabet_file_symbol(tmp_path, capsys):
+    # A witness "ab" would read back as the two symbols a and b.
+    path = tmp_path / "sigma.txt"
+    path.write_text("ab\nc\n")
+    sigma = ("--alphabet-file", str(path))
+    for cmd in (
+        ["nonempty", "--expr", 'LIKE "_"'],
+        ["equiv", "--e1", 'LIKE "_"', "--e2", 'LIKE "c"'],
+        ["match", "--pattern", "_", "--text", "ab"],
+        ["dnf", "--expr", 'LIKE "_"'],
+    ):
+        code, out, err = run(capsys, *cmd, *sigma)
+        assert code == 2 and out == "" and "--tokens" in err, cmd
+    code, out, _ = run(capsys, "nonempty", "--tokens", "--expr", 'LIKE "_"', *sigma)
+    assert code == 0 and out.strip() == "ab"
+
+
 def test_match_checks_a_large_alphabet_in_linear_time(tmp_path, capsys):
     # Each text symbol is looked up in the alphabet. A scan of the symbol
     # tuple per lookup took about 1.6 s here; a set lookup takes a few ms.

@@ -114,7 +114,7 @@ def test_render_round_trip():
 @pytest.mark.parametrize("escape", [None, "!"])
 def test_token_mode_render_raises_or_round_trips(escape):
     rng = random.Random(11)
-    symbols = ("a", "q0", "", "%", "!x")
+    symbols = ("a", "q0", "a b", "%", "!x")
     refused = 0
     for _ in range(300):
         e = and_(*[Atom(random_pattern(rng, symbols, 4)) for _ in range(2)])
@@ -125,9 +125,8 @@ def test_token_mode_render_raises_or_round_trips(escape):
             continue
         assert parse_expression(text, escape=escape, tokens=True) == e, text
     assert 0 < refused < 300
-    empty = Atom(Pattern((Literal("a"), Literal(""), Literal("b"))))
-    with pytest.raises(RenderError):
-        render_expression(empty, escape=escape, tokens=True)
+    with pytest.raises(ValueError, match="nonempty"):
+        Literal("")
 
 
 def test_render_quotes_special_characters():
@@ -365,5 +364,9 @@ def test_dnf_of_a_deep_or_chain():
 
 
 def test_dnf_refuses_a_negative_cap():
+    sigma = Alphabet.from_chars("ab")
     with pytest.raises(ValueError, match="negative"):
-        to_dot_depth1_dnf(Atom(P("a%")), Alphabet.from_chars("ab"), cap=-1)
+        to_dot_depth1_dnf(Atom(P("a%")), sigma, cap=-1)
+    for text in ("_", "a%"):
+        with pytest.raises(ValueError, match="negative"):
+            expand_underscores(P(text), sigma, cap=-1)

@@ -4,7 +4,7 @@ search outcomes and the gadgets' formulas and machines.
 Each record is pinned on what callers can see: constructor keywords and
 defaults, ``__match_args__``, repr text, equality only within one class,
 hashing, immutability, and pickle, ``copy`` and ``deepcopy`` round trips
-that rebuild the derived slots (``Alphabet._members``, ``TmSpec.delta``).
+that rebuild the derived slots (``Alphabet._index``, ``TmSpec.delta``).
 """
 
 import copy
@@ -170,10 +170,10 @@ def test_same_fields_in_another_class_are_unequal():
 
 def test_derived_slots_are_rebuilt_and_kept_out_of_comparison():
     sigma = Alphabet(("a", "bc"))
-    assert "_members" not in Alphabet.__match_args__
-    assert "_members" not in repr(sigma)
+    assert "_index" not in Alphabet.__match_args__
+    assert "_index" not in repr(sigma)
     for clone in (pickle.loads(pickle.dumps(sigma)), copy.copy(sigma), copy.deepcopy(sigma)):
-        assert clone._members == frozenset({"a", "bc"})
+        assert clone._index == {"a": 0, "bc": 1}
         assert "bc" in clone and "b" not in clone
     spec = _spec()
     assert "delta" not in TmSpec.__match_args__
