@@ -70,16 +70,20 @@ dead when no bit of its reach (the positions past its last literal
 outside sigma) is set, and settled when its absorb bit (a trailing
 ``%``) is. ``dead(AND)`` is "some child is dead", ``dead(OR)`` "every
 child is dead", ``dead(NOT x)`` is ``settled(x)``, and settled is the
-dual. Static immortality: a block that starts with ``%`` and holds no
-literal outside sigma never dies, because its first bit is set from the
-start, loops on itself and lies in reach, so its dead test is the
-constant false; in the 3-CNF gadget only the ``_^n`` atom is left to
-test. Tests merge at compile time (zero tests under an all, and nonzero
-tests under an any, share one union mask; constants drop out), and
-nested groups run as a jump program, so evaluation loops instead of
-recursing. The witness search prunes dead states. The separator is the
-lesser witness of the witness searches for ``e1 AND NOT e2`` and ``e2 AND
-NOT e1``, where a state of the first is dead when e1 is dead or e2 settled.
+dual. ``forecasts`` is a fold by the expression module's ``_fold``,
+which pushes each NOT down to the atoms: there it flips the value and
+swaps dead and settled, and a negated AND or OR compiles as its dual,
+which gives the same groups as compiling the gate and negating it.
+Static immortality: a block that starts with ``%`` and holds no literal
+outside sigma never dies, because its first bit is set from the start,
+loops on itself and lies in reach, so its dead test is the constant
+false; in the 3-CNF gadget only the ``_^n`` atom is left to test. Tests
+merge at compile time (zero tests under an all, and nonzero tests under
+an any, share one union mask; constants drop out), and nested groups run
+as a jump program, so evaluation loops instead of recursing. The witness
+search prunes dead states. The separator is the lesser witness of the
+witness searches for ``e1 AND NOT e2`` and ``e2 AND NOT e1``, where a
+state of the first is dead when e1 is dead or e2 settled.
 
 No mask test sees that too few symbols are left to meet every conjunct,
 so the witness search adds a *counting* forecast, found once per search
@@ -187,7 +191,7 @@ from itertools import accumulate, count, repeat
 from operator import attrgetter, or_
 from typing import Callable, NamedTuple
 
-from .expression import And, Atom, LikeExpression, Not, Or, atom_patterns
+from .expression import And, Atom, LikeExpression, Not, Or, _fold, atom_patterns
 from .matcher import Text
 from .normalize import is_normalized, normalize
 from .pattern import (
@@ -522,49 +526,37 @@ class _CompiledSearch:
     def forecasts(self, e: LikeExpression) -> tuple[_Group, _Group, _Group]:
         """The value of e and its two forecasts as groups: dead (false on
         every extension of the current text) and settled (true on every
-        extension). Built bottom-up with an explicit stack, so nesting
-        depth costs no recursion."""
-        absorb, reach = self._absorb, self._reach
+        extension). A fold pushes each NOT down to the atoms, where it
+        flips the value and swaps dead and settled."""
         top, top_flat = self._top
-        done: list[tuple[_Group, _Group, _Group]] = []
-        # (expression, negated, children done): a gate comes back once its
-        # children's groups are on top of ``done``.
-        todo: list[tuple[LikeExpression, bool, bool]] = [(e, False, False)]
-        while todo:
-            node, negated, ready = todo.pop()
-            # A run of NOTs compiles to its parity.
-            while isinstance(node, Not):
-                node = node.child
-                negated = not negated
-            if ready:
-                k = len(node.children)
-                value, dead, settled = zip(*done[-k:])
-                del done[-k:]
-                is_or = isinstance(node, Or)
-                parts = (
-                    _gate(value, is_or),
-                    _gate(dead, not is_or),
-                    _gate(settled, is_or),
-                )
+
+        def leaf(
+            node: LikeExpression, positive: bool
+        ) -> tuple[_Group, _Group, _Group] | None:
+            flat = top_flat if node is top else _flat_atoms(node)
+            if not flat or isinstance(node, And) != flat[1]:
+                return None
+            # One atom, an Or of atoms, or an And of negated atoms (its negation).
+            # The lone gate the compile read holds every block.
+            patterns, flip = flat
+            if node is top:
+                masks = self.accept, self._absorb, self._reach
             else:
-                flat = top_flat if node is top else _flat_atoms(node)
-                if not flat or isinstance(node, And) != flat[1]:
-                    todo.append((node, negated, True))
-                    todo += [(c, False, False) for c in reversed(node.children)]
-                    continue
-                # One atom, an Or of atoms, or an And of negated atoms (its negation).
-                # The lone gate the compile read holds every block.
-                patterns, flip = flat
-                if node is top:
-                    parts = self._any_atom(self.accept, absorb, reach)
-                else:
-                    parts = self._any_atom(*self._masks(patterns))
-                negated = negated != flip
-            if negated:
-                value, dead, settled = parts
-                parts = ((not value[0], *value[1:]), settled, dead)
-            done.append(parts)
-        return done[0]
+                masks = self._masks(patterns)
+            value, dead, settled = self._any_atom(*masks)
+            if positive == flip:
+                return (not value[0], *value[1:]), settled, dead
+            return value, dead, settled
+
+        def gate(disjunction: bool, parts: list) -> tuple[_Group, _Group, _Group]:
+            value, dead, settled = zip(*parts)
+            return (
+                _gate(value, disjunction),
+                _gate(dead, not disjunction),
+                _gate(settled, disjunction),
+            )
+
+        return _fold(e, leaf, gate)
 
     def counting(self, e: LikeExpression) -> _Counting | None:
         """e's counting forecast, or None unless e is an And with a length

@@ -14,12 +14,17 @@ Besides parsing and evaluation this module hosts the two syntactic
 rewrites: expansion of ``_`` wildcards into alternatives over a declared
 alphabet, and the disjunctive normal form whose atoms contain constants
 separated by ``%`` only.
+
+Evaluation, the DNF rewrite and the search's forecasts (in ``automata``)
+are folds by one walker, ``_fold``, which pushes each NOT down to the
+atoms: a run of NOTs counts by its parity, and a negated AND or OR is
+read as its De Morgan dual.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .matcher import Text, as_text, match_greedy
 from .normalize import normalize
@@ -102,6 +107,8 @@ class Or(_Gate):
 
 LikeExpression = Atom | Not | And | Or
 
+_R = TypeVar("_R")
+
 
 def _flatten(gate: type[_Gate], items: tuple[LikeExpression, ...]) -> LikeExpression:
     flat: list[LikeExpression] = []
@@ -157,34 +164,57 @@ def is_monotone(e: LikeExpression) -> bool:
     return True
 
 
-def evaluate(e: LikeExpression, t: Text | str) -> bool:
-    t = as_text(t)
-    # Open gates as (remaining children, is And, negated); a gate stops at
-    # the first child that decides it. A run of NOTs is unwound to its
-    # parity, so no nesting costs recursion.
-    open_gates: list[tuple[Iterator[LikeExpression], bool, bool]] = []
-    node = e
+def _fold(
+    e: LikeExpression,
+    leaf: Callable[[LikeExpression, bool], _R | None],
+    gate: Callable[[bool, list[_R]], _R],
+) -> _R:
+    """Fold e bottom-up with its NOTs pushed down to the leaves: a NOT run
+    is unwound to its parity, and a negated And or Or folds as its dual.
+    ``leaf(node, positive)`` gives the result for an atom, or for a whole
+    And or Or, under that polarity; None opens the gate, whose children
+    ``gate(disjunction, results)`` combines, ``disjunction`` telling whether
+    it is an Or after the push. A child whose result is the gate's
+    absorbing constant (True under an Or, False under an And) ends the gate
+    as its result. Open gates sit on a stack, so depth costs no recursion.
+    """
+    # Open gates as (remaining children, disjunction, polarity, results).
+    open_gates: list[tuple[Iterator[LikeExpression], bool, bool, list[_R]]] = []
+    node, positive = e, True
     while True:
-        negated = False
         while isinstance(node, Not):
             node = node.child
-            negated = not negated
-        if not isinstance(node, Atom):
+            positive = not positive
+        result = leaf(node, positive)
+        if result is None:
             children = iter(node.children)
-            open_gates.append((children, isinstance(node, And), negated))
+            disjunction = isinstance(node, Or) == positive
+            open_gates.append((children, disjunction, positive, []))
             node = next(children)
             continue
-        value = match_greedy(node.pattern, t) != negated
         while open_gates:
-            children, is_and, negated = open_gates[-1]
-            if value == is_and:
+            children, disjunction, positive, results = open_gates[-1]
+            if result is not disjunction:
+                results.append(result)
                 node = next(children, None)
                 if node is not None:
                     break
+                result = gate(disjunction, results)
             open_gates.pop()
-            value = value != negated
         else:
-            return value
+            return result
+
+
+def evaluate(e: LikeExpression, t: Text | str) -> bool:
+    t = as_text(t)
+
+    def leaf(node: LikeExpression, positive: bool) -> bool | None:
+        if isinstance(node, Atom):
+            return match_greedy(node.pattern, t) == positive
+        return None
+
+    # A gate that no child decided holds the other constant.
+    return _fold(e, leaf, lambda disjunction, results: not disjunction)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -454,41 +484,26 @@ def to_dot_depth1_dnf(
     alphabet, then distribute conjunction over disjunction. Evaluation is
     preserved on texts over ``sigma``. The cap bounds the total number of
     signed atoms the distribution may generate. The tree is walked
-    bottom-up with an explicit stack, so nesting depth costs no recursion.
+    bottom-up by ``_fold``, so nesting depth costs no recursion.
     """
 
     def check(count: int) -> None:
         if count > cap:
             raise ExplosionCapError(count, cap)
 
-    done: list[list[list[SignedAtom]]] = []
-    # (expression, positive, children done): a gate comes back once its
-    # children's clause lists are on top of ``done``, in order.
-    todo: list[tuple[LikeExpression, bool, bool]] = [(e, True, False)]
-    while todo:
-        node, positive, ready = todo.pop()
-        while isinstance(node, Not):
-            node = node.child
-            positive = not positive
-        if isinstance(node, Atom):
-            pats = [normalize(q) for q in _expansions(node.pattern, sigma, cap)]
-            if positive:
-                done.append([[SignedAtom(q, True)] for q in pats])
-            else:
-                done.append([[SignedAtom(q, False) for q in pats]])
-            continue
-        if not ready:
-            todo.append((node, positive, True))
-            todo += [(c, positive, False) for c in reversed(node.children)]
-            continue
-        k = len(node.children)
-        parts = done[-k:]
-        del done[-k:]
-        if isinstance(node, And) != positive:
+    def leaf(node: LikeExpression, positive: bool) -> list[list[SignedAtom]] | None:
+        if not isinstance(node, Atom):
+            return None
+        pats = [normalize(q) for q in _expansions(node.pattern, sigma, cap)]
+        if positive:
+            return [[SignedAtom(q, True)] for q in pats]
+        return [[SignedAtom(q, False) for q in pats]]
+
+    def gate(disjunction: bool, parts: list) -> list[list[SignedAtom]]:
+        if disjunction:
             merged = [clause for part in parts for clause in part]
             check(sum(len(c) for c in merged))
-            done.append(merged)
-            continue
+            return merged
         result: list[list[SignedAtom]] = [[]]
         for part in parts:
             # Sized before it is built: each clause of one side meets
@@ -497,5 +512,6 @@ def to_dot_depth1_dnf(
                 len(result) * sum(map(len, part)) + len(part) * sum(map(len, result))
             )
             result = [left + right for left in result for right in part]
-        done.append(result)
-    return Dnf(tuple(tuple(c) for c in done[0]))
+        return result
+
+    return Dnf(tuple(tuple(c) for c in _fold(e, leaf, gate)))

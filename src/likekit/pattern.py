@@ -41,88 +41,6 @@ class RenderError(ValueError):
     """Pattern that cannot be written back in the requested surface syntax."""
 
 
-# One Literal per symbol for the life of the process.
-_LITERALS: dict[Symbol, "Literal"] = {}
-
-
-class Literal:
-    """Token matching exactly one fixed symbol.
-
-    Tokens are interned and immutable: equal symbols give the same object,
-    ``AnyOne()`` and ``AnyString()`` are singletons, and equality and
-    hashing are identity's, so hashing and comparing token tuples stays
-    inside C. The empty symbol is refused with ``ValueError``.
-    """
-
-    __slots__ = ("symbol",)
-    __match_args__ = ("symbol",)
-    symbol: Symbol
-
-    def __new__(cls, symbol: Symbol) -> "Literal":
-        tok = _LITERALS.get(symbol)
-        if tok is None:
-            # Checked on a miss only: "" is never interned.
-            if symbol == "":
-                raise ValueError("a literal's symbol must be nonempty")
-            tok = object.__new__(cls)
-            object.__setattr__(tok, "symbol", symbol)
-            # setdefault keeps whichever of two racing constructors came first.
-            tok = _LITERALS.setdefault(symbol, tok)
-        return tok
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Literal is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("Literal is immutable")
-
-    def __reduce__(self) -> tuple[type, tuple[Symbol]]:
-        return Literal, (self.symbol,)
-
-    def __repr__(self) -> str:
-        return f"Literal(symbol={self.symbol!r})"
-
-
-class AnyOne:
-    """Token matching an arbitrary single symbol (surface ``_``); a singleton."""
-
-    __slots__ = ()
-
-    def __new__(cls) -> "AnyOne":
-        return ANY_ONE
-
-    def __reduce__(self) -> tuple[type, tuple[()]]:
-        return AnyOne, ()
-
-    def __repr__(self) -> str:
-        return "AnyOne()"
-
-
-class AnyString:
-    """Token matching any run of zero or more symbols (surface ``%``); a singleton."""
-
-    __slots__ = ()
-
-    def __new__(cls) -> "AnyString":
-        return ANY_STRING
-
-    def __reduce__(self) -> tuple[type, tuple[()]]:
-        return AnyString, ()
-
-    def __repr__(self) -> str:
-        return "AnyString()"
-
-
-Token = Literal | AnyOne | AnyString
-
-ANY_ONE: AnyOne = object.__new__(AnyOne)
-ANY_STRING: AnyString = object.__new__(AnyString)
-_WILDCARDS: dict[str, Token] = {
-    WILDCARD_ANY_STRING: ANY_STRING,
-    WILDCARD_ANY_ONE: ANY_ONE,
-}
-
-
 class _Record:
     """Base of the package's immutable records.
 
@@ -130,9 +48,9 @@ class _Record:
     in constructor order. Equality (between records of the same class
     only), hashing, repr and pickling read those fields alone, so a slot
     built from them, such as a lookup table, stays out. Each subclass
-    writes its own ``__init__`` and sets its slots with
-    ``object.__setattr__``; assigning or deleting an attribute afterwards
-    raises ``AttributeError``.
+    writes its own ``__init__`` (an interned token, its ``__new__``) and
+    sets its slots with ``object.__setattr__``; assigning or deleting an
+    attribute afterwards raises ``AttributeError``.
     """
 
     __slots__ = ()
@@ -140,8 +58,10 @@ class _Record:
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        # One field gives the bare value, several give a tuple.
-        cls._key = attrgetter(*cls.__match_args__)
+        # One field gives the bare value, several give a tuple. The
+        # fieldless token classes compare by identity and need no key.
+        if cls.__match_args__:
+            cls._key = attrgetter(*cls.__match_args__)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -168,6 +88,73 @@ class _Record:
 
     def __reduce__(self) -> tuple[type, tuple[object, ...]]:
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+class _Token(_Record):
+    """Base of the three token classes.
+
+    Tokens are interned and immutable: equal symbols give the same object,
+    ``AnyOne()`` and ``AnyString()`` are singletons, and equality and
+    hashing are identity's. Assigned in the class body, ``object``'s own
+    methods keep their C slots, so token tuples hash and compare in C.
+    """
+
+    __slots__ = ()
+    __match_args__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
+# One Literal per symbol for the life of the process.
+_LITERALS: dict[Symbol, "Literal"] = {}
+
+
+class Literal(_Token):
+    """Token matching exactly one fixed symbol, a nonempty string; any other
+    symbol is refused with ``ValueError``."""
+
+    __slots__ = __match_args__ = ("symbol",)
+    symbol: Symbol
+
+    def __new__(cls, symbol: Symbol) -> "Literal":
+        tok = _LITERALS.get(symbol)
+        if tok is None:
+            # Checked on a miss only: only nonempty strings are interned.
+            if not isinstance(symbol, str) or not symbol:
+                raise ValueError("a literal's symbol must be a nonempty string")
+            tok = object.__new__(cls)
+            object.__setattr__(tok, "symbol", symbol)
+            # setdefault keeps whichever of two racing constructors came first.
+            tok = _LITERALS.setdefault(symbol, tok)
+        return tok
+
+
+class AnyOne(_Token):
+    """Token matching an arbitrary single symbol (surface ``_``); a singleton."""
+
+    __slots__ = ()
+
+    def __new__(cls) -> "AnyOne":
+        return ANY_ONE
+
+
+class AnyString(_Token):
+    """Token matching any run of zero or more symbols (surface ``%``); a singleton."""
+
+    __slots__ = ()
+
+    def __new__(cls) -> "AnyString":
+        return ANY_STRING
+
+
+Token = Literal | AnyOne | AnyString
+
+ANY_ONE: AnyOne = object.__new__(AnyOne)
+ANY_STRING: AnyString = object.__new__(AnyString)
+_WILDCARDS: dict[str, Token] = {
+    WILDCARD_ANY_STRING: ANY_STRING,
+    WILDCARD_ANY_ONE: ANY_ONE,
+}
 
 
 class Pattern(_Record):

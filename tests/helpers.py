@@ -141,14 +141,19 @@ def shortest_satisfying(
     return None
 
 
-def alternating_chain(depth: int, leaf: LikeExpression) -> LikeExpression:
+def alternating_chain(
+    depth: int, leaf: LikeExpression, negated: bool = False
+) -> LikeExpression:
     """AND(%a%, OR(%b%, AND(%a%, ... leaf))) with ``depth`` gates, built in
-    the library, past any nesting limit of the parser."""
+    the library, past any nesting limit of the parser; with ``negated``,
+    every gate under a NOT."""
     a = Atom(Pattern((ANY_STRING, Literal("a"), ANY_STRING)))
     b = Atom(Pattern((ANY_STRING, Literal("b"), ANY_STRING)))
     e = leaf
     for i in reversed(range(depth)):
         e = And((a, e)) if i % 2 == 0 else Or((b, e))
+        if negated:
+            e = Not(e)
     return e
 
 

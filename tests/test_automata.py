@@ -44,6 +44,7 @@ from likekit.automata import (
     _CompiledSearch,
     _bfs,
     _flat_atoms,
+    _gate,
     _join,
     _predicate,
     _separator_halves,
@@ -931,6 +932,32 @@ def test_forecasts_agree_with_three_valued_reference():
         _assert_forecasts_match_reference(exprs, sigma)
 
 
+def test_a_not_flips_the_value_and_swaps_dead_and_settled():
+    # forecasts pushes each NOT down to the atoms. That gives the groups of
+    # the un-negated expression with the NOT applied on top, because _gate
+    # on flipped parts under the other connective is the flipped _gate.
+    rng = random.Random(6021)
+
+    def flip(g):
+        return (not g[0], *g[1:])
+
+    for i in range(600):
+        chars, syms, _ = _DIFF_SETTINGS[i % 2]
+        make = _random_expr if i % 3 else _random_expr_with_not_runs
+        x = make(rng, syms, 3)
+        comp = _CompiledSearch([x], Alphabet.from_chars(chars))
+        value, dead, settled = comp.forecasts(x)
+        assert comp.forecasts(Not(x)) == (flip(value), settled, dead), x
+        assert comp.forecasts(Not(Not(x))) == (value, dead, settled), x
+    for _ in range(3000):
+        bits = rng.randint(1, 10)
+        n = rng.randint(1, 4)
+        parts = tuple(_random_group(rng, bits, 2, rng.random() < 0.5) for _ in range(n))
+        for disjunction in (False, True):
+            want = flip(_gate(parts, disjunction))
+            assert _gate(tuple(map(flip, parts)), not disjunction) == want, parts
+
+
 def test_forecasts_agree_with_reference_on_the_3cnf_gadget():
     rng = random.Random(31)
     for n in (3, 4):
@@ -950,7 +977,14 @@ def test_forecasts_agree_with_reference_on_deep_chains():
     sigma = Alphabet.from_chars("ab")
     deep = alternating_chain(3000, Atom(P("aaa")))
     negated = alternating_chain(3000, Not(Or((Atom(P("a%")), Not(Atom(P("%bb")))))))
-    for exprs in ([deep], [deep, negated], [Not(Not(Not(negated)))]):
+    every = alternating_chain(3000, Atom(P("aaa")), negated=True)
+    for exprs in (
+        [deep],
+        [deep, negated],
+        [Not(Not(Not(negated)))],
+        [every],
+        [every, deep],
+    ):
         table = _in_deep_thread(lambda: _reference_table(exprs, sigma, 3000))
         _assert_forecasts_match_reference(exprs, sigma, table=table)
 

@@ -236,6 +236,17 @@ def test_evaluate_stops_at_the_first_deciding_child(monkeypatch):
     # aaa walks the whole chain down to the leaf.
     assert evaluate(e, "aaa")
     assert len(seen) == 3000 + 1
+    # With every gate under a NOT, each gate is its dual once the NOT is
+    # pushed down, decided by the same child: the same atoms are read in
+    # the same order. Past the gates, an even run of NOTs leaves the leaf.
+    negated = alternating_chain(3000, Atom(P("aaa")), negated=True)
+    for t, want in (("ab", True), ("b", True), ("aaa", True), ("a", False)):
+        seen.clear()
+        evaluate(e, t)
+        plain = seen[:]
+        seen.clear()
+        assert evaluate(negated, t) == want, t
+        assert seen == plain, t
 
 
 def test_expand_underscores_equivalence():
