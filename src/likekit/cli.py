@@ -52,12 +52,15 @@ from .reductions import (
 # built. A 3-CNF gadget takes about 1 KB per declared variable (13 MB at
 # the ceiling). A machine gadget's tokens grow with the square of its tape
 # (22 MB for the tests' counter machine at 256 cells), and a simulated run
-# allocates the whole tape and keeps every configuration, about 2 KB each
-# at 256 cells; unchecked, a --space of 10^6 took 128 MB before any limit.
-# The majority pattern and its rendering grow linearly with --n, to about
-# 35 MB of allocations at the ceiling.
+# allocates the whole tape; unchecked, a --space of 10^6 took 128 MB before
+# any limit. A run keeps every configuration and its history: about 6.1 KB
+# per step at 256 cells (6.8 KB with the JSON report) and 1.1-1.5 KB at 40,
+# so its length ceiling holds a run at 256 cells to about 65 MB. A run cut
+# there is incomplete and exits 3. The majority pattern and its rendering
+# grow linearly with --n, to about 35 MB of allocations at the ceiling.
 _MAX_3SAT_VARIABLES = 10_000
 _MAX_TM_SPACE = 256
+_MAX_TM_STEPS = 10_000
 _MAX_MAJORITY_N = 2_000_000
 
 
@@ -254,16 +257,29 @@ def _cmd_reduce_tm(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_tm(args: argparse.Namespace) -> int:
+    """An accepted run prints its history and exits 0, a run cut by
+    ``--max-steps`` or the run ceiling prints ``bounded`` and exits 3, and
+    any other prints ``REJECT`` and exits 1."""
     spec, word = _load_machine(args)
-    result = simulate_tm(spec, word, args.space, max_steps=args.max_steps)
+    at_ceiling = args.max_steps is None or args.max_steps > _MAX_TM_STEPS
+    max_steps = _MAX_TM_STEPS if at_ceiling else args.max_steps
+    result = simulate_tm(spec, word, args.space, max_steps=max_steps)
     payload = {
         "accepted": result.accepted,
         "history": list(result.history),
         "steps": result.steps,
+        "complete": result.complete,
     }
-    human = " ".join(result.history) if result.accepted else "REJECT"
+    if result.accepted:
+        human, code = " ".join(result.history), 0
+    elif not result.complete:
+        human, code = "bounded", 3
+    else:
+        human, code = "REJECT", 1
     _emit(args, payload, human)
-    return 0 if result.accepted else 1
+    if at_ceiling and not result.complete:
+        print(f"error: the run reached the ceiling of {_MAX_TM_STEPS} steps", file=sys.stderr)
+    return code
 
 
 def _cmd_to_regex(args: argparse.Namespace) -> int:

@@ -41,7 +41,8 @@ from .pattern import (
 DEFAULT_EXPANSION_CAP = 4096
 
 # Open NOTs plus open parentheses a parsed expression may nest, which keeps the
-# recursive parser and the DNF rewrite inside the recursion limit.
+# recursive parser, and hash, == and repr of the tree it builds, inside the
+# recursion limit. The DNF rewrite, evaluate and render walk it without recursing.
 MAX_NESTING = 200
 
 

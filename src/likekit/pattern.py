@@ -117,7 +117,11 @@ class Literal(_Token):
     symbol: Symbol
 
     def __new__(cls, symbol: Symbol) -> "Literal":
-        tok = _LITERALS.get(symbol)
+        try:
+            tok = _LITERALS.get(symbol)
+        except TypeError:
+            # Unhashable, so not a string: refused below with the rest.
+            tok = None
         if tok is None:
             # Checked on a miss only: only nonempty strings are interned.
             if not isinstance(symbol, str) or not symbol:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .expression import Atom, LikeExpression, Not, and_, or_
+from .expression import And, Atom, LikeExpression, Not, and_, or_
 from .pattern import (
     ANY_ONE,
     ANY_STRING,
@@ -74,7 +74,8 @@ def parse_dimacs(text: str) -> Cnf:
     before every clause. Counts and literals are ASCII digits with an
     optional leading ``-``."""
     header: tuple[int, int] | None = None
-    body: list[int] = []
+    clauses: list[tuple[int, ...]] = []
+    current: list[int] = []
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("c"):
@@ -91,25 +92,21 @@ def parse_dimacs(text: str) -> Cnf:
             continue
         if header is None:
             raise ValueError(f"clause before the problem line: {line!r}")
-        body.extend(map(_dimacs_int, line.split()))
+        # A 0 closes the clause; Cnf checks that it has three literals.
+        for lit in map(_dimacs_int, line.split()):
+            if lit:
+                current.append(lit)
+            else:
+                clauses.append(tuple(current))
+                current = []
     if header is None:
         raise ValueError("missing problem line")
-    n_vars, n_clauses = header
-    clauses: list[tuple[int, int, int]] = []
-    current: list[int] = []
-    for lit in body:
-        if lit == 0:
-            if len(current) != 3:
-                raise ValueError(f"clause {current!r} does not have three literals")
-            clauses.append((current[0], current[1], current[2]))
-            current = []
-        else:
-            current.append(lit)
     if current:
         raise ValueError("unterminated clause")
+    n_vars, n_clauses = header
     if len(clauses) != n_clauses:
         raise ValueError(f"expected {n_clauses} clauses, found {len(clauses)}")
-    return Cnf(n_vars, tuple(clauses))
+    return Cnf(n_vars, clauses)
 
 
 def _lit_symbol(lit: int) -> Symbol:
@@ -315,15 +312,23 @@ def tm_from_json(text: str) -> TmSpec:
 
 
 class TmRunResult(_Record):
-    __slots__ = __match_args__ = ("accepted", "history", "steps")
+    """A bounded-space run: ``complete`` is false only when ``max_steps``
+    stopped a run that had not accepted, halted or repeated a
+    configuration."""
+
+    __slots__ = __match_args__ = ("accepted", "history", "steps", "complete")
     accepted: bool
     history: tuple[Symbol, ...]
     steps: int
+    complete: bool
 
-    def __init__(self, accepted: bool, history: tuple[Symbol, ...], steps: int) -> None:
+    def __init__(
+        self, accepted: bool, history: tuple[Symbol, ...], steps: int, complete: bool = True
+    ) -> None:
         object.__setattr__(self, "accepted", accepted)
         object.__setattr__(self, "history", history)
         object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "complete", complete)
 
 
 def _check_run_args(spec: TmSpec, word: Sequence[str], space: int) -> tuple[str, ...]:
@@ -344,8 +349,9 @@ def simulate_tm(
     """Run the machine on ``word`` using exactly ``space`` tape cells.
 
     The run halts on accept, on a missing rule, on moving right off the
-    last cell, on revisiting a configuration, or after max_steps rules.
-    The history lists every configuration reached, a repeat excluded.
+    last cell, on revisiting a configuration, or after max_steps rules;
+    only the last leaves the result incomplete. The history lists every
+    configuration reached, a repeat excluded.
     """
     w = _check_run_args(spec, word, space)
     if max_steps is not None and max_steps < 0:
@@ -354,25 +360,26 @@ def simulate_tm(
     head = 0
     state = spec.start
     delta = spec.delta
-    seen: set[tuple[str, int, tuple[str, ...]]] = set()
-    configs: list[tuple[str, int, tuple[str, ...]]] = []
+    # Every configuration reached, in order; the keys find a repeat.
+    configs: dict[tuple[str, int, tuple[str, ...]], None] = {}
     steps = 0
     accepted = False
+    complete = True
     while True:
         snapshot = (state, head, tuple(tape))
-        if snapshot in seen:
+        if snapshot in configs:
             break
-        seen.add(snapshot)
-        configs.append(snapshot)
+        configs[snapshot] = None
         if state == spec.accept:
             accepted = head == 0 and all(cell == spec.blank for cell in tape)
             break
         rule = delta.get((state, tape[head]))
         if rule is None:
             break
-        if max_steps is not None and steps >= max_steps:
-            break
         if rule.move == "R" and head == space - 1:
+            break
+        if max_steps is not None and steps >= max_steps:
+            complete = False
             break
         tape[head] = rule.write
         state = rule.next
@@ -387,7 +394,7 @@ def simulate_tm(
         tokens.append(st)
         tokens.extend(tp[hd:])
         tokens.append(_SEPARATOR)
-    return TmRunResult(accepted, tuple(tokens), steps)
+    return TmRunResult(accepted, tuple(tokens), steps, complete)
 
 
 def encode_tm(
@@ -421,10 +428,16 @@ def encode_tm(
     # range over distinct names: lam has no duplicates, delta keys are unique.
     # The window rule's three pieces per (rule, left neighbour) differ in how
     # many `_` close them, so they are distinct too.
-    forbidden: list[Pattern] = []
+    conjuncts: list[LikeExpression] = []
 
     def forbid(tokens: tuple[Token, ...]) -> None:
-        forbidden.append(Pattern(tokens))
+        conjuncts.append(Not(Atom(Pattern(tokens))))
+
+    def forbid_other(before: tuple[Token, ...], want: Symbol, after: tuple[Token, ...]) -> None:
+        # Every symbol of lam but the wanted one, between the two runs.
+        for y in lam:
+            if y != want:
+                forbid(before + (lit[y],) + after)
 
     # Strings shorter than one full block cannot be histories.
     for j in range(s + 3):
@@ -433,23 +446,18 @@ def encode_tm(
     # The first block spells the starting configuration.
     head_template = (_SEPARATOR, spec.start) + w + (spec.blank,) * (s - len(w))
     for j, want in enumerate(head_template):
-        for y in lam:
-            if y != want:
-                forbid((ANY_ONE,) * j + (lit[y], ANY_STRING))
+        forbid_other((ANY_ONE,) * j, want, (ANY_STRING,))
 
     # The last block spells the accepting configuration, read from the end.
     tail_template = (_SEPARATOR,) + (spec.blank,) * s + (spec.accept,)
     for i, want in enumerate(tail_template, start=1):
-        for y in lam:
-            if y != want:
-                forbid((ANY_STRING, lit[y]) + (ANY_ONE,) * (i - 1))
+        forbid_other((ANY_STRING,), want, (ANY_ONE,) * (i - 1))
 
     # Separators recur at period s+2 and never sooner.
+    sep = lit[_SEPARATOR]
     for j in range(1, s + 2):
-        forbid((ANY_STRING, lit[_SEPARATOR]) + (ANY_ONE,) * (j - 1) + (lit[_SEPARATOR], ANY_STRING))
-    for y in lam:
-        if y != _SEPARATOR:
-            forbid((ANY_STRING, lit[_SEPARATOR]) + (ANY_ONE,) * (s + 1) + (lit[y], ANY_STRING))
+        forbid((ANY_STRING, sep) + (ANY_ONE,) * (j - 1) + (sep, ANY_STRING))
+    forbid_other((ANY_STRING, sep) + (ANY_ONE,) * (s + 1), _SEPARATOR, (ANY_STRING,))
 
     # The three tokens around the state must evolve by the machine's rule.
     for rule in spec.rules:
@@ -466,23 +474,15 @@ def encode_tm(
             lead = (ANY_STRING, lit[a], lit[rule.state], lit[rule.read]) + (ANY_ONE,) * (s - 1)
             for k, want in enumerate(target):
                 prefix = lead + tuple(lit[t] for t in target[:k])
-                rest = (ANY_ONE,) * (2 - k) + (ANY_STRING,)
-                for y in lam:
-                    if y != want:
-                        forbid(prefix + (lit[y],) + rest)
+                forbid_other(prefix, want, (ANY_ONE,) * (2 - k) + (ANY_STRING,))
 
     # Tokens away from the state carry over to the next block unchanged.
     quiet = (_SEPARATOR,) + tuple(gamma)
     for a in quiet:
         for b in quiet:
             for c in quiet:
-                for d in lam:
-                    if d != b:
-                        forbid(
-                            (ANY_STRING, lit[a], lit[b], lit[c])
-                            + (ANY_ONE,) * s
-                            + (lit[d], ANY_STRING)
-                        )
+                before = (ANY_STRING, lit[a], lit[b], lit[c]) + (ANY_ONE,) * s
+                forbid_other(before, b, (ANY_STRING,))
 
     # Halting anywhere but the accept state has no continuation.
     for q in spec.states:
@@ -493,20 +493,9 @@ def encode_tm(
                 forbid((ANY_STRING, lit[q], lit[b], ANY_STRING))
     for rule in spec.rules:
         if rule.move == "R":
-            forbid((ANY_STRING, lit[rule.state], lit[rule.read], lit[_SEPARATOR], ANY_STRING))
+            forbid((ANY_STRING, lit[rule.state], lit[rule.read], sep, ANY_STRING))
 
     # The accept state appears in the final block only.
-    forbid(
-        (
-            ANY_STRING,
-            lit[spec.accept],
-            ANY_STRING,
-            lit[_SEPARATOR],
-            ANY_STRING,
-            lit[_SEPARATOR],
-            ANY_STRING,
-        )
-    )
+    forbid((ANY_STRING, lit[spec.accept], ANY_STRING, sep, ANY_STRING, sep, ANY_STRING))
 
-    expr = and_(*[Not(Atom(p)) for p in forbidden])
-    return expr, Alphabet(lam)
+    return And(conjuncts), Alphabet(lam)

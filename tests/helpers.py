@@ -8,6 +8,7 @@ is brute forced, and shortest witnesses come from direct enumeration.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from collections import deque
 from types import SimpleNamespace
@@ -986,6 +987,28 @@ def m_dirty_accept() -> tuple[TmSpec, tuple[str, ...], int]:
         blank="b",
     )
     return spec, ("1",), 2
+
+
+def machine_json(spec: TmSpec) -> str:
+    """The machine as ``tm_from_json`` reads it, its blank named ``_blank``."""
+
+    def name(sym: str) -> str:
+        return "_blank" if sym == spec.blank else sym
+
+    rules = [
+        dict(state=r.state, read=name(r.read), next=r.next, write=name(r.write), move=r.move)
+        for r in spec.rules
+    ]
+    return json.dumps(
+        {
+            "states": list(spec.states),
+            "tape_alphabet": [name(y) for y in spec.tape_alphabet],
+            "input_alphabet": list(spec.input_alphabet),
+            "start": spec.start,
+            "accept": spec.accept,
+            "delta": rules,
+        }
+    )
 
 
 def reference_encode_tm(

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -13,6 +14,8 @@ import likekit
 from likekit import parse_expression
 from likekit.expression import MAX_NESTING
 from likekit.cli import _build_parser, dispatch
+
+from helpers import m_counter, machine_json
 
 
 def run(capsys, *argv):
@@ -467,6 +470,52 @@ def test_simulate_space_ceiling_fires_before_the_tape_is_built(tmp_path, capsys)
     # At the ceiling the run happens: it blanks the 1 and accepts.
     code, out, _ = run(capsys, *simulate, "256", "--json")
     assert code == 0 and json.loads(out)["accepted"]
+
+
+def test_simulate_cut_by_max_steps_is_bounded(tmp_path, capsys):
+    # The counter machine accepts "s 0 0 e" in four cells after 15 steps.
+    machine = tmp_path / "counter.json"
+    machine.write_text(machine_json(m_counter(4)[0]))
+    argv = ("simulate", "tm", "--machine", str(machine), "--input", "s 0 0 e", "--space", "4")
+    code, out, err = run(capsys, *argv, "--max-steps", "2")
+    assert (code, out, err) == (3, "bounded\n", "")
+    code, out, _ = run(capsys, *argv, "--max-steps", "2", "--json")
+    report = json.loads(out)
+    assert code == 3 and report["steps"] == 2
+    assert (report["accepted"], report["complete"]) == (False, False)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out.startswith("# inc s 0 0 e #") and err == ""
+    code, out, _ = run(capsys, *argv, "--json")
+    report = json.loads(out)
+    assert code == 0 and report["steps"] == 15
+    assert (report["accepted"], report["complete"]) == (True, True)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("space", [256, 40])
+def test_simulate_run_ceiling_stops_a_long_run(tmp_path, space):
+    # The counter machine would run 2^space steps. Unchecked, a run kept
+    # about 6.3 KB per step at 256 cells and 1.15 KB at 40, and died with a
+    # MemoryError; in a child limited to 1 GB it must stop at the ceiling.
+    machine = tmp_path / "counter.json"
+    machine.write_text(machine_json(m_counter(space)[0]))
+    word = " ".join(m_counter(space)[1])
+    src = str(Path(likekit.__file__).resolve().parents[1])
+    argv = ["simulate", "tm", "--machine", str(machine), "--input", word, "--space", str(space)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "likekit", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=_limit_address_space,
+        timeout=120,
+    )
+    assert "Traceback" not in proc.stderr, proc.stderr[-2000:]
+    assert proc.returncode == 3 and proc.stdout == "bounded\n"
+    assert proc.stderr == "error: the run reached the ceiling of 10000 steps\n"
 
 
 def test_majority_ceiling_fires_before_the_pattern_is_built(capsys):

@@ -8,8 +8,9 @@ unknown flags. Every run must exit 0-3 with no exception escaping
 every search must report what the library call on the same input reports.
 
 Sizes past their ceilings are drawn too: huge ``reduce tm`` and ``simulate
-tm`` ``--space`` values, ``reduce majority`` ``--n`` values above 2000000
-and DIMACS headers declaring more than 10000 variables must exit 3.
+tm`` ``--space`` values, ``reduce majority`` ``--n`` values above 2000000,
+DIMACS headers declaring more than 10000 variables and counter-machine runs
+longer than 10000 steps must exit 3.
 """
 
 import json
@@ -23,6 +24,8 @@ from likekit import (
     parse_expression,
 )
 from likekit.cli import dispatch
+
+from helpers import m_counter, machine_json
 
 BOUNCER = {
     "states": ["q0", "q1", "qa"],
@@ -64,6 +67,8 @@ FILES = {
     ),
     "machine_rule_number": json.dumps({**BOUNCER, "delta": [1]}),
     "machine_deep": "[" * 5000,
+    # Counts to 2^space in binary: past the run ceiling from 14 cells on.
+    "counter": machine_json(m_counter(4)[0]),
 }
 UNDECODABLE = b"\xff\xfe\x00\x81"
 
@@ -245,15 +250,22 @@ def _other_case(rng, path):
 
 
 def _ceiling_case(rng, path, write):
-    """A size past its ceiling, which must exit 3 before anything is built:
-    a huge ``--space`` for ``reduce tm`` or ``simulate tm``, a huge ``--n``
-    for ``reduce majority``, or a DIMACS header declaring more than 10000
-    variables."""
-    kind = rng.choice(("tm", "simulate", "3sat", "majority"))
-    argv = list(SUBCOMMANDS[kind])
+    """A size past its ceiling, which must exit 3: a huge ``--space`` for
+    ``reduce tm`` or ``simulate tm``, a huge ``--n`` for ``reduce majority``
+    or a DIMACS header declaring more than 10000 variables, all refused
+    before anything is built, or a ``simulate tm`` run of the counter
+    machine that the run ceiling stops."""
+    kind = rng.choice(("tm", "simulate", "3sat", "majority", "run"))
+    argv = list(SUBCOMMANDS["simulate" if kind == "run" else kind])
     _common(rng, argv, syntax=False)
     past = rng.choice((1, 10**3, 10**6, 10**12, 10**40)) + rng.randrange(1000)
-    if kind == "3sat":
+    if kind == "run":
+        space = rng.randint(14, 40)
+        argv += ["--machine", path("counter"), "--space", str(space)]
+        argv += ["--input", " ".join(["s"] + ["0"] * (space - 2) + ["e"])]
+        if rng.random() < 0.5:
+            argv += ["--max-steps", str(10_000 + past)]
+    elif kind == "3sat":
         name = f"huge_{past}.cnf"
         write(name, f"p cnf {10_000 + past} 1\n1 2 -1 0\n")
         argv += ["--dimacs", path(name)]

@@ -115,7 +115,7 @@ def test_token_mode_render_refuses_the_empty_symbol(escape):
     assert render_pattern(p, escape=escape, tokens=True) == "a b"
 
 
-@pytest.mark.parametrize("symbol", [1, None, b"a", ("a",)], ids=repr)
+@pytest.mark.parametrize("symbol", [1, None, b"a", ("a",), ["a"]], ids=repr)
 def test_literal_refuses_a_symbol_that_is_not_a_string(symbol):
     # Refused when the token is built, so no pattern holds a symbol that the
     # NFA's alphabet would refuse while the greedy matcher and the oracle

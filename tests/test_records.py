@@ -105,8 +105,8 @@ RECORDS = {
     ),
     "TmRunResult": (
         lambda: TmRunResult(True, ("#", "q0", "1", "#"), 1),
-        "TmRunResult(accepted=True, history=('#', 'q0', '1', '#'), steps=1)",
-        ("accepted", "history", "steps"),
+        "TmRunResult(accepted=True, history=('#', 'q0', '1', '#'), steps=1, complete=True)",
+        ("accepted", "history", "steps", "complete"),
     ),
 }
 

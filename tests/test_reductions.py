@@ -363,7 +363,28 @@ def test_simulate_halting_flavors():
 def test_simulate_max_steps():
     spec, word, space = m_bouncer(3)
     r = simulate_tm(spec, word, space, max_steps=2)
-    assert not r.accepted and r.steps == 2
+    assert not r.accepted and r.steps == 2 and not r.complete
+    full = simulate_tm(spec, word, space)
+    assert full.accepted and full.complete
+    # A cap the run reaches only as it accepts leaves it complete.
+    assert simulate_tm(spec, word, space, max_steps=full.steps) == full
+    assert simulate_tm(spec, word, space, max_steps=full.steps - 1).complete is False
+
+
+@pytest.mark.parametrize(
+    "build, cap",
+    [(m_stuck, 0), (m_edge_fall, 1), (m_dirty_accept, 1), (m_loop, 1), (m_one_step, 1)],
+)
+def test_a_run_that_stops_on_its_own_at_the_cap_is_complete(build, cap):
+    # A halt, a fall off the last cell, an accept state or a repeat at the
+    # cap ends the run before the cap does.
+    spec, word, space = build()
+    run = simulate_tm(spec, word, space)
+    assert run.steps == cap and run.complete
+    assert simulate_tm(spec, word, space, max_steps=cap) == run
+    if cap:
+        cut = simulate_tm(spec, word, space, max_steps=cap - 1)
+        assert not cut.complete and not cut.accepted
 
 
 def test_simulate_rejects_bad_input():
@@ -429,6 +450,12 @@ def test_encoded_history_is_fragile():
     assert not evaluate(expr, tuple(mangled))
 
 
+def _order_digest(forbidden):
+    """The first 16 hex digits of the SHA-256 of the patterns, one per line."""
+    rendered = "\n".join(render_pattern(p, tokens=True) for p in forbidden)
+    return hashlib.sha256(rendered.encode()).hexdigest()[:16]
+
+
 # (state bits, explored) of the bouncer's search, whose sibling atoms
 # share class blocks: the naive class layout and its scan.
 BOUNCER_CLASS_PINS = {2: (694, 62), 3: (786, 130), 4: (882, 202)}
@@ -451,8 +478,7 @@ def test_bouncer_gadget_size_is_pinned(space, atoms, plain_bits, plain_explored,
     # placement last; the digest pins the order of everything in between.
     assert [len(p) for p in forbidden[: s + 3]] == list(range(s + 3))
     assert render_pattern(forbidden[-1], tokens=True) == "% qa % # % # %"
-    rendered = "\n".join(render_pattern(p, tokens=True) for p in forbidden)
-    assert hashlib.sha256(rendered.encode()).hexdigest()[:16] == digest
+    assert _order_digest(forbidden) == digest
     out = find_witness(expr, sigma)
     assert out.verdict is Verdict.FOUND
     state_bits, explored = BOUNCER_CLASS_PINS[space]
@@ -466,6 +492,27 @@ def test_bouncer_gadget_size_is_pinned(space, atoms, plain_bits, plain_explored,
         laid = layout([expr], sigma)
         assert (laid["atoms"], laid["state_bits"]) == (atoms, bits)
         assert flat_search_reference(expr, laid)[1:] == (count, True)
+
+
+@pytest.mark.parametrize(
+    "build, atoms, digest",
+    [
+        (lambda: m_counter(3), 3521, "4716bf6aabbc082c"),
+        (m_one_step, 180, "c986894fd34ffeb3"),
+        (m_loop, 70, "5c63faaf94cb2239"),
+        (m_stuck, 180, "daccb84b78b57e5b"),
+        (m_edge_fall, 79, "1dad7450bef9ab6b"),
+        (m_dirty_accept, 191, "70d3ddbc9dec0043"),
+    ],
+    ids=["m_counter-3", "m_one_step", "m_loop", "m_stuck", "m_edge_fall", "m_dirty_accept"],
+)
+def test_machine_gadget_order_is_pinned(build, atoms, digest):
+    # The bouncer's order pin, on the other helper machines.
+    spec, word, space = build()
+    expr, _ = encode_tm(spec, word, space)
+    forbidden = [c.child.pattern for c in expr.children]
+    assert len(forbidden) == atoms
+    assert _order_digest(forbidden) == digest
 
 
 @pytest.mark.parametrize(
