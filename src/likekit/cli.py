@@ -3,8 +3,9 @@
 Exit codes follow one convention across subcommands: 0 for a positive
 verdict (match, equivalent, witness found, accepted), 1 for the negative
 counterpart, 2 for unusable input, 3 for hitting a search budget, an
-expansion cap, a gadget size ceiling, or a ``--max-len`` cap that left the
-search unfinished.
+expansion cap, a gadget size ceiling, a ``--max-len`` cap that left the
+search unfinished, or a ``simulate tm`` run that ``--max-steps`` or the run
+ceiling cut off.
 A reader that closes stdout early ends the run quietly with 0.
 """
 
@@ -53,11 +54,12 @@ from .reductions import (
 # the ceiling). A machine gadget's tokens grow with the square of its tape
 # (22 MB for the tests' counter machine at 256 cells), and a simulated run
 # allocates the whole tape; unchecked, a --space of 10^6 took 128 MB before
-# any limit. A run keeps every configuration and its history: about 6.1 KB
-# per step at 256 cells (6.8 KB with the JSON report) and 1.1-1.5 KB at 40,
-# so its length ceiling holds a run at 256 cells to about 65 MB. A run cut
-# there is incomplete and exits 3. The majority pattern and its rendering
-# grow linearly with --n, to about 35 MB of allocations at the ceiling.
+# any limit. A run keeps every configuration once, as its block of the
+# history: about 4 KB per step at 256 cells (5.2 KB with the JSON report)
+# and 0.6-0.9 KB at 40, so its length ceiling holds a run at 256 cells to
+# about 40 MB (52 MB with the JSON report). A run cut there is incomplete
+# and exits 3. The majority pattern and its rendering grow linearly with
+# --n, to about 35 MB of allocations at the ceiling.
 _MAX_3SAT_VARIABLES = 10_000
 _MAX_TM_SPACE = 256
 _MAX_TM_STEPS = 10_000
@@ -266,7 +268,7 @@ def _cmd_simulate_tm(args: argparse.Namespace) -> int:
     result = simulate_tm(spec, word, args.space, max_steps=max_steps)
     payload = {
         "accepted": result.accepted,
-        "history": list(result.history),
+        "history": result.history,
         "steps": result.steps,
         "complete": result.complete,
     }

@@ -22,6 +22,7 @@ an all-blank tape with the head at cell 0.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .expression import And, Atom, LikeExpression, Not, and_, or_
@@ -356,45 +357,41 @@ def simulate_tm(
     w = _check_run_args(spec, word, space)
     if max_steps is not None and max_steps < 0:
         raise ValueError("max_steps must not be negative")
-    tape = list(w) + [spec.blank] * (space - len(w))
-    head = 0
-    state = spec.start
+    # The configuration as its history block: the tape with the state
+    # at ``cells[at]``, just before the head cell, then the separator.
+    # States and tape symbols are disjoint, so a block names exactly one
+    # configuration, and the blocks reached, in order, are the history.
+    cells = [spec.start, *w, *(spec.blank,) * (space - len(w)), _SEPARATOR]
+    at = 0
     delta = spec.delta
-    # Every configuration reached, in order; the keys find a repeat.
-    configs: dict[tuple[str, int, tuple[str, ...]], None] = {}
+    blocks: dict[tuple[Symbol, ...], None] = {}
     steps = 0
-    accepted = False
     complete = True
     while True:
-        snapshot = (state, head, tuple(tape))
-        if snapshot in configs:
+        block = tuple(cells)
+        if block in blocks:
             break
-        configs[snapshot] = None
-        if state == spec.accept:
-            accepted = head == 0 and all(cell == spec.blank for cell in tape)
-            break
-        rule = delta.get((state, tape[head]))
-        if rule is None:
-            break
-        if rule.move == "R" and head == space - 1:
+        blocks[block] = None
+        # The accept state has no rules, so an accepted run stops here.
+        rule = delta.get((cells[at], cells[at + 1]))
+        if rule is None or (rule.move == "R" and at == space - 1):
             break
         if max_steps is not None and steps >= max_steps:
             complete = False
             break
-        tape[head] = rule.write
-        state = rule.next
         if rule.move == "R":
-            head += 1
-        elif head > 0:
-            head -= 1
+            cells[at] = rule.write
+            at += 1
+        else:
+            cells[at + 1] = rule.write
+            if at > 0:
+                cells[at] = cells[at - 1]
+                at -= 1
+        cells[at] = rule.next
         steps += 1
-    tokens: list[Symbol] = [_SEPARATOR]
-    for st, hd, tp in configs:
-        tokens.extend(tp[:hd])
-        tokens.append(st)
-        tokens.extend(tp[hd:])
-        tokens.append(_SEPARATOR)
-    return TmRunResult(accepted, tuple(tokens), steps, complete)
+    accepted = block == (spec.accept, *(spec.blank,) * space, _SEPARATOR)
+    history = tuple(chain((_SEPARATOR,), *blocks))
+    return TmRunResult(accepted, history, steps, complete)
 
 
 def encode_tm(

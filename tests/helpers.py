@@ -7,12 +7,13 @@ is brute forced, and shortest witnesses come from direct enumeration.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
 from collections import deque
 from types import SimpleNamespace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from likekit import (
     ANY_ONE,
@@ -1079,3 +1080,8 @@ def reference_encode_tm(
             forbidden.append((gap, lit[rule.state], lit[rule.read], lit[sep], gap))
     forbidden.append((gap, lit[spec.accept], gap, lit[sep], gap, lit[sep], gap))
     return and_(*[Not(Atom(Pattern(t))) for t in forbidden]), Alphabet(lam)
+
+
+def short_digest(lines: Iterable[str]) -> str:
+    """The first 16 hex digits of the SHA-256 of ``lines``, one per line."""
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]

@@ -15,7 +15,7 @@ from likekit import parse_expression
 from likekit.expression import MAX_NESTING
 from likekit.cli import _build_parser, dispatch
 
-from helpers import m_counter, machine_json
+from helpers import m_counter, machine_json, short_digest
 
 
 def run(capsys, *argv):
@@ -497,8 +497,8 @@ def _limit_address_space():
 
 @pytest.mark.parametrize("space", [256, 40])
 def test_simulate_run_ceiling_stops_a_long_run(tmp_path, space):
-    # The counter machine would run 2^space steps. Unchecked, a run kept
-    # about 6.3 KB per step at 256 cells and 1.15 KB at 40, and died with a
+    # The counter machine would run 2^space steps. Unchecked, a run keeps
+    # about 4.2 KiB per step at 256 cells and 0.75 KiB at 40, and dies with a
     # MemoryError; in a child limited to 1 GB it must stop at the ceiling.
     machine = tmp_path / "counter.json"
     machine.write_text(machine_json(m_counter(space)[0]))
@@ -516,6 +516,42 @@ def test_simulate_run_ceiling_stops_a_long_run(tmp_path, space):
     assert "Traceback" not in proc.stderr, proc.stderr[-2000:]
     assert proc.returncode == 3 and proc.stdout == "bounded\n"
     assert proc.stderr == "error: the run reached the ceiling of 10000 steps\n"
+
+
+CEILING_ERROR = "error: the run reached the ceiling of 10000 steps\n"
+
+
+@pytest.mark.parametrize(
+    "space, mode, code, out_digest, err, peak_mib",
+    [
+        pytest.param(4, [], 0, "bcd92caff1486007", "", None, id="4-human"),
+        pytest.param(4, ["--json"], 0, "6f5f7b39283d7855", "", None, id="4-json"),
+        pytest.param(40, [], 3, "b13408bef4e47a6e", CEILING_ERROR, None, id="40-human"),
+        pytest.param(40, ["--json"], 3, "d5bf2211d4c0cbcf", CEILING_ERROR, None, id="40-json"),
+        pytest.param(256, [], 3, "b13408bef4e47a6e", CEILING_ERROR, 48, id="256-human"),
+        pytest.param(256, ["--json"], 3, "563d1417b694d0e6", CEILING_ERROR, 60, id="256-json"),
+    ],
+)
+def test_simulate_at_the_run_ceiling_is_pinned(
+    tmp_path, capsys, space, mode, code, out_digest, err, peak_mib
+):
+    # The counter machine accepts at 4 cells and is cut by the run ceiling
+    # at 40 and 256. At 256 cells the run peaks at 40.6 MiB, and at
+    # 56.7 MiB with --json, counting the captured 12.9 MB report. Keeping
+    # each configuration three times and copying the history for the
+    # report took 62.0 and 76.4 MiB.
+    spec, word, _ = m_counter(space)
+    machine = tmp_path / "counter.json"
+    machine.write_text(machine_json(spec))
+    argv = ["simulate", "tm", "--machine", str(machine), "--input", " ".join(word)]
+    argv += ["--space", str(space), *mode]
+    tracemalloc.start()
+    got = dispatch(argv)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    out, got_err = capsys.readouterr()
+    assert (got, short_digest([out]), got_err) == (code, out_digest, err)
+    assert peak_mib is None or peak < peak_mib * 2**20, peak / 2**20
 
 
 def test_majority_ceiling_fires_before_the_pattern_is_built(capsys):

@@ -1,7 +1,7 @@
-import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -50,6 +50,7 @@ from helpers import (
     naive_class_layout,
     naive_packed_masks,
     reference_encode_tm,
+    short_digest,
 )
 
 
@@ -451,9 +452,7 @@ def test_encoded_history_is_fragile():
 
 
 def _order_digest(forbidden):
-    """The first 16 hex digits of the SHA-256 of the patterns, one per line."""
-    rendered = "\n".join(render_pattern(p, tokens=True) for p in forbidden)
-    return hashlib.sha256(rendered.encode()).hexdigest()[:16]
+    return short_digest(render_pattern(p, tokens=True) for p in forbidden)
 
 
 # (state bits, explored) of the bouncer's search, whose sibling atoms
@@ -536,6 +535,31 @@ def test_encode_non_accepting_machine_language_is_empty(build):
     expr, sigma = encode_tm(spec, word, space)
     out = find_witness(expr, sigma)
     assert out.verdict is Verdict.EXHAUSTED_EMPTY
+
+
+def test_simulate_runs_are_pinned():
+    # Every helper machine at every cap, down to the history's last token:
+    # a rewrite of the simulator must reproduce these runs exactly.
+    runs = [m_one_step(), m_loop(), m_stuck(), m_edge_fall(), m_dirty_accept()]
+    runs += [m_bouncer(space) for space in range(1, 8)]
+    runs += [m_counter(space) for space in range(2, 9)]
+    caps = (None, 0, 1, 2, 5, 50, 1000)
+    results = [simulate_tm(*run, max_steps=cap) for run in runs for cap in caps]
+    assert short_digest(map(repr, results)) == "790f9eac5afd2df8"
+
+
+def test_simulate_holds_each_configuration_once():
+    # A configuration is kept as its history block, and the history is
+    # those blocks: about 4.2 KiB per step at 256 cells. A snapshot tuple,
+    # a token list and a copy of it took 6.3 KiB.
+    spec, word, space = m_counter(256)
+    steps = 4000
+    tracemalloc.start()
+    run = simulate_tm(spec, word, space, max_steps=steps)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert run.steps == steps and len(run.history) == 1 + (steps + 1) * (space + 2)
+    assert peak <= 4.6 * 1024 * steps, peak / 1024 / steps
 
 
 def test_simulate_refuses_negative_max_steps():
