@@ -60,8 +60,9 @@ OR. The forms are keyed by their tokens and laid out once, a pass over
 them giving each its family's block, and again, each non-normal one
 through ``normalize``, only when the first chunk's tape shows ``%%`` or
 ``%_``: never for the machine gadget, which is built normal. Compile and
-forecasts take about 0.47 and 0.53 ms at bouncer spaces 2 and 4 (370 and
-394 atoms; best of 15 runs of 20, Python 3.11, 2 shared cores).
+forecasts take 0.44-0.52 and 0.48-0.60 ms at bouncer spaces 2 and 4 (370
+and 394 atoms; best of 200 in each of eight runs, Python 3.11, 2 shared
+cores), more than the search that follows.
 
 Pruning rests on two forecasts per expression, compiled like its value
 to mask tests on the packed int: *dead* (false on every extension of the
@@ -84,6 +85,21 @@ as a jump program, so evaluation loops instead of recursing. The witness
 search prunes dead states. The separator is the lesser witness of the
 witness searches for ``e1 AND NOT e2`` and ``e2 AND NOT e1``, where a
 state of the first is dead when e1 is dead or e2 settled.
+
+A search with no counting forecast also tests each move before stepping
+it. When the dead forecast is a negated group (see ``_Group`` below), a
+state that sets one of the bits its inner test needs clear is dead, and
+every successor on a symbol holds the bits of ``(D & B[symbol]) << 1``.
+So a state that meets ``B[symbol]`` one bit below such a bit steps to a
+dead state on that symbol, and one AND with a mask built per move and per
+search skips the step. This is exact: the skipped successor is one the
+prune would reject, and a dead state is never visited (only the start
+could be, and a step back to it is skipped either way), so the visit
+order, ``explored``, the witness and ``complete`` stay as they were. On
+the machine gadget the dead group is "some forbidden pattern's trailing
+``%`` is set", so the test catches every move the prune would reject: at
+bouncer space 4, 999 of the 1206 unvisited successors, and the prune then
+rejects none.
 
 No mask test sees that too few symbols are left to meet every conjunct,
 so the witness search adds a *counting* forecast, found once per search
@@ -752,7 +768,9 @@ def _bfs(
     is false when a state at depth ``max_len`` still had an unvisited,
     unpruned successor, so the cap, not the state space, ended the scan.
 
-    States where the ``forecast`` group holds are pruned. With a
+    States where the ``forecast`` group holds are pruned. Without a
+    ``counting`` forecast, a move that would set a zero bit of a negated
+    ``forecast`` is skipped before it is stepped. With a
     ``counting`` forecast (whose length atom's dead test the ``forecast``
     must hold), every state is queued with its unsettled member set and
     its settled bound set, the start with every member unsettled and no
@@ -780,6 +798,14 @@ def _bfs(
         every_bound = (1 << bound) - 1
         # The bound set each tight successor's unsettled members hold.
         held = {0: 0}
+    else:
+        # A negated forecast holds wherever a zero bit that is not a ones
+        # bit is set, and every successor has the bits of
+        # (state & on_sym) << 1. A move's edge is on_sym one bit below
+        # those bits: a state that meets it steps to a dead state.
+        negated, zero, ones = forecast[:3]
+        dead_below = (zero & ~ones) >> 1 if negated else 0
+        edges = [(sym, on_sym, on_sym & dead_below) for sym, on_sym in moves]
     # Each queued state carries its depth, its unsettled member set and
     # settled bound set (0 with no counting forecast), and the column of its
     # last symbol in an ordered search, else -1.
@@ -804,10 +830,12 @@ def _bfs(
             continue
         kept = state & gaps
         if counting is None:
-            # Every move, untested. A loop of its own, since the per-move
-            # counting tests below cost the machine gadget's search (no
-            # counting forecast) about 3%.
-            for sym, on_sym in moves:
+            # A loop of its own, since the per-move counting tests below
+            # cost the machine gadget's search (no counting forecast) about
+            # 3%. A move whose edge meets the state is skipped unstepped.
+            for sym, on_sym, edge in edges:
+                if state & edge:
+                    continue
                 nxt = ((state & on_sym) << 1) | kept
                 nxt |= (nxt & gaps) << 1
                 if nxt in visited or prune(nxt):
@@ -870,7 +898,9 @@ def _least_witness(
     ``_bfs`` in turn, capped at the witness found so far. They share the
     start and the budget: ``explored`` counts the start once, also in a
     budget stop. ``complete`` holds with a witness, else if all searches do.
-    A negative ``max_len`` is refused with ``ValueError``."""
+    A negative ``budget`` or ``max_len`` is refused with ``ValueError``."""
+    if budget < 0:
+        raise ValueError("budget must not be negative")
     if max_len is not None and max_len < 0:
         raise ValueError("max_len must not be negative")
     column = comp.column.get

@@ -190,6 +190,20 @@ def test_negative_max_len_is_refused():
         assert exc.value.explored == 0
 
 
+def test_negative_budget_is_refused():
+    # As with max_len, a negative budget is a bad argument, not a stop;
+    # a budget of 0 still stops before the start state.
+    sigma = Alphabet.from_chars("ab")
+    e = Atom(P("%"))
+    for search, exprs in ((find_witness, [e]), (find_separating_string, [e, e])):
+        for budget in (-1, -(1 << 70)):
+            with pytest.raises(ValueError, match="budget"):
+                search(*exprs, sigma, budget=budget)
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            search(*exprs, sigma, budget=0)
+        assert exc.value.explored == 0
+
+
 def test_budget_exceeded():
     sigma = Alphabet.from_chars("ab")
     e = Not(Atom(P("%aaaa%")))
@@ -1203,6 +1217,98 @@ def _random_group(rng, bits, depth, negated):
         width = rng.choice((0, 1, 2))
         subs = tuple(_random_group(rng, bits, depth - 1, True) for _ in range(width))
     return (negated, zero, ones, meets, subs)
+
+
+def _open_atom(rng, symbols):
+    """An atom whose pattern ends in %, so its settled test is a bit."""
+    return Atom(Pattern(random_pattern(rng, symbols, 3).tokens + (ANY_STRING,)))
+
+
+def _negated_dead_expr(rng, symbols):
+    """NOT of an atom ending in %, or an AND of negated atoms, most of them
+    ending in %, at times with a plain atom that asks for a longer text:
+    expressions whose dead forecast is a negated group."""
+    if rng.random() < 0.3:
+        return Not(_open_atom(rng, symbols))
+    conjuncts = [
+        Not(_open_atom(rng, symbols) if rng.random() < 0.8 else Atom(P("a_")))
+        for _ in range(rng.randint(2, 4))
+    ]
+    if rng.random() < 0.6:
+        conjuncts.append(Atom(Pattern((ANY_ONE,) * rng.randint(2, 5) + (ANY_STRING,))))
+    return and_(*conjuncts)
+
+
+def test_search_skips_only_what_the_negated_dead_forecast_prunes():
+    # Where the dead group is negated, the search skips a move whose
+    # successor would set one of its zero bits without stepping it; the
+    # reference steps every move and tests each successor with the group.
+    # The cases are witness searches of such expressions and separator
+    # halves that hold one, and the skip must fire in a third of them.
+    rng = random.Random(2718)
+    cases = fired = 0
+    for i in range(600):
+        chars, syms, _ = _DIFF_SETTINGS[i % 2]
+        sigma = Alphabet.from_chars(chars)
+        e = _negated_dead_expr(rng, syms)
+        if i % 3:
+            comp = _CompiledSearch([e], sigma)
+            searches = [comp.forecasts(e)[:2]]
+        else:
+            # e against e with one more atom forbidden, or a random expression.
+            other = and_(e, Not(_open_atom(rng, syms)))
+            pair = [e, other if rng.random() < 0.7 else _random_expr(rng, syms, 2)]
+            rng.shuffle(pair)
+            comp = _CompiledSearch(pair, sigma)
+            searches = [(v, d) for v, d, _ in _separator_halves(comp, *pair)]
+        for value, dead in searches:
+            if not dead[0]:
+                continue
+            cases += 1
+            max_len = rng.choice((None, None, 0, 1, 2, 3))
+            budget = rng.choice((1, 2, 3, 5, 8, 13, DEFAULT_STATE_BUDGET))
+            accept = _predicate(value)
+            seen = []
+
+            def watched(d):
+                seen.append(d)
+                return accept(d)
+
+            results = []
+            for scan, test, prune in (
+                (_bfs, accept, dead),
+                (reference_bfs, watched, _predicate(dead)),
+            ):
+                try:
+                    results.append(scan(comp, test, prune, budget, max_len, None))
+                except SearchBudgetExceeded as exc:
+                    results.append(exc.explored)
+            assert results[0] == results[1], (e, i)
+            below = dead[1] >> 1
+            fired += any(d & on & below for d in seen for _, on in comp.moves)
+    assert cases >= 500
+    assert 3 * fired >= cases, (fired, cases)
+
+
+@pytest.mark.parametrize(
+    "build, space",
+    [(m_bouncer, 2), (m_bouncer, 3), (m_bouncer, 4), (m_counter, 2), (m_counter, 3)],
+)
+def test_machine_search_agrees_with_full_expansion(build, space):
+    # On the machine gadget the dead group is "some forbidden pattern's
+    # trailing % is set", and the search steps none of the moves that set
+    # it. The reference steps every move and tests each successor with the
+    # whole dead group: same witness, explored, complete and budget stops.
+    spec, word, _ = build(space)
+    length = len(simulate_tm(spec, word, space).history)
+    for e, sigma in _fenced_and_unfenced(spec, word, space):
+        # No counting family, so the reference prunes by the dead group alone.
+        assert naive_counting(_CompiledSearch([e], sigma), e) is None
+        for max_len in (None, length - 1):
+            states = _reference_search([e], sigma, DEFAULT_STATE_BUDGET, max_len)[1]
+            for budget in (1, 2, states // 2, states - 1, states):
+                want = _reference_search([e], sigma, budget, max_len)
+                assert _library_search([e], sigma, budget, max_len) == want
 
 
 # --- the counting forecast ----------------------------------------------------
