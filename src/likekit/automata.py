@@ -56,13 +56,16 @@ children are all atoms, or all negated atoms, once; an OR of atoms or an
 AND of negated atoms holds every block, so its forecasts are the whole
 masks. Any other shape is read by ``atom_patterns``, and ``forecasts``
 cuts the masks to each inner gate's blocks, an atom being a one-pattern
-OR. The forms are keyed by their tokens and laid out once, a pass over
-them giving each its family's block, and again, each non-normal one
-through ``normalize``, only when the first chunk's tape shows ``%%`` or
-``%_``: never for the machine gadget, which is built normal. Compile and
-forecasts take 0.44-0.52 and 0.48-0.60 ms at bouncer spaces 2 and 4 (370
-and 394 atoms; best of 200 in each of eight runs, Python 3.11, 2 shared
-cores), more than the search that follows.
+OR. The distinct forms are keyed by their tokens in one C-level pass,
+and a block is looked up by a pattern's tokens, never by the object. The
+forms are laid out once, a pass over them giving each its family's
+block, and again, each distinct non-normal one through ``normalize``
+once, only when the first chunk's tape shows ``%%`` or ``%_``: never for
+the machine gadget, which is built normal. Compile and forecasts take
+0.38-0.41 and 0.44-0.46 ms at bouncer spaces 2 and 4 (370 and 394 atoms;
+best of 200 in each of the quieter three of four runs, Python 3.11, 2
+shared cores), more than the search that follows; the family pass is
+about 0.21-0.23 ms of it.
 
 Pruning rests on two forecasts per expression, compiled like its value
 to mask tests on the packed int: *dead* (false on every extension of the
@@ -322,9 +325,10 @@ _DIGITS = [b"0" * c + b"1" + b"0" * (255 - c) for c in range(256)]
 _tokens = attrgetter("tokens")
 
 
-def _normal_tokens(p: Pattern) -> tuple[Token, ...]:
-    """The tokens of p's normal form, normalizing only a p that is not."""
-    return p.tokens if is_normalized(p) else normalize(p).tokens
+def _normal_tokens(form: tuple[Token, ...]) -> tuple[Token, ...]:
+    """The normal form of a form, normalizing only one that is not."""
+    p = Pattern(form)
+    return form if is_normalized(p) else normalize(p).tokens
 
 
 def _codes(chunk: tuple[Symbol, ...]) -> dict[object, int]:
@@ -436,42 +440,50 @@ class _CompiledSearch:
         # a class block's members share its other tokens. Only then are the
         # forms laid out again, normalized (old classes keep unused codes).
         code = _codes(symbols[:_CHUNK])
-        for key in (_tokens, _normal_tokens):
-            # Forms are token tuples, which hash in C; each Pattern object is
-            # keyed by id(), and the expressions keep them alive.
-            index: dict[tuple[Token, ...], int] = {}
-            slot = {id(p): index.setdefault(key(p), len(index)) for p in patterns}
-            blocks = forms = list(index)
+        # Forms are token tuples, which hash and compare in C. The distinct
+        # raw forms are keyed once, and every lookup goes by a pattern's
+        # tokens, so equal patterns share a slot whatever object holds them.
+        raw = forms = list(dict.fromkeys(map(_tokens, patterns)))
+        merge = flat and flat[1] == isinstance(e, And)
+        for normal in (False, True):
+            if normal:
+                # Each distinct raw form is normalized once, if it is not normal.
+                normal_of = [*map(_normal_tokens, raw)]
+                forms = list(dict.fromkeys(normal_of))
+            blocks = forms
+            slot: dict[tuple[Token, ...], int] | None = None
             classes: dict[frozenset[Symbol], frozenset[Symbol]] = {}
-            if flat and flat[1] == isinstance(e, And):
+            if merge:
                 # One pass gives each form the block of its family, the tokens
                 # before and after its last literal if that is in sigma, and
                 # collects the family's literals.
                 family: dict[tuple, int] = {}
-                sibs: dict[int, list[Symbol]] = {}
                 heads: list[tuple[object, ...]] = []
-                block_of: list[int] = []
+                sibs: list[list[Symbol]] = []
+                family_of: dict[tuple[Token, ...], int] = {}
                 for toks in forms:
                     at = len(toks) - 1
                     while at >= 0 and (toks[at] is ANY_STRING or toks[at] is ANY_ONE):
                         at -= 1
                     fam = toks
-                    if at >= 0 and toks[at].symbol in column:
-                        fam = (toks[:at], toks[at + 1 :])
+                    if at >= 0:
+                        sym = toks[at].symbol
+                        if sym in column:
+                            fam = (toks[:at], toks[at + 1 :])
                     i = family.setdefault(fam, len(heads))
                     if i == len(heads):
                         heads.append(toks)
+                        sibs.append([])
                     if fam is not toks:
-                        sibs.setdefault(i, []).append(toks[at].symbol)
-                    block_of.append(i)
+                        sibs[i].append(sym)
+                    family_of[toks] = i
                 for fam, i in family.items():
-                    if len(sibs.get(i, ())) > 1:
+                    if len(sibs[i]) > 1:
                         cls = frozenset(sibs[i])
                         cls = classes.setdefault(cls, cls)
                         heads[i] = (*fam[0], cls, *fam[1])
                 if len(heads) < len(forms) and len(symbols) + len(classes) <= _CHUNK:
-                    slot = dict(zip(slot, map(block_of.__getitem__, slot.values())))
-                    blocks = heads
+                    blocks, slot = heads, family_of
                     code.update(zip(classes, count(_LITERAL + len(symbols))))
                 else:
                     classes = {}
@@ -479,6 +491,11 @@ class _CompiledSearch:
             tape = bytes(map(code.get, reversed(stream), repeat(_OUT)))
             if b"\x01\x01" not in tape and b"\x02\x01" not in tape:
                 break
+        # Each raw form's block, through its normal form when laid out again.
+        if slot is None:
+            slot = dict(zip(forms, count()))
+        if normal:
+            slot = dict(zip(raw, map(slot.__getitem__, normal_of)))
         self.atoms = len(forms)
         self._slot, self._bounds = slot, bounds
         # Read by ``counting`` alone, which never sees a class block.
@@ -527,7 +544,7 @@ class _CompiledSearch:
         slot_of, bounds = self._slot, self._bounds
         span = 0
         for p in patterns:
-            i = slot_of[id(p)]
+            i = slot_of[p.tokens]
             span |= (1 << bounds[i + 1]) - (1 << bounds[i])
         return self.accept & span, self._absorb & span, self._reach & span
 
@@ -597,7 +614,7 @@ class _CompiledSearch:
             for a in atoms:
                 if not isinstance(a, Atom):
                     break
-                form = forms[slot_of[id(a.pattern)]]
+                form = forms[slot_of[a.pattern.tokens]]
                 if not _is_member(form):
                     if room < 0 and a is c and ANY_STRING not in form:
                         room = len(form)

@@ -75,7 +75,10 @@ class Atom(_Record):
     pattern: Pattern
 
     def __init__(self, pattern: Pattern) -> None:
-        object.__setattr__(self, "pattern", pattern)
+        _set_pattern(self, pattern)
+
+
+_set_pattern = Atom.pattern.__set__
 
 
 class Not(_Record):
@@ -83,7 +86,10 @@ class Not(_Record):
     child: "LikeExpression"
 
     def __init__(self, child: "LikeExpression") -> None:
-        object.__setattr__(self, "child", child)
+        _set_child(self, child)
+
+
+_set_child = Not.child.__set__
 
 
 class _Gate(_Record):

@@ -49,8 +49,10 @@ class _Record:
     only), hashing, repr and pickling read those fields alone, so a slot
     built from them, such as a lookup table, stays out. Each subclass
     writes its own ``__init__`` (an interned token, its ``__new__``) and
-    sets its slots with ``object.__setattr__``; assigning or deleting an
-    attribute afterwards raises ``AttributeError``.
+    sets its slots with ``object.__setattr__``, or, in the records built
+    hundreds at a time (``Pattern``, ``Atom``, ``Not``), with the slot's
+    member descriptor, bound once after the class; assigning or deleting
+    an attribute afterwards raises ``AttributeError``.
     """
 
     __slots__ = ()
@@ -168,9 +170,7 @@ class Pattern(_Record):
     tokens: tuple[Token, ...]
 
     def __init__(self, tokens: Iterable[Token] = ()) -> None:
-        object.__setattr__(
-            self, "tokens", tokens if isinstance(tokens, tuple) else tuple(tokens)
-        )
+        _set_tokens(self, tokens if isinstance(tokens, tuple) else tuple(tokens))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -182,6 +182,9 @@ class Pattern(_Record):
         for tok in self.tokens:
             if isinstance(tok, Literal):
                 yield tok.symbol
+
+
+_set_tokens = Pattern.tokens.__set__
 
 
 class Alphabet(_Record):

@@ -425,16 +425,14 @@ def encode_tm(
     # range over distinct names: lam has no duplicates, delta keys are unique.
     # The window rule's three pieces per (rule, left neighbour) differ in how
     # many `_` close them, so they are distinct too.
-    conjuncts: list[LikeExpression] = []
-
-    def forbid(tokens: tuple[Token, ...]) -> None:
-        conjuncts.append(Not(Atom(Pattern(tokens))))
+    # The forbidden token tuples, in order; they become records at the end.
+    forbidden: list[tuple[Token, ...]] = []
+    forbid = forbidden.append
+    others = [(y, (lit[y],)) for y in lam]
 
     def forbid_other(before: tuple[Token, ...], want: Symbol, after: tuple[Token, ...]) -> None:
         # Every symbol of lam but the wanted one, between the two runs.
-        for y in lam:
-            if y != want:
-                forbid(before + (lit[y],) + after)
+        forbidden.extend([before + one + after for y, one in others if y != want])
 
     # Strings shorter than one full block cannot be histories.
     for j in range(s + 3):
@@ -495,4 +493,4 @@ def encode_tm(
     # The accept state appears in the final block only.
     forbid((ANY_STRING, lit[spec.accept], ANY_STRING, sep, ANY_STRING, sep, ANY_STRING))
 
-    return And(conjuncts), Alphabet(lam)
+    return And(tuple(map(Not, map(Atom, map(Pattern, forbidden))))), Alphabet(lam)

@@ -608,8 +608,9 @@ def _assert_compile_matches_reference(exprs, sigma):
     assert comp.moves == want["moves"]
     assert (comp.gaps, comp.initial) == (want["gaps"], want["initial"])
     assert (comp.atoms, comp.state_bits) == (want["atoms"], want["state_bits"])
+    # A block is found by a pattern's tokens, so a fresh copy finds it too.
     for p, masks in want["blocks"]:
-        assert comp._masks([p]) == masks, p
+        assert comp._masks([Pattern(p.tokens)]) == masks, p
     # A group's masks are the union of its atoms' masks.
     for group in (want["blocks"], want["blocks"][::2], want["blocks"][1::3]):
         union = [0, 0, 0]
@@ -865,6 +866,10 @@ def test_only_the_non_normal_forms_are_normalized(monkeypatch):
     assert comp.atoms == naive_packed_masks([e], sigma)["atoms"] == 5
     assert comp.state_bits == naive_class_layout([e], sigma)["state_bits"] == 10
     _assert_compile_matches_reference([e], sigma)
+    # Each raw form reaches the block of its normal form: %_a and _%a share
+    # one, and %%a shares %a's class block with %b.
+    assert comp._masks([P("%_a")]) == comp._masks([P("_%a")])
+    assert comp._masks([P("%%a")]) == comp._masks([P("%b")])
 
 
 # --- forecasts compiled to mask tests ----------------------------------------

@@ -514,6 +514,49 @@ def test_machine_gadget_order_is_pinned(build, atoms, digest):
     assert _order_digest(forbidden) == digest
 
 
+def _gadget_digest_cases():
+    for space in range(1, 9):
+        yield f"m_bouncer-{space}", lambda space=space: m_bouncer(space)
+    for space in range(2, 7):
+        yield f"m_counter-{space}", lambda space=space: m_counter(space)
+    for build in (m_one_step, m_loop, m_stuck, m_edge_fall, m_dirty_accept):
+        yield build.__name__, build
+
+
+# The digest of repr(expr) and repr(sigma) for each machine gadget: every
+# conjunct, its record types, tokens and place, and the alphabet.
+GADGET_DIGESTS = {
+    "m_bouncer-1": "9b348cd3f47fbfc8",
+    "m_bouncer-2": "ba47e8dcbb230a2c",
+    "m_bouncer-3": "38cc5f6bc33134aa",
+    "m_bouncer-4": "721f1dc92748b7de",
+    "m_bouncer-5": "7181c8ddadf1a6c3",
+    "m_bouncer-6": "c7750500b49810d3",
+    "m_bouncer-7": "9acbfe7f8b924574",
+    "m_bouncer-8": "57c1a5094f4269c4",
+    "m_counter-2": "fba51f00dd6357b9",
+    "m_counter-3": "a24d2aabab3ee112",
+    "m_counter-4": "63e7b056a0cbc9d9",
+    "m_counter-5": "2165ae75b5de1de4",
+    "m_counter-6": "ee9ca81b9f47565e",
+    "m_one_step": "393ba84f838bccdb",
+    "m_loop": "4d07d9c411933ba8",
+    "m_stuck": "7a55a7288e60d400",
+    "m_edge_fall": "e2bb13d151fb0563",
+    "m_dirty_accept": "6ed20d887e8f8afe",
+}
+
+
+def test_machine_gadget_output_is_pinned():
+    # The whole expression and alphabet, so building the conjuncts in bulk
+    # can neither reorder, merge nor drop one.
+    got = {}
+    for name, build in _gadget_digest_cases():
+        expr, sigma = encode_tm(*build())
+        got[name] = short_digest([repr(expr), repr(sigma)])
+    assert got == GADGET_DIGESTS
+
+
 @pytest.mark.parametrize(
     "build", [m_one_step, m_bouncer, m_loop, m_stuck, m_edge_fall, m_dirty_accept]
 )
