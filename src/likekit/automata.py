@@ -141,8 +141,11 @@ x has been read. Each move is tested on them alone: the successor's
 unsettled set drops the move's member, its slack is the state's less one
 unless the move settles a member, and when that slack is 0 the bound
 conjuncts no member of the new set holds must each be settled, before or
-by the move. The set a member set holds, the OR of its members' bound
-sets, is memoized per search, each set from the one without its lowest
+by the move. A member's bound set is kept per column, the row of the
+move's column: in an ordered search (below) it counts only the member's
+symbols in later columns, otherwise every column. The set a member set
+holds, the OR of its members' bound sets in a row, is memoized per
+search and per distinct row, each set from the one without its lowest
 member. So no state needs a count scan, and a tight successor's bound
 test is a few operations on small ints.
 
@@ -151,11 +154,13 @@ is *ordered* when the start is tight (so every queued state is tight) and
 every distinct normal form in the compile is ``%x%`` or all ``_``. Then
 each queued state also carries the column (alphabet index) of the last
 symbol read, expands only the moves in later columns, and a successor is
-dead when some unsettled member has no symbol in a later column: per
+dead when some unsettled member has no symbol in a later column (per
 column, the member set whose highest column is at or below it, one AND
-of small ints. This breaks the symmetry of reordering a text (Crawford,
-Ginsberg, Luks and Roy, 1996) and keeps one text per set of symbols
-read. It is sound for three reasons:
+of small ints), or when an unsettled bound conjunct has no unsettled
+holder in a later column (the bound test on the column's row). This
+breaks the symmetry of reordering a text (Crawford, Ginsberg, Luks and
+Roy, 1996) and keeps one text per set of symbols read. It is sound for
+four reasons:
 
 1. Every atom, and so every boolean combination of atoms, depends only
    on the text's length and its set of symbols, so the language is
@@ -171,6 +176,14 @@ read. It is sound for three reasons:
 3. ``complete`` stays sound: a witness longer than ``max_len`` has a
    sorted permutation, itself a witness, whose prefix of length
    ``max_len`` is queued, so a cut that drops a live successor is seen.
+4. The later-column bound test kills no state with a witness below it.
+   An ordered search reads only later columns, and a tight state reads
+   only symbols of unsettled members, so an unsettled bound conjunct
+   with no such symbol in a later column is never settled. The verdict,
+   the witness and the visit order of the live states stay those of the
+   any-column test; only ``explored`` falls, and under ``max_len`` a cut
+   that met only such states now reports ``complete`` true, where the
+   any-column test reported it false.
 
 A compile holding any other form, as the machine gadget does, or ``%ab%``
 or ``a_``, is searched in every order. ``NOT %a%``, or any nesting of
@@ -179,15 +192,19 @@ two such expressions: the half ``e1 AND NOT e2`` has e1's counting
 forecast, as a NOT conjunct adds nothing to it. In the 3-CNF gadget
 (``_^n``, the n per-variable members, and the clauses as bound
 conjuncts) the search is ordered: it visits the sorted literal
-sequences that are consistent, falsify no clause and still have a later
-literal for every unset variable: a median of 27 / 54.5 / 111 states at
-4-6 variables over 60 random formulas of 4.3n clauses each (the partial
-assignments that falsify no clause, read in every order, are 53 / 140 /
-368.5 on the same formulas, out of 3^n, and about 4.15^n states with no
-counting rule at all). One 12-variable formula of 52 clauses takes 5698
-states (134572 in every order), and one 16-variable formula of 69 clauses
-65477, where every order passes the default budget. The rules are
-skipped when no length atom or no member is found; on the machine
+sequences that are consistent, falsify no clause, still have a later
+literal for every unset variable, and still have, for every clause they
+leave unsatisfied, a later literal of an unset variable: a median of
+10.5 / 14 / 22 states at 4-6 variables over 60 random formulas of 4.3n
+clauses each (28 / 55 / 109 with the any-column bound test; the partial
+assignments that falsify no clause, read in every order, are 53 / 139 /
+369 on the same formulas, out of 3^n, and about 4.15^n states with no
+counting rule at all). One 12-variable formula of 52 clauses takes 138
+states (5698 with the any-column test, 134572 in every order), one
+16-variable formula of 69 clauses 585 (65477), and one 24-variable
+formula of 103 clauses 2655 in 41 ms, where the any-column test passed
+the default budget after 3.8 s (Python 3.11, 2 shared cores). The rules
+are skipped when no length atom or no member is found; on the machine
 gadget, whose conjuncts are all negated, one scan of their types tells.
 
 ``PatternNfa`` is the one-atom view of the same compile, with no
@@ -206,8 +223,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from enum import Enum
-from itertools import accumulate, count, repeat
-from operator import attrgetter, or_
+from itertools import count, repeat
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .expression import And, Atom, LikeExpression, Not, Or, _fold, atom_patterns
@@ -381,13 +398,16 @@ class _Counting(NamedTuple):
     named by the bit ``1 << i`` in a *member set*, and bound conjunct j of
     the ``bound`` bound conjuncts by ``1 << j`` in a *bound set*. Per move
     (alphabet column), ``owners`` gives the member set holding its symbol
-    (one bit, or 0) and ``settles`` the bound set holding it. Per member,
-    ``guards`` gives the bound set it holds, so it has one entry per member
-    and is the holder relation: bound conjunct j is held by the members
-    whose guards have bit j. ``ordered`` tells whether the search reads in
-    alphabet order only: the start is tight and every normal form of the
-    compile is ``%x%`` or all ``_``. Then per column ``spent`` gives the
-    member set with no symbol in a later column, else it is all 0."""
+    (one bit, or 0) and ``settles`` the bound set holding it. ``ordered``
+    tells whether the search reads in alphabet order only: the start is
+    tight and every normal form of the compile is ``%x%`` or all ``_``.
+    Per column, ``guards`` has a row with one entry per member, the bound
+    set that member holds after a move in that column: bound conjunct j is
+    held by the members whose entries have bit j. In an ordered search the
+    row counts only the member's symbols in later columns, and ``spent``
+    gives the member set with no symbol in a later column. Otherwise every
+    row is the holder relation over every column, one shared tuple, and
+    ``spent`` is all 0."""
 
     room: int
     owners: tuple[int, ...]
@@ -403,17 +423,18 @@ def _is_member(form: tuple[Token, ...]) -> bool:
     return len(form) == 3 and form[0] is form[2] is ANY_STRING
 
 
-def _held(guards: tuple[int, ...], unsettled: int, memo: dict[int, int]) -> int:
-    """The bound set these members hold, the OR of their ``guards``,
-    memoized in memo (which must map 0 to 0) along the chain of sets that
-    drop the lowest member one at a time."""
+def _held(row: tuple[int, ...], unsettled: int, memo: dict[int, int]) -> int:
+    """The bound set these members hold, the OR of their entries in a row
+    of ``guards``, memoized in memo (which must map 0 to 0, and serve that
+    row alone) along the chain of sets that drop the lowest member one at
+    a time."""
     chain = []
     while unsettled not in memo:
         chain.append(unsettled)
         unsettled &= unsettled - 1
     held = memo[unsettled]
     for u in reversed(chain):
-        held |= guards[(u & -u).bit_length() - 1]
+        held |= row[(u & -u).bit_length() - 1]
         memo[u] = held
     return held
 
@@ -630,15 +651,11 @@ class _CompiledSearch:
             return None
         column = self.column
         settles = [0] * len(column)
-        guards = [0] * members
         for j, symbols in enumerate(others):
-            # A symbol outside sigma is never read; one in sigma that no
-            # member holds is never read in a tight state.
+            # A symbol outside sigma is never read.
             for sym in symbols:
                 if sym in column:
                     settles[column[sym]] |= 1 << j
-                    if sym in owner:
-                        guards[owner[sym]] |= 1 << j
         owners = tuple(1 << owner[sym] if sym in owner else 0 for sym in column)
         # Only a tight start keeps every queued state tight. Forms that are
         # each %x% or all _ make every expression over them depend on the
@@ -646,13 +663,28 @@ class _CompiledSearch:
         ordered = room == members and all(
             _is_member(f) or f.count(ANY_ONE) == len(f) for f in forms
         )
-        spent = (0,) * len(owners)
+        # Right to left, per column: each member's bound set from its
+        # symbols in later columns, and the members with none there. A
+        # symbol that no member holds is never read in a tight state.
+        every = (1 << members) - 1
+        row, later = (0,) * members, 0
+        rows, spent = [], []
+        for held_by, bits in zip(reversed(owners), reversed(settles)):
+            rows.append(row)
+            spent.append(every & ~later)
+            later |= held_by
+            if held_by:
+                i = held_by.bit_length() - 1
+                if bits & ~row[i]:
+                    row = (*row[:i], row[i] | bits, *row[i + 1 :])
         if ordered:
-            # Per column, the members that no later column's owners hold.
-            later = [*accumulate(reversed(owners[1:]), or_, initial=0)]
-            spent = tuple((1 << members) - 1 & ~x for x in reversed(later))
+            guards, spent = tuple(reversed(rows)), tuple(reversed(spent))
+        else:
+            # Read in every order, every column counts: row is the bound set
+            # from each member's symbols in sigma.
+            guards, spent = (row,) * len(owners), (0,) * len(owners)
         return _Counting(
-            room, owners, len(others), tuple(settles), tuple(guards), ordered, spent
+            room, owners, len(others), tuple(settles), guards, ordered, spent
         )
 
 
@@ -795,9 +827,11 @@ def _bfs(
     less its unsettled members (see the module docstring). A move that
     settles no member costs one slack; a successor whose slack would go
     below zero is dead by count, and a tight one (slack 0) is dead when a
-    bound conjunct is, which the small sets tell in a few operations. When
-    the forecast is ordered, each queued state also carries the column of
-    the last symbol read, and expands only the moves in later columns. The
+    bound conjunct is unsettled and its unsettled members hold none of it
+    in the move's row of ``guards``, which the small sets tell in a few
+    operations. When the forecast is ordered, each queued state also
+    carries the column of the last symbol read, and expands only the moves
+    in later columns, whose rows count only the symbols after them. The
     start state counts against the budget, so a budget below one explores
     nothing.
     """
@@ -811,10 +845,13 @@ def _bfs(
     every_member = 0
     if counting is not None:
         room, owners, bound, settles, guards, ordered, spent = counting
-        every_member = (1 << len(guards)) - 1
+        every_member = (1 << len(guards[0])) - 1
         every_bound = (1 << bound) - 1
-        # The bound set each tight successor's unsettled members hold.
-        held = {0: 0}
+        # Per column, the bound set each tight successor's unsettled members
+        # hold, memoized once per distinct row of guards: one memo for every
+        # column unless ordered.
+        memos: dict[tuple[int, ...], dict[int, int]] = {}
+        held = [memos.setdefault(row, {0: 0}) for row in guards]
     else:
         # A negated forecast holds wherever a zero bit that is not a ones
         # bit is set, and every successor has the bits of
@@ -880,12 +917,13 @@ def _bfs(
                 # unsettled member has no symbol in a later column.
                 if rest & spent[col]:
                     continue
-                # Dead by a bound conjunct: no unsettled member holds it,
-                # and it is still unsettled.
+                # Dead by a bound conjunct: it is still unsettled, and no
+                # unsettled member holds it in a column that can still be read.
                 if every_bound:
-                    hold = held.get(rest)
+                    memo = held[col]
+                    hold = memo.get(rest)
                     if hold is None:
-                        hold = _held(guards, rest, held)
+                        hold = _held(guards[col], rest, memo)
                     if every_bound & ~(hold | now):
                         continue
             sym, on_sym = moves[col]

@@ -41,13 +41,17 @@ from .pattern import (
 
 
 class Cnf(_Record):
-    """A 3-CNF formula: clauses are triples of nonzero literal integers."""
+    """A 3-CNF formula: clauses are triples of nonzero literal integers.
+    A count or literal whose type is not ``int`` (``bool`` included) is
+    refused with ``ValueError``."""
 
     __slots__ = __match_args__ = ("n_vars", "clauses")
     n_vars: int
     clauses: tuple[tuple[int, int, int], ...]
 
     def __init__(self, n_vars: int, clauses: Iterable[Iterable[int]]) -> None:
+        if type(n_vars) is not int:
+            raise ValueError(f"variable count {n_vars!r} is not an integer")
         if n_vars < 1:
             raise ValueError("formula needs at least one variable")
         clauses = tuple(map(tuple, clauses))
@@ -55,6 +59,8 @@ class Cnf(_Record):
             if len(clause) != 3:
                 raise ValueError(f"clause {clause!r} does not have three literals")
             for lit in clause:
+                if type(lit) is not int:
+                    raise ValueError(f"literal {lit!r} is not an integer")
                 if lit == 0 or abs(lit) > n_vars:
                     raise ValueError(f"literal {lit} out of range")
         object.__setattr__(self, "n_vars", n_vars)

@@ -241,17 +241,23 @@ def unfalsified_partial_assignments(formula: Cnf) -> int:
     return count(1, 0, 0)
 
 
-def sorted_unfalsified_prefixes(formula: Cnf) -> int:
-    """How many literal sequences, read in the 3-CNF gadget's alphabet
-    order (x1..xn, then ~x1..~xn), are consistent, falsify no clause, and
-    still have a later literal for every unset variable.
+def sorted_kept_prefixes(formula: Cnf, later_holders: bool = True) -> list[list[int]]:
+    """The literal sequences, read in the 3-CNF gadget's alphabet order
+    (x1..xn, then ~x1..~xn), that are consistent, falsify no clause, and
+    still have a later literal for every unset variable, each as its run
+    of increasing positions in that order, parents before children.
 
-    Each sequence is a run of increasing positions in that order. A
-    sequence failing one of the three conditions fails it on every
-    extension, so the walk does not extend it.
+    With ``later_holders`` a sequence is also dropped when a clause that
+    no read literal satisfies has no literal of an unset variable after
+    the last one read: nothing left to read can satisfy it. Without it a
+    clause counts as lost only once every variable it names is set, in
+    whatever column its literals stand (the older, any-column rule). A
+    sequence failing a condition fails it on every extension, so the
+    walk does not extend it.
     """
     n = formula.n_vars
     order = [*range(1, n + 1), *range(-1, -n - 1, -1)]
+    position = {lit: i for i, lit in enumerate(order)}
     clauses = [({abs(lit) for lit in c}, set(c)) for c in formula.clauses]
     # The variables with a literal at each position or later.
     later = [{abs(lit) for lit in order[i:]} for i in range(2 * n + 1)]
@@ -262,19 +268,56 @@ def sorted_unfalsified_prefixes(formula: Cnf) -> int:
         if any(-lit in lits for lit in lits):
             return False
         set_vars = {abs(lit) for lit in lits}
-        if any(vs <= set_vars and not lits & c for vs, c in clauses):
-            return False
-        return every <= set_vars | later[seq[-1] + 1 if seq else 0]
+        last = seq[-1] if seq else -1
+        for vs, c in clauses:
+            if lits & c:
+                continue
+            if vs <= set_vars:
+                return False
+            if later_holders and all(
+                abs(lit) in set_vars or position[lit] <= last for lit in c
+            ):
+                return False
+        return every <= set_vars | later[last + 1]
 
-    total = 0
+    found: list[list[int]] = []
     todo: list[list[int]] = [[]]
     while todo:
         seq = todo.pop()
         if kept(seq):
-            total += 1
-            start = seq[-1] + 1 if seq else 0
-            todo += [seq + [i] for i in range(start, 2 * n)]
-    return total
+            found.append(seq)
+            todo += [seq + [i] for i in range(seq[-1] + 1 if seq else 0, 2 * n)]
+    return found
+
+
+def sorted_unfalsified_prefixes(formula: Cnf) -> int:
+    """How many literal sequences ``sorted_kept_prefixes`` keeps."""
+    return len(sorted_kept_prefixes(formula))
+
+
+def ordered_3sat_reference(
+    formula: Cnf, later_holders: bool = True
+) -> Callable[[int | None], tuple[Text | None, bool]]:
+    """The ordered counting search on the 3-CNF gadget, read off the kept
+    sequences of ``sorted_kept_prefixes``: a function from ``max_len`` to
+    (witness, complete). The scan keeps one state per kept sequence and
+    reads each depth in alphabet order, so the witness is the least kept
+    sequence of n literals, if n is within ``max_len``; without a witness
+    the scan is complete unless a kept sequence is longer than
+    ``max_len``."""
+    n = formula.n_vars
+    symbols = [f"x{v}" for v in range(1, n + 1)] + [f"~x{v}" for v in range(1, n + 1)]
+    kept = sorted_kept_prefixes(formula, later_holders)
+    full = [seq for seq in kept if len(seq) == n]
+    witness = tuple(symbols[i] for i in min(full)) if full else None
+    longest = max(map(len, kept))
+
+    def search(max_len: int | None) -> tuple[Text | None, bool]:
+        if witness is not None and (max_len is None or max_len >= n):
+            return witness, True
+        return None, max_len is None or longest <= max_len
+
+    return search
 
 
 def assignment_satisfies(formula: Cnf, bits: Sequence[bool]) -> bool:
@@ -692,8 +735,9 @@ def naive_counting(comp, e: LikeExpression) -> SimpleNamespace | None:
     ``%x%`` blocks of its symbols, and ``symbols`` holds its symbol set.
     Each of ``bound`` is a bound conjunct's settled mask and the member set
     holding one of its symbols in sigma, the symbols of the compile's
-    moves. Block i of the compile owns bits ``_bounds[i]`` up to
-    ``_bounds[i + 1] - 1``, its accept bit last."""
+    moves, and ``clauses`` holds each one's symbol set. Block i of the
+    compile owns bits ``_bounds[i]`` up to ``_bounds[i + 1] - 1``, its
+    accept bit last."""
     family = naive_family(e)
     if family is None:
         return None
@@ -718,6 +762,7 @@ def naive_counting(comp, e: LikeExpression) -> SimpleNamespace | None:
             (trailing(s), sum(1 << i for i, m in enumerate(in_sigma) if m & s))
             for s in others
         ],
+        clauses=others,
     )
 
 

@@ -77,6 +77,7 @@ from helpers import (
     naive_family,
     naive_forecasts,
     naive_packed_masks,
+    ordered_3sat_reference,
     random_monotone_expression,
     random_pattern,
     random_text,
@@ -86,6 +87,7 @@ from helpers import (
     reference_encode_tm,
     reference_separator,
     shortest_satisfying,
+    sorted_kept_prefixes,
     sorted_unfalsified_prefixes,
     unfalsified_partial_assignments,
 )
@@ -263,8 +265,10 @@ def test_separator_applies_the_counting_rules_to_each_half():
     # Each half is an And of a gadget's conjuncts and a NOT, so it has that
     # gadget's counting forecast. Every normal form of both gadgets is %x%
     # or all _, so each half is read in alphabet order. The joint search
-    # with no counting rule explored 1263 states here, and the halves read
-    # in every order 276.
+    # with no counting rule explored 1263 states here, the halves read in
+    # every order 276, and read in order with a clause kept alive by a
+    # holder in any column 115. The reference scan, which expands every
+    # state, explores as many.
     rng = random.Random(2)
     n = 5
     clauses = tuple(
@@ -277,7 +281,9 @@ def test_separator_applies_the_counting_rules_to_each_half():
     assert all(counting.ordered for _, _, counting in halves)
     out = find_separating_string(e, fewer, sigma)
     assert out.witness == ("x1", "x2", "x5", "~x3", "~x4")
-    assert (out.explored, out.complete) == (115, True)
+    assert (out.explored, out.complete) == (22, True)
+    want = _reference_search([e, fewer], sigma, DEFAULT_STATE_BUDGET, None)
+    assert want == (out.witness, 22, True)
 
 
 def test_equivalence_known_pair():
@@ -1041,9 +1047,10 @@ def test_3cnf_gadget_explores_every_assignment_prefix():
     # set and whose literals are all false kills its state. The gadget is
     # ordered, so each assignment is read in alphabet order only, and a
     # state dies once an unset variable has no literal left in a later
-    # column. The search visits every other sorted prefix before it pops a
-    # state at depth n: fewer than the unfalsified partial assignments,
-    # themselves fewer than the 3^n consistent ones.
+    # column, or an unsatisfied clause has no literal of an unset variable
+    # left there. The search visits every other sorted prefix before it
+    # pops a state at depth n: fewer than the unfalsified partial
+    # assignments, themselves fewer than the 3^n consistent ones.
     rng = random.Random(2718)
     for n in (4, 5, 6):
         clauses = tuple(
@@ -1081,8 +1088,11 @@ def _full_prune(comp, e):
     """find_witness's prunes as (prune, spent). prune is one test per
     state: the dead forecast, the counting forecast's slack below zero, or
     a tight state with a dead bound conjunct. spent, for an ordered
-    counting forecast (else None), tests a state reached on column c: some
-    unsettled member has no symbol in a later column."""
+    counting forecast (else None), tests a state reached on column c, read
+    as tight, as every state of an ordered search is: some unsettled member
+    has no symbol in a later column, or some bound conjunct that no symbol
+    read has settled has no symbol in a later column that an unsettled
+    member holds."""
     dead = _predicate(comp.forecasts(e)[1])
     ref = naive_counting(comp, e)
     if ref is None:
@@ -1101,10 +1111,26 @@ def _full_prune(comp, e):
         for symbols in ref.symbols
     ]
 
+    column = {sym: c for c, (sym, _) in enumerate(comp.moves)}
+
     def spent(d, col):
+        unsettled = [not d & settled for settled in ref.members]
+        if any(
+            left and all(c <= col for c in cols)
+            for left, cols in zip(unsettled, columns)
+        ):
+            return True
+        # The symbols an unsettled member holds in a later column.
+        later = {
+            sym
+            for left, symbols in zip(unsettled, ref.symbols)
+            if left
+            for sym in symbols
+            if column.get(sym, -1) > col
+        }
         return any(
-            not d & settled and all(c <= col for c in cols)
-            for settled, cols in zip(ref.members, columns)
+            not d & settled and not symbols & later
+            for (settled, _), symbols in zip(ref.bound, ref.clauses)
         )
 
     return prune, spent
@@ -1368,12 +1394,33 @@ def _random_counting_expr(rng, syms):
     return And(tuple(conjuncts))
 
 
+def _members(counting):
+    """How many members the counting record names: the width of a row."""
+    return len(counting.guards[0])
+
+
 def _holders(counting):
-    """Per bound conjunct, the member set holding it: ``guards`` transposed."""
-    return [
-        sum(1 << i for i, guard in enumerate(counting.guards) if guard >> j & 1)
-        for j in range(counting.bound)
-    ]
+    """Per bound conjunct, the member set holding it: the owners of the
+    moves that settle it."""
+    holders = [0] * counting.bound
+    for owner, settles in zip(counting.owners, counting.settles):
+        for j in range(counting.bound):
+            if settles >> j & 1:
+                holders[j] |= owner
+    return holders
+
+
+def _assert_guard_rows(counting):
+    """Row c of ``guards`` gives each member the bound set that the moves
+    on its symbols settle: in the columns after c when the search is
+    ordered, in every column otherwise."""
+    moves = [*zip(counting.owners, counting.settles)]
+    for c, row in enumerate(counting.guards):
+        want = [0] * _members(counting)
+        for owner, settles in moves[c + 1 :] if counting.ordered else moves:
+            if owner:
+                want[owner.bit_length() - 1] |= settles
+        assert list(row) == want, (c, counting)
 
 
 def _assert_family_matches_naive(e, sigma):
@@ -1383,11 +1430,12 @@ def _assert_family_matches_naive(e, sigma):
     if counting is None:
         return False
     length, members, bound = want
-    assert len(counting.guards) == len(members), e
+    assert _members(counting) == len(members), e
+    _assert_guard_rows(counting)
     assert counting.room == len(length), e
     # At the start the length atom has read nothing and no member is settled.
     start = counting_slack(naive_counting(comp, e), comp.initial)
-    assert start == counting.room - len(counting.guards), e
+    assert start == counting.room - _members(counting), e
     # Each alphabet symbol's move names the member that holds it.
     readable = set(sigma.symbols)
     in_sigma = [m & readable for m in members]
@@ -1437,7 +1485,7 @@ def test_counting_family_is_found_only_where_it_holds():
         ('LIKE "%a%" AND (LIKE "__" OR LIKE "%b%") AND LIKE "___"', 2),
     ):
         _, counting = compiled(text)
-        assert counting.room - len(counting.guards) == slack, text
+        assert counting.room - _members(counting) == slack, text
     for text in (
         'LIKE "_%_" AND LIKE "%a%" AND LIKE "%b%"',  # a % in the length atom
         'LIKE "__" AND NOT LIKE "%a%"',  # a negated member
@@ -1608,7 +1656,10 @@ def test_carried_tight_states_agree_with_the_state_level_rule(monkeypatch):
     # state's bits must give the same sets and the same slack, and the
     # state-level rule must keep it. In an ordered search every queued state
     # is reached by reading its member symbols in alphabet order, each
-    # once, and carries the column of the last.
+    # once, carries the column of the last, and keeps a holder in a later
+    # column for every unsettled bound conjunct. That rule leaves fewer
+    # tight states than the any-column rule, so 1200 expressions and 3-CNF
+    # gadgets up to 8 variables are drawn.
     queued = []
 
     class Recording(deque):
@@ -1620,9 +1671,9 @@ def test_carried_tight_states_agree_with_the_state_level_rule(monkeypatch):
     rng = random.Random(3031)
     cases = [
         (e, sigma, rng.choice((None, None, 1, 2)))
-        for e, sigma, _, _, _ in _counting_cases(3030, 600)
+        for e, sigma, _, _, _ in _counting_cases(3030, 1200)
     ]
-    for n in (3, 4, 5, 6):
+    for n in (3, 4, 5, 6, 7, 8):
         clauses = tuple(
             tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
             for _ in range(round(4.3 * n))
@@ -1632,6 +1683,7 @@ def test_carried_tight_states_agree_with_the_state_level_rule(monkeypatch):
     for e, sigma, max_len in cases:
         comp = _CompiledSearch([e], sigma)
         counting, ref = comp.counting(e), naive_counting(comp, e)
+        spent = _full_prune(comp, e)[1]
         queued.clear()
         find_witness(e, sigma, max_len=max_len)
         for state, depth, unsettled, settled, last in queued:
@@ -1640,6 +1692,7 @@ def test_carried_tight_states_agree_with_the_state_level_rule(monkeypatch):
                 read = _read_in_order(comp, state)
                 assert read is not None and len(read) == depth, e
                 assert last == read[-1], e
+                assert not spent(state, last), e
             else:
                 assert last == -1, e
             assert unsettled == counting_unsettled(ref, state), e
@@ -1659,7 +1712,7 @@ def test_search_starts_with_every_member_unsettled_and_no_bound_settled():
     # The scan queues its start with these sets without reading its bits:
     # a %x% block's trailing % is set only once x has been read.
     for _, _, comp, counting, ref in _counting_cases(2000, 2000):
-        every_member = (1 << len(counting.guards)) - 1
+        every_member = (1 << _members(counting)) - 1
         assert counting_unsettled(ref, comp.initial) == every_member
         assert counting_settled(ref, comp.initial) == 0
 
@@ -1668,7 +1721,9 @@ def test_counting_record_is_the_same_in_any_compile_that_holds_the_expression():
     # The record is read off symbols, not off the layout, so a compile that
     # also holds a second expression, before or after, gives the first the
     # same record. Only the order follows every form of the compile: more
-    # forms can break its guard, never make it.
+    # forms can break its guard, never make it. Where they break it, the
+    # guard rows count every column, so each is the first column's row
+    # joined with what that column's move gives its owner.
     rng = random.Random(4041)
     cases = []
     for i in range(600):
@@ -1700,13 +1755,20 @@ def test_counting_record_is_the_same_in_any_compile_that_holds_the_expression():
             if alone is None:
                 continue
             found += 1
-            same = shared._replace(ordered=alone.ordered, spent=alone.spent)
+            same = shared._replace(
+                ordered=alone.ordered, spent=alone.spent, guards=alone.guards
+            )
             assert same == alone, (e1, e2)
             assert alone.ordered or not shared.ordered, (e1, e2)
-            if shared.ordered:
+            if shared.ordered or not alone.ordered:
                 assert shared.spent == alone.spent, (e1, e2)
+                assert shared.guards == alone.guards, (e1, e2)
             else:
-                broken += alone.ordered
+                broken += 1
+                every = list(alone.guards[0])
+                if alone.owners[0]:
+                    every[alone.owners[0].bit_length() - 1] |= alone.settles[0]
+                assert shared.guards == (tuple(every),) * len(sigma), (e1, e2)
     assert found > 900 and broken > 100, (found, broken)
 
 
@@ -1993,7 +2055,9 @@ def test_3cnf_gadget_at_twelve_variables_fits_the_default_budget():
     # whatever the clauses, past the default budget of 2^20 at n = 10. With
     # the count and the bound conjuncts the scan visits the partial
     # assignments that falsify no clause, reached along every order; read
-    # in alphabet order only, each is reached once, and far fewer are left.
+    # in alphabet order only, each is reached once, and far fewer are left:
+    # 5698 with a clause kept alive by a holder in any column, 138 when
+    # only a holder in a later column keeps it.
     rng = random.Random(7919)
     n = 12
     clauses = tuple(
@@ -2002,19 +2066,79 @@ def test_3cnf_gadget_at_twelve_variables_fits_the_default_budget():
     )
     formula = Cnf(n, clauses)
     out = _assert_3cnf_search_matches_brute_force(formula)
-    assert out.explored == sorted_unfalsified_prefixes(formula)
+    assert out.explored == sorted_unfalsified_prefixes(formula) == 138
+    assert len(sorted_kept_prefixes(formula, later_holders=False)) == 5698
     assert out.explored < unfalsified_partial_assignments(formula) // 10
 
 
 def test_3cnf_gadget_at_sixteen_variables_fits_the_default_budget():
     # Read along every order, this formula's 7007193 unfalsified partial
     # assignments pass the default budget of 2^20; in alphabet order the
-    # search keeps 65477 states.
+    # search keeps 65477 states with a clause kept alive by a holder in any
+    # column, and 585 when only a holder in a later column keeps it.
     rng = random.Random(1601)
     n = 16
     clauses = tuple(
         tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
         for _ in range(69)
     )
-    out = _assert_3cnf_search_matches_brute_force(Cnf(n, clauses))
-    assert out.explored == 65477
+    formula = Cnf(n, clauses)
+    out = _assert_3cnf_search_matches_brute_force(formula)
+    assert out.explored == sorted_unfalsified_prefixes(formula) == 585
+
+
+def test_3cnf_gadget_at_twenty_four_variables_fits_the_default_budget():
+    # Too many assignments to brute force, so the witness is checked on the
+    # formula itself, and the count against the naive walk of sorted
+    # prefixes.
+    rng = random.Random(2403)
+    n = 24
+    clauses = tuple(
+        tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+        for _ in range(103)
+    )
+    formula = Cnf(n, clauses)
+    e, sigma = encode_3sat(formula)
+    out = find_witness(e, sigma)
+    assert (out.verdict, out.complete) == (Verdict.FOUND, True)
+    assert assignment_satisfies(formula, decode_3sat_witness(formula, out.witness))
+    assert out.explored == sorted_unfalsified_prefixes(formula) == 2655
+
+
+def test_later_holder_rule_keeps_the_any_column_verdicts():
+    # Seeded 3-CNF formulas of 1 to 8 variables, a variable at times named
+    # twice in a clause, searched with and without a length cap, against
+    # the ordered search that keeps a clause alive by a holder in any
+    # column (the naive walk of sorted prefixes). The verdict and witness
+    # agree. The rule prunes a clause no later symbol can settle, so a cap
+    # can only cut fewer live states: complete turns from False to True,
+    # and only where the formula has no witness at all. The library's
+    # complete is the naive walk's under the later-holder rule.
+    rng = random.Random(1962)
+    searches = turned = 0
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        repeats = n < 3 or rng.random() < 0.5
+        clauses = []
+        for _ in range(rng.randint(1, round(4.3 * n) + 2)):
+            if repeats:
+                vs = [rng.randint(1, n) for _ in range(3)]
+            else:
+                vs = rng.sample(range(1, n + 1), 3)
+            clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
+        formula = Cnf(n, tuple(clauses))
+        e, sigma = encode_3sat(formula)
+        any_column = ordered_3sat_reference(formula, later_holders=False)
+        later = ordered_3sat_reference(formula)
+        uncapped = any_column(None)
+        for max_len in (None, *range(n + 1)):
+            old, new = any_column(max_len), later(max_len)
+            out = find_witness(e, sigma, max_len=max_len)
+            searches += 1
+            assert out.witness == old[0] == new[0], (formula, max_len)
+            assert (out.verdict is Verdict.FOUND) == (old[0] is not None)
+            assert out.complete == new[1], (formula, max_len)
+            if out.complete != old[1]:
+                assert out.complete and uncapped[0] is None, (formula, max_len)
+                turned += 1
+    assert searches > 3000 and turned > 20, (searches, turned)

@@ -191,6 +191,25 @@ def test_search_cut_by_max_len_is_bounded(capsys):
     assert code == 1 and out.strip() == "empty"
 
 
+def test_search_cut_by_max_len_proves_emptiness_when_no_later_symbol_helps(capsys):
+    # Three members, one of a or d, of b or e and of c or f, read in
+    # alphabet order, and two bound conjuncts %a% and %d%, both held by the
+    # first member. Every one-symbol text dies: a or d settles that member
+    # and leaves the other conjunct with no holder, and after b, c, e or f
+    # the conjunct on a has no holder in a later column. So a cap of 1 cuts
+    # no live state. Counting a holder in any column kept b and c alive,
+    # and the same cap printed "bounded".
+    expr = (
+        'LIKE "___" AND (LIKE "%a%" OR LIKE "%d%") AND (LIKE "%b%" OR LIKE "%e%")'
+        ' AND (LIKE "%c%" OR LIKE "%f%") AND LIKE "%a%" AND LIKE "%d%"'
+    )
+    argv = ["nonempty", "--alphabet", "abcdef", "--expr", expr]
+    code, out, _ = run(capsys, *argv, "--max-len", "1")
+    assert code == 1 and out.strip() == "empty"
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and out.strip() == "empty"
+
+
 def test_negative_search_limits_are_usage_errors(capsys):
     for flag in ("--max-len", "--budget"):
         code, out, err = run(

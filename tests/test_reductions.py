@@ -67,6 +67,14 @@ def test_cnf_validation():
         Cnf(2, ((1, 2, 0),))
     with pytest.raises(ValueError):
         Cnf(2, ((1, 2, 3),))
+    # A count or literal that is not an int is refused here, as a bad
+    # value, not later by encode_3sat as a TypeError or KeyError.
+    for bad in (2.5, 2.0, "3", True, None):
+        with pytest.raises(ValueError, match="variable count"):
+            Cnf(bad, ())
+    for lit in (1.5, 1.0, "1", True, None):
+        with pytest.raises(ValueError, match="not an integer"):
+            Cnf(2, [(lit, 2, -1)])
     # Clauses given as lists, inside a tuple or not, are kept as tuples, so
     # the value hashes and compares like one built from tuples.
     for clauses in (([1, 2, 3],), [[1, 2, 3]], [(1, 2, 3)]):
