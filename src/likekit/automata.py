@@ -24,32 +24,39 @@ normalized pattern never has ``%`` before ``%`` or ``_``, and no bit
 crosses into the next block because accept bits are in neither mask.
 
 The masks come from one byte tape: the blocks side by side, each
-followed by its accept slot, highest bit first, one code per bit (accept
-slot, ``%``, ``_``, one per sigma literal, one per class, literal outside
-sigma; 252 literals and classes to a tape). A mask is one
-``bytes.translate`` to ``0``/``1`` digits and one ``int(digits, 2)``; the
-rest is int algebra.
+followed by its accept slot, highest bit first, one code per bit. Each
+distinct token the blocks hold gets a code when it is first read (the
+accept slot, ``%`` and ``_`` first), so the layout never depends on
+sigma's size; past 255 codes there is one tape per 255 of them, 255
+standing for every other token. A mask is one ``bytes.translate`` to
+``0``/``1`` digits and one ``int(digits, 2)``, one per token held; the
+rest is int algebra. A literal's mask goes to its symbol's move if the
+symbol is in sigma, and otherwise to the literals outside sigma, which
+cut reach (below); a symbol that no block holds steps on the ``_`` mask
+alone, the "other" class of symbolic automata (D'Antoni and Veanes,
+2017).
 
 *Class blocks.* When the compile holds one expression, an OR of atoms or
 an AND of negated atoms (``find_witness`` on the machine gadget, say),
 distinct normal forms alike but for their last literal, which is in
-sigma, share one block: a private class entry, the set of those literals,
-stands at that position. A class is coded after sigma's literals, and a
-symbol's move mask marks its own literal and every class holding it, as
-Shift-And reads a character class. After every step the class block is
-the bitwise OR of its members' blocks: the bits up to the class position
-agree in every member, the class bit is the OR of the members' bits, and
-every later bit follows the same masks, which distribute over OR. So the
-block's accept, absorb and reach tests are the "some member" tests the
-gate needs, and the verdict, the witness and ``complete`` are those of the
-unmerged search; only ``explored`` can fall, as states get coarser. The
-machine gadget's rule families (``% a b c _^s d %`` for every wrong d, and
-the like) are such siblings: the bouncer's state at space 4 narrows from
-4102 to 882 bits, and the counter machine's at space 5 from 43274 to 4915.
-Every other compile keeps one block per normal form: two expressions (the
-separator), any other shape (the 3-CNF gadget, ``PatternNfa``), or sigma
-and the classes past one tape. No counting forecast reads a class block,
-since a merged AND has no plain atom conjunct to be its length atom.
+sigma, share one block: a private class entry, the set of those
+literals, stands at that position. A class is a token of the tape like a
+literal, and a symbol's move mask marks its own literal and every class
+holding it, as Shift-And reads a character class. After every step the
+class block is the bitwise OR of its members' blocks: the bits up to the
+class position agree in every member, the class bit is the OR of the
+members' bits, and every later bit follows the same masks, which
+distribute over OR. So the block's accept, absorb and reach tests are
+the "some member" tests the gate needs, and the verdict, the witness and
+``complete`` are those of the unmerged search; only ``explored`` can
+fall, as states get coarser. The machine gadget's rule families (``% a b
+c _^s d %`` for every wrong d, and the like) are such siblings: the
+bouncer's state at space 4 narrows from 4102 to 882 bits, and the
+counter machine's at space 5 from 43274 to 4915. Every other compile
+keeps one block per normal form: two expressions (the separator) or any
+other shape (the 3-CNF gadget, ``PatternNfa``). No counting forecast
+reads a class block, since a merged AND has no plain atom conjunct to be
+its length atom.
 
 *Reading the atoms.* ``_flat_atoms`` reads a lone expression whose
 children are all atoms, or all negated atoms, once; an OR of atoms or an
@@ -60,8 +67,8 @@ OR. The distinct forms are keyed by their tokens in one C-level pass,
 and a block is looked up by a pattern's tokens, never by the object. The
 forms are laid out once, a pass over them giving each its family's
 block, and again, each distinct non-normal one through ``normalize``
-once, only when the first chunk's tape shows ``%%`` or ``%_``: never for
-the machine gadget, which is built normal. Compile and forecasts take
+once, only when the first tape shows ``%%`` or ``%_``: never for the
+machine gadget, which is built normal. Compile and forecasts take
 0.38-0.41 and 0.44-0.46 ms at bouncer spaces 2 and 4 (370 and 394 atoms;
 best of 200 in each of the quieter three of four runs, Python 3.11, 2
 shared cores), more than the search that follows; the family pass is
@@ -221,9 +228,9 @@ counts, so a budget of 0 explores nothing.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
+from collections import defaultdict, deque
 from enum import Enum
-from itertools import count, repeat
+from itertools import count, islice
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -234,7 +241,6 @@ from .pattern import (
     ANY_ONE,
     ANY_STRING,
     Alphabet,
-    Literal,
     Pattern,
     Symbol,
     Token,
@@ -331,14 +337,9 @@ class SearchOutcome(_Record):
         object.__setattr__(self, "state_bits", state_bits)
 
 
-# Tape codes. One chunk of sigma's literals takes the codes from _LITERAL
-# up; a literal outside the chunk codes as _OUT.
-_ACCEPT, _GAP, _ANY_ONE, _LITERAL = range(4)
-_OUT = 255
-_CHUNK = _OUT - _LITERAL
 _SLOT = object()  # stands for an accept slot in the token stream
 # Per code, the table that translates a tape to 1 where it holds the code.
-_DIGITS = [b"0" * c + b"1" + b"0" * (255 - c) for c in range(256)]
+_DIGITS = [b"0" * c + b"1" + b"0" * (255 - c) for c in range(255)]
 _tokens = attrgetter("tokens")
 
 
@@ -348,9 +349,11 @@ def _normal_tokens(form: tuple[Token, ...]) -> tuple[Token, ...]:
     return form if is_normalized(p) else normalize(p).tokens
 
 
-def _codes(chunk: tuple[Symbol, ...]) -> dict[object, int]:
-    """The codes of the accept slot, %, _ and a chunk of sigma's literals."""
-    return dict(zip((_SLOT, ANY_STRING, ANY_ONE, *map(Literal, chunk)), range(_OUT)))
+def _tape(codes: list[int], lo: int) -> bytes:
+    """The tape that holds codes lo up to lo + 254 as 0 up to 254, and
+    every other code as 255."""
+    table = b"\xff" * lo + bytes(range(255)) + b"\xff" * len(codes)
+    return bytes(map(table.__getitem__, codes))
 
 
 def _mask(tape: bytes, c: int) -> int:
@@ -456,11 +459,6 @@ class _CompiledSearch:
         flat = len(exprs) == 1 and isinstance(e, (And, Or)) and _flat_atoms(e)
         self._top = (e, flat) if flat else (None, None)
         patterns = flat[0] if flat else [p for x in exprs for p in atom_patterns(x)]
-        # Read backwards, the first chunk's tape shows % before % or _ as
-        # \x01\x01 or \x02\x01: slots code 0, literals and classes 3 up, and
-        # a class block's members share its other tokens. Only then are the
-        # forms laid out again, normalized (old classes keep unused codes).
-        code = _codes(symbols[:_CHUNK])
         # Forms are token tuples, which hash and compare in C. The distinct
         # raw forms are keyed once, and every lookup goes by a pattern's
         # tokens, so equal patterns share a slot whatever object holds them.
@@ -473,7 +471,6 @@ class _CompiledSearch:
                 forms = list(dict.fromkeys(normal_of))
             blocks = forms
             slot: dict[tuple[Token, ...], int] | None = None
-            classes: dict[frozenset[Symbol], frozenset[Symbol]] = {}
             if merge:
                 # One pass gives each form the block of its family, the tokens
                 # before and after its last literal if that is in sigma, and
@@ -498,18 +495,20 @@ class _CompiledSearch:
                     if fam is not toks:
                         sibs[i].append(sym)
                     family_of[toks] = i
-                for fam, i in family.items():
-                    if len(sibs[i]) > 1:
-                        cls = frozenset(sibs[i])
-                        cls = classes.setdefault(cls, cls)
-                        heads[i] = (*fam[0], cls, *fam[1])
-                if len(heads) < len(forms) and len(symbols) + len(classes) <= _CHUNK:
+                if len(heads) < len(forms):
+                    for fam, i in family.items():
+                        if len(sibs[i]) > 1:
+                            heads[i] = (*fam[0], frozenset(sibs[i]), *fam[1])
                     blocks, slot = heads, family_of
-                    code.update(zip(classes, count(_LITERAL + len(symbols))))
-                else:
-                    classes = {}
             stream, bounds = _join(blocks)
-            tape = bytes(map(code.get, reversed(stream), repeat(_OUT)))
+            # Each distinct token gets a code as the reversed stream is read,
+            # the accept slot, % and _ first. Past 255 codes each tape holds
+            # 255 of them, 255 standing for every other. Read backwards, the
+            # first tape shows % before % or _ as \x01\x01 or \x02\x01; only
+            # then are the forms laid out again, normalized.
+            code = defaultdict(count(3).__next__, {_SLOT: 0, ANY_STRING: 1, ANY_ONE: 2})
+            codes = [*map(code.__getitem__, reversed(stream))]
+            tape = bytes(codes) if len(code) <= 255 else _tape(codes, 0)
             if b"\x01\x01" not in tape and b"\x02\x01" not in tape:
                 break
         # Each raw form's block, through its normal form when laid out again.
@@ -522,26 +521,23 @@ class _CompiledSearch:
         # Read by ``counting`` alone, which never sees a class block.
         self._forms = forms
         self.state_bits = width = len(stream)
-        at_literal: list[int] = []
-        outside = -1
-        for lo in range(0, len(symbols), _CHUNK):
-            chunk = symbols[lo : lo + _CHUNK]
-            if lo:
-                tape = bytes(map(_codes(chunk).get, reversed(stream), repeat(_OUT)))
-            outside &= _mask(tape, _OUT)
-            at_literal += [
-                _mask(tape, c) for c in range(_LITERAL, _LITERAL + len(chunk))
-            ]
-        # A symbol also moves on every class holding it. Classes come only
-        # with one chunk, so the last tape holds them all.
-        for cls in classes:
-            on_class = _mask(tape, code[cls])
-            for sym in cls:
-                at_literal[column[sym]] |= on_class
-        self.any_one = any_one = _mask(tape, _ANY_ONE)
+        tapes = [tape, *(_tape(codes, lo) for lo in range(255, len(code), 255))]
+        # A token's mask goes to the move of each symbol it holds, a
+        # literal's one or a class's members, or to the literals outside
+        # sigma for a symbol outside it.
+        at_literal = [0] * len(symbols)
+        outside = 0
+        for tok, c in islice(code.items(), 3, None):
+            on_token = _mask(tapes[c // 255], c % 255)
+            for sym in tok if isinstance(tok, frozenset) else (tok.symbol,):
+                if sym in column:
+                    at_literal[column[sym]] |= on_token
+                else:
+                    outside |= on_token
+        self.any_one = any_one = _mask(tape, code[ANY_ONE])
         self.moves = tuple((sym, at | any_one) for sym, at in zip(symbols, at_literal))
-        self.gaps = gaps = _mask(tape, _GAP)
-        self.accept = accept = _mask(tape, _ACCEPT)
+        self.gaps = gaps = _mask(tape, code[ANY_STRING])
+        self.accept = accept = _mask(tape, code[_SLOT])
         full = (1 << width) - 1
         starts = ((accept << 1) | 1) & full
         self.initial = starts | ((starts & gaps) << 1)

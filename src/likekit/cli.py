@@ -40,6 +40,7 @@ from .normalize import normalize
 from .pattern import Alphabet, parse_pattern, render_pattern, to_classical_regex
 from .reductions import (
     TmSpec,
+    _tm_gadget_tokens,
     encode_3sat,
     encode_majority,
     encode_tm,
@@ -50,18 +51,22 @@ from .reductions import (
 
 
 # Sizes past these ceilings are refused with exit 3 before anything is
-# built. A 3-CNF gadget takes about 1 KB per declared variable (13 MB at
-# the ceiling). A machine gadget's tokens grow with the square of its tape
-# (22 MB for the tests' counter machine at 256 cells), and a simulated run
-# allocates the whole tape; unchecked, a --space of 10^6 took 128 MB before
-# any limit. A run keeps every configuration once, as its block of the
-# history: about 4 KB per step at 256 cells (5.2 KB with the JSON report)
-# and 0.6-0.9 KB at 40, so its length ceiling holds a run at 256 cells to
-# about 40 MB (52 MB with the JSON report). A run cut there is incomplete
-# and exits 3. The majority pattern and its rendering grow linearly with
-# --n, to about 35 MB of allocations at the ceiling.
+# built. A 3-CNF gadget takes about 1 KB per declared variable (13 MB at the
+# ceiling). A machine gadget's tokens grow with the square of its tape and
+# the fourth power of its alphabet: the tests' counter machine at 256 cells
+# holds 1568554 tokens (22 MB), and a machine of 20 tape symbols about
+# 205000 per cell, so the gadget's token count, known in closed form, has a
+# ceiling of its own. A simulated run allocates the whole tape; unchecked, a
+# --space of 10^6 took 128 MB before any limit. A run keeps every
+# configuration once, as its block of the history: about 4 KB per step at
+# 256 cells (5.2 KB with the JSON report) and 0.6-0.9 KB at 40, so its
+# length ceiling holds a run at 256 cells to about 40 MB (52 MB with the
+# JSON report). A run cut there is incomplete and exits 3. The majority
+# pattern and its rendering grow linearly with --n, to about 35 MB of
+# allocations at the ceiling.
 _MAX_3SAT_VARIABLES = 10_000
 _MAX_TM_SPACE = 256
+_MAX_TM_TOKENS = 2_000_000
 _MAX_TM_STEPS = 10_000
 _MAX_MAJORITY_N = 2_000_000
 
@@ -255,6 +260,9 @@ def _load_machine(args: argparse.Namespace) -> tuple[TmSpec, tuple[str, ...]]:
 
 def _cmd_reduce_tm(args: argparse.Namespace) -> int:
     spec, word = _load_machine(args)
+    tokens = _tm_gadget_tokens(spec, args.space)
+    if tokens > _MAX_TM_TOKENS:
+        raise _GadgetTooLarge("machine gadget token count", tokens, _MAX_TM_TOKENS)
     return _emit_gadget(args, *encode_tm(spec, word, args.space))
 
 

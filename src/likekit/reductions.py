@@ -400,6 +400,23 @@ def simulate_tm(
     return TmRunResult(accepted, history, steps, complete)
 
 
+def _tm_gadget_tokens(spec: TmSpec, space: int) -> int:
+    """The number of tokens in ``encode_tm``'s patterns for this machine
+    and space, in closed form, so that a caller can refuse an oversized
+    gadget before building it. It grows with the square of the space and
+    the fourth power of the machine's alphabet."""
+    s, g, rules = space, len(spec.tape_alphabet), len(spec.rules)
+    right = sum(rule.move == "R" for rule in spec.rules)
+    # The tokens of forbid_other's patterns, one pattern per wrong symbol of
+    # lam: for the first and last blocks, the separators' period, the
+    # window around the state and the cells away from it.
+    per_wrong = (s + 3) * (s + 5) + 3 * rules * (g + 1) * (s + 7) + (g + 1) ** 3 * (s + 6)
+    # Then the patterns for too short a text, too short a separator period,
+    # halts, falls off the last cell and the accept state too early.
+    rest = (s + 2) ** 2 + 3 * (s + 1) + 4 * ((len(spec.states) - 1) * g - rules)
+    return (g + len(spec.states)) * per_wrong + rest + 5 * right + 7
+
+
 def encode_tm(
     spec: TmSpec, word: Sequence[str], space: int
 ) -> tuple[LikeExpression, Alphabet]:

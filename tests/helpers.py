@@ -385,11 +385,6 @@ def naive_packed_masks(
     }
 
 
-# Codes one byte tape holds for sigma's literals and the class blocks'
-# symbol sets together.
-TAPE_LITERALS = 252
-
-
 def naive_class_layout(
     exprs: Sequence[LikeExpression], sigma: Alphabet
 ) -> dict[str, object]:
@@ -403,8 +398,7 @@ def naive_class_layout(
     whose position there admits the set of the group's literals. Every other
     position admits one literal, every symbol (``_``), every symbol and
     itself (``%``) or nothing (a literal outside sigma). The layout is
-    ``naive_packed_masks``'s when nothing merges, or when sigma and the
-    distinct sets do not fit in ``TAPE_LITERALS``. ``blocks`` pairs every
+    ``naive_packed_masks``'s when nothing merges. ``blocks`` pairs every
     atom occurrence, in preorder, with its shared block's masks.
     """
     unmerged = naive_packed_masks(exprs, sigma)
@@ -438,8 +432,7 @@ def naive_class_layout(
         key: {form.tokens[len(key[0])].symbol for form in group}
         for key, group in groups.items()
     }
-    distinct = {frozenset(s) for s in sets.values()}
-    if not groups or len(sigma.symbols) + len(distinct) > TAPE_LITERALS:
+    if not groups:
         return unmerged
 
     # Each block as a list of positions: "%", "_", or the set of symbols
@@ -1033,6 +1026,21 @@ def m_dirty_accept() -> tuple[TmSpec, tuple[str, ...], int]:
         blank="b",
     )
     return spec, ("1",), 2
+
+
+def m_wide(symbols: int) -> tuple[TmSpec, tuple[str, ...], int]:
+    """Two states and this many tape symbols; blanks its first cell and
+    accepts. Its gadget grows with the fourth power of the alphabet."""
+    spec = TmSpec(
+        states=("q0", "qa"),
+        tape_alphabet=("b", *(f"t{i}" for i in range(1, symbols))),
+        input_alphabet=("t1",),
+        start="q0",
+        accept="qa",
+        rules=(TmRule("q0", "b", "qa", "b", "L"),),
+        blank="b",
+    )
+    return spec, (), 1
 
 
 def machine_json(spec: TmSpec) -> str:

@@ -639,8 +639,8 @@ def test_compile_agrees_with_token_by_token_reference():
 
 
 def test_compile_of_a_wide_alphabet_agrees_with_reference():
-    # 600 symbols take three tapes; the literals come from the second and
-    # third chunks, with symbols outside the alphabet mixed in.
+    # Over 600 symbols, literals late in sigma and outside it are coded as
+    # the compile meets them, like any other token.
     symbols = [f"s{i}" for i in range(600)]
     sigma = Alphabet(tuple(symbols))
     pool = symbols[252:] + ["out1", "out2"]
@@ -648,6 +648,74 @@ def test_compile_of_a_wide_alphabet_agrees_with_reference():
     for _ in range(40):
         exprs = [_random_expr(rng, pool, 2) for _ in range(2)]
         _assert_compile_matches_reference(exprs, sigma)
+
+
+def test_compiles_of_more_than_255_tokens_agree_with_reference(monkeypatch):
+    # Each distinct token gets a code, 255 to a tape, so these compiles take
+    # a second tape: sigma's literals, literals outside sigma, classes, and
+    # forms with % before % or _, which are laid out again normalized.
+    symbols = tuple(f"s{i}" for i in range(400))
+    sigma = Alphabet(symbols)
+    pool = [*symbols[:300], *(f"out{i}" for i in range(40))]
+    rng = random.Random(255)
+    tails = [(), (ANY_ONE,), (ANY_STRING,), (ANY_STRING, ANY_ONE)]
+    tails.append((ANY_STRING, ANY_STRING))
+
+    def siblings(families, size):
+        """Families of siblings, each a head of pool literals and wildcards,
+        a last literal that varies (a few outside sigma), and a tail."""
+        atoms = []
+        for _ in range(families):
+            head = random_pattern(rng, pool, 3).tokens
+            head += tuple(map(Literal, rng.sample(pool, 2)))
+            tail = rng.choice(tails)
+            for last in rng.sample([*symbols, "out0"], size):
+                atoms.append(Atom(Pattern((*head, Literal(last), *tail))))
+        return atoms
+
+    cases = [
+        and_(*[Atom(random_pattern(rng, pool, 6)) for _ in range(350)]),
+        or_(*siblings(150, 6)),
+        And(tuple(map(Not, siblings(100, 2)))),
+    ]
+    tapes = []
+    tape = automata._tape
+
+    def counted(codes, lo):
+        tapes.append(lo)
+        return tape(codes, lo)
+
+    monkeypatch.setattr(automata, "_tape", counted)
+    for e in cases:
+        assert not all(map(is_normalized, atom_patterns(e)))
+        tapes.clear()
+        _assert_compile_matches_reference([e], sigma)
+        assert 255 in tapes, tapes
+    # The sibling families merge, and the search is the class layout's scan.
+    for e in cases[1:]:
+        out = _assert_search_is_the_class_layout_scan(e, sigma)
+        assert out.state_bits < naive_packed_masks([e], sigma)["state_bits"]
+
+
+def test_wide_compile_masks_the_tokens_it_holds_not_sigma(monkeypatch):
+    # Over 20000 symbols, a compile that names two literals makes one mask
+    # per token its blocks hold (the accept slot, %, _, a and b); a symbol
+    # it never names steps on the _ mask alone.
+    calls = []
+    mask = automata._mask
+
+    def counted(tape, c):
+        calls.append(c)
+        return mask(tape, c)
+
+    monkeypatch.setattr(automata, "_mask", counted)
+    sigma = Alphabet(("a", "b", *(f"s{i}" for i in range(19998))))
+    e = and_(Atom(P("%a%")), Atom(P("%b%")))
+    comp = _CompiledSearch([e], sigma)
+    assert len(calls) == 5
+    assert comp.moves[2:] == tuple((s, comp.any_one) for s in sigma.symbols[2:])
+    _assert_compile_matches_reference([e], sigma)
+    assert find_witness(e, sigma).witness == ("a", "b")
 
 
 # --- class blocks for sibling atoms -------------------------------------------
@@ -737,11 +805,11 @@ def test_class_blocks_agree_with_the_unmerged_reference():
         _assert_search_is_the_class_layout_scan(e, sigma, rng.choice((None, None, 2)))
 
 
-def test_compiles_past_one_tape_or_of_other_shapes_stay_unmerged():
-    # Siblings over 300 symbols: sigma alone fills more than one tape.
+def test_siblings_merge_at_any_alphabet_width_and_other_shapes_stay_unmerged():
+    # Siblings over 300 symbols, and three classes over 250: whether they
+    # merge depends on the expression's shape alone, not on sigma's size.
     symbols = tuple(f"s{i}" for i in range(300))
     e = or_(*[Atom(Pattern((ANY_STRING, Literal(s), ANY_ONE))) for s in symbols[:40]])
-    # Over 250 symbols, three distinct classes do not fit the 252 codes.
     near = symbols[:250]
     tight = or_(
         *[
@@ -750,20 +818,16 @@ def test_compiles_past_one_tape_or_of_other_shapes_stay_unmerged():
             for s in group
         ]
     )
+    for expr, sigma in ((e, Alphabet(symbols)), (tight, Alphabet(near))):
+        out = _assert_search_is_the_class_layout_scan(expr, sigma)
+        assert out.state_bits < naive_packed_masks([expr], sigma)["state_bits"]
+    assert find_witness(e, Alphabet(symbols)).state_bits == 4
     # The 3-CNF gadget is an AND with plain atoms among its conjuncts.
     gadget, gadget_sigma = encode_3sat(Cnf(3, ((1, 2, 3), (-1, -2, -3))))
-    cases = ((e, Alphabet(symbols)), (tight, Alphabet(near)), (gadget, gadget_sigma))
-    for expr, sigma in cases:
-        out = find_witness(expr, sigma)
-        plain = naive_packed_masks([expr], sigma)
-        assert (out.atoms, out.state_bits) == (plain["atoms"], plain["state_bits"])
-        _assert_compile_matches_reference([expr], sigma)
-    for expr, sigma in cases[:2]:
-        _assert_search_is_the_class_layout_scan(expr, sigma)
-    # With one symbol fewer, sigma and the three classes fill one tape.
-    fits = Alphabet(near[:249])
-    plain = naive_packed_masks([tight], fits)
-    assert find_witness(tight, fits).state_bits < plain["state_bits"]
+    out = find_witness(gadget, gadget_sigma)
+    plain = naive_packed_masks([gadget], gadget_sigma)
+    assert (out.atoms, out.state_bits) == (plain["atoms"], plain["state_bits"])
+    _assert_compile_matches_reference([gadget], gadget_sigma)
 
 
 def _machine_runs():

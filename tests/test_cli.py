@@ -13,9 +13,21 @@ import pytest
 import likekit
 from likekit import parse_expression
 from likekit.expression import MAX_NESTING
-from likekit.cli import _build_parser, dispatch
+from likekit.cli import _MAX_TM_TOKENS, _build_parser, dispatch
+from likekit.reductions import _tm_gadget_tokens
 
-from helpers import m_counter, machine_json, short_digest
+from helpers import (
+    m_bouncer,
+    m_counter,
+    m_dirty_accept,
+    m_edge_fall,
+    m_loop,
+    m_one_step,
+    m_stuck,
+    m_wide,
+    machine_json,
+    short_digest,
+)
 
 
 def run(capsys, *argv):
@@ -468,6 +480,32 @@ def test_gadget_size_ceilings_fire_before_the_gadget_is_built(tmp_path, capsys):
     code, out, err = run(capsys, *reduce_tm, str(10**12))
     assert code == 3 and out == ""
     assert run(capsys, *reduce_tm, "256")[0] == 0
+
+
+def test_machine_gadget_token_ceiling_fires_before_the_gadget_is_built(
+    tmp_path, capsys
+):
+    # The gadget grows with the fourth power of the machine's alphabet: with
+    # 20 tape symbols, about 205000 tokens a cell, some 54 million at 256
+    # cells, 34 times the counter machine's gadget there.
+    machine = tmp_path / "wide.json"
+    machine.write_text(machine_json(m_wide(20)[0]))
+    reduce_tm = ("reduce", "tm", "--machine", str(machine), "--input", "", "--space")
+    tracemalloc.start()
+    started = time.perf_counter()
+    code, out, err = run(capsys, *reduce_tm, "256")
+    elapsed = time.perf_counter() - started
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    count = _tm_gadget_tokens(m_wide(20)[0], 256)
+    assert code == 3 and out == "" and "ceiling" in err
+    assert f"token count {count} " in err
+    assert elapsed < 0.5 and peak < 2**20, (elapsed, peak)
+    # Every helper machine's gadget stays under the ceiling at 256 cells.
+    machines = [m_bouncer(256), m_counter(256), m_one_step(), m_loop(), m_stuck()]
+    machines += [m_edge_fall(), m_dirty_accept()]
+    for spec, _, _ in machines:
+        assert _tm_gadget_tokens(spec, 256) <= _MAX_TM_TOKENS, spec
 
 
 def test_simulate_space_ceiling_fires_before_the_tape_is_built(tmp_path, capsys):

@@ -34,6 +34,7 @@ from likekit import (
     tm_from_json,
 )
 from likekit.cli import dispatch
+from likekit.reductions import _tm_gadget_tokens
 
 from helpers import (
     all_texts,
@@ -47,6 +48,7 @@ from helpers import (
     m_loop,
     m_one_step,
     m_stuck,
+    m_wide,
     naive_class_layout,
     naive_packed_masks,
     reference_encode_tm,
@@ -577,6 +579,27 @@ def test_forbidden_patterns_are_pairwise_distinct(build):
         expr, _ = encode_tm(spec, word, space)
         forbidden = [c.child.pattern for c in expr.children]
         assert len(set(forbidden)) == len(forbidden), space
+
+
+def test_gadget_token_count_is_the_closed_form():
+    # The CLI refuses a machine gadget by this count before building it, so
+    # it must be exact: every helper machine at spaces 1-8, and the counter
+    # machine at 256 cells, the largest gadget the tests build.
+    def built(spec, word, space):
+        expr, _ = encode_tm(spec, word, space)
+        return sum(len(c.child.pattern.tokens) for c in expr.children)
+
+    others = [m_one_step, m_loop, m_stuck, m_edge_fall, m_dirty_accept]
+    for space in range(1, 9):
+        runs = [m_bouncer(space), m_counter(space), m_wide(3), *(b() for b in others)]
+        for spec, word, _ in runs:
+            if len(word) <= space:
+                assert built(spec, word, space) == _tm_gadget_tokens(spec, space)
+    spec, word, _ = m_counter(256)
+    assert built(spec, word, 256) == _tm_gadget_tokens(spec, 256) == 1568554
+    # Twenty tape symbols, counted but not built: about 205000 tokens a cell.
+    wide = m_wide(20)[0]
+    assert [_tm_gadget_tokens(wide, s) for s in (1, 4)] == [1437908, 2054186]
 
 
 @pytest.mark.parametrize("build", [m_loop, m_stuck, m_edge_fall, m_dirty_accept])

@@ -49,3 +49,23 @@ def test_import_loads_no_code_generation_or_json_modules():
     loaded = set(done.stdout.split())
     assert "likekit" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "json"}, sorted(loaded)
+
+
+def test_every_module_level_import_is_used():
+    # __init__.py imports names to re-export them; every other module uses
+    # each name it imports.
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused = sorted(set(imported) - used)
+        assert not unused, (path.name, [(name, imported[name]) for name in unused])
