@@ -61,18 +61,26 @@ its length atom.
 *Reading the atoms.* ``_flat_atoms`` reads a lone expression whose
 children are all atoms, or all negated atoms, once; an OR of atoms or an
 AND of negated atoms holds every block, so its forecasts are the whole
-masks. Any other shape is read by ``atom_patterns``, and ``forecasts``
-cuts the masks to each inner gate's blocks, an atom being a one-pattern
-OR. The distinct forms are keyed by their tokens in one C-level pass,
-and a block is looked up by a pattern's tokens, never by the object. The
-forms are laid out once, a pass over them giving each its family's
+masks, and it keeps no block per form (``_masks`` refuses it). Any other
+shape is read by ``atom_patterns``, and ``forecasts`` cuts the masks to
+each inner gate's blocks, an atom being a one-pattern OR. The distinct
+forms are keyed by their tokens in one C-level pass, and a block is
+looked up by a pattern's tokens, never by the object. The forms are laid
+out once, a pass over them (``_Families``) giving each its family's
 block, and again, each distinct non-normal one through ``normalize``
-once, only when the first tape shows ``%%`` or ``%_``: never for the
-machine gadget, which is built normal. Compile and forecasts take
-0.38-0.41 and 0.44-0.46 ms at bouncer spaces 2 and 4 (370 and 394 atoms;
-best of 200 in each of the quieter three of four runs, Python 3.11, 2
-shared cores), more than the search that follows; the family pass is
-about 0.21-0.23 ms of it.
+once, only when the first tape shows ``%%`` or ``%_``. The machine
+gadget comes read: ``encode_tm`` builds it normal, keys each rule family
+as it builds it by the tokens around the varying literal, sends its few
+single forms through the same pass, and leaves the distinct forms and
+their blocks on the AND it returns (``_Read``). The compile takes that
+read when it holds that very AND alone, over a sigma with every gadget
+symbol, and the tape shows the forms normal; then it reads no atom and
+runs no pass. A copy, a pickle, the gadget under an ``and_`` or a
+narrower sigma is read afresh. At bouncer spaces 2-4 (370-394 atoms;
+best of 9 x 300, Python 3.11, 2 shared cores) the compile of the read
+takes 84-104 us, and of the same AND read afresh 346-382 us, 200-229 us
+of it the family pass; taking the read costs ``encode_tm`` about 60-90
+us.
 
 Pruning rests on two forecasts per expression, compiled like its value
 to mask tests on the packed int: *dead* (false on every extension of the
@@ -373,6 +381,103 @@ def _join(blocks: list[tuple[object, ...]]) -> tuple[list[object], list[int]]:
     return stream, bounds
 
 
+def _lay_out(
+    blocks: list[tuple[object, ...]],
+) -> tuple[list[object], list[int], dict[object, int], list[int], bytes]:
+    """The blocks' stream and bounds (see ``_join``), each distinct token's
+    code, the reversed stream's codes and the first tape (see ``_tape``)."""
+    stream, bounds = _join(blocks)
+    # Each distinct token gets a code as the reversed stream is read, the
+    # accept slot, % and _ first.
+    code = defaultdict(count(3).__next__, {_SLOT: 0, ANY_STRING: 1, ANY_ONE: 2})
+    codes = [*map(code.__getitem__, reversed(stream))]
+    tape = bytes(codes) if len(code) <= 255 else _tape(codes, 0)
+    return stream, bounds, code, codes, tape
+
+
+def _normal_tape(tape: bytes) -> bool:
+    """Whether a first tape, read backwards, shows no % before % or _ (as
+    \\x01\\x01 or \\x02\\x01): whether every form laid out is normal."""
+    return b"\x01\x01" not in tape and b"\x02\x01" not in tape
+
+
+class _Families:
+    """Sibling families of forms, in the order of their first forms. A form
+    whose last literal is in sigma is keyed by the tokens before and after
+    that literal; any other form is a family of its own, keyed by itself.
+    ``blocks`` gives each family's block: its first form, with the set of
+    its literals at the literal's place when it has two or more."""
+
+    __slots__ = ("keys", "heads", "sibs")
+
+    def __init__(self) -> None:
+        self.keys: dict[object, int] = {}
+        self.heads: list[tuple[object, ...]] = []
+        self.sibs: list[list[Symbol]] = []
+
+    def add_forms(self, forms: list[tuple[Token, ...]], column: dict[Symbol, int]) -> None:
+        """Add each distinct form to its family, sigma being column's keys."""
+        keys, heads, sibs = self.keys, self.heads, self.sibs
+        for toks in forms:
+            at = len(toks) - 1
+            while at >= 0 and (toks[at] is ANY_STRING or toks[at] is ANY_ONE):
+                at -= 1
+            key = toks
+            if at >= 0:
+                sym = toks[at].symbol
+                if sym in column:
+                    key = (toks[:at], toks[at + 1 :])
+            i = keys.setdefault(key, len(heads))
+            if i == len(heads):
+                heads.append(toks)
+                sibs.append([])
+            if key is not toks:
+                sibs[i].append(sym)
+
+    def add_family(
+        self,
+        key: tuple[tuple[Token, ...], tuple[Token, ...]],
+        first: tuple[Token, ...],
+        symbols: list[Symbol],
+    ) -> None:
+        """Add the distinct forms ``before + (Literal(y),) + after`` for y in
+        symbols, all in sigma, where key is (before, after), after holds no
+        literal and first is the first of the forms: the key ``add_forms``
+        gives each of them, found without reading them."""
+        heads = self.heads
+        i = self.keys.setdefault(key, len(heads))
+        if i == len(heads):
+            heads.append(first)
+            self.sibs.append([*symbols])
+        else:
+            self.sibs[i] += symbols
+
+    def blocks(self) -> list[tuple[object, ...]]:
+        heads, sibs = self.heads, self.sibs
+        # Families with the same literals in the same order share one class.
+        classes: dict[tuple[Symbol, ...], frozenset[Symbol]] = {}
+        for key, i in self.keys.items():
+            if len(sibs[i]) > 1:
+                members = tuple(sibs[i])
+                cls = classes.get(members)
+                if cls is None:
+                    cls = classes[members] = frozenset(members)
+                heads[i] = key[0] + (cls,) + key[1]
+        return heads
+
+
+class _Read(NamedTuple):
+    """What a builder knows of an AND of negated atoms it built: its
+    distinct forms, all normal, in order, the blocks of their sibling
+    families (``_Families.blocks``) and the symbols the families were keyed
+    over. ``_CompiledSearch`` lays it out as the expression's own read when
+    it compiles the expression alone over a sigma holding those symbols."""
+
+    forms: tuple[tuple[Token, ...], ...]
+    blocks: tuple[tuple[object, ...], ...]
+    symbols: frozenset[Symbol]
+
+
 def _flat_atoms(e: LikeExpression) -> tuple[list[Pattern], bool] | None:
     """The patterns of an And/Or whose children are all atoms, or all
     negated atoms, with the polarity; an atom reads as a one-pattern Or,
@@ -444,78 +549,68 @@ def _held(row: tuple[int, ...], unsettled: int, memo: dict[int, int]) -> int:
 
 class _CompiledSearch:
     """All distinct normalized atoms packed into one int, siblings in a
-    class block when the compile allows it: the block layout, laid out
-    again normalized only if the first tape shows a non-normal form, and
-    the step, accept, absorb and reach masks. ``forecasts`` compiles an
+    class block when the compile allows it: the block layout, taken from
+    the builder's read when the expression carries one that holds, laid
+    out again normalized only if the first tape shows a non-normal form,
+    and the step, accept, absorb and reach masks. ``forecasts`` compiles an
     expression's value, dead and settled groups to mask tests on that int."""
 
     def __init__(self, exprs: list[LikeExpression], sigma: Alphabet) -> None:
         symbols = sigma.symbols
         # Each symbol's column, its index in sigma and in moves.
         self.column = column = sigma._index
-        # A lone gate of atoms, or of negated atoms, is read once, and
-        # forecasts reuses the read; any other shape goes to the walker.
         e = exprs[0]
-        flat = len(exprs) == 1 and isinstance(e, (And, Or)) and _flat_atoms(e)
-        self._top = (e, flat) if flat else (None, None)
-        patterns = flat[0] if flat else [p for x in exprs for p in atom_patterns(x)]
-        # Forms are token tuples, which hash and compare in C. The distinct
-        # raw forms are keyed once, and every lookup goes by a pattern's
-        # tokens, so equal patterns share a slot whatever object holds them.
-        raw = forms = list(dict.fromkeys(map(_tokens, patterns)))
-        merge = flat and flat[1] == isinstance(e, And)
-        for normal in (False, True):
-            if normal:
-                # Each distinct raw form is normalized once, if it is not normal.
-                normal_of = [*map(_normal_tokens, raw)]
-                forms = list(dict.fromkeys(normal_of))
-            blocks = forms
-            slot: dict[tuple[Token, ...], int] | None = None
-            if merge:
-                # One pass gives each form the block of its family, the tokens
-                # before and after its last literal if that is in sigma, and
-                # collects the family's literals.
-                family: dict[tuple, int] = {}
-                heads: list[tuple[object, ...]] = []
-                sibs: list[list[Symbol]] = []
-                family_of: dict[tuple[Token, ...], int] = {}
-                for toks in forms:
-                    at = len(toks) - 1
-                    while at >= 0 and (toks[at] is ANY_STRING or toks[at] is ANY_ONE):
-                        at -= 1
-                    fam = toks
-                    if at >= 0:
-                        sym = toks[at].symbol
-                        if sym in column:
-                            fam = (toks[:at], toks[at + 1 :])
-                    i = family.setdefault(fam, len(heads))
-                    if i == len(heads):
-                        heads.append(toks)
-                        sibs.append([])
-                    if fam is not toks:
-                        sibs[i].append(sym)
-                    family_of[toks] = i
-                if len(heads) < len(forms):
-                    for fam, i in family.items():
-                        if len(sibs[i]) > 1:
-                            heads[i] = (*fam[0], frozenset(sibs[i]), *fam[1])
-                    blocks, slot = heads, family_of
-            stream, bounds = _join(blocks)
-            # Each distinct token gets a code as the reversed stream is read,
-            # the accept slot, % and _ first. Past 255 codes each tape holds
-            # 255 of them, 255 standing for every other. Read backwards, the
-            # first tape shows % before % or _ as \x01\x01 or \x02\x01; only
-            # then are the forms laid out again, normalized.
-            code = defaultdict(count(3).__next__, {_SLOT: 0, ANY_STRING: 1, ANY_ONE: 2})
-            codes = [*map(code.__getitem__, reversed(stream))]
-            tape = bytes(codes) if len(code) <= 255 else _tape(codes, 0)
-            if b"\x01\x01" not in tape and b"\x02\x01" not in tape:
-                break
-        # Each raw form's block, through its normal form when laid out again.
-        if slot is None:
+        laid = None
+        # The machine gadget comes read: encode_tm hands its forms and their
+        # families' blocks over, and they hold while sigma has every symbol
+        # they were keyed over and the forms are normal.
+        read = getattr(e, "_read", None) if len(exprs) == 1 else None
+        if read is not None and column.keys() >= read.symbols:
+            forms = read.forms
+            laid = _lay_out(read.blocks)
+            if _normal_tape(laid[4]):
+                # The gadget is an AND of negated atoms.
+                self._top, merge, normal = (e, True), True, False
+            else:
+                laid = None
+        if laid is None:
+            # A lone gate of atoms, or of negated atoms, is read once, and
+            # forecasts reuses the read; any other shape goes to the walker.
+            flat = len(exprs) == 1 and isinstance(e, (And, Or)) and _flat_atoms(e)
+            patterns = flat[0] if flat else [p for x in exprs for p in atom_patterns(x)]
+            # Forms are token tuples, which hash and compare in C. The distinct
+            # raw forms are keyed once, and every lookup goes by a pattern's
+            # tokens, so equal patterns share a slot whatever object holds them.
+            raw = forms = list(dict.fromkeys(map(_tokens, patterns)))
+            merge = bool(flat) and flat[1] == isinstance(e, And)
+            self._top = (e, merge) if flat else (None, False)
+            for normal in (False, True):
+                if normal:
+                    # Each distinct raw form is normalized once, if it is not normal.
+                    normal_of = [*map(_normal_tokens, raw)]
+                    forms = list(dict.fromkeys(normal_of))
+                blocks = forms
+                if merge:
+                    # One pass gives each form its family's block.
+                    families = _Families()
+                    families.add_forms(forms, column)
+                    blocks = families.blocks()
+                # Past 255 codes each tape holds 255 of them, 255 standing for
+                # every other. Only when the first tape shows a form that is not
+                # normal are the forms laid out again, normalized.
+                laid = _lay_out(blocks)
+                if _normal_tape(laid[4]):
+                    break
+        stream, bounds, code, codes, tape = laid
+        # A merged gate is a leaf of forecasts holding every block, and
+        # counting never reads it, so it keeps no block per form. Otherwise
+        # each raw form has its block, through its normal form when laid out
+        # again.
+        slot: dict[tuple[Token, ...], int] | None = None
+        if not merge:
             slot = dict(zip(forms, count()))
-        if normal:
-            slot = dict(zip(raw, map(slot.__getitem__, normal_of)))
+            if normal:
+                slot = dict(zip(raw, map(slot.__getitem__, normal_of)))
         self.atoms = len(forms)
         self._slot, self._bounds = slot, bounds
         # Read by ``counting`` alone, which never sees a class block.
@@ -559,6 +654,8 @@ class _CompiledSearch:
     def _masks(self, patterns: list[Pattern]) -> tuple[int, int, int]:
         """The accept, absorb and reach masks cut to these atoms' blocks."""
         slot_of, bounds = self._slot, self._bounds
+        if slot_of is None:
+            raise RuntimeError("a merged compile keeps no block per form")
         span = 0
         for p in patterns:
             i = slot_of[p.tokens]
@@ -578,20 +675,24 @@ class _CompiledSearch:
         every extension of the current text) and settled (true on every
         extension). A fold pushes each NOT down to the atoms, where it
         flips the value and swaps dead and settled."""
-        top, top_flat = self._top
+        top, merged = self._top
 
         def leaf(
             node: LikeExpression, positive: bool
         ) -> tuple[_Group, _Group, _Group] | None:
-            flat = top_flat if node is top else _flat_atoms(node)
-            if not flat or isinstance(node, And) != flat[1]:
-                return None
             # One atom, an Or of atoms, or an And of negated atoms (its negation).
-            # The lone gate the compile read holds every block.
-            patterns, flip = flat
+            # The lone gate the compile read is one only when merged, and then
+            # holds every block.
             if node is top:
+                if not merged:
+                    return None
+                flip = isinstance(node, And)
                 masks = self.accept, self._absorb, self._reach
             else:
+                flat = _flat_atoms(node)
+                if not flat or isinstance(node, And) != flat[1]:
+                    return None
+                patterns, flip = flat
                 masks = self._masks(patterns)
             value, dead, settled = self._any_atom(*masks)
             if positive == flip:

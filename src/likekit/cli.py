@@ -40,6 +40,7 @@ from .normalize import normalize
 from .pattern import Alphabet, parse_pattern, render_pattern, to_classical_regex
 from .reductions import (
     TmSpec,
+    _tm_gadget_patterns,
     _tm_gadget_tokens,
     encode_3sat,
     encode_majority,
@@ -56,8 +57,12 @@ from .reductions import (
 # the fourth power of its alphabet: the tests' counter machine at 256 cells
 # holds 1568554 tokens (22 MB), and a machine of 20 tape symbols about
 # 205000 per cell, so the gadget's token count, known in closed form, has a
-# ceiling of its own. A simulated run allocates the whole tape; unchecked, a
-# --space of 10^6 took 128 MB before any limit. A run keeps every
+# ceiling of its own. So has its pattern count, since each pattern costs
+# its records whatever its length: with 20 tape symbols the gadget holds
+# 205308 short patterns at one cell (97 MB max RSS), with 13 symbols 41914
+# (32 MB), and the counter machine's 8581 at 256 cells take 40 MB. A
+# simulated run allocates the whole tape; unchecked, a --space of 10^6 took
+# 128 MB before any limit. A run keeps every
 # configuration once, as its block of the history: about 4 KB per step at
 # 256 cells (5.2 KB with the JSON report) and 0.6-0.9 KB at 40, so its
 # length ceiling holds a run at 256 cells to about 40 MB (52 MB with the
@@ -67,6 +72,7 @@ from .reductions import (
 _MAX_3SAT_VARIABLES = 10_000
 _MAX_TM_SPACE = 256
 _MAX_TM_TOKENS = 2_000_000
+_MAX_TM_PATTERNS = 50_000
 _MAX_TM_STEPS = 10_000
 _MAX_MAJORITY_N = 2_000_000
 
@@ -263,6 +269,9 @@ def _cmd_reduce_tm(args: argparse.Namespace) -> int:
     tokens = _tm_gadget_tokens(spec, args.space)
     if tokens > _MAX_TM_TOKENS:
         raise _GadgetTooLarge("machine gadget token count", tokens, _MAX_TM_TOKENS)
+    patterns = _tm_gadget_patterns(spec, args.space)
+    if patterns > _MAX_TM_PATTERNS:
+        raise _GadgetTooLarge("machine gadget pattern count", patterns, _MAX_TM_PATTERNS)
     return _emit_gadget(args, *encode_tm(spec, word, args.space))
 
 

@@ -93,7 +93,10 @@ _set_child = Not.child.__set__
 
 
 class _Gate(_Record):
-    __slots__ = __match_args__ = ("children",)
+    __match_args__ = ("children",)
+    # _read: what a gadget builder knew of the gate as it built it, for the
+    # search compile (``automata._Read``); unset on every other gate.
+    __slots__ = ("children", "_read")
     children: tuple["LikeExpression", ...]
 
     def __init__(self, children: Iterable["LikeExpression"]) -> None:
@@ -102,6 +105,9 @@ class _Gate(_Record):
         if len(children) < 2:
             raise ValueError(f"{type(self).__name__} needs at least two children")
         object.__setattr__(self, "children", children)
+
+
+_set_read = _Gate._read.__set__
 
 
 class And(_Gate):

@@ -25,7 +25,8 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .expression import And, Atom, LikeExpression, Not, and_, or_
+from .automata import _Families, _Read
+from .expression import And, Atom, LikeExpression, Not, _set_read, and_, or_
 from .pattern import (
     ANY_ONE,
     ANY_STRING,
@@ -417,6 +418,25 @@ def _tm_gadget_tokens(spec: TmSpec, space: int) -> int:
     return (g + len(spec.states)) * per_wrong + rest + 5 * right + 7
 
 
+def _tm_gadget_patterns(spec: TmSpec, space: int) -> int:
+    """The number of patterns in ``encode_tm``'s gadget for this machine and
+    space, in closed form, so that a caller can refuse an oversized gadget
+    before building it. Each pattern costs records and a token tuple
+    whatever its length, so a gadget of many short patterns takes far more
+    memory than its token count tells. It grows linearly with the space and
+    with the fourth power of the machine's alphabet."""
+    s, g, rules = space, len(spec.tape_alphabet), len(spec.rules)
+    right = sum(rule.move == "R" for rule in spec.rules)
+    # forbid_other's families, one pattern per wrong symbol of lam each: the
+    # first and last blocks, the separators' period, the window around the
+    # state and the cells away from it.
+    families = 2 * (s + 2) + 1 + 3 * rules * (g + 1) + (g + 1) ** 3
+    # Then the patterns for too short a text, too short a separator period,
+    # halts, falls off the last cell and the accept state too early.
+    rest = (s + 3) + (s + 1) + (len(spec.states) - 1) * g - rules + right + 1
+    return (g + len(spec.states)) * families + rest
+
+
 def encode_tm(
     spec: TmSpec, word: Sequence[str], space: int
 ) -> tuple[LikeExpression, Alphabet]:
@@ -434,6 +454,13 @@ def encode_tm(
     3 x (|alphabet| - 1) patterns rather than one per wrong triple. The
     language is exact over the returned alphabet; over a larger one the
     ``_`` positions also forbid foreign symbols.
+
+    The returned AND also carries what was known as it was built, for the
+    search compile (``automata._Read``): the forbidden patterns' token
+    tuples, distinct and normal, in order, and the blocks of their sibling
+    families keyed over the returned alphabet. It is held outside the
+    record's fields, so equality, hashing, repr and pickling are those of
+    ``And(children)``, and a copy or pickle drops it.
     """
     w = _check_run_args(spec, word, space)
     s = space
@@ -441,6 +468,8 @@ def encode_tm(
     lam = tuple(gamma) + tuple(spec.states) + (_SEPARATOR,)
     delta = spec.delta
 
+    sigma = Alphabet(lam)
+    column = sigma._index
     lit = {y: Literal(y) for y in lam}
     # No set is needed to keep the patterns distinct. The families below
     # differ in length or in where % and _ stand, but for "% q b %" against
@@ -450,16 +479,31 @@ def encode_tm(
     # many `_` close them, so they are distinct too.
     # The forbidden token tuples, in order; they become records at the end.
     forbidden: list[tuple[Token, ...]] = []
-    forbid = forbidden.append
-    others = [(y, (lit[y],)) for y in lam]
+    # The search compile's sibling families of those forms, over lam.
+    families = _Families()
+    add_family = families.add_family
+
+    def forbid(forms: list[tuple[Token, ...]]) -> None:
+        forbidden.extend(forms)
+        families.add_forms(forms, column)
+
+    # Per wanted symbol, every other symbol of lam and its one-token run.
+    others = {
+        want: ([(lit[y],) for y in lam if y != want], [y for y in lam if y != want])
+        for want in lam
+    }
 
     def forbid_other(before: tuple[Token, ...], want: Symbol, after: tuple[Token, ...]) -> None:
-        # Every symbol of lam but the wanted one, between the two runs.
-        forbidden.extend([before + one + after for y, one in others if y != want])
+        # Every symbol of lam but the wanted one, between the two runs. The
+        # runs after are all % and _, so these forms are one family, keyed
+        # by the runs.
+        ones, symbols = others[want]
+        forms = [before + one + after for one in ones]
+        forbidden.extend(forms)
+        add_family((before, after), forms[0], symbols)
 
     # Strings shorter than one full block cannot be histories.
-    for j in range(s + 3):
-        forbid((ANY_ONE,) * j)
+    forbid([(ANY_ONE,) * j for j in range(s + 3)])
 
     # The first block spells the starting configuration.
     head_template = (_SEPARATOR, spec.start) + w + (spec.blank,) * (s - len(w))
@@ -473,8 +517,7 @@ def encode_tm(
 
     # Separators recur at period s+2 and never sooner.
     sep = lit[_SEPARATOR]
-    for j in range(1, s + 2):
-        forbid((ANY_STRING, sep) + (ANY_ONE,) * (j - 1) + (sep, ANY_STRING))
+    forbid([(ANY_STRING, sep) + (ANY_ONE,) * j + (sep, ANY_STRING) for j in range(s + 1)])
     forbid_other((ANY_STRING, sep) + (ANY_ONE,) * (s + 1), _SEPARATOR, (ANY_STRING,))
 
     # The three tokens around the state must evolve by the machine's rule.
@@ -503,17 +546,26 @@ def encode_tm(
                 forbid_other(before, b, (ANY_STRING,))
 
     # Halting anywhere but the accept state has no continuation.
-    for q in spec.states:
-        if q == spec.accept:
-            continue
-        for b in gamma:
-            if (q, b) not in delta:
-                forbid((ANY_STRING, lit[q], lit[b], ANY_STRING))
-    for rule in spec.rules:
-        if rule.move == "R":
-            forbid((ANY_STRING, lit[rule.state], lit[rule.read], sep, ANY_STRING))
+    forbid(
+        [
+            (ANY_STRING, lit[q], lit[b], ANY_STRING)
+            for q in spec.states
+            if q != spec.accept
+            for b in gamma
+            if (q, b) not in delta
+        ]
+    )
+    forbid(
+        [
+            (ANY_STRING, lit[rule.state], lit[rule.read], sep, ANY_STRING)
+            for rule in spec.rules
+            if rule.move == "R"
+        ]
+    )
 
     # The accept state appears in the final block only.
-    forbid((ANY_STRING, lit[spec.accept], ANY_STRING, sep, ANY_STRING, sep, ANY_STRING))
+    forbid([(ANY_STRING, lit[spec.accept], ANY_STRING, sep, ANY_STRING, sep, ANY_STRING)])
 
-    return And(tuple(map(Not, map(Atom, map(Pattern, forbidden))))), Alphabet(lam)
+    expr = And(tuple(map(Not, map(Atom, map(Pattern, forbidden)))))
+    _set_read(expr, _Read(tuple(forbidden), tuple(families.blocks()), frozenset(lam)))
+    return expr, sigma

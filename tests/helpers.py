@@ -1043,6 +1043,24 @@ def m_wide(symbols: int) -> tuple[TmSpec, tuple[str, ...], int]:
     return spec, (), 1
 
 
+def random_machine(rng: random.Random) -> tuple[TmSpec, tuple[str, ...], int]:
+    """A machine of 2-4 states and 1-3 tape symbols whose rules cover each
+    (state, symbol) pair off the accept state with probability 0.8, with a
+    random input word at a random space of 1-4 cells."""
+    states = tuple(f"q{i}" for i in range(rng.randint(2, 4)))
+    tape = ("b", *(f"t{i}" for i in range(1, rng.randint(1, 3))))
+    rules = tuple(
+        TmRule(q, y, rng.choice(states), rng.choice(tape), rng.choice("LR"))
+        for q in states[:-1]
+        for y in tape
+        if rng.random() < 0.8
+    )
+    spec = TmSpec(states, tape, tape[1:], states[0], states[-1], rules, blank="b")
+    space = rng.randint(1, 4)
+    word = tuple(rng.choice(tape[1:]) for _ in range(rng.randint(0, space))) if tape[1:] else ()
+    return spec, word, space
+
+
 def machine_json(spec: TmSpec) -> str:
     """The machine as ``tm_from_json`` reads it, its blank named ``_blank``."""
 

@@ -2,6 +2,7 @@ import random
 import sys
 import threading
 from collections import deque
+from operator import attrgetter
 
 import pytest
 
@@ -72,6 +73,7 @@ from helpers import (
     m_loop,
     m_one_step,
     m_stuck,
+    m_wide,
     naive_class_layout,
     naive_counting,
     naive_family,
@@ -79,6 +81,7 @@ from helpers import (
     naive_packed_masks,
     ordered_3sat_reference,
     random_monotone_expression,
+    random_machine,
     random_pattern,
     random_text,
     reachable_states,
@@ -614,6 +617,17 @@ def _assert_compile_matches_reference(exprs, sigma):
     assert comp.moves == want["moves"]
     assert (comp.gaps, comp.initial) == (want["gaps"], want["initial"])
     assert (comp.atoms, comp.state_bits) == (want["atoms"], want["state_bits"])
+    if comp._slot is None:
+        # A merged compile keeps no block per form, and _masks refuses it.
+        # Its blocks, in order, are the reference's, which are laid out in
+        # the order of their first atoms.
+        bounds = comp._bounds
+        spans = [(1 << hi) - (1 << lo) for lo, hi in zip(bounds, bounds[1:])]
+        got = [(comp.accept & s, comp._absorb & s, comp._reach & s) for s in spans]
+        assert got == list(dict.fromkeys(masks for _, masks in want["blocks"]))
+        with pytest.raises(RuntimeError, match="merged"):
+            comp._masks([want["blocks"][0][0]])
+        return
     # A block is found by a pattern's tokens, so a fresh copy finds it too.
     for p, masks in want["blocks"]:
         assert comp._masks([Pattern(p.tokens)]) == masks, p
@@ -896,24 +910,37 @@ def _count_joins(monkeypatch):
 def test_machine_gadgets_are_read_once_and_never_normalized(monkeypatch):
     # encode_tm builds every pattern in normal form, so the first tape shows
     # no %% or %_, and the compile lays the forms out once and calls
-    # normalize on none. The gadget's one gate is read once, by the compile;
-    # forecasts reuses the read. Its blocks, class blocks or not, are
-    # joined into one stream once.
+    # normalize on none. The gadget comes read: its own compile neither
+    # reads its atoms nor runs the family pass. Fenced by and_, the gadget
+    # is a new gate, read once by the compile, whose forms go through one
+    # family pass; forecasts reuses the read. Either way its blocks, class
+    # blocks or not, are joined into one stream once.
     calls = _count_normalize(monkeypatch)
     joins = _count_joins(monkeypatch)
-    reads = []
+    reads, passes = [], []
 
     def flat_atoms(e):
         reads.append(e)
         return _flat_atoms(e)
 
+    add_forms = automata._Families.add_forms
+
+    def family_pass(families, forms, column):
+        passes.append(len(forms))
+        add_forms(families, forms, column)
+
     monkeypatch.setattr(automata, "_flat_atoms", flat_atoms)
+    monkeypatch.setattr(automata._Families, "add_forms", family_pass)
     for param in _machine_runs():
-        for e, sigma in _fenced_and_unfenced(*param.values):
+        (gadget, sigma), (fenced, _) = _fenced_and_unfenced(*param.values)
+        for e, read in ((gadget, []), (fenced, [fenced])):
+            # encode_tm sends its single forms through the pass as it builds.
             reads.clear()
             joins.clear()
+            passes.clear()
             find_witness(e, sigma)
-            assert reads == [e]
+            assert reads == read, param.id
+            assert passes == [len(e.children)] * len(read), param.id
             assert len(joins) == 1, param.id
     assert calls == []
 
@@ -936,10 +963,50 @@ def test_only_the_non_normal_forms_are_normalized(monkeypatch):
     assert comp.atoms == naive_packed_masks([e], sigma)["atoms"] == 5
     assert comp.state_bits == naive_class_layout([e], sigma)["state_bits"] == 10
     _assert_compile_matches_reference([e], sigma)
-    # Each raw form reaches the block of its normal form: %_a and _%a share
-    # one, and %%a shares %a's class block with %b.
-    assert comp._masks([P("%_a")]) == comp._masks([P("_%a")])
-    assert comp._masks([P("%%a")]) == comp._masks([P("%b")])
+    # Merged, the compile keeps no block per form. Beside a second
+    # expression nothing merges, and each raw form reaches the block of its
+    # normal form: %_a and _%a share one.
+    twin = _CompiledSearch([e, e], sigma)
+    assert twin._masks([P("%_a")]) == twin._masks([P("_%a")])
+    _assert_compile_matches_reference([e, e], sigma)
+
+
+def test_the_gadget_read_compiles_as_a_fresh_read():
+    # The gadget as encode_tm returns it carries the builder's read; the same
+    # gate built again from its children does not, and is read by the
+    # compile. Over sigma, over sigma with two symbols more (the read
+    # holds) and over sigma without one gadget symbol (it does not), the
+    # two compiles lay out the same blocks and search alike: every helper
+    # machine whose run fits its space, and 60 seeded random machines.
+    runs = [m_bouncer(space) for space in range(1, 9)]
+    runs += [m_counter(space) for space in range(2, 7)]
+    runs += [b() for b in (m_one_step, m_loop, m_stuck, m_edge_fall, m_dirty_accept)]
+    runs.append(m_wide(4))
+    rng = random.Random(3232)
+    runs += [random_machine(rng) for _ in range(60)]
+    runs = [(spec, word, space) for spec, word, space in runs if len(word) <= space]
+    fields = attrgetter(
+        *("moves", "gaps", "accept", "initial", "_absorb", "_reach", "_immortal"),
+        *("state_bits", "atoms", "_bounds"),
+    )
+    reads = 0
+    for spec, word, space in runs:
+        expr, sigma = encode_tm(spec, word, space)
+        fresh = And(expr.children)
+        assert expr._read is not None and getattr(fresh, "_read", None) is None
+        symbols = sigma.symbols
+        for alphabet in (
+            sigma,
+            Alphabet(("y0", *symbols, "y1")),
+            Alphabet(symbols[:-2] + symbols[-1:]),
+        ):
+            read, afresh = _CompiledSearch([expr], alphabet), _CompiledSearch([fresh], alphabet)
+            assert fields(read) == fields(afresh), (spec, space, alphabet)
+            assert tuple(read._forms) == tuple(afresh._forms)
+            reads += read._forms is expr._read.forms
+            assert find_witness(expr, alphabet) == find_witness(fresh, alphabet)
+    # The read is taken over both alphabets that hold every gadget symbol.
+    assert reads == 2 * len(runs)
 
 
 # --- forecasts compiled to mask tests ----------------------------------------

@@ -13,8 +13,8 @@ import pytest
 import likekit
 from likekit import parse_expression
 from likekit.expression import MAX_NESTING
-from likekit.cli import _MAX_TM_TOKENS, _build_parser, dispatch
-from likekit.reductions import _tm_gadget_tokens
+from likekit.cli import _MAX_TM_PATTERNS, _MAX_TM_TOKENS, _build_parser, dispatch
+from likekit.reductions import _tm_gadget_patterns, _tm_gadget_tokens
 
 from helpers import (
     m_bouncer,
@@ -506,6 +506,37 @@ def test_machine_gadget_token_ceiling_fires_before_the_gadget_is_built(
     machines += [m_edge_fall(), m_dirty_accept()]
     for spec, _, _ in machines:
         assert _tm_gadget_tokens(spec, 256) <= _MAX_TM_TOKENS, spec
+
+
+def test_machine_gadget_pattern_ceiling_fires_before_the_gadget_is_built(
+    tmp_path, capsys
+):
+    # Under the token ceiling at one cell, 20 tape symbols still give 205308
+    # short patterns, each with its records: 97 MB max RSS unchecked.
+    wide = m_wide(20)[0]
+    machine = tmp_path / "wide.json"
+    machine.write_text(machine_json(wide))
+    reduce_tm = ("reduce", "tm", "--machine", str(machine), "--input", "", "--space")
+    assert _tm_gadget_tokens(wide, 1) <= _MAX_TM_TOKENS
+    tracemalloc.start()
+    started = time.perf_counter()
+    code, out, err = run(capsys, *reduce_tm, "1")
+    elapsed = time.perf_counter() - started
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 3 and out == "" and "ceiling" in err
+    assert f"pattern count {_tm_gadget_patterns(wide, 1)} " in err
+    assert elapsed < 0.5 and peak < 2**20, (elapsed, peak)
+    # The counter machine at 256 cells, every other helper machine there,
+    # and 13 tape symbols at one cell stay under the ceiling.
+    machines = [m_bouncer(256), m_counter(256), m_one_step(), m_loop(), m_stuck()]
+    machines += [m_edge_fall(), m_dirty_accept()]
+    for spec, _, _ in machines:
+        assert _tm_gadget_patterns(spec, 256) <= _MAX_TM_PATTERNS, spec
+    assert _tm_gadget_patterns(m_counter(256)[0], 256) == 8581
+    assert _tm_gadget_patterns(m_wide(13)[0], 1) == 41914 <= _MAX_TM_PATTERNS
+    machine.write_text(machine_json(m_wide(3)[0]))
+    assert run(capsys, *reduce_tm, "1")[0] == 0
 
 
 def test_simulate_space_ceiling_fires_before_the_tape_is_built(tmp_path, capsys):

@@ -4,11 +4,13 @@ search outcomes and the gadgets' formulas and machines.
 Each record is pinned on what callers can see: constructor keywords and
 defaults, ``__match_args__``, repr text, equality only within one class,
 hashing, immutability, and pickle, ``copy`` and ``deepcopy`` round trips
-that rebuild the derived slots (``Alphabet._index``, ``TmSpec.delta``).
+that rebuild the derived slots (``Alphabet._index``, ``TmSpec.delta``) or
+drop them (the machine gadget's read).
 """
 
 import copy
 import pickle
+from operator import attrgetter
 
 import pytest
 
@@ -30,7 +32,11 @@ from likekit import (
     TmRunResult,
     TmSpec,
     Verdict,
+    encode_tm,
 )
+from likekit.automata import _CompiledSearch
+
+from helpers import m_bouncer
 
 P_REPR = "Pattern(tokens=(Literal(symbol='a'), AnyString(), AnyOne()))"
 RULE_REPR = "TmRule(state='q0', read='1', next='qa', write='_blank', move='L')"
@@ -181,6 +187,23 @@ def test_derived_slots_are_rebuilt_and_kept_out_of_comparison():
     for clone in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
         assert clone.delta == spec.delta == {("q0", "1"): _rule()}
     assert copy.deepcopy(spec).delta is not spec.delta
+
+
+def test_machine_gadget_read_is_kept_out_of_the_record():
+    # encode_tm hands the search compile a read of the And it returns, in a
+    # slot outside the fields: the gadget is the And of its children in
+    # every way a caller can see, and a copy or pickle drops the read and
+    # compiles afresh to the same layout.
+    expr, sigma = encode_tm(*m_bouncer(3))
+    bare = And(expr.children)
+    assert expr._read is not None
+    assert expr == bare and hash(expr) == hash(bare) and repr(expr) == repr(bare)
+    assert "_read" not in And.__match_args__ and "_read" not in repr(expr)
+    layout = attrgetter("moves", "gaps", "initial", "state_bits", "atoms", "_bounds")
+    want = layout(_CompiledSearch([expr], sigma))
+    for clone in (pickle.loads(pickle.dumps(expr)), copy.copy(expr), copy.deepcopy(expr)):
+        assert clone == expr and getattr(clone, "_read", None) is None
+        assert layout(_CompiledSearch([clone], sigma)) == want
 
 
 def test_keyword_construction_and_defaults():

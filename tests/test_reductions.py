@@ -34,7 +34,7 @@ from likekit import (
     tm_from_json,
 )
 from likekit.cli import dispatch
-from likekit.reductions import _tm_gadget_tokens
+from likekit.reductions import _tm_gadget_patterns, _tm_gadget_tokens
 
 from helpers import (
     all_texts,
@@ -568,12 +568,18 @@ def test_machine_gadget_output_is_pinned():
 
 
 @pytest.mark.parametrize(
-    "build", [m_one_step, m_bouncer, m_loop, m_stuck, m_edge_fall, m_dirty_accept]
+    "build",
+    [m_one_step, m_bouncer, m_loop, m_stuck, m_edge_fall, m_dirty_accept, m_counter, m_wide],
 )
 def test_forbidden_patterns_are_pairwise_distinct(build):
-    # encode_tm keeps no set, so distinctness rests on its rule families.
-    for space in range(1, 5):
-        spec, word, _ = build(space) if build is m_bouncer else build()
+    # encode_tm keeps no set, so distinctness rests on its rule families,
+    # and the read it hands the compile takes its forms as distinct.
+    spaces = {m_counter: range(2, 7), m_wide: (1, 2)}.get(build, range(1, 5))
+    for space in spaces:
+        if build is m_wide:
+            spec, word, _ = build(4)
+        else:
+            spec, word, _ = build(space) if build in (m_bouncer, m_counter) else build()
         if len(word) > space:
             continue
         expr, _ = encode_tm(spec, word, space)
@@ -600,6 +606,23 @@ def test_gadget_token_count_is_the_closed_form():
     # Twenty tape symbols, counted but not built: about 205000 tokens a cell.
     wide = m_wide(20)[0]
     assert [_tm_gadget_tokens(wide, s) for s in (1, 4)] == [1437908, 2054186]
+
+
+def test_gadget_pattern_count_is_the_closed_form():
+    # The CLI refuses a machine gadget by this count too, before building it:
+    # every helper machine at spaces 1-8, and the counter machine at 256.
+    others = [m_one_step, m_loop, m_stuck, m_edge_fall, m_dirty_accept]
+    for space in range(1, 9):
+        runs = [m_bouncer(space), m_counter(space), m_wide(3), *(b() for b in others)]
+        for spec, word, _ in runs:
+            if len(word) <= space:
+                expr, _ = encode_tm(spec, word, space)
+                assert len(expr.children) == _tm_gadget_patterns(spec, space)
+    spec, word, _ = m_counter(256)
+    assert len(encode_tm(spec, word, 256)[0].children) == 8581
+    assert _tm_gadget_patterns(spec, 256) == 8581
+    # Twenty tape symbols at one cell, counted but not built.
+    assert _tm_gadget_patterns(m_wide(20)[0], 1) == 205308
 
 
 @pytest.mark.parametrize("build", [m_loop, m_stuck, m_edge_fall, m_dirty_accept])
