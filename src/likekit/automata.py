@@ -72,15 +72,17 @@ once, only when the first tape shows ``%%`` or ``%_``. The machine
 gadget comes read: ``encode_tm`` builds it normal, keys each rule family
 as it builds it by the tokens around the varying literal, sends its few
 single forms through the same pass, and leaves the distinct forms and
-their blocks on the AND it returns (``_Read``). The compile takes that
-read when it holds that very AND alone, over a sigma with every gadget
-symbol, and the tape shows the forms normal; then it reads no atom and
-runs no pass. A copy, a pickle, the gadget under an ``and_`` or a
-narrower sigma is read afresh. At bouncer spaces 2-4 (370-394 atoms;
-best of 9 x 300, Python 3.11, 2 shared cores) the compile of the read
-takes 84-104 us, and of the same AND read afresh 346-382 us, 200-229 us
-of it the family pass; taking the read costs ``encode_tm`` about 60-90
-us.
+their blocks on the AND it returns (``_Read``), which builds its
+negated atoms only when its children are first read. The compile takes
+that read when it holds that very AND alone, over a sigma with every
+gadget symbol, and the tape shows the forms normal; then it reads no
+atom, runs no pass, and no record of the gadget is built. A copy, a
+pickle, the gadget under an ``and_`` or a narrower sigma is read afresh.
+At bouncer spaces 2-4 (370-394 atoms; best of 7 x 200, Python 3.11, 2
+shared cores) the compile of the read takes 69-85 us, and of the same
+AND read afresh 328-375 us, 202-217 us of it the family pass;
+``encode_tm`` takes 174-190 us, and building the records it defers
+would take 208-220 us more.
 
 Pruning rests on two forecasts per expression, compiled like its value
 to mask tests on the packed int: *dead* (false on every extension of the
@@ -716,9 +718,14 @@ class _CompiledSearch:
         symbols are disjoint from every earlier member's. Every other
         conjunct of the same shape is bound, held by the members that hold
         its symbols in sigma. Only symbols are read, never the layout."""
-        # The length atom is a plain Atom conjunct. Without one, as in the
-        # machine gadget's And of negated atoms, the type scan bails before
-        # any per-conjunct work.
+        # The length atom is a plain Atom conjunct. A merged top (an Or of
+        # atoms, or an And of negated atoms such as the machine gadget) has
+        # none, and is declined without reading its children, which the
+        # gadget builds only when read. Elsewhere, without one the type scan
+        # bails before any per-conjunct work.
+        top, merged = self._top
+        if merged and e is top:
+            return None
         if not isinstance(e, And) or Atom not in set(map(type, e.children)):
             return None
         slot_of, forms = self._slot, self._forms

@@ -50,9 +50,9 @@ class _Record:
     built from them, such as a lookup table, stays out. Each subclass
     writes its own ``__init__`` (an interned token, its ``__new__``) and
     sets its slots with ``object.__setattr__``, or, in the records built
-    hundreds at a time (``Pattern``, ``Atom``, ``Not``), with the slot's
-    member descriptor, bound once after the class; assigning or deleting
-    an attribute afterwards raises ``AttributeError``.
+    hundreds at a time (``Pattern``, ``Atom``, ``Not``, the gates), with
+    the slot's member descriptor, bound once after the class; assigning or
+    deleting an attribute afterwards raises ``AttributeError``.
     """
 
     __slots__ = ()

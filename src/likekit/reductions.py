@@ -26,7 +26,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .automata import _Families, _Read
-from .expression import And, Atom, LikeExpression, Not, _set_read, and_, or_
+from .expression import And, Atom, LikeExpression, _set_read, and_, or_
 from .pattern import (
     ANY_ONE,
     ANY_STRING,
@@ -460,7 +460,10 @@ def encode_tm(
     tuples, distinct and normal, in order, and the blocks of their sibling
     families keyed over the returned alphabet. It is held outside the
     record's fields, so equality, hashing, repr and pickling are those of
-    ``And(children)``, and a copy or pickle drops it.
+    ``And(children)``, and a copy or pickle drops it. The AND holds only
+    that read until its children are first read, and then builds them
+    once, as the negated atoms of those forms: a ``find_witness`` over the
+    returned alphabet never reads them, so it never builds them.
     """
     w = _check_run_args(spec, word, space)
     s = space
@@ -566,6 +569,7 @@ def encode_tm(
     # The accept state appears in the final block only.
     forbid([(ANY_STRING, lit[spec.accept], ANY_STRING, sep, ANY_STRING, sep, ANY_STRING)])
 
-    expr = And(tuple(map(Not, map(Atom, map(Pattern, forbidden)))))
+    # The And holds only its read; its records are built when first read.
+    expr = object.__new__(And)
     _set_read(expr, _Read(tuple(forbidden), tuple(families.blocks()), frozenset(lam)))
     return expr, sigma

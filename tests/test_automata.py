@@ -50,6 +50,7 @@ from likekit.automata import (
     _predicate,
     _separator_halves,
 )
+from likekit.expression import _Gate
 
 from helpers import (
     FALSE_FOREVER,
@@ -978,6 +979,9 @@ def test_the_gadget_read_compiles_as_a_fresh_read():
     # holds) and over sigma without one gadget symbol (it does not), the
     # two compiles lay out the same blocks and search alike: every helper
     # machine whose run fits its space, and 60 seeded random machines.
+    # Searched over the first two, the gadget never builds its records; the
+    # counting forecast declines it without reading them, and declines it
+    # fenced by and_ too.
     runs = [m_bouncer(space) for space in range(1, 9)]
     runs += [m_counter(space) for space in range(2, 7)]
     runs += [b() for b in (m_one_step, m_loop, m_stuck, m_edge_fall, m_dirty_accept)]
@@ -992,19 +996,27 @@ def test_the_gadget_read_compiles_as_a_fresh_read():
     reads = 0
     for spec, word, space in runs:
         expr, sigma = encode_tm(spec, word, space)
-        fresh = And(expr.children)
-        assert expr._read is not None and getattr(fresh, "_read", None) is None
         symbols = sigma.symbols
-        for alphabet in (
+        alphabets = (
             sigma,
             Alphabet(("y0", *symbols, "y1")),
             Alphabet(symbols[:-2] + symbols[-1:]),
-        ):
+        )
+        outcomes = [find_witness(expr, alphabet) for alphabet in alphabets[:2]]
+        assert _CompiledSearch([expr], sigma).counting(expr) is None
+        with pytest.raises(AttributeError):
+            _Gate.children.__get__(expr)
+        fenced = and_(expr, Not(Atom(Pattern((Literal(symbols[0]),) * 2))))
+        assert _CompiledSearch([fenced], sigma).counting(fenced) is None
+        fresh = And(expr.children)
+        assert expr._read is not None and fresh._read is None
+        outcomes.append(find_witness(expr, alphabets[2]))
+        for alphabet, outcome in zip(alphabets, outcomes):
             read, afresh = _CompiledSearch([expr], alphabet), _CompiledSearch([fresh], alphabet)
             assert fields(read) == fields(afresh), (spec, space, alphabet)
             assert tuple(read._forms) == tuple(afresh._forms)
             reads += read._forms is expr._read.forms
-            assert find_witness(expr, alphabet) == find_witness(fresh, alphabet)
+            assert outcome == find_witness(fresh, alphabet)
     # The read is taken over both alphabets that hold every gadget symbol.
     assert reads == 2 * len(runs)
 
