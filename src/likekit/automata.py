@@ -71,18 +71,25 @@ block, and again, each distinct non-normal one through ``normalize``
 once, only when the first tape shows ``%%`` or ``%_``. The machine
 gadget comes read: ``encode_tm`` builds it normal, keys each rule family
 as it builds it by the tokens around the varying literal, sends its few
-single forms through the same pass, and leaves the distinct forms and
-their blocks on the AND it returns (``_Read``), which builds its
-negated atoms only when its children are first read. The compile takes
-that read when it holds that very AND alone, over a sigma with every
-gadget symbol, and the tape shows the forms normal; then it reads no
-atom, runs no pass, and no record of the gadget is built. A copy, a
-pickle, the gadget under an ``and_`` or a narrower sigma is read afresh.
-At bouncer spaces 2-4 (370-394 atoms; best of 7 x 200, Python 3.11, 2
-shared cores) the compile of the read takes 69-85 us, and of the same
-AND read afresh 328-375 us, 202-217 us of it the family pass;
-``encode_tm`` takes 174-190 us, and building the records it defers
-would take 208-220 us more.
+single forms through the same pass, and leaves the distinct forms, their
+blocks and the families' keys on the AND it returns (``_Read``), which
+builds its negated atoms only when its children are first read. An
+``and_`` of that AND and negated atoms hands the read on
+(``_Read.conjoin``): each further form is keyed by the same rule
+(``_family``) and is dropped if the read holds it, joins its family or
+starts one, and the new AND builds its children, the gadget's and then
+the very items passed, only when they are first read. The compile takes
+a read when it holds that very AND alone, over a sigma with every symbol
+the read was keyed over, and the tape shows the forms normal; then it
+reads no atom, runs no pass, and no record is built. A copy, a pickle, an
+``and_`` with anything but negated atoms over those symbols after the
+gadget, or a narrower sigma is read afresh. At bouncer spaces 2-4
+(370-395 atoms; best of 7 x 200, Python 3.11, 2 shared cores) the
+compile of the gadget's read takes 81-94 us and of its read fenced by
+the run's history 83-99 us, against 413-440 us for the fenced AND read
+afresh, 237-249 us of it the family pass; ``encode_tm`` takes 194-206
+us, the ``and_`` 6-7 us, and building the records they defer would take
+276-281 us more.
 
 Pruning rests on two forecasts per expression, compiled like its value
 to mask tests on the packed int: *dead* (false on every extension of the
@@ -242,9 +249,18 @@ from collections import defaultdict, deque
 from enum import Enum
 from itertools import count, islice
 from operator import attrgetter
-from typing import Callable, NamedTuple
+from typing import Callable, Collection, NamedTuple
 
-from .expression import And, Atom, LikeExpression, Not, Or, _fold, atom_patterns
+from .expression import (
+    And,
+    Atom,
+    LikeExpression,
+    Not,
+    Or,
+    _deferred,
+    _fold,
+    atom_patterns,
+)
 from .matcher import Text
 from .normalize import is_normalized, normalize
 from .pattern import (
@@ -351,6 +367,7 @@ _SLOT = object()  # stands for an accept slot in the token stream
 # Per code, the table that translates a tape to 1 where it holds the code.
 _DIGITS = [b"0" * c + b"1" + b"0" * (255 - c) for c in range(255)]
 _tokens = attrgetter("tokens")
+_GAPS = frozenset((ANY_STRING, ANY_ONE))
 
 
 def _normal_tokens(form: tuple[Token, ...]) -> tuple[Token, ...]:
@@ -403,12 +420,25 @@ def _normal_tape(tape: bytes) -> bool:
     return b"\x01\x01" not in tape and b"\x02\x01" not in tape
 
 
+def _family(toks: tuple[Token, ...], column: Collection[Symbol]) -> tuple[object, Symbol | None]:
+    """The one family rule: a form whose last literal is in sigma (column)
+    is keyed by the tokens before and after that literal, with its symbol;
+    any other form is a family of its own, keyed by itself, with None."""
+    at = len(toks) - 1
+    while at >= 0 and (toks[at] is ANY_STRING or toks[at] is ANY_ONE):
+        at -= 1
+    if at >= 0:
+        sym = toks[at].symbol
+        if sym in column:
+            return (toks[:at], toks[at + 1 :]), sym
+    return toks, None
+
+
 class _Families:
-    """Sibling families of forms, in the order of their first forms. A form
-    whose last literal is in sigma is keyed by the tokens before and after
-    that literal; any other form is a family of its own, keyed by itself.
-    ``blocks`` gives each family's block: its first form, with the set of
-    its literals at the literal's place when it has two or more."""
+    """Sibling families of forms, in the order of their first forms, keyed by
+    ``_family``. ``blocks`` gives each family's block: its first form, with
+    the set of its literals at the literal's place when it has two or more.
+    ``keys`` gives each key's family and ``sibs`` each family's literals."""
 
     __slots__ = ("keys", "heads", "sibs")
 
@@ -421,19 +451,12 @@ class _Families:
         """Add each distinct form to its family, sigma being column's keys."""
         keys, heads, sibs = self.keys, self.heads, self.sibs
         for toks in forms:
-            at = len(toks) - 1
-            while at >= 0 and (toks[at] is ANY_STRING or toks[at] is ANY_ONE):
-                at -= 1
-            key = toks
-            if at >= 0:
-                sym = toks[at].symbol
-                if sym in column:
-                    key = (toks[:at], toks[at + 1 :])
+            key, sym = _family(toks, column)
             i = keys.setdefault(key, len(heads))
             if i == len(heads):
                 heads.append(toks)
                 sibs.append([])
-            if key is not toks:
+            if sym is not None:
                 sibs[i].append(sym)
 
     def add_family(
@@ -470,14 +493,59 @@ class _Families:
 
 class _Read(NamedTuple):
     """What a builder knows of an AND of negated atoms it built: its
-    distinct forms, all normal, in order, the blocks of their sibling
-    families (``_Families.blocks``) and the symbols the families were keyed
-    over. ``_CompiledSearch`` lays it out as the expression's own read when
-    it compiles the expression alone over a sigma holding those symbols."""
+    distinct forms, in order, the blocks of their sibling families
+    (``_Families.blocks``), the symbols the families were keyed over, and
+    the families' ``keys`` and ``sibs``, never changed once the read is
+    made (``conjoin`` extends copies). ``_CompiledSearch`` lays it out as the expression's own read when
+    it compiles the expression alone over a sigma holding those symbols,
+    and the tape shows the forms normal. The AND holds only its read until
+    its children are first read; they are then built as the negated atoms
+    of the forms, or, for a read ``conjoin`` made, as ``base.children +
+    tail``."""
 
     forms: tuple[tuple[Token, ...], ...]
     blocks: tuple[tuple[object, ...], ...]
     symbols: frozenset[Symbol]
+    keys: dict[object, int]
+    sibs: list[list[Symbol]]
+    base: And | None = None
+    tail: tuple[LikeExpression, ...] = ()
+
+    def conjoin(self, gate: And, tail: tuple[LikeExpression, ...]) -> And | None:
+        """``and_(gate, *tail)``, gate being the AND this is the read of, as
+        an AND holding only a read: this one with each distinct tail form
+        added to its family, so its blocks are those of a fresh family pass
+        over all the forms. None, for the caller to build the AND itself,
+        unless every tail item is a negated atom whose literals are all in
+        the symbols."""
+        symbols = self.symbols
+        added: list[tuple[Token, ...]] = []
+        blocks, keys, sibs = [*self.blocks], dict(self.keys), [*self.sibs]
+        joined: dict[int, tuple[tuple[Token, ...], tuple[Token, ...]]] = {}
+        for item in tail:
+            if not (isinstance(item, Not) and isinstance(item.child, Atom)):
+                return None
+            toks = item.child.pattern.tokens
+            if not symbols.issuperset(t.symbol for t in {*toks} - _GAPS):
+                return None
+            key, sym = _family(toks, symbols)
+            i = keys.setdefault(key, len(blocks))
+            if i == len(blocks):
+                blocks.append(toks)
+                sibs.append([] if sym is None else [sym])
+            elif sym is None or sym in sibs[i]:
+                continue  # a form the read holds
+            else:
+                # A new list: the sibs this read shares stay as they are.
+                sibs[i] = sibs[i] + [sym]
+                joined[i] = key
+            added.append(toks)
+        for i, (before, after) in joined.items():
+            blocks[i] = before + (frozenset(sibs[i]),) + after
+        forms = self.forms + tuple(added)
+        base = gate if self.base is None else self.base
+        tail = self.tail + tail
+        return _deferred(_Read(forms, tuple(blocks), symbols, keys, sibs, base, tail))
 
 
 def _flat_atoms(e: LikeExpression) -> tuple[list[Pattern], bool] | None:
@@ -563,9 +631,10 @@ class _CompiledSearch:
         self.column = column = sigma._index
         e = exprs[0]
         laid = None
-        # The machine gadget comes read: encode_tm hands its forms and their
-        # families' blocks over, and they hold while sigma has every symbol
-        # they were keyed over and the forms are normal.
+        # The machine gadget comes read, fenced by and_ or not: encode_tm
+        # hands its forms and their families' blocks over, and they hold
+        # while sigma has every symbol they were keyed over and the forms
+        # are normal.
         read = getattr(e, "_read", None) if len(exprs) == 1 else None
         if read is not None and column.keys() >= read.symbols:
             forms = read.forms

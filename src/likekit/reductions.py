@@ -26,7 +26,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .automata import _Families, _Read
-from .expression import And, Atom, LikeExpression, _set_read, and_, or_
+from .expression import Atom, LikeExpression, _deferred, and_, or_
 from .pattern import (
     ANY_ONE,
     ANY_STRING,
@@ -457,13 +457,16 @@ def encode_tm(
 
     The returned AND also carries what was known as it was built, for the
     search compile (``automata._Read``): the forbidden patterns' token
-    tuples, distinct and normal, in order, and the blocks of their sibling
-    families keyed over the returned alphabet. It is held outside the
-    record's fields, so equality, hashing, repr and pickling are those of
-    ``And(children)``, and a copy or pickle drops it. The AND holds only
-    that read until its children are first read, and then builds them
-    once, as the negated atoms of those forms: a ``find_witness`` over the
-    returned alphabet never reads them, so it never builds them.
+    tuples, distinct and normal, in order, and their sibling families keyed
+    over the returned alphabet, as blocks and as the keys and literals
+    ``and_`` extends. It is held outside the record's fields, so equality,
+    hashing, repr and pickling are those of ``And(children)``, and a copy
+    or pickle drops it. The AND holds only that read until its children
+    are first read, and then builds them once, as the negated atoms of
+    those forms: a ``find_witness`` over the returned alphabet never reads
+    them, so it never builds them. Nor does one of ``and_(expr, *fences)``,
+    fences being negated atoms over that alphabet: that AND holds the read
+    with the fences' forms added, and builds no record either.
     """
     w = _check_run_args(spec, word, space)
     s = space
@@ -570,6 +573,6 @@ def encode_tm(
     forbid([(ANY_STRING, lit[spec.accept], ANY_STRING, sep, ANY_STRING, sep, ANY_STRING)])
 
     # The And holds only its read; its records are built when first read.
-    expr = object.__new__(And)
-    _set_read(expr, _Read(tuple(forbidden), tuple(families.blocks()), frozenset(lam)))
-    return expr, sigma
+    blocks = tuple(families.blocks())
+    read = _Read(tuple(forbidden), blocks, frozenset(lam), families.keys, families.sibs)
+    return _deferred(read), sigma

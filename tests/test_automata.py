@@ -913,8 +913,8 @@ def test_machine_gadgets_are_read_once_and_never_normalized(monkeypatch):
     # no %% or %_, and the compile lays the forms out once and calls
     # normalize on none. The gadget comes read: its own compile neither
     # reads its atoms nor runs the family pass. Fenced by and_, the gadget
-    # is a new gate, read once by the compile, whose forms go through one
-    # family pass; forecasts reuses the read. Either way its blocks, class
+    # hands its read on, the fence's form joined to it, so that compile
+    # reads no atom and runs no pass either. Either way its blocks, class
     # blocks or not, are joined into one stream once.
     calls = _count_normalize(monkeypatch)
     joins = _count_joins(monkeypatch)
@@ -934,14 +934,14 @@ def test_machine_gadgets_are_read_once_and_never_normalized(monkeypatch):
     monkeypatch.setattr(automata._Families, "add_forms", family_pass)
     for param in _machine_runs():
         (gadget, sigma), (fenced, _) = _fenced_and_unfenced(*param.values)
-        for e, read in ((gadget, []), (fenced, [fenced])):
+        for e in (gadget, fenced):
             # encode_tm sends its single forms through the pass as it builds.
             reads.clear()
             joins.clear()
             passes.clear()
             find_witness(e, sigma)
-            assert reads == read, param.id
-            assert passes == [len(e.children)] * len(read), param.id
+            assert reads == [], param.id
+            assert passes == [], param.id
             assert len(joins) == 1, param.id
     assert calls == []
 
@@ -972,53 +972,124 @@ def test_only_the_non_normal_forms_are_normalized(monkeypatch):
     _assert_compile_matches_reference([e, e], sigma)
 
 
-def test_the_gadget_read_compiles_as_a_fresh_read():
-    # The gadget as encode_tm returns it carries the builder's read; the same
-    # gate built again from its children does not, and is read by the
-    # compile. Over sigma, over sigma with two symbols more (the read
-    # holds) and over sigma without one gadget symbol (it does not), the
-    # two compiles lay out the same blocks and search alike: every helper
-    # machine whose run fits its space, and 60 seeded random machines.
-    # Searched over the first two, the gadget never builds its records; the
-    # counting forecast declines it without reading them, and declines it
-    # fenced by and_ too.
+def _gadget_runs():
+    """Every helper machine whose run fits its space, and 60 seeded random
+    machines, as (spec, word, space)."""
     runs = [m_bouncer(space) for space in range(1, 9)]
     runs += [m_counter(space) for space in range(2, 7)]
     runs += [b() for b in (m_one_step, m_loop, m_stuck, m_edge_fall, m_dirty_accept)]
     runs.append(m_wide(4))
     rng = random.Random(3232)
     runs += [random_machine(rng) for _ in range(60)]
-    runs = [(spec, word, space) for spec, word, space in runs if len(word) <= space]
-    fields = attrgetter(
-        *("moves", "gaps", "accept", "initial", "_absorb", "_reach", "_immortal"),
-        *("state_bits", "atoms", "_bounds"),
-    )
+    return [(spec, word, space) for spec, word, space in runs if len(word) <= space]
+
+
+def _gadget_alphabets(sigma):
+    """Sigma, sigma with two symbols more (a read over sigma holds) and
+    sigma without one symbol (it does not)."""
+    symbols = sigma.symbols
+    return sigma, Alphabet(("y0", *symbols, "y1")), Alphabet(symbols[:-2] + symbols[-1:])
+
+
+_LAYOUT = attrgetter(
+    *("moves", "gaps", "accept", "initial", "_absorb", "_reach", "_immortal"),
+    *("state_bits", "atoms", "_bounds"),
+)
+
+
+def test_the_gadget_read_compiles_as_a_fresh_read():
+    # The gadget as encode_tm returns it carries the builder's read; the same
+    # gate built again from its children does not, and is read by the
+    # compile. Over the three alphabets of _gadget_alphabets the two
+    # compiles lay out the same blocks and search alike. Searched over the
+    # first two, the gadget never builds its records; the counting forecast
+    # declines it without reading them, and declines it fenced by and_ too.
+    runs = _gadget_runs()
     reads = 0
     for spec, word, space in runs:
         expr, sigma = encode_tm(spec, word, space)
-        symbols = sigma.symbols
-        alphabets = (
-            sigma,
-            Alphabet(("y0", *symbols, "y1")),
-            Alphabet(symbols[:-2] + symbols[-1:]),
-        )
+        alphabets = _gadget_alphabets(sigma)
         outcomes = [find_witness(expr, alphabet) for alphabet in alphabets[:2]]
         assert _CompiledSearch([expr], sigma).counting(expr) is None
         with pytest.raises(AttributeError):
             _Gate.children.__get__(expr)
-        fenced = and_(expr, Not(Atom(Pattern((Literal(symbols[0]),) * 2))))
+        fenced = and_(expr, Not(Atom(Pattern((Literal(sigma.symbols[0]),) * 2))))
         assert _CompiledSearch([fenced], sigma).counting(fenced) is None
         fresh = And(expr.children)
         assert expr._read is not None and fresh._read is None
         outcomes.append(find_witness(expr, alphabets[2]))
         for alphabet, outcome in zip(alphabets, outcomes):
             read, afresh = _CompiledSearch([expr], alphabet), _CompiledSearch([fresh], alphabet)
-            assert fields(read) == fields(afresh), (spec, space, alphabet)
+            assert _LAYOUT(read) == _LAYOUT(afresh), (spec, space, alphabet)
             assert tuple(read._forms) == tuple(afresh._forms)
             reads += read._forms is expr._read.forms
             assert outcome == find_witness(fresh, alphabet)
     # The read is taken over both alphabets that hold every gadget symbol.
     assert reads == 2 * len(runs)
+
+
+def test_the_fenced_gadget_read_compiles_as_a_fresh_read():
+    # and_ hands the gadget's read on, each negated atom after it joined by
+    # the family rule, so the fenced gate compiles as And(gadget.children +
+    # tail) over the three alphabets of _gadget_alphabets, and searches
+    # alike wherever it takes the read. The tails: the run's history (a
+    # family of its own), a gadget form again (deduped), a text's first
+    # symbol, which its forbid_other family leaves out (it joins that
+    # class), a form with %% (not normal, so the compile lays it out
+    # afresh), a literal outside the gadget's symbols (built from the
+    # children: over the wider alphabet it joins a gadget family), two
+    # fences (the second joins the first's family), and the same through
+    # and_ of and_.
+    runs = _gadget_runs()
+    reads = 0
+    for spec, word, space in runs:
+        history = simulate_tm(spec, word, space).history
+        expr, sigma = encode_tm(spec, word, space)
+        symbols, forms = sigma.symbols, expr._read.forms
+        last = next(y for y in symbols if y != history[-1])
+        fence, twin = (
+            Not(Atom(Pattern(tuple(map(Literal, text)))))
+            for text in (history, history[:-1] + (last,))
+        )
+        first = Literal(history[0])
+        tails = {
+            "fence": (fence,),
+            "dedupe": (Not(Atom(Pattern(forms[len(forms) // 2]))),),
+            "join": (Not(Atom(Pattern((first, ANY_STRING)))),),
+            "loose": (Not(Atom(Pattern((ANY_STRING, ANY_STRING, first)))),),
+            "outside": (Not(Atom(Pattern((Literal("y0"), ANY_STRING)))),),
+            "fences": (fence, twin),
+        }
+        gates = {name: and_(expr, *tail) for name, tail in tails.items()}
+        gates["nested"], tails["nested"] = and_(and_(expr, fence), twin), (fence, twin)
+        assert [name for name, gate in gates.items() if gate._read is None] == ["outside"]
+        # The dedupe adds no form; the join changes one block, whose class
+        # then holds every symbol.
+        assert gates["dedupe"]._read.forms == forms
+        changed = set(gates["join"]._read.blocks) - set(expr._read.blocks)
+        assert [frozenset(symbols) in block for block in changed] == [True]
+        for name, gate in gates.items():
+            fresh = And(expr.children + tails[name])
+            assert gate == fresh and gate.children[-1] is tails[name][-1], name
+            for alphabet in _gadget_alphabets(sigma):
+                read, afresh = _CompiledSearch([gate], alphabet), _CompiledSearch([fresh], alphabet)
+                assert _LAYOUT(read) == _LAYOUT(afresh), (name, spec, space, alphabet)
+                assert tuple(read._forms) == tuple(afresh._forms), name
+                if gate._read is not None and read._forms is gate._read.forms:
+                    reads += 1
+                    assert find_witness(gate, alphabet) == find_witness(fresh, alphabet), name
+        # Any other shape is built from the children: the gadget not first,
+        # a positive atom, an Or, or two gadgets.
+        other, _ = encode_tm(spec, word, space)
+        for items in ((fence, expr), (expr, fence.child), (expr, or_(fence, twin)), (expr, other)):
+            gate = and_(*items)
+            assert gate._read is None
+            assert gate.children == tuple(
+                c for item in items for c in (item.children if isinstance(item, And) else (item,))
+            )
+    # Five gates, each over the two alphabets that hold every gadget symbol,
+    # take the read; "loose" is laid out afresh and "outside" has none.
+    assert reads == 10 * len(runs)
 
 
 # --- forecasts compiled to mask tests ----------------------------------------

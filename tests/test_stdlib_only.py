@@ -69,3 +69,20 @@ def test_every_module_level_import_is_used():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused = sorted(set(imported) - used)
         assert not unused, (path.name, [(name, imported[name]) for name in unused])
+
+
+def test_expression_imports_neither_automata_nor_reductions():
+    # Both modules import expression, and and_ reaches a gadget's read
+    # through the read object alone (``automata._Read.conjoin``), so
+    # expression.py imports neither of them anywhere, inside a function
+    # included.
+    path = SRC / "likekit" / "expression.py"
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            assert not {"automata", "reductions"} & set(name.split(".")), (node.lineno, name)
