@@ -66,28 +66,30 @@ shape is read by ``atom_patterns``, and ``forecasts`` cuts the masks to
 each inner gate's blocks, an atom being a one-pattern OR. The distinct
 forms are keyed by their tokens in one C-level pass, and a block is
 looked up by a pattern's tokens, never by the object. The forms are laid
-out once, a pass over them (``_Families``) giving each its family's
-block, and again, each distinct non-normal one through ``normalize``
-once, only when the first tape shows ``%%`` or ``%_``. The machine
-gadget comes read: ``encode_tm`` builds it normal, keys each rule family
-as it builds it by the tokens around the varying literal, sends its few
-single forms through the same pass, and leaves the distinct forms, their
-blocks and the families' keys on the AND it returns (``_Read``), which
-builds its negated atoms only when its children are first read. An
-``and_`` of that AND and negated atoms hands the read on
-(``_Read.conjoin``): each further form is keyed by the same rule
-(``_family``) and is dropped if the read holds it, joins its family or
-starts one, and the new AND builds its children, the gadget's and then
-the very items passed, only when they are first read. The compile takes
-a read when it holds that very AND alone, over a sigma with every symbol
-the read was keyed over, and the tape shows the forms normal; then it
-reads no atom, runs no pass, and no record is built. A copy, a pickle, an
-``and_`` with anything but negated atoms over those symbols after the
-gadget, or a narrower sigma is read afresh. At bouncer spaces 2-4
-(370-395 atoms; best of 7 x 200, Python 3.11, 2 shared cores) the
-compile of the gadget's read takes 81-94 us and of its read fenced by
-the run's history 83-99 us, against 413-440 us for the fenced AND read
-afresh, 237-249 us of it the family pass; ``encode_tm`` takes 194-206
+out once, and again, each distinct non-normal one through ``normalize``
+once, only when the first tape shows ``%%`` or ``%_``.
+
+One class, ``_Read``, owns the sibling families: it holds the distinct
+forms in order, keys each one ``add_forms`` adds by the one family rule
+(a form it holds is dropped), and gives the blocks without changing
+itself. A merged compile read afresh fills one over sigma. The machine
+gadget comes read: ``encode_tm`` fills one as it builds the gadget
+normal, each rule family added whole by the tokens around the varying
+literal (``add_family``) and its few single forms through ``add_forms``,
+and returns an AND that holds only that read and builds its negated
+atoms only when its children are first read. An ``and_`` of that AND
+and negated atoms hands the read on (``conjoin``): a copy with the
+further forms added, whose AND builds its children, the gadget's and
+then the very items passed, only when they are first read. The compile
+takes a read when it holds that very AND alone, over a sigma with every
+symbol the read was keyed over, and the tape shows the forms normal;
+then it reads no atom, runs no pass, and no record is built. A copy, a
+pickle, an ``and_`` with anything but negated atoms over those symbols
+after the gadget, or a narrower sigma is read afresh. At bouncer spaces
+2-4 (370-395 atoms; best of 7 x 200, Python 3.11, 2 shared cores) the
+compile of the gadget's read takes 89-108 us and of its read fenced by
+the run's history 91-110 us, against 385-440 us for the fenced AND read
+afresh, 241-268 us of it the family pass; ``encode_tm`` takes 143-156
 us, the ``and_`` 6-7 us, and building the records they defer would take
 276-281 us more.
 
@@ -420,132 +422,122 @@ def _normal_tape(tape: bytes) -> bool:
     return b"\x01\x01" not in tape and b"\x02\x01" not in tape
 
 
-def _family(toks: tuple[Token, ...], column: Collection[Symbol]) -> tuple[object, Symbol | None]:
-    """The one family rule: a form whose last literal is in sigma (column)
-    is keyed by the tokens before and after that literal, with its symbol;
-    any other form is a family of its own, keyed by itself, with None."""
-    at = len(toks) - 1
-    while at >= 0 and (toks[at] is ANY_STRING or toks[at] is ANY_ONE):
-        at -= 1
-    if at >= 0:
-        sym = toks[at].symbol
-        if sym in column:
-            return (toks[:at], toks[at + 1 :]), sym
-    return toks, None
+class _Read:
+    """What a builder knows of an AND of negated atoms it builds: its
+    distinct forms, in order, and their sibling families, keyed over a set
+    of symbols by the one family rule (``add_forms``). ``blocks`` gives
+    each family's block. ``_CompiledSearch`` lays the blocks out as the
+    expression's own read when it compiles the expression alone over a
+    sigma holding those symbols, and the tape shows the forms normal; it
+    also builds a read of its own for a fresh merged gate. The AND holds
+    only its read until its children are first read (``children``).
+    ``keys`` gives each key's family, ``heads`` each family's first form
+    and ``sibs`` its literals; ``base`` and ``tail`` are set only on a
+    read ``conjoin`` made."""
 
+    __slots__ = ("symbols", "forms", "keys", "heads", "sibs", "base", "tail")
 
-class _Families:
-    """Sibling families of forms, in the order of their first forms, keyed by
-    ``_family``. ``blocks`` gives each family's block: its first form, with
-    the set of its literals at the literal's place when it has two or more.
-    ``keys`` gives each key's family and ``sibs`` each family's literals."""
-
-    __slots__ = ("keys", "heads", "sibs")
-
-    def __init__(self) -> None:
+    def __init__(self, symbols: Collection[Symbol]) -> None:
+        self.symbols = symbols
+        self.forms: list[tuple[Token, ...]] = []
         self.keys: dict[object, int] = {}
-        self.heads: list[tuple[object, ...]] = []
-        self.sibs: list[list[Symbol]] = []
+        self.heads: list[tuple[Token, ...]] = []
+        self.sibs: list[tuple[Symbol, ...]] = []
 
-    def add_forms(self, forms: list[tuple[Token, ...]], column: dict[Symbol, int]) -> None:
-        """Add each distinct form to its family, sigma being column's keys."""
-        keys, heads, sibs = self.keys, self.heads, self.sibs
+    def add_forms(self, forms: list[tuple[Token, ...]]) -> None:
+        """Add each form the read does not hold to its family, in order. The
+        one family rule: a form whose last literal is in the symbols is
+        keyed by the tokens before and after that literal and joins that
+        family's literals; any other form is a family of its own, keyed by
+        itself."""
+        symbols, keys, heads, sibs = self.symbols, self.keys, self.heads, self.sibs
+        add = self.forms.append
         for toks in forms:
-            key, sym = _family(toks, column)
-            i = keys.setdefault(key, len(heads))
-            if i == len(heads):
+            at = len(toks) - 1
+            while at >= 0 and (toks[at] is ANY_STRING or toks[at] is ANY_ONE):
+                at -= 1
+            if at >= 0 and (sym := toks[at].symbol) in symbols:
+                key = toks[:at], toks[at + 1 :]
+            else:
+                key, sym = toks, None
+            n = len(heads)
+            i = keys.setdefault(key, n)
+            if i == n:
                 heads.append(toks)
-                sibs.append([])
-            if sym is not None:
-                sibs[i].append(sym)
+                sibs.append(() if sym is None else (sym,))
+            elif sym is None or sym in sibs[i]:
+                continue  # a form the read holds
+            else:
+                sibs[i] += (sym,)
+            add(toks)
 
     def add_family(
         self,
         key: tuple[tuple[Token, ...], tuple[Token, ...]],
-        first: tuple[Token, ...],
-        symbols: list[Symbol],
+        forms: list[tuple[Token, ...]],
+        symbols: tuple[Symbol, ...],
     ) -> None:
-        """Add the distinct forms ``before + (Literal(y),) + after`` for y in
-        symbols, all in sigma, where key is (before, after), after holds no
-        literal and first is the first of the forms: the key ``add_forms``
-        gives each of them, found without reading them."""
+        """Add the forms ``before + (Literal(y),) + after`` for y in symbols,
+        all in the read's symbols and none held, where key is (before,
+        after) and after holds no literal: the key ``add_forms`` gives each
+        of them, found without reading them."""
+        self.forms += forms
         heads = self.heads
         i = self.keys.setdefault(key, len(heads))
         if i == len(heads):
-            heads.append(first)
-            self.sibs.append([*symbols])
+            heads.append(forms[0])
+            self.sibs.append(symbols)
         else:
             self.sibs[i] += symbols
 
     def blocks(self) -> list[tuple[object, ...]]:
-        heads, sibs = self.heads, self.sibs
+        """Each family's block, in the order of its first form: that form,
+        with the set of the family's literals at the literal's place when it
+        has two or more. The read stays as it is."""
+        blocks, sibs = [*self.heads], self.sibs
         # Families with the same literals in the same order share one class.
         classes: dict[tuple[Symbol, ...], frozenset[Symbol]] = {}
         for key, i in self.keys.items():
-            if len(sibs[i]) > 1:
-                members = tuple(sibs[i])
+            members = sibs[i]
+            if len(members) > 1:
                 cls = classes.get(members)
                 if cls is None:
                     cls = classes[members] = frozenset(members)
-                heads[i] = key[0] + (cls,) + key[1]
-        return heads
+                blocks[i] = key[0] + (cls,) + key[1]
+        return blocks
 
-
-class _Read(NamedTuple):
-    """What a builder knows of an AND of negated atoms it built: its
-    distinct forms, in order, the blocks of their sibling families
-    (``_Families.blocks``), the symbols the families were keyed over, and
-    the families' ``keys`` and ``sibs``, never changed once the read is
-    made (``conjoin`` extends copies). ``_CompiledSearch`` lays it out as the expression's own read when
-    it compiles the expression alone over a sigma holding those symbols,
-    and the tape shows the forms normal. The AND holds only its read until
-    its children are first read; they are then built as the negated atoms
-    of the forms, or, for a read ``conjoin`` made, as ``base.children +
-    tail``."""
-
-    forms: tuple[tuple[Token, ...], ...]
-    blocks: tuple[tuple[object, ...], ...]
-    symbols: frozenset[Symbol]
-    keys: dict[object, int]
-    sibs: list[list[Symbol]]
-    base: And | None = None
-    tail: tuple[LikeExpression, ...] = ()
+    def children(self) -> tuple[LikeExpression, ...]:
+        """The AND's children: the negated atoms of the forms, or, for a read
+        ``conjoin`` made, its base gate's children and then the tail."""
+        base = getattr(self, "base", None)
+        if base is None:
+            return tuple(map(Not, map(Atom, map(Pattern, self.forms))))
+        return base.children + self.tail
 
     def conjoin(self, gate: And, tail: tuple[LikeExpression, ...]) -> And | None:
         """``and_(gate, *tail)``, gate being the AND this is the read of, as
-        an AND holding only a read: this one with each distinct tail form
-        added to its family, so its blocks are those of a fresh family pass
-        over all the forms. None, for the caller to build the AND itself,
-        unless every tail item is a negated atom whose literals are all in
-        the symbols."""
+        an AND holding only a read: a copy of this one with the tail's forms
+        added, so its blocks are those of a fresh family pass over all the
+        forms. None, for the caller to build the AND itself, unless every
+        tail item is a negated atom whose literals are all in the symbols."""
         symbols = self.symbols
-        added: list[tuple[Token, ...]] = []
-        blocks, keys, sibs = [*self.blocks], dict(self.keys), [*self.sibs]
-        joined: dict[int, tuple[tuple[Token, ...], tuple[Token, ...]]] = {}
+        forms = []
         for item in tail:
             if not (isinstance(item, Not) and isinstance(item.child, Atom)):
                 return None
             toks = item.child.pattern.tokens
             if not symbols.issuperset(t.symbol for t in {*toks} - _GAPS):
                 return None
-            key, sym = _family(toks, symbols)
-            i = keys.setdefault(key, len(blocks))
-            if i == len(blocks):
-                blocks.append(toks)
-                sibs.append([] if sym is None else [sym])
-            elif sym is None or sym in sibs[i]:
-                continue  # a form the read holds
-            else:
-                # A new list: the sibs this read shares stay as they are.
-                sibs[i] = sibs[i] + [sym]
-                joined[i] = key
-            added.append(toks)
-        for i, (before, after) in joined.items():
-            blocks[i] = before + (frozenset(sibs[i]),) + after
-        forms = self.forms + tuple(added)
-        base = gate if self.base is None else self.base
-        tail = self.tail + tail
-        return _deferred(_Read(forms, tuple(blocks), symbols, keys, sibs, base, tail))
+            forms.append(toks)
+        # The containers are copied, so this read stays as it is; the sibs
+        # are tuples, which add_forms replaces rather than extends.
+        read = _Read(symbols)
+        read.forms, read.keys = [*self.forms], {**self.keys}
+        read.heads, read.sibs = [*self.heads], [*self.sibs]
+        read.add_forms(forms)
+        read.base = getattr(self, "base", gate)
+        read.tail = getattr(self, "tail", ()) + tail
+        return _deferred(read)
 
 
 def _flat_atoms(e: LikeExpression) -> tuple[list[Pattern], bool] | None:
@@ -638,7 +630,7 @@ class _CompiledSearch:
         read = getattr(e, "_read", None) if len(exprs) == 1 else None
         if read is not None and column.keys() >= read.symbols:
             forms = read.forms
-            laid = _lay_out(read.blocks)
+            laid = _lay_out(read.blocks())
             if _normal_tape(laid[4]):
                 # The gadget is an AND of negated atoms.
                 self._top, merge, normal = (e, True), True, False
@@ -663,8 +655,8 @@ class _CompiledSearch:
                 blocks = forms
                 if merge:
                     # One pass gives each form its family's block.
-                    families = _Families()
-                    families.add_forms(forms, column)
+                    families = _Read(column)
+                    families.add_forms(forms)
                     blocks = families.blocks()
                 # Past 255 codes each tape holds 255 of them, 255 standing for
                 # every other. Only when the first tape shows a form that is not

@@ -94,11 +94,12 @@ _set_child = Not.child.__set__
 
 class _Gate(_Record):
     __match_args__ = ("children",)
-    # _read: what a gadget builder knew of the gate as it built it, for the
-    # search compile (``automata._Read``); None on every other gate. The
-    # machine gadget's And is made from its read alone (``encode_tm``), and
-    # so is and_ of it and negated atoms (``_flatten``); their children stay
-    # unset until And's hook fills them on first read.
+    # _read: what a gadget builder knew of the gate as it built it
+    # (``automata._Read``), for the search compile; None on every other
+    # gate. This module only asks it for the children or to conjoin more
+    # items. The machine gadget's And is made from its read alone
+    # (``encode_tm``), and so is and_ of it and negated atoms (``_flatten``);
+    # their children stay unset until And's hook fills them on first read.
     __slots__ = ("children", "_read")
     children: tuple["LikeExpression", ...]
 
@@ -119,11 +120,9 @@ class And(_Gate):
     __slots__ = ()
 
     # Python calls this only when a slot is unset, that is for children of
-    # an And built from its read: the negated atoms of the read's forms, or
-    # for a read and_ extended its base gate's children and then the items
-    # passed, are built once, here, and kept, so equality, hashing, repr,
-    # pickling and every walker see the same record as an And built from
-    # them. The hook sits on And alone: a class with __getattr__ gets no
+    # an And built from its read: the read builds them once, here, and they
+    # are kept, so equality, hashing, repr, pickling and every walker see
+    # the same record as an And built from them. The hook sits on And alone: a class with __getattr__ gets no
     # specialised slot reads in CPython 3.11, and a .children read in a
     # loop takes 49-51 ns on And against 18-19 ns on Or (35-38 against 3 ns
     # net of the loop). Two threads reading first at once may each build
@@ -135,11 +134,7 @@ class And(_Gate):
                 name=name,
                 obj=self,
             )
-        read = self._read
-        if read.base is None:
-            children = tuple(map(Not, map(Atom, map(Pattern, read.forms))))
-        else:
-            children = read.base.children + read.tail
+        children = self._read.children()
         _set_children(self, children)
         return children
 
@@ -165,9 +160,9 @@ def _flatten(gate: type[_Gate], items: tuple[LikeExpression, ...]) -> LikeExpres
     flat: list[LikeExpression] = []
     for item in items:
         if isinstance(item, gate):
-            # A first item that holds a builder's read conjoins the rest
-            # through it (``automata._Read.conjoin``) and builds no child;
-            # None means the rest does not fit the read.
+            # A first item that holds a builder's read asks it to conjoin
+            # the rest, which builds no child; None means the rest does not
+            # fit the read.
             if item._read is not None and not flat:
                 joined = item._read.conjoin(item, items[1:])
                 if joined is not None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .automata import _Families, _Read
+from .automata import _Read
 from .expression import Atom, LikeExpression, _deferred, and_, or_
 from .pattern import (
     ANY_ONE,
@@ -456,17 +456,18 @@ def encode_tm(
     ``_`` positions also forbid foreign symbols.
 
     The returned AND also carries what was known as it was built, for the
-    search compile (``automata._Read``): the forbidden patterns' token
-    tuples, distinct and normal, in order, and their sibling families keyed
-    over the returned alphabet, as blocks and as the keys and literals
-    ``and_`` extends. It is held outside the record's fields, so equality,
-    hashing, repr and pickling are those of ``And(children)``, and a copy
-    or pickle drops it. The AND holds only that read until its children
-    are first read, and then builds them once, as the negated atoms of
-    those forms: a ``find_witness`` over the returned alphabet never reads
-    them, so it never builds them. Nor does one of ``and_(expr, *fences)``,
-    fences being negated atoms over that alphabet: that AND holds the read
-    with the fences' forms added, and builds no record either.
+    search compile: a read (``automata._Read``) filled as the patterns are
+    made, holding their token tuples, distinct and normal, in order, and
+    their sibling families keyed over the returned alphabet, each rule
+    family added whole. It is held outside the record's fields, so
+    equality, hashing, repr and pickling are those of ``And(children)``,
+    and a copy or pickle drops it. The AND holds only that read until its
+    children are first read, and then builds them once, as the negated
+    atoms of those forms: a ``find_witness`` over the returned alphabet
+    never reads them, so it never builds them. Nor does one of
+    ``and_(expr, *fences)``, fences being negated atoms over that
+    alphabet: that AND holds a copy of the read with the fences' forms
+    added, and builds no record either.
     """
     w = _check_run_args(spec, word, space)
     s = space
@@ -475,7 +476,6 @@ def encode_tm(
     delta = spec.delta
 
     sigma = Alphabet(lam)
-    column = sigma._index
     lit = {y: Literal(y) for y in lam}
     # No set is needed to keep the patterns distinct. The families below
     # differ in length or in where % and _ stand, but for "% q b %" against
@@ -483,19 +483,13 @@ def encode_tm(
     # range over distinct names: lam has no duplicates, delta keys are unique.
     # The window rule's three pieces per (rule, left neighbour) differ in how
     # many `_` close them, so they are distinct too.
-    # The forbidden token tuples, in order; they become records at the end.
-    forbidden: list[tuple[Token, ...]] = []
-    # The search compile's sibling families of those forms, over lam.
-    families = _Families()
-    add_family = families.add_family
-
-    def forbid(forms: list[tuple[Token, ...]]) -> None:
-        forbidden.extend(forms)
-        families.add_forms(forms, column)
+    # The forbidden token tuples, in order, and their sibling families over
+    # lam; they become records only when the And's children are read.
+    read = _Read(frozenset(lam))
 
     # Per wanted symbol, every other symbol of lam and its one-token run.
     others = {
-        want: ([(lit[y],) for y in lam if y != want], [y for y in lam if y != want])
+        want: ([(lit[y],) for y in lam if y != want], tuple(y for y in lam if y != want))
         for want in lam
     }
 
@@ -504,12 +498,10 @@ def encode_tm(
         # runs after are all % and _, so these forms are one family, keyed
         # by the runs.
         ones, symbols = others[want]
-        forms = [before + one + after for one in ones]
-        forbidden.extend(forms)
-        add_family((before, after), forms[0], symbols)
+        read.add_family((before, after), [before + one + after for one in ones], symbols)
 
     # Strings shorter than one full block cannot be histories.
-    forbid([(ANY_ONE,) * j for j in range(s + 3)])
+    read.add_forms([(ANY_ONE,) * j for j in range(s + 3)])
 
     # The first block spells the starting configuration.
     head_template = (_SEPARATOR, spec.start) + w + (spec.blank,) * (s - len(w))
@@ -523,7 +515,7 @@ def encode_tm(
 
     # Separators recur at period s+2 and never sooner.
     sep = lit[_SEPARATOR]
-    forbid([(ANY_STRING, sep) + (ANY_ONE,) * j + (sep, ANY_STRING) for j in range(s + 1)])
+    read.add_forms([(ANY_STRING, sep) + (ANY_ONE,) * j + (sep, ANY_STRING) for j in range(s + 1)])
     forbid_other((ANY_STRING, sep) + (ANY_ONE,) * (s + 1), _SEPARATOR, (ANY_STRING,))
 
     # The three tokens around the state must evolve by the machine's rule.
@@ -552,7 +544,7 @@ def encode_tm(
                 forbid_other(before, b, (ANY_STRING,))
 
     # Halting anywhere but the accept state has no continuation.
-    forbid(
+    read.add_forms(
         [
             (ANY_STRING, lit[q], lit[b], ANY_STRING)
             for q in spec.states
@@ -561,7 +553,7 @@ def encode_tm(
             if (q, b) not in delta
         ]
     )
-    forbid(
+    read.add_forms(
         [
             (ANY_STRING, lit[rule.state], lit[rule.read], sep, ANY_STRING)
             for rule in spec.rules
@@ -570,9 +562,6 @@ def encode_tm(
     )
 
     # The accept state appears in the final block only.
-    forbid([(ANY_STRING, lit[spec.accept], ANY_STRING, sep, ANY_STRING, sep, ANY_STRING)])
+    read.add_forms([(ANY_STRING, lit[spec.accept], ANY_STRING, sep, ANY_STRING, sep, ANY_STRING)])
 
-    # The And holds only its read; its records are built when first read.
-    blocks = tuple(families.blocks())
-    read = _Read(tuple(forbidden), blocks, frozenset(lam), families.keys, families.sibs)
     return _deferred(read), sigma

@@ -924,16 +924,20 @@ def test_machine_gadgets_are_read_once_and_never_normalized(monkeypatch):
         reads.append(e)
         return _flat_atoms(e)
 
-    add_forms = automata._Families.add_forms
+    add_forms = automata._Read.add_forms
 
-    def family_pass(families, forms, column):
+    def family_pass(read, forms):
         passes.append(len(forms))
-        add_forms(families, forms, column)
+        return add_forms(read, forms)
 
     monkeypatch.setattr(automata, "_flat_atoms", flat_atoms)
-    monkeypatch.setattr(automata._Families, "add_forms", family_pass)
+    monkeypatch.setattr(automata._Read, "add_forms", family_pass)
     for param in _machine_runs():
         (gadget, sigma), (fenced, _) = _fenced_and_unfenced(*param.values)
+        # and_ runs the pass once, over the fence's form alone.
+        passes.clear()
+        fenced = and_(gadget, fenced.children[-1])
+        assert passes == [1], param.id
         for e in (gadget, fenced):
             # encode_tm sends its single forms through the pass as it builds.
             reads.clear()
@@ -1046,6 +1050,8 @@ def test_the_fenced_gadget_read_compiles_as_a_fresh_read():
         history = simulate_tm(spec, word, space).history
         expr, sigma = encode_tm(spec, word, space)
         symbols, forms = sigma.symbols, expr._read.forms
+        before = _CompiledSearch([expr], sigma)
+        before_forms, before_blocks = [*before._forms], expr._read.blocks()
         last = next(y for y in symbols if y != history[-1])
         fence, twin = (
             Not(Atom(Pattern(tuple(map(Literal, text)))))
@@ -1062,11 +1068,16 @@ def test_the_fenced_gadget_read_compiles_as_a_fresh_read():
         }
         gates = {name: and_(expr, *tail) for name, tail in tails.items()}
         gates["nested"], tails["nested"] = and_(and_(expr, fence), twin), (fence, twin)
+        # No gate changed the read it extends: the gadget compiles as it did
+        # before they were built.
+        after = _CompiledSearch([expr], sigma)
+        assert _LAYOUT(after) == _LAYOUT(before) and after._forms == before_forms
+        assert expr._read.blocks() == before_blocks
         assert [name for name, gate in gates.items() if gate._read is None] == ["outside"]
         # The dedupe adds no form; the join changes one block, whose class
         # then holds every symbol.
         assert gates["dedupe"]._read.forms == forms
-        changed = set(gates["join"]._read.blocks) - set(expr._read.blocks)
+        changed = set(gates["join"]._read.blocks()) - set(expr._read.blocks())
         assert [frozenset(symbols) in block for block in changed] == [True]
         for name, gate in gates.items():
             fresh = And(expr.children + tails[name])

@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -71,11 +72,54 @@ def test_every_module_level_import_is_used():
         assert not unused, (path.name, [(name, imported[name]) for name in unused])
 
 
+def _private_definitions(tree):
+    """The private (one leading underscore) names a module's top level
+    defines, as a function, a class or an assignment, with their nodes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [ast.Name(node.name)]
+        elif isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and name.id[:1] == "_" and name.id[:2] != "__":
+                    yield name.id, node
+
+
+def _loads(node):
+    """Every name loaded under node, as a name or an attribute."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            yield n.attr
+
+
+def test_every_private_module_level_name_is_used():
+    # A private function, class or constant is loaded somewhere in the
+    # package outside its own definition, so a helper a change leaves
+    # behind shows here.
+    trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
+    loaded = Counter(name for tree in trees for name in _loads(tree))
+    defined = [(name, node) for tree in trees for name, node in _private_definitions(tree)]
+    assert defined
+    dead = [
+        (name, node.lineno)
+        for name, node in defined
+        if loaded[name] == Counter(_loads(node))[name]
+    ]
+    assert not dead, dead
+
+
 def test_expression_imports_neither_automata_nor_reductions():
-    # Both modules import expression, and and_ reaches a gadget's read
-    # through the read object alone (``automata._Read.conjoin``), so
-    # expression.py imports neither of them anywhere, inside a function
-    # included.
+    # Both modules import expression, and expression reaches a gadget's
+    # read only through the read object's own methods (``children`` and
+    # ``conjoin`` of ``automata._Read``), so expression.py imports neither
+    # of them anywhere, inside a function included.
     path = SRC / "likekit" / "expression.py"
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Import):
