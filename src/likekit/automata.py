@@ -38,25 +38,32 @@ alone, the "other" class of symbolic automata (D'Antoni and Veanes,
 
 *Class blocks.* When the compile holds one expression, an OR of atoms or
 an AND of negated atoms (``find_witness`` on the machine gadget, say),
-distinct normal forms alike but for their last literal, which is in
-sigma, share one block: a private class entry, the set of those
-literals, stands at that position. A class is a token of the tape like a
-literal, and a symbol's move mask marks its own literal and every class
-holding it, as Shift-And reads a character class. After every step the
-class block is the bitwise OR of its members' blocks: the bits up to the
-class position agree in every member, the class bit is the OR of the
-members' bits, and every later bit follows the same masks, which
-distribute over OR. So the block's accept, absorb and reach tests are
-the "some member" tests the gate needs, and the verdict, the witness and
-``complete`` are those of the unmerged search; only ``explored`` can
-fall, as states get coarser. The machine gadget's rule families (``% a b
-c _^s d %`` for every wrong d, and the like) are such siblings: the
-bouncer's state at space 4 narrows from 4102 to 882 bits, and the
-counter machine's at space 5 from 43274 to 4915. Every other compile
-keeps one block per normal form: two expressions (the separator) or any
-other shape (the 3-CNF gadget, ``PatternNfa``). No counting forecast
-reads a class block, since a merged AND has no plain atom conjunct to be
-its length atom.
+distinct normal forms may share one block, which holds a *class* at each
+position where they differ: a private entry, the set of their literals
+there, all in sigma. A class is a token of the tape like a literal, and a
+symbol's move mask marks its own literal and every class holding it, as
+Shift-And reads a character class. A block stands for exactly the forms
+that pick one member of each class, a product of per-position sets. Such
+a block is, after every step, the bitwise OR of its members' blocks. For
+two blocks equal but at one position, the bits before it agree, the bit
+there is the OR of theirs, and every later bit follows the same masks,
+which distribute over OR; and a product is the union of two products
+that differ at one position only, down to its single forms. So the
+block's accept, absorb and reach tests are the "some member" tests the
+gate needs, and the verdict, the witness and ``complete`` are those of
+the unmerged search; only ``explored`` can fall, as states get coarser.
+A compile that reads its forms itself merges those alike but for their
+last literal (``% a b c _^s d %`` for every wrong d, say), one class at
+that position. The machine gadget's builder also hands over its product
+families, a class wherever they vary (below): the same rule is then one
+block per b, with classes at a, c and d. The bouncer's state at space 4
+narrows from 4102 bits with one block per form to 882 with last-literal
+classes and 546 with the products, and the counter machine's at space 5
+from 43274 to 4915 and 2083, where the search explores 1927 states, not
+1986. Every other compile keeps one block per normal form: two
+expressions (the separator) or any other shape (the 3-CNF gadget,
+``PatternNfa``). No counting forecast reads a class block, since a
+merged AND has no plain atom conjunct to be its length atom.
 
 *Reading the atoms.* ``_flat_atoms`` reads a lone expression whose
 children are all atoms, or all negated atoms, once; an OR of atoms or an
@@ -69,29 +76,33 @@ looked up by a pattern's tokens, never by the object. The forms are laid
 out once, and again, each distinct non-normal one through ``normalize``
 once, only when the first tape shows ``%%`` or ``%_``.
 
-One class, ``_Read``, owns the sibling families: it holds the distinct
-forms in order, keys each one ``add_forms`` adds by the one family rule
-(a form it holds is dropped), and gives the blocks without changing
-itself. A merged compile read afresh fills one over sigma. The machine
-gadget comes read: ``encode_tm`` fills one as it builds the gadget
-normal, each rule family added whole by the tokens around the varying
-literal (``add_family``) and its few single forms through ``add_forms``,
-and returns an AND that holds only that read and builds its negated
-atoms only when its children are first read. An ``and_`` of that AND
-and negated atoms hands the read on (``conjoin``): a copy with the
-further forms added, whose AND builds its children, the gadget's and
-then the very items passed, only when they are first read. The compile
-takes a read when it holds that very AND alone, over a sigma with every
-symbol the read was keyed over, and the tape shows the forms normal;
-then it reads no atom, runs no pass, and no record is built. A copy, a
-pickle, an ``and_`` with anything but negated atoms over those symbols
-after the gadget, or a narrower sigma is read afresh. At bouncer spaces
-2-4 (370-395 atoms; best of 7 x 200, Python 3.11, 2 shared cores) the
-compile of the gadget's read takes 89-108 us and of its read fenced by
-the run's history 91-110 us, against 385-440 us for the fenced AND read
-afresh, 241-268 us of it the family pass; ``encode_tm`` takes 143-156
-us, the ``and_`` 6-7 us, and building the records they defer would take
-276-281 us more.
+One class, ``_Read``, owns the families: it holds the distinct forms in
+order, keys each one ``add_forms`` adds by the one family rule, the last
+literal (a form it holds, keyed or in a product block, is dropped), and
+builds the blocks once, when first asked, and keeps them. A merged
+compile read afresh fills one over sigma. The machine gadget comes read:
+``encode_tm`` fills one as it builds the gadget normal. A rule family
+alike but for its last literal is added whole by the tokens around it
+(``add_family``); three product families are one block each
+(``add_product``): the carry-over rule per b, a left move's first window
+piece over every a in gamma, and, when the rules' (state, read) keys
+form a full product, every rule's first window piece after ``#``; the
+few single forms go through ``add_forms``. It returns an AND that holds
+only that read and builds its negated atoms only when its children are
+first read. An ``and_`` of that AND and negated atoms hands the read on
+(``conjoin``): a copy with the further forms added, whose AND builds
+its children, the gadget's and then the very items passed, only when
+they are first read. The compile takes a read when it holds that very
+AND alone, over a sigma with every symbol the read was keyed over, and
+the tape shows the forms normal; then it reads no atom, runs no pass,
+and no record is built. A copy, a pickle, an ``and_`` with anything but
+negated atoms over those symbols after the gadget, or a narrower sigma
+is read afresh, by the last-literal rule alone. At bouncer spaces 2-4 (370-395 atoms; best of 7 x 200, Python 3.11,
+2 shared cores) the compile of the gadget's read takes 91-103 us the first
+time and 60-73 us once its blocks are kept, and of its read fenced by the
+run's history 79-92 us, against 411-465 us for the fenced AND read
+afresh; ``encode_tm`` takes 140-152 us, the ``and_`` 7 us, and building
+the records they defer would take about 280 us more.
 
 Pruning rests on two forecasts per expression, compiled like its value
 to mask tests on the packed int: *dead* (false on every extension of the
@@ -416,6 +427,15 @@ def _lay_out(
     return stream, bounds, code, codes, tape
 
 
+def _holds(block: tuple[object, ...], form: tuple[Token, ...]) -> bool:
+    """Whether a product block holds a form as long: one whose every token
+    is the block's there or, a literal, in the block's class there."""
+    return all(
+        b == t or (type(b) is frozenset and t not in _GAPS and t.symbol in b)
+        for b, t in zip(block, form)
+    )
+
+
 def _normal_tape(tape: bytes) -> bool:
     """Whether a first tape, read backwards, shows no % before % or _ (as
     \\x01\\x01 or \\x02\\x01): whether every form laid out is normal."""
@@ -424,25 +444,31 @@ def _normal_tape(tape: bytes) -> bool:
 
 class _Read:
     """What a builder knows of an AND of negated atoms it builds: its
-    distinct forms, in order, and their sibling families, keyed over a set
-    of symbols by the one family rule (``add_forms``). ``blocks`` gives
-    each family's block. ``_CompiledSearch`` lays the blocks out as the
-    expression's own read when it compiles the expression alone over a
-    sigma holding those symbols, and the tape shows the forms normal; it
-    also builds a read of its own for a fresh merged gate. The AND holds
-    only its read until its children are first read (``children``).
-    ``keys`` gives each key's family, ``heads`` each family's first form
-    and ``sibs`` its literals; ``base`` and ``tail`` are set only on a
-    read ``conjoin`` made."""
+    distinct forms, in order, and their families, each laid out as one
+    block (``blocks``). ``add_forms`` keys each form over a set of symbols
+    by the one family rule; ``add_family`` adds such a family whole, and
+    ``add_product`` a block with a class at any position. ``_CompiledSearch``
+    lays the blocks out as the expression's own read when it compiles the
+    expression alone over a sigma holding those symbols, and the tape shows
+    the forms normal; it also builds a read of its own for a fresh merged
+    gate. The AND holds only its read until its children are first read
+    (``children``). ``keys`` gives each key's family, ``heads`` each
+    family's first form, or a product's block, and ``sibs`` a keyed
+    family's literals; ``products`` holds the product blocks by length, and
+    ``laid``, once ``blocks`` has been asked, the blocks, until a family
+    is added. ``base`` and
+    ``tail`` are set only on a read ``conjoin`` made."""
 
-    __slots__ = ("symbols", "forms", "keys", "heads", "sibs", "base", "tail")
+    __slots__ = ("symbols", "forms", "keys", "heads", "sibs", "products", "laid", "base", "tail")
 
     def __init__(self, symbols: Collection[Symbol]) -> None:
         self.symbols = symbols
         self.forms: list[tuple[Token, ...]] = []
         self.keys: dict[object, int] = {}
-        self.heads: list[tuple[Token, ...]] = []
-        self.sibs: list[tuple[Symbol, ...]] = []
+        self.heads: list[tuple[object, ...]] = []
+        self.sibs: list[tuple[Symbol, ...] | None] = []
+        self.products: dict[int, tuple[tuple[object, ...], ...]] = {}
+        self.laid: list[tuple[object, ...]] | None = None
 
     def add_forms(self, forms: list[tuple[Token, ...]]) -> None:
         """Add each form the read does not hold to its family, in order. The
@@ -451,6 +477,8 @@ class _Read:
         family's literals; any other form is a family of its own, keyed by
         itself."""
         symbols, keys, heads, sibs = self.symbols, self.keys, self.heads, self.sibs
+        products = self.products
+        self.laid = None
         add = self.forms.append
         for toks in forms:
             at = len(toks) - 1
@@ -460,6 +488,8 @@ class _Read:
                 key = toks[:at], toks[at + 1 :]
             else:
                 key, sym = toks, None
+            if products and any(_holds(b, toks) for b in products.get(len(toks), ())):
+                continue  # a form a product block holds
             n = len(heads)
             i = keys.setdefault(key, n)
             if i == n:
@@ -482,6 +512,7 @@ class _Read:
         after) and after holds no literal: the key ``add_forms`` gives each
         of them, found without reading them."""
         self.forms += forms
+        self.laid = None
         heads = self.heads
         i = self.keys.setdefault(key, len(heads))
         if i == len(heads):
@@ -490,10 +521,30 @@ class _Read:
         else:
             self.sibs[i] += symbols
 
+    def add_product(
+        self, block: tuple[object, ...] | None, forms: list[tuple[Token, ...]]
+    ) -> None:
+        """Add forms that no family holds, all in one product block: a form
+        with, at each position where its forms differ, the frozenset of
+        their symbols there, all in the read's symbols. The block comes
+        with its first forms, and None with any later ones; the builder adds
+        each of its forms once, and none of another family's."""
+        self.forms += forms
+        if block is not None:
+            self.laid = None
+            self.heads.append(block)
+            self.sibs.append(None)
+            n = len(block)
+            self.products[n] = self.products.get(n, ()) + (block,)
+
     def blocks(self) -> list[tuple[object, ...]]:
-        """Each family's block, in the order of its first form: that form,
-        with the set of the family's literals at the literal's place when it
-        has two or more. The read stays as it is."""
+        """Each family's block, in the order of its first form: a product's
+        block, or a keyed family's first form with the set of the family's
+        literals at the literal's place when it has two or more. They are
+        built once, kept, and shared with the caller, who must not change
+        them."""
+        if self.laid is not None:
+            return self.laid
         blocks, sibs = [*self.heads], self.sibs
         # Families with the same literals in the same order share one class.
         classes: dict[tuple[Symbol, ...], frozenset[Symbol]] = {}
@@ -504,6 +555,7 @@ class _Read:
                 if cls is None:
                     cls = classes[members] = frozenset(members)
                 blocks[i] = key[0] + (cls,) + key[1]
+        self.laid = blocks
         return blocks
 
     def children(self) -> tuple[LikeExpression, ...]:
@@ -517,8 +569,8 @@ class _Read:
     def conjoin(self, gate: And, tail: tuple[LikeExpression, ...]) -> And | None:
         """``and_(gate, *tail)``, gate being the AND this is the read of, as
         an AND holding only a read: a copy of this one with the tail's forms
-        added, so its blocks are those of a fresh family pass over all the
-        forms. None, for the caller to build the AND itself, unless every
+        added by the family rule, each form it holds dropped. None, for the
+        caller to build the AND itself, unless every
         tail item is a negated atom whose literals are all in the symbols."""
         symbols = self.symbols
         forms = []
@@ -529,11 +581,13 @@ class _Read:
             if not symbols.issuperset(t.symbol for t in {*toks} - _GAPS):
                 return None
             forms.append(toks)
-        # The containers are copied, so this read stays as it is; the sibs
-        # are tuples, which add_forms replaces rather than extends.
+        # The containers add_forms changes are copied, so this read stays as
+        # it is; the sibs are tuples, which add_forms replaces rather than
+        # extends, and the product blocks are only read.
         read = _Read(symbols)
         read.forms, read.keys = [*self.forms], {**self.keys}
         read.heads, read.sibs = [*self.heads], [*self.sibs]
+        read.products = self.products
         read.add_forms(forms)
         read.base = getattr(self, "base", gate)
         read.tail = getattr(self, "tail", ()) + tail

@@ -458,14 +458,18 @@ def encode_tm(
     The returned AND also carries what was known as it was built, for the
     search compile: a read (``automata._Read``) filled as the patterns are
     made, holding their token tuples, distinct and normal, in order, and
-    their sibling families keyed over the returned alphabet, each rule
-    family added whole. It is held outside the record's fields, so
-    equality, hashing, repr and pickling are those of ``And(children)``,
-    and a copy or pickle drops it. The AND holds only that read until its
-    children are first read, and then builds them once, as the negated
-    atoms of those forms: a ``find_witness`` over the returned alphabet
-    never reads them, so it never builds them. Nor does one of
-    ``and_(expr, *fences)``, fences being negated atoms over that
+    their families over the returned alphabet, each one block: a rule
+    family alike but for its last literal, keyed by the tokens around it,
+    and three product families with a class wherever they vary, namely
+    the carry-over rule per middle symbol, a left move's first window
+    piece, and the first window pieces after ``#`` when the rules'
+    (state, read) keys form a full product. It is held outside the
+    record's fields, so equality, hashing, repr and pickling are those of
+    ``And(children)``, and a copy or pickle drops it. The AND holds only
+    that read until its children are first read, and then builds them
+    once, as the negated atoms of those forms: a ``find_witness`` over the
+    returned alphabet never reads them, so it never builds them. Nor does
+    one of ``and_(expr, *fences)``, fences being negated atoms over that
     alphabet: that AND holds a copy of the read with the fences' forms
     added, and builds no record either.
     """
@@ -483,7 +487,7 @@ def encode_tm(
     # range over distinct names: lam has no duplicates, delta keys are unique.
     # The window rule's three pieces per (rule, left neighbour) differ in how
     # many `_` close them, so they are distinct too.
-    # The forbidden token tuples, in order, and their sibling families over
+    # The forbidden token tuples, in order, and their families' blocks over
     # lam; they become records only when the And's children are read.
     read = _Read(frozenset(lam))
 
@@ -519,7 +523,21 @@ def encode_tm(
     forbid_other((ANY_STRING, sep) + (ANY_ONE,) * (s + 1), _SEPARATOR, (ANY_STRING,))
 
     # The three tokens around the state must evolve by the machine's rule.
-    for rule in spec.rules:
+    # Two kinds of first pieces (k = 0) are products, one block each
+    # with a class wherever its forms differ: a left move's over every a in
+    # gamma, whose first target symbol is the next state whatever a is, and,
+    # when the rules' (state, read) keys form a full product, every rule's
+    # with a = #, whose first target symbol is #.
+    states = tuple(dict.fromkeys(rule.state for rule in spec.rules))
+    reads = tuple(dict.fromkeys(rule.read for rule in spec.rules))
+    across = len(states) * len(reads) == len(spec.rules)
+
+    def one_of(ys: tuple[Symbol, ...]) -> object:
+        return lit[ys[0]] if len(ys) == 1 else frozenset(ys)
+
+    late = (ANY_ONE,) * (s - 1)
+    afters = [(ANY_ONE,) * (2 - k) + (ANY_STRING,) for k in range(3)]
+    for n, rule in enumerate(spec.rules):
         for a in (_SEPARATOR,) + tuple(gamma):
             if rule.move == "R":
                 target = (a, rule.write, rule.next)
@@ -530,18 +548,40 @@ def encode_tm(
             # A wrong triple is cut at its first wrong symbol: the target's
             # first k symbols, a wrong one, then 2-k `_`. Over lam the 3 x
             # (|lam| - 1) patterns forbid exactly the |lam|^3 - 1 wrong triples.
-            lead = (ANY_STRING, lit[a], lit[rule.state], lit[rule.read]) + (ANY_ONE,) * (s - 1)
-            for k, want in enumerate(target):
-                prefix = lead + tuple(lit[t] for t in target[:k])
-                forbid_other(prefix, want, (ANY_ONE,) * (2 - k) + (ANY_STRING,))
+            lead = (ANY_STRING, lit[a], lit[rule.state], lit[rule.read]) + late
+            if (across if a == _SEPARATOR else rule.move == "L"):
+                # A product's piece; the block comes with its first forms.
+                ones, symbols = others[target[0]]
+                block = None
+                if a == _SEPARATOR and not n:
+                    block = (ANY_STRING, lit[a], one_of(states), one_of(reads))
+                elif a == gamma[0]:
+                    block = (ANY_STRING, one_of(gamma), lit[rule.state], lit[rule.read])
+                if block is not None:
+                    block += late + (frozenset(symbols),) + afters[0]
+                read.add_product(block, [lead + one + afters[0] for one in ones])
+            else:
+                forbid_other(lead, target[0], afters[0])
+            lead += (lit[target[0]],)
+            forbid_other(lead, target[1], afters[1])
+            forbid_other(lead + (lit[target[1]],), target[2], afters[2])
 
-    # Tokens away from the state carry over to the next block unchanged.
+    # Tokens away from the state carry over to the next block unchanged: per
+    # b, one product block, with a class at a, at c and at the wrong d.
     quiet = (_SEPARATOR,) + tuple(gamma)
+    around, gap = frozenset(quiet), (ANY_ONE,) * s
     for a in quiet:
         for b in quiet:
+            ones, symbols = others[b]
+            # The block comes with its first forms, at a = c = #.
+            block = None
+            if a == _SEPARATOR:
+                block = (ANY_STRING, around, lit[b], around) + gap
+                block += (frozenset(symbols), ANY_STRING)
             for c in quiet:
-                before = (ANY_STRING, lit[a], lit[b], lit[c]) + (ANY_ONE,) * s
-                forbid_other(before, b, (ANY_STRING,))
+                before = (ANY_STRING, lit[a], lit[b], lit[c]) + gap
+                read.add_product(block, [before + one + (ANY_STRING,) for one in ones])
+                block = None
 
     # Halting anywhere but the accept state has no continuation.
     read.add_forms(

@@ -392,11 +392,16 @@ def naive_class_layout(
     position by position from explicit symbol sets, as a reference.
 
     Only a lone expression that is an OR of atoms or an AND of negated atoms
-    merges. Its distinct normal forms are grouped by the tokens before and
-    after their last literal, when that literal is in sigma, and a group of
-    two or more becomes one block, placed where its first form would be,
-    whose position there admits the set of the group's literals. Every other
-    position admits one literal, every symbol (``_``), every symbol and
+    merges. One that carries a builder's read whose symbols sigma holds,
+    every atom normal, takes the read's blocks: each is a form with a set
+    of symbols at its class positions, and expanding every block over its
+    sets (``itertools.product``) must give each distinct normal form
+    exactly once and nothing else. Otherwise the distinct normal forms are
+    grouped by the tokens before and after their last literal, when that
+    literal is in sigma, and a group of two or more is one block whose
+    position there is the set of the group's literals. Each block is
+    placed where its first form would be, and each of its positions admits
+    a class's set, one literal, every symbol (``_``), every symbol and
     itself (``%``) or nothing (a literal outside sigma). The layout is
     ``naive_packed_masks``'s when nothing merges. ``blocks`` pairs every
     atom occurrence, in preorder, with its shared block's masks.
@@ -413,42 +418,57 @@ def naive_class_layout(
         return unmerged
     if not all(isinstance(a, Atom) for a in atoms):
         return unmerged
-
-    def sibling_key(form: Pattern):
-        literals = [i for i, tok in enumerate(form.tokens) if isinstance(tok, Literal)]
-        if not literals or form.tokens[literals[-1]].symbol not in sigma.symbols:
-            return None
-        last = literals[-1]
-        return form.tokens[:last], form.tokens[last + 1 :]
-
     forms = list(dict.fromkeys(normalize(a.pattern) for a in atoms))
-    groups: dict[tuple, list[Pattern]] = {}
-    for form in forms:
-        key = sibling_key(form)
-        if key is not None:
-            groups.setdefault(key, []).append(form)
-    groups = {key: group for key, group in groups.items() if len(group) > 1}
-    sets = {
-        key: {form.tokens[len(key[0])].symbol for form in group}
-        for key, group in groups.items()
-    }
-    if not groups:
-        return unmerged
+    in_sigma = set(sigma.symbols)
 
-    # Each block as a list of positions: "%", "_", or the set of symbols
-    # its literal admits.
-    def positions(tokens, key=None):
-        out = []
-        for i, tok in enumerate(tokens):
-            if tok == ANY_STRING:
-                out.append("%")
-            elif tok == ANY_ONE:
-                out.append("_")
-            elif key is not None and i == len(key[0]):
-                out.append(set(sets[key]))
-            else:
-                out.append({tok.symbol} & set(sigma.symbols))
-        return out
+    def admits(tok) -> object:
+        if tok == ANY_STRING:
+            return "%"
+        if tok == ANY_ONE:
+            return "_"
+        if isinstance(tok, frozenset):
+            return set(tok)
+        return {tok.symbol} & in_sigma
+
+    # Per distinct normal form, its block's key and positions.
+    block_of: dict[Pattern, tuple[object, list[object]]] = {}
+    read = e._read
+    if (
+        read is not None
+        and read.symbols <= in_sigma
+        and all(normalize(a.pattern) == a.pattern for a in atoms)
+    ):
+        distinct = set(forms)
+        for i, block in enumerate(read.blocks()):
+            positions = [admits(tok) for tok in block]
+            choices = [
+                [Literal(y) for y in sorted(tok)] if isinstance(tok, frozenset) else [tok]
+                for tok in block
+            ]
+            for tokens in itertools.product(*choices):
+                form = Pattern(tokens)
+                assert form in distinct and form not in block_of, (block, form)
+                block_of[form] = i, positions
+        assert len(block_of) == len(forms)
+    else:
+        groups: dict[tuple, list[Pattern]] = {}
+        for form in forms:
+            literals = [i for i, tok in enumerate(form.tokens) if isinstance(tok, Literal)]
+            if literals and form.tokens[literals[-1]].symbol in in_sigma:
+                last = literals[-1]
+                key = form.tokens[:last], form.tokens[last + 1 :]
+                groups.setdefault(key, []).append(form)
+        for key, group in groups.items():
+            if len(group) > 1:
+                # The group's literals at the literal's place.
+                lits = {form.tokens[len(key[0])].symbol for form in group}
+                positions = [*map(admits, key[0]), lits, *map(admits, key[1])]
+                for form in group:
+                    block_of[form] = key, positions
+        if not block_of:
+            return unmerged
+        for form in forms:
+            block_of.setdefault(form, (form, [*map(admits, form.tokens)]))
 
     literal_at: dict[str, list[int]] = {sym: [] for sym in sigma.symbols}
     any_one_at: list[int] = []
@@ -458,21 +478,18 @@ def naive_class_layout(
     masks_of_form: dict[Pattern, tuple[int, int, int]] = {}
     offset = 0
     for form in forms:
-        key = sibling_key(form)
-        if key not in groups:
-            key = form
+        key, block = block_of[form]
         if key not in masks_of_key:
-            block = positions(form.tokens, key if key in groups else None)
             reach_from = offset
-            for pos, admits in enumerate(block, offset):
-                if admits == "_":
+            for pos, admitted in enumerate(block, offset):
+                if admitted == "_":
                     any_one_at.append(pos)
-                elif admits == "%":
+                elif admitted == "%":
                     gap_at.append(pos)
                 else:
-                    for sym in admits:
+                    for sym in admitted:
                         literal_at[sym].append(pos)
-                    if not admits:
+                    if not admitted:
                         reach_from = pos + 1
             start_at.append(offset)
             if block and block[0] == "%":

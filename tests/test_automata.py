@@ -999,13 +999,37 @@ _LAYOUT = attrgetter(
     *("moves", "gaps", "accept", "initial", "_absorb", "_reach", "_immortal"),
     *("state_bits", "atoms", "_bounds"),
 )
+_OUTCOME = attrgetter("verdict", "witness", "complete", "atoms")
+
+
+def _read_searches_as_afresh(gate, fresh, alphabet, outcome=None):
+    """Whether the compile of gate over alphabet takes its read, after
+    checking it against fresh, the same And built from its children: both
+    compiles hold the same forms in the same order. Where the read is
+    taken, the two find the same verdict, witness and complete over the
+    same atoms, and since the read's product blocks are coarser than the
+    fresh family pass's, the read's state is no wider and its search
+    explores no more states. Elsewhere both compile afresh, to the same
+    layout, and find the same outcome."""
+    read, afresh = _CompiledSearch([gate], alphabet), _CompiledSearch([fresh], alphabet)
+    assert tuple(read._forms) == tuple(afresh._forms), alphabet
+    if outcome is None:
+        outcome = find_witness(gate, alphabet)
+    want = find_witness(fresh, alphabet)
+    if gate._read is None or read._forms is not gate._read.forms:
+        assert _LAYOUT(read) == _LAYOUT(afresh), alphabet
+        assert outcome == want, alphabet
+        return False
+    assert _OUTCOME(outcome) == _OUTCOME(want), alphabet
+    assert outcome.state_bits <= want.state_bits and outcome.explored <= want.explored
+    return True
 
 
 def test_the_gadget_read_compiles_as_a_fresh_read():
     # The gadget as encode_tm returns it carries the builder's read; the same
     # gate built again from its children does not, and is read by the
     # compile. Over the three alphabets of _gadget_alphabets the two
-    # compiles lay out the same blocks and search alike. Searched over the
+    # compiles search alike (_read_searches_as_afresh). Searched over the
     # first two, the gadget never builds its records; the counting forecast
     # declines it without reading them, and declines it fenced by and_ too.
     runs = _gadget_runs()
@@ -1023,27 +1047,23 @@ def test_the_gadget_read_compiles_as_a_fresh_read():
         assert expr._read is not None and fresh._read is None
         outcomes.append(find_witness(expr, alphabets[2]))
         for alphabet, outcome in zip(alphabets, outcomes):
-            read, afresh = _CompiledSearch([expr], alphabet), _CompiledSearch([fresh], alphabet)
-            assert _LAYOUT(read) == _LAYOUT(afresh), (spec, space, alphabet)
-            assert tuple(read._forms) == tuple(afresh._forms)
-            reads += read._forms is expr._read.forms
-            assert outcome == find_witness(fresh, alphabet)
+            reads += _read_searches_as_afresh(expr, fresh, alphabet, outcome)
     # The read is taken over both alphabets that hold every gadget symbol.
     assert reads == 2 * len(runs)
 
 
 def test_the_fenced_gadget_read_compiles_as_a_fresh_read():
     # and_ hands the gadget's read on, each negated atom after it joined by
-    # the family rule, so the fenced gate compiles as And(gadget.children +
-    # tail) over the three alphabets of _gadget_alphabets, and searches
-    # alike wherever it takes the read. The tails: the run's history (a
-    # family of its own), a gadget form again (deduped), a text's first
-    # symbol, which its forbid_other family leaves out (it joins that
-    # class), a form with %% (not normal, so the compile lays it out
-    # afresh), a literal outside the gadget's symbols (built from the
-    # children: over the wider alphabet it joins a gadget family), two
-    # fences (the second joins the first's family), and the same through
-    # and_ of and_.
+    # the family rule, so the fenced gate searches as And(gadget.children +
+    # tail) over the three alphabets of _gadget_alphabets
+    # (_read_searches_as_afresh). The tails: the run's history (a family of
+    # its own), a gadget form again, the middle one and one of the carry-over
+    # rule, which a product block holds (each deduped), a text's first symbol,
+    # which its forbid_other family leaves out (it joins that class), a
+    # form with %% (not normal, so the compile lays it out afresh), a
+    # literal outside the gadget's symbols (built from the children: over
+    # the wider alphabet it joins a gadget family), two fences (the second
+    # joins the first's family), and the same through and_ of and_.
     runs = _gadget_runs()
     reads = 0
     for spec, word, space in runs:
@@ -1051,16 +1071,21 @@ def test_the_fenced_gadget_read_compiles_as_a_fresh_read():
         expr, sigma = encode_tm(spec, word, space)
         symbols, forms = sigma.symbols, expr._read.forms
         before = _CompiledSearch([expr], sigma)
-        before_forms, before_blocks = [*before._forms], expr._read.blocks()
+        before_forms, before_blocks = [*before._forms], [*expr._read.blocks()]
         last = next(y for y in symbols if y != history[-1])
         fence, twin = (
             Not(Atom(Pattern(tuple(map(Literal, text)))))
             for text in (history, history[:-1] + (last,))
         )
         first = Literal(history[0])
+        # % # b # _^space # %: the separator carried over past a tape symbol.
+        sep, tape = Literal("#"), Literal(spec.tape_alphabet[0])
+        carry = (ANY_STRING, sep, tape, sep) + (ANY_ONE,) * space + (sep, ANY_STRING)
+        assert carry in forms
         tails = {
             "fence": (fence,),
             "dedupe": (Not(Atom(Pattern(forms[len(forms) // 2]))),),
+            "carried": (Not(Atom(Pattern(carry))),),
             "join": (Not(Atom(Pattern((first, ANY_STRING)))),),
             "loose": (Not(Atom(Pattern((ANY_STRING, ANY_STRING, first)))),),
             "outside": (Not(Atom(Pattern((Literal("y0"), ANY_STRING)))),),
@@ -1074,21 +1099,18 @@ def test_the_fenced_gadget_read_compiles_as_a_fresh_read():
         assert _LAYOUT(after) == _LAYOUT(before) and after._forms == before_forms
         assert expr._read.blocks() == before_blocks
         assert [name for name, gate in gates.items() if gate._read is None] == ["outside"]
-        # The dedupe adds no form; the join changes one block, whose class
-        # then holds every symbol.
-        assert gates["dedupe"]._read.forms == forms
+        # A deduped gate adds no form and no block; the join changes one
+        # block, whose class then holds every symbol.
+        for name in ("dedupe", "carried"):
+            assert gates[name]._read.forms == forms
+            assert gates[name]._read.blocks() == before_blocks
         changed = set(gates["join"]._read.blocks()) - set(expr._read.blocks())
         assert [frozenset(symbols) in block for block in changed] == [True]
         for name, gate in gates.items():
             fresh = And(expr.children + tails[name])
             assert gate == fresh and gate.children[-1] is tails[name][-1], name
             for alphabet in _gadget_alphabets(sigma):
-                read, afresh = _CompiledSearch([gate], alphabet), _CompiledSearch([fresh], alphabet)
-                assert _LAYOUT(read) == _LAYOUT(afresh), (name, spec, space, alphabet)
-                assert tuple(read._forms) == tuple(afresh._forms), name
-                if gate._read is not None and read._forms is gate._read.forms:
-                    reads += 1
-                    assert find_witness(gate, alphabet) == find_witness(fresh, alphabet), name
+                reads += _read_searches_as_afresh(gate, fresh, alphabet)
         # Any other shape is built from the children: the gadget not first,
         # a positive atom, an Or, or two gadgets.
         other, _ = encode_tm(spec, word, space)
@@ -1098,9 +1120,35 @@ def test_the_fenced_gadget_read_compiles_as_a_fresh_read():
             assert gate.children == tuple(
                 c for item in items for c in (item.children if isinstance(item, And) else (item,))
             )
-    # Five gates, each over the two alphabets that hold every gadget symbol,
+    # Six gates, each over the two alphabets that hold every gadget symbol,
     # take the read; "loose" is laid out afresh and "outside" has none.
-    assert reads == 10 * len(runs)
+    assert reads == 12 * len(runs)
+
+
+def test_a_read_builds_its_blocks_once():
+    # The read keeps the blocks it lays out: compiling the gadget twice, or
+    # over two alphabets, joins the one list, and a gate and_ makes of it
+    # builds a list of its own, one block longer, which the gadget's
+    # compile never sees.
+    spec, word, space = m_bouncer(3)
+    expr, sigma = encode_tm(spec, word, space)
+    joined = []
+
+    def join(blocks):
+        joined.append(blocks)
+        return _join(blocks)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(automata, "_join", join)
+        for alphabet in _gadget_alphabets(sigma)[:2] * 2:
+            _CompiledSearch([expr], alphabet)
+        history = simulate_tm(spec, word, space).history
+        fenced = and_(expr, Not(Atom(Pattern(tuple(map(Literal, history))))))
+        _CompiledSearch([fenced], sigma)
+        _CompiledSearch([expr], sigma)
+    assert len(joined) == 6
+    assert all(blocks is joined[0] for blocks in joined[:4] + joined[5:])
+    assert joined[4] is not joined[0] and joined[4][:-1] == joined[0]
 
 
 # --- forecasts compiled to mask tests ----------------------------------------

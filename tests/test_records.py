@@ -202,7 +202,9 @@ def test_machine_gadget_read_is_kept_out_of_the_record():
     # encode_tm hands the search compile a read of the And it returns, in a
     # slot outside the fields: the gadget is the And of its children in
     # every way a caller can see, and a copy or pickle drops the read and
-    # compiles afresh to the same layout. The gadget holds only its read
+    # compiles afresh, to the layout of the And of its children. The read's
+    # product blocks make the state narrower, not the outcome: the search
+    # finds the same witness, exploring no more. The gadget holds only its read
     # until its children are first read; then they are built once, as the
     # negated atoms of the read's forms, whichever reader comes first.
     spec, word, space = m_bouncer(3)
@@ -225,7 +227,10 @@ def test_machine_gadget_read_is_kept_out_of_the_record():
     assert and_(deferred(), fence).children == and_(eager, fence).children
     assert list(atom_patterns(deferred())) == list(atom_patterns(eager))
     assert expression_size(deferred()) == expression_size(eager)
-    assert find_witness(deferred(), sigma) == find_witness(eager, sigma)
+    read, afresh = find_witness(deferred(), sigma), find_witness(eager, sigma)
+    outcome = attrgetter("verdict", "witness", "complete", "atoms")
+    assert outcome(read) == outcome(afresh) and read.explored <= afresh.explored
+    assert read.state_bits < afresh.state_bits
     # The run's history satisfies the gadget, and no text one symbol away does.
     texts = [history] + [
         history[:i] + (y,) + history[i + 1 :]
@@ -239,7 +244,7 @@ def test_machine_gadget_read_is_kept_out_of_the_record():
     gadget = deferred()
     assert gadget.children is gadget.children
     layout = attrgetter("moves", "gaps", "initial", "state_bits", "atoms", "_bounds")
-    want = layout(_CompiledSearch([expr], sigma))
+    want = layout(_CompiledSearch([eager], sigma))
     for clone in (
         pickle.loads(pickle.dumps(deferred())),
         copy.copy(deferred()),

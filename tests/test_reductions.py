@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import tracemalloc
+from operator import attrgetter
 
 import pytest
 
@@ -9,6 +10,7 @@ from likekit import (
     ANY_ONE,
     ANY_STRING,
     Alphabet,
+    And,
     Atom,
     Cnf,
     Literal,
@@ -422,9 +424,9 @@ def test_encode_accepting_machine_language_is_the_history():
     assert again.verdict is Verdict.EXHAUSTED_EMPTY
 
 
-# Explored counts of the counter machine's search, whose sibling atoms
-# share class blocks: the scan over the naive class layout.
-COUNTER_CLASS_EXPLORED = {3: 374, 4: 906, 5: 1986}
+# Explored counts of the counter machine's search, whose product families
+# share one block each: the scan over the naive class layout.
+COUNTER_CLASS_EXPLORED = {3: 363, 4: 879, 5: 1927}
 
 
 @pytest.mark.parametrize("space, plain_explored", [(3, 394), (4, 958), (5, 2102)])
@@ -432,7 +434,7 @@ def test_counter_machine_witness_is_its_history(space, plain_explored):
     # A long run over wide states: 2^space - 1 steps, about 3500 atoms, and
     # no counting family. With one block per atom a state is 36k-43k bits
     # and the scan explores plain_explored states; the search shares class
-    # blocks, so its state is 4k-5k bits and it explores fewer.
+    # blocks, so its state is 1.7k-2.1k bits and it explores fewer.
     spec, word, s = m_counter(space)
     run = simulate_tm(spec, word, s)
     assert run.accepted and run.steps == 2**space - 1
@@ -465,9 +467,9 @@ def _order_digest(forbidden):
     return short_digest(render_pattern(p, tokens=True) for p in forbidden)
 
 
-# (state bits, explored) of the bouncer's search, whose sibling atoms
-# share class blocks: the naive class layout and its scan.
-BOUNCER_CLASS_PINS = {2: (694, 62), 3: (786, 130), 4: (882, 202)}
+# (state bits, explored) of the bouncer's search, whose product families
+# share one block each: the naive class layout and its scan.
+BOUNCER_CLASS_PINS = {2: (418, 62), 3: (480, 130), 4: (546, 202)}
 
 
 @pytest.mark.parametrize(
@@ -492,8 +494,8 @@ def test_bouncer_gadget_size_is_pinned(space, atoms, plain_bits, plain_explored,
     assert out.verdict is Verdict.FOUND
     state_bits, explored = BOUNCER_CLASS_PINS[space]
     assert (out.atoms, out.state_bits, out.explored) == (atoms, state_bits, explored)
-    # One block per atom gives the plain pins; sibling atoms sharing class
-    # blocks give the search's.
+    # One block per atom gives the plain pins; one block per family of the
+    # gadget's read gives the search's.
     for layout, bits, count in (
         (naive_packed_masks, plain_bits, plain_explored),
         (naive_class_layout, state_bits, explored),
@@ -632,6 +634,52 @@ def test_encode_non_accepting_machine_language_is_empty(build):
     expr, sigma = encode_tm(spec, word, space)
     out = find_witness(expr, sigma)
     assert out.verdict is Verdict.EXHAUSTED_EMPTY
+
+
+def _small_machines():
+    """Every machine with the states q0 and q1, q1 accepting, over the tape
+    {b} or {b, t1}: per symbol, q0 has no rule or one of the eight (or
+    four) that go to q0 or q1, write a tape symbol and move either way.
+    That is 5 machines over {b} and 81 over {b, t1}."""
+    for tape in (("b",), ("b", "t1")):
+        per_symbol = [
+            [None, *(TmRule("q0", y, q, w, m) for q in ("q0", "q1") for w in tape for m in "LR")]
+            for y in tape
+        ]
+        for rules in itertools.product(*per_symbol):
+            rules = tuple(rule for rule in rules if rule is not None)
+            yield TmSpec(("q0", "q1"), tape, tape[1:], "q0", "q1", rules, blank="b")
+
+
+def test_every_small_machine_gadget_decides_its_run():
+    # Small scope: all 86 machines of _small_machines at spaces 1-3 on every
+    # input word that fits, 744 runs. The gadget's search finds the run's
+    # history exactly when the run accepts, and exhausts otherwise; fenced
+    # by that history it exhausts; and the same Ands built from their
+    # children, compiled with no read, give the same verdict, witness and
+    # complete.
+    outcome = attrgetter("verdict", "witness", "complete")
+    runs = accepted = 0
+    for spec in _small_machines():
+        for space in (1, 2, 3):
+            for n in range(space + 1):
+                for word in itertools.product(spec.input_alphabet, repeat=n):
+                    run = simulate_tm(spec, word, space)
+                    expr, sigma = encode_tm(spec, word, space)
+                    fence = Not(Atom(Pattern(tuple(map(Literal, run.history)))))
+                    out = find_witness(expr, sigma)
+                    fenced = find_witness(and_(expr, fence), sigma)
+                    if run.accepted:
+                        assert (out.verdict, out.witness) == (Verdict.FOUND, run.history)
+                    else:
+                        assert out.verdict is Verdict.EXHAUSTED_EMPTY
+                    assert out.complete and fenced.verdict is Verdict.EXHAUSTED_EMPTY
+                    assert outcome(find_witness(And(expr.children), sigma)) == outcome(out)
+                    fresh = find_witness(And(expr.children + (fence,)), sigma)
+                    assert outcome(fresh) == outcome(fenced), (spec, word, space)
+                    runs += 1
+                    accepted += run.accepted
+    assert runs == 744 and accepted > 0, (runs, accepted)
 
 
 def test_simulate_runs_are_pinned():
