@@ -30,40 +30,46 @@ accept slot, ``%`` and ``_`` first), so the layout never depends on
 sigma's size; past 255 codes there is one tape per 255 of them, 255
 standing for every other token. A mask is one ``bytes.translate`` to
 ``0``/``1`` digits and one ``int(digits, 2)``, one per token held; the
-rest is int algebra. A literal's mask goes to its symbol's move if the
-symbol is in sigma, and otherwise to the literals outside sigma, which
-cut reach (below); a symbol that no block holds steps on the ``_`` mask
-alone, the "other" class of symbolic automata (D'Antoni and Veanes,
-2017).
+rest is int algebra. A token's mask goes to the moves of the symbols it
+holds in sigma, a literal's one or a class's members (see *Class
+blocks*); a token with none there, a literal outside sigma or a class
+with no member in it, cuts reach (below). A symbol that no block holds
+steps on the ``_`` mask alone, the "other" class of symbolic automata
+(D'Antoni and Veanes, 2017).
 
 *Class blocks.* When the compile holds one expression, an OR of atoms or
 an AND of negated atoms (``find_witness`` on the machine gadget, say),
 distinct normal forms may share one block, which holds a *class* at each
 position where they differ: a private entry, the set of their literals
-there, all in sigma. A class is a token of the tape like a literal, and a
-symbol's move mask marks its own literal and every class holding it, as
-Shift-And reads a character class. A block stands for exactly the forms
-that pick one member of each class, a product of per-position sets. Such
-a block is, after every step, the bitwise OR of its members' blocks. For
-two blocks equal but at one position, the bits before it agree, the bit
-there is the OR of theirs, and every later bit follows the same masks,
-which distribute over OR; and a product is the union of two products
-that differ at one position only, down to its single forms. So the
-block's accept, absorb and reach tests are the "some member" tests the
-gate needs, and the verdict, the witness and ``complete`` are those of
-the unmerged search; only ``explored`` can fall, as states get coarser.
-A compile that reads its forms itself merges those alike but for their
-last literal (``% a b c _^s d %`` for every wrong d, say), one class at
-that position. The machine gadget's builder also hands over its product
-families, a class wherever they vary (below): the same rule is then one
-block per b, with classes at a, c and d. The bouncer's state at space 4
-narrows from 4102 bits with one block per form to 882 with last-literal
-classes and 546 with the products, and the counter machine's at space 5
-from 43274 to 4915 and 2083, where the search explores 1927 states, not
-1986. Every other compile keeps one block per normal form: two
-expressions (the separator) or any other shape (the 3-CNF gadget,
-``PatternNfa``). No counting forecast reads a class block, since a
-merged AND has no plain atom conjunct to be its length atom.
+there, in sigma or not. A class is a token of the tape like a literal,
+and a symbol's move mask marks its own literal and every class holding
+it, as Shift-And reads a character class. A block stands for exactly the
+forms that pick one member of each class, a product of per-position
+sets. Such a block is, after every step, the bitwise OR of its members'
+blocks. For two blocks equal but at one position, the bits before it
+agree, the bit there is the OR of theirs, and every later bit follows
+the same masks, which distribute over OR; and a product is the union of
+two products that differ at one position only, down to its single forms.
+A member outside sigma steps on no move, like the "other" minterm: its
+block's bit there is never set, so the class steps as the set of its
+members in sigma, and one with no member there is never passed and cuts
+reach like a literal outside sigma. So the block's accept, absorb and
+reach tests are the "some member" tests the gate needs, and the verdict,
+the witness and ``complete`` are those of the unmerged search; only
+``explored`` can fall, as states get coarser. A compile that reads its
+forms itself merges those alike but for their last literal (``% a b c
+_^s d %`` for every wrong d, say), one class at that position. The
+machine gadget's builder also hands over its product families, a class
+wherever they vary (below): the same rule is then one block per b, with
+classes at a, c and d. The bouncer's state at space 4 narrows from 4102
+bits with one block per form to 882 with last-literal classes and 546
+with the products, and the counter machine's at space 5 from 43274 to
+4915 and 2083, where the search explores 1927 states, not 1986; over any
+sigma, since a class may hold symbols outside it. Every other compile
+keeps one block per normal form: two expressions (the separator) or any
+other shape (the 3-CNF gadget, ``PatternNfa``). No counting forecast
+reads a class block, since a merged AND has no plain atom conjunct to be
+its length atom.
 
 *Reading the atoms.* ``_flat_atoms`` reads a lone expression whose
 children are all atoms, or all negated atoms, once; an OR of atoms or an
@@ -77,32 +83,37 @@ out once, and again, each distinct non-normal one through ``normalize``
 once, only when the first tape shows ``%%`` or ``%_``.
 
 One class, ``_Read``, owns the families: it holds the distinct forms in
-order, keys each one ``add_forms`` adds by the one family rule, the last
-literal (a form it holds, keyed or in a product block, is dropped), and
-builds the blocks once, when first asked, and keeps them. A merged
-compile read afresh fills one over sigma. The machine gadget comes read:
-``encode_tm`` fills one as it builds the gadget normal. A rule family
-alike but for its last literal is added whole by the tokens around it
-(``add_family``); three product families are one block each
-(``add_product``): the carry-over rule per b, a left move's first window
-piece over every a in gamma, and, when the rules' (state, read) keys
-form a full product, every rule's first window piece after ``#``; the
-few single forms go through ``add_forms``. It returns an AND that holds
-only that read and builds its negated atoms only when its children are
-first read. An ``and_`` of that AND and negated atoms hands the read on
-(``conjoin``): a copy with the further forms added, whose AND builds
-its children, the gadget's and then the very items passed, only when
-they are first read. The compile takes a read when it holds that very
-AND alone, over a sigma with every symbol the read was keyed over, and
-the tape shows the forms normal; then it reads no atom, runs no pass,
-and no record is built. A copy, a pickle, an ``and_`` with anything but
-negated atoms over those symbols after the gadget, or a narrower sigma
-is read afresh, by the last-literal rule alone. At bouncer spaces 2-4 (370-395 atoms; best of 7 x 200, Python 3.11,
-2 shared cores) the compile of the gadget's read takes 91-103 us the first
-time and 60-73 us once its blocks are kept, and of its read fenced by the
-run's history 79-92 us, against 411-465 us for the fenced AND read
-afresh; ``encode_tm`` takes 140-152 us, the ``and_`` 7 us, and building
-the records they defer would take about 280 us more.
+order and one list of blocks, a family's each, in the order of its first
+form. ``add_forms`` keys each form it adds by the one family rule, the
+last literal, in sigma or not (a form it holds, keyed or in a product
+block, is dropped), and gives a family it joins its block again, with
+the class widened. A merged compile read afresh fills one. The machine
+gadget comes read: ``encode_tm`` fills one as it builds the gadget
+normal. A rule family alike but for its last literal is added whole by
+the tokens around it and the class of the symbols it forbids there, one
+frozenset per wanted symbol (``add_family``); three product families are
+one block each (``add_product``): the carry-over rule per b, a left
+move's first window piece over every a in gamma, and, when the rules'
+(state, read) keys form a full product, every rule's first window piece
+after ``#``; the few single forms go through ``add_forms``. It returns
+an AND that holds only that read and builds its negated atoms only when
+its children are first read. An ``and_`` of that AND and negated atoms
+hands the read on (``conjoin``): a copy with the further forms added,
+whose AND builds its children, the gadget's and then the very items
+passed, only when they are first read. The compile takes a read when it
+holds that very AND alone, over any sigma: the read's blocks are its
+first layout, so it reads no atom, runs no pass, and no record is built.
+Only if the tape shows a form that is not normal (a tail such as
+``%%a``) are the read's forms normalized and laid out again, as a fresh
+compile's are, by the last-literal rule alone and still without a
+record. A copy, a pickle, ``And(children)`` or an ``and_`` with anything
+but negated atoms after the gadget carries no read, and is read afresh
+by the last-literal rule alone. At bouncer spaces 2-4 (370-394 forms;
+best of 7 x 200, minima of three runs, Python 3.11, 2 shared cores) the
+compile of the gadget's read takes 80-95 us, and of its read fenced by
+the run's history 77-100 us, against 570-760 us for the fenced AND read
+afresh; ``encode_tm`` takes 190-260 us, the ``and_`` 8-10 us, and
+building the records they defer would take 300-500 us more.
 
 Pruning rests on two forecasts per expression, compiled like its value
 to mask tests on the packed int: *dead* (false on every extension of the
@@ -262,7 +273,7 @@ from collections import defaultdict, deque
 from enum import Enum
 from itertools import count, islice
 from operator import attrgetter
-from typing import Callable, Collection, NamedTuple
+from typing import Callable, NamedTuple
 
 from .expression import (
     And,
@@ -444,119 +455,93 @@ def _normal_tape(tape: bytes) -> bool:
 
 class _Read:
     """What a builder knows of an AND of negated atoms it builds: its
-    distinct forms, in order, and their families, each laid out as one
-    block (``blocks``). ``add_forms`` keys each form over a set of symbols
-    by the one family rule; ``add_family`` adds such a family whole, and
-    ``add_product`` a block with a class at any position. ``_CompiledSearch``
-    lays the blocks out as the expression's own read when it compiles the
-    expression alone over a sigma holding those symbols, and the tape shows
-    the forms normal; it also builds a read of its own for a fresh merged
-    gate. The AND holds only its read until its children are first read
-    (``children``). ``keys`` gives each key's family, ``heads`` each
-    family's first form, or a product's block, and ``sibs`` a keyed
-    family's literals; ``products`` holds the product blocks by length, and
-    ``laid``, once ``blocks`` has been asked, the blocks, until a family
-    is added. ``base`` and
-    ``tail`` are set only on a read ``conjoin`` made."""
+    distinct forms, in order, and ``blocks``, each family of them laid out
+    as one block, in the order of its first form. A block is a form with a
+    class (a frozenset of symbols) wherever its family's forms differ;
+    a class may hold symbols outside sigma, which step on no move.
+    ``add_forms`` keys each form by the one family rule, ``add_family``
+    adds such a family whole, and ``add_product`` a block with a class at
+    any position. Two lookups fill the list: ``keys`` gives a keyed
+    family's block index, and ``products`` the product blocks by length.
+    ``_CompiledSearch`` lays the blocks out as the expression's own read
+    when it compiles the expression alone, over any sigma; it also builds a
+    read of its own for a fresh merged gate. The AND holds only its read
+    until its children are first read (``children``). ``base`` and ``tail``
+    are set only on a read ``conjoin`` made."""
 
-    __slots__ = ("symbols", "forms", "keys", "heads", "sibs", "products", "laid", "base", "tail")
+    __slots__ = ("forms", "blocks", "keys", "products", "base", "tail")
 
-    def __init__(self, symbols: Collection[Symbol]) -> None:
-        self.symbols = symbols
+    def __init__(self) -> None:
         self.forms: list[tuple[Token, ...]] = []
+        self.blocks: list[tuple[object, ...]] = []
         self.keys: dict[object, int] = {}
-        self.heads: list[tuple[object, ...]] = []
-        self.sibs: list[tuple[Symbol, ...] | None] = []
         self.products: dict[int, tuple[tuple[object, ...], ...]] = {}
-        self.laid: list[tuple[object, ...]] | None = None
 
     def add_forms(self, forms: list[tuple[Token, ...]]) -> None:
         """Add each form the read does not hold to its family, in order. The
-        one family rule: a form whose last literal is in the symbols is
-        keyed by the tokens before and after that literal and joins that
-        family's literals; any other form is a family of its own, keyed by
-        itself."""
-        symbols, keys, heads, sibs = self.symbols, self.keys, self.heads, self.sibs
-        products = self.products
-        self.laid = None
+        one family rule: a form with a literal is keyed by the tokens before
+        and after its last literal, and joins that family's class there; a
+        form with none is a family of its own, keyed by itself. A family
+        joined gets its block, with the class widened, once per call."""
+        blocks, keys, products = self.blocks, self.keys, self.products
         add = self.forms.append
+        # Per family joined: its literal's place and its members so far.
+        joined: dict[int, tuple[int, set[Symbol]]] = {}
         for toks in forms:
             at = len(toks) - 1
             while at >= 0 and (toks[at] is ANY_STRING or toks[at] is ANY_ONE):
                 at -= 1
-            if at >= 0 and (sym := toks[at].symbol) in symbols:
-                key = toks[:at], toks[at + 1 :]
-            else:
-                key, sym = toks, None
+            key = (toks[:at], toks[at + 1 :]) if at >= 0 else toks
             if products and any(_holds(b, toks) for b in products.get(len(toks), ())):
                 continue  # a form a product block holds
-            n = len(heads)
+            n = len(blocks)
             i = keys.setdefault(key, n)
             if i == n:
-                heads.append(toks)
-                sibs.append(() if sym is None else (sym,))
-            elif sym is None or sym in sibs[i]:
+                blocks.append(toks)
+            elif at < 0:
                 continue  # a form the read holds
             else:
-                sibs[i] += (sym,)
+                sym = toks[at].symbol
+                got = joined.get(i)
+                if got is None:
+                    cls = blocks[i][at]
+                    got = at, {*cls} if type(cls) is frozenset else {cls.symbol}
+                if sym in got[1]:
+                    continue  # a form the read holds
+                got[1].add(sym)
+                joined[i] = got
             add(toks)
+        for i, (at, members) in joined.items():
+            block = blocks[i]
+            blocks[i] = (*block[:at], frozenset(members), *block[at + 1 :])
 
     def add_family(
         self,
         key: tuple[tuple[Token, ...], tuple[Token, ...]],
         forms: list[tuple[Token, ...]],
-        symbols: tuple[Symbol, ...],
+        cls: frozenset[Symbol],
     ) -> None:
-        """Add the forms ``before + (Literal(y),) + after`` for y in symbols,
-        all in the read's symbols and none held, where key is (before,
-        after) and after holds no literal: the key ``add_forms`` gives each
-        of them, found without reading them."""
+        """Add the forms ``before + (Literal(y),) + after`` for y in the
+        class cls, where key is (before, after), after holds no literal, and
+        the read holds no form of that key: the block ``add_forms`` would
+        give them, found without reading them."""
         self.forms += forms
-        self.laid = None
-        heads = self.heads
-        i = self.keys.setdefault(key, len(heads))
-        if i == len(heads):
-            heads.append(forms[0])
-            self.sibs.append(symbols)
-        else:
-            self.sibs[i] += symbols
+        self.keys[key] = len(self.blocks)
+        self.blocks.append((*key[0], cls, *key[1]))
 
     def add_product(
         self, block: tuple[object, ...] | None, forms: list[tuple[Token, ...]]
     ) -> None:
         """Add forms that no family holds, all in one product block: a form
         with, at each position where its forms differ, the frozenset of
-        their symbols there, all in the read's symbols. The block comes
-        with its first forms, and None with any later ones; the builder adds
-        each of its forms once, and none of another family's."""
+        their symbols there. The block comes with its first forms, and None
+        with any later ones; the builder adds each of its forms once, and
+        none of another family's."""
         self.forms += forms
         if block is not None:
-            self.laid = None
-            self.heads.append(block)
-            self.sibs.append(None)
+            self.blocks.append(block)
             n = len(block)
             self.products[n] = self.products.get(n, ()) + (block,)
-
-    def blocks(self) -> list[tuple[object, ...]]:
-        """Each family's block, in the order of its first form: a product's
-        block, or a keyed family's first form with the set of the family's
-        literals at the literal's place when it has two or more. They are
-        built once, kept, and shared with the caller, who must not change
-        them."""
-        if self.laid is not None:
-            return self.laid
-        blocks, sibs = [*self.heads], self.sibs
-        # Families with the same literals in the same order share one class.
-        classes: dict[tuple[Symbol, ...], frozenset[Symbol]] = {}
-        for key, i in self.keys.items():
-            members = sibs[i]
-            if len(members) > 1:
-                cls = classes.get(members)
-                if cls is None:
-                    cls = classes[members] = frozenset(members)
-                blocks[i] = key[0] + (cls,) + key[1]
-        self.laid = blocks
-        return blocks
 
     def children(self) -> tuple[LikeExpression, ...]:
         """The AND's children: the negated atoms of the forms, or, for a read
@@ -570,23 +555,18 @@ class _Read:
         """``and_(gate, *tail)``, gate being the AND this is the read of, as
         an AND holding only a read: a copy of this one with the tail's forms
         added by the family rule, each form it holds dropped. None, for the
-        caller to build the AND itself, unless every
-        tail item is a negated atom whose literals are all in the symbols."""
-        symbols = self.symbols
+        caller to build the AND itself, unless every tail item is a negated
+        atom."""
         forms = []
         for item in tail:
             if not (isinstance(item, Not) and isinstance(item.child, Atom)):
                 return None
-            toks = item.child.pattern.tokens
-            if not symbols.issuperset(t.symbol for t in {*toks} - _GAPS):
-                return None
-            forms.append(toks)
+            forms.append(item.child.pattern.tokens)
         # The containers add_forms changes are copied, so this read stays as
-        # it is; the sibs are tuples, which add_forms replaces rather than
-        # extends, and the product blocks are only read.
-        read = _Read(symbols)
-        read.forms, read.keys = [*self.forms], {**self.keys}
-        read.heads, read.sibs = [*self.heads], [*self.sibs]
+        # it is; add_forms replaces a block rather than changing it, and the
+        # product blocks are only read.
+        read = _Read()
+        read.forms, read.blocks, read.keys = [*self.forms], [*self.blocks], {**self.keys}
         read.products = self.products
         read.add_forms(forms)
         read.base = getattr(self, "base", gate)
@@ -665,9 +645,9 @@ def _held(row: tuple[int, ...], unsettled: int, memo: dict[int, int]) -> int:
 
 class _CompiledSearch:
     """All distinct normalized atoms packed into one int, siblings in a
-    class block when the compile allows it: the block layout, taken from
-    the builder's read when the expression carries one that holds, laid
-    out again normalized only if the first tape shows a non-normal form,
+    class block when the compile allows it: the block layout, the
+    builder's read when the expression carries one, laid out again
+    normalized only if the first tape shows a non-normal form,
     and the step, accept, absorb and reach masks. ``forecasts`` compiles an
     expression's value, dead and settled groups to mask tests on that int."""
 
@@ -676,21 +656,16 @@ class _CompiledSearch:
         # Each symbol's column, its index in sigma and in moves.
         self.column = column = sigma._index
         e = exprs[0]
-        laid = None
         # The machine gadget comes read, fenced by and_ or not: encode_tm
-        # hands its forms and their families' blocks over, and they hold
-        # while sigma has every symbol they were keyed over and the forms
-        # are normal.
+        # hands its forms and their blocks over, and they hold over any
+        # sigma. They are the first layout; a fresh compile makes its own.
         read = getattr(e, "_read", None) if len(exprs) == 1 else None
-        if read is not None and column.keys() >= read.symbols:
-            forms = read.forms
-            laid = _lay_out(read.blocks())
-            if _normal_tape(laid[4]):
-                # The gadget is an AND of negated atoms.
-                self._top, merge, normal = (e, True), True, False
-            else:
-                laid = None
-        if laid is None:
+        if read is not None:
+            # The gadget is an AND of negated atoms.
+            raw = forms = read.forms
+            blocks, merge = read.blocks, True
+            self._top = (e, True)
+        else:
             # A lone gate of atoms, or of negated atoms, is read once, and
             # forecasts reuses the read; any other shape goes to the walker.
             flat = len(exprs) == 1 and isinstance(e, (And, Or)) and _flat_atoms(e)
@@ -699,25 +674,26 @@ class _CompiledSearch:
             # raw forms are keyed once, and every lookup goes by a pattern's
             # tokens, so equal patterns share a slot whatever object holds them.
             raw = forms = list(dict.fromkeys(map(_tokens, patterns)))
-            merge = bool(flat) and flat[1] == isinstance(e, And)
+            blocks, merge = None, bool(flat) and flat[1] == isinstance(e, And)
             self._top = (e, merge) if flat else (None, False)
-            for normal in (False, True):
-                if normal:
-                    # Each distinct raw form is normalized once, if it is not normal.
-                    normal_of = [*map(_normal_tokens, raw)]
-                    forms = list(dict.fromkeys(normal_of))
+        for normal in (False, True):
+            if normal:
+                # Each distinct raw form is normalized once, if it is not normal.
+                normal_of = [*map(_normal_tokens, raw)]
+                forms, blocks = list(dict.fromkeys(normal_of)), None
+            if blocks is None:
                 blocks = forms
                 if merge:
                     # One pass gives each form its family's block.
-                    families = _Read(column)
+                    families = _Read()
                     families.add_forms(forms)
-                    blocks = families.blocks()
-                # Past 255 codes each tape holds 255 of them, 255 standing for
-                # every other. Only when the first tape shows a form that is not
-                # normal are the forms laid out again, normalized.
-                laid = _lay_out(blocks)
-                if _normal_tape(laid[4]):
-                    break
+                    blocks = families.blocks
+            # Past 255 codes each tape holds 255 of them, 255 standing for
+            # every other. Only when the first tape shows a form that is not
+            # normal are the forms laid out again, normalized.
+            laid = _lay_out(blocks)
+            if _normal_tape(laid[4]):
+                break
         stream, bounds, code, codes, tape = laid
         # A merged gate is a leaf of forecasts holding every block, and
         # counting never reads it, so it keeps no block per form. Otherwise
@@ -734,18 +710,20 @@ class _CompiledSearch:
         self._forms = forms
         self.state_bits = width = len(stream)
         tapes = [tape, *(_tape(codes, lo) for lo in range(255, len(code), 255))]
-        # A token's mask goes to the move of each symbol it holds, a
-        # literal's one or a class's members, or to the literals outside
-        # sigma for a symbol outside it.
+        # A token's mask goes to the move of each symbol it holds in sigma,
+        # a literal's one or a class's members; a token with none there, a
+        # literal or class outside sigma, cuts reach (below).
         at_literal = [0] * len(symbols)
         outside = 0
         for tok, c in islice(code.items(), 3, None):
             on_token = _mask(tapes[c // 255], c % 255)
-            for sym in tok if isinstance(tok, frozenset) else (tok.symbol,):
+            cut = True
+            for sym in tok if type(tok) is frozenset else (tok.symbol,):
                 if sym in column:
                     at_literal[column[sym]] |= on_token
-                else:
-                    outside |= on_token
+                    cut = False
+            if cut:
+                outside |= on_token
         self.any_one = any_one = _mask(tape, code[ANY_ONE])
         self.moves = tuple((sym, at | any_one) for sym, at in zip(symbols, at_literal))
         self.gaps = gaps = _mask(tape, code[ANY_STRING])

@@ -458,20 +458,21 @@ def encode_tm(
     The returned AND also carries what was known as it was built, for the
     search compile: a read (``automata._Read``) filled as the patterns are
     made, holding their token tuples, distinct and normal, in order, and
-    their families over the returned alphabet, each one block: a rule
-    family alike but for its last literal, keyed by the tokens around it,
-    and three product families with a class wherever they vary, namely
-    the carry-over rule per middle symbol, a left move's first window
-    piece, and the first window pieces after ``#`` when the rules'
-    (state, read) keys form a full product. It is held outside the
-    record's fields, so equality, hashing, repr and pickling are those of
-    ``And(children)``, and a copy or pickle drops it. The AND holds only
-    that read until its children are first read, and then builds them
-    once, as the negated atoms of those forms: a ``find_witness`` over the
-    returned alphabet never reads them, so it never builds them. Nor does
-    one of ``and_(expr, *fences)``, fences being negated atoms over that
-    alphabet: that AND holds a copy of the read with the fences' forms
-    added, and builds no record either.
+    one block per family: a rule family alike but for its last literal,
+    keyed by the tokens around it, with the class of the symbols it
+    forbids there (one frozenset per wanted symbol, shared by every such
+    family), and three product families with a class wherever they vary,
+    namely the carry-over rule per middle symbol, a left move's first
+    window piece, and the first window pieces after ``#`` when the rules'
+    (state, read) keys form a full product. The blocks hold over any
+    alphabet. The read is held outside the record's fields, so equality,
+    hashing, repr and pickling are those of ``And(children)``, and a copy
+    or pickle drops it. The AND holds only that read until its children
+    are first read, and then builds them once, as the negated atoms of
+    those forms: a ``find_witness`` over any alphabet never reads them,
+    so it never builds them. Nor does one of ``and_(expr, *fences)``,
+    fences being negated atoms: that AND holds a copy of the read with the
+    fences' forms added, and builds no record either.
     """
     w = _check_run_args(spec, word, space)
     s = space
@@ -487,13 +488,14 @@ def encode_tm(
     # range over distinct names: lam has no duplicates, delta keys are unique.
     # The window rule's three pieces per (rule, left neighbour) differ in how
     # many `_` close them, so they are distinct too.
-    # The forbidden token tuples, in order, and their families' blocks over
-    # lam; they become records only when the And's children are read.
-    read = _Read(frozenset(lam))
+    # The forbidden token tuples, in order, and their families' blocks; they
+    # become records only when the And's children are read.
+    read = _Read()
 
-    # Per wanted symbol, every other symbol of lam and its one-token run.
+    # Per wanted symbol, the one-token run of every other symbol of lam,
+    # and those symbols as one class, shared by every block forbidding them.
     others = {
-        want: ([(lit[y],) for y in lam if y != want], tuple(y for y in lam if y != want))
+        want: ([(lit[y],) for y in lam if y != want], frozenset(y for y in lam if y != want))
         for want in lam
     }
 
@@ -501,8 +503,8 @@ def encode_tm(
         # Every symbol of lam but the wanted one, between the two runs. The
         # runs after are all % and _, so these forms are one family, keyed
         # by the runs.
-        ones, symbols = others[want]
-        read.add_family((before, after), [before + one + after for one in ones], symbols)
+        ones, cls = others[want]
+        read.add_family((before, after), [before + one + after for one in ones], cls)
 
     # Strings shorter than one full block cannot be histories.
     read.add_forms([(ANY_ONE,) * j for j in range(s + 3)])
@@ -551,14 +553,14 @@ def encode_tm(
             lead = (ANY_STRING, lit[a], lit[rule.state], lit[rule.read]) + late
             if (across if a == _SEPARATOR else rule.move == "L"):
                 # A product's piece; the block comes with its first forms.
-                ones, symbols = others[target[0]]
+                ones, cls = others[target[0]]
                 block = None
                 if a == _SEPARATOR and not n:
                     block = (ANY_STRING, lit[a], one_of(states), one_of(reads))
                 elif a == gamma[0]:
                     block = (ANY_STRING, one_of(gamma), lit[rule.state], lit[rule.read])
                 if block is not None:
-                    block += late + (frozenset(symbols),) + afters[0]
+                    block += late + (cls,) + afters[0]
                 read.add_product(block, [lead + one + afters[0] for one in ones])
             else:
                 forbid_other(lead, target[0], afters[0])
@@ -572,12 +574,12 @@ def encode_tm(
     around, gap = frozenset(quiet), (ANY_ONE,) * s
     for a in quiet:
         for b in quiet:
-            ones, symbols = others[b]
+            ones, cls = others[b]
             # The block comes with its first forms, at a = c = #.
             block = None
             if a == _SEPARATOR:
                 block = (ANY_STRING, around, lit[b], around) + gap
-                block += (frozenset(symbols), ANY_STRING)
+                block += (cls, ANY_STRING)
             for c in quiet:
                 before = (ANY_STRING, lit[a], lit[b], lit[c]) + gap
                 read.add_product(block, [before + one + (ANY_STRING,) for one in ones])

@@ -392,19 +392,19 @@ def naive_class_layout(
     position by position from explicit symbol sets, as a reference.
 
     Only a lone expression that is an OR of atoms or an AND of negated atoms
-    merges. One that carries a builder's read whose symbols sigma holds,
-    every atom normal, takes the read's blocks: each is a form with a set
-    of symbols at its class positions, and expanding every block over its
-    sets (``itertools.product``) must give each distinct normal form
-    exactly once and nothing else. Otherwise the distinct normal forms are
-    grouped by the tokens before and after their last literal, when that
-    literal is in sigma, and a group of two or more is one block whose
-    position there is the set of the group's literals. Each block is
-    placed where its first form would be, and each of its positions admits
-    a class's set, one literal, every symbol (``_``), every symbol and
-    itself (``%``) or nothing (a literal outside sigma). The layout is
-    ``naive_packed_masks``'s when nothing merges. ``blocks`` pairs every
-    atom occurrence, in preorder, with its shared block's masks.
+    merges. One that carries a builder's read, every atom normal, takes the
+    read's blocks over any sigma: each is a form with a set of symbols at
+    its class positions, and expanding every block over its sets
+    (``itertools.product``) must give each distinct normal form exactly
+    once and nothing else. Otherwise the distinct normal forms are grouped
+    by the tokens before and after their last literal, in sigma or not, and
+    a group of two or more is one block whose position there is the set of
+    the group's literals. Each block is placed where its first form would
+    be, and each of its positions admits a class's members in sigma, one
+    literal, every symbol (``_``), every symbol and itself (``%``) or
+    nothing (a literal outside sigma, or a class with no member in it). The
+    layout is ``naive_packed_masks``'s when nothing merges. ``blocks`` pairs
+    every atom occurrence, in preorder, with its shared block's masks.
     """
     unmerged = naive_packed_masks(exprs, sigma)
     if len(exprs) != 1:
@@ -427,19 +427,15 @@ def naive_class_layout(
         if tok == ANY_ONE:
             return "_"
         if isinstance(tok, frozenset):
-            return set(tok)
+            return set(tok) & in_sigma
         return {tok.symbol} & in_sigma
 
     # Per distinct normal form, its block's key and positions.
     block_of: dict[Pattern, tuple[object, list[object]]] = {}
     read = e._read
-    if (
-        read is not None
-        and read.symbols <= in_sigma
-        and all(normalize(a.pattern) == a.pattern for a in atoms)
-    ):
+    if read is not None and all(normalize(a.pattern) == a.pattern for a in atoms):
         distinct = set(forms)
-        for i, block in enumerate(read.blocks()):
+        for i, block in enumerate(read.blocks):
             positions = [admits(tok) for tok in block]
             choices = [
                 [Literal(y) for y in sorted(tok)] if isinstance(tok, frozenset) else [tok]
@@ -454,14 +450,14 @@ def naive_class_layout(
         groups: dict[tuple, list[Pattern]] = {}
         for form in forms:
             literals = [i for i, tok in enumerate(form.tokens) if isinstance(tok, Literal)]
-            if literals and form.tokens[literals[-1]].symbol in in_sigma:
+            if literals:
                 last = literals[-1]
                 key = form.tokens[:last], form.tokens[last + 1 :]
                 groups.setdefault(key, []).append(form)
         for key, group in groups.items():
             if len(group) > 1:
-                # The group's literals at the literal's place.
-                lits = {form.tokens[len(key[0])].symbol for form in group}
+                # The group's literals in sigma at the literal's place.
+                lits = {form.tokens[len(key[0])].symbol for form in group} & in_sigma
                 positions = [*map(admits, key[0]), lits, *map(admits, key[1])]
                 for form in group:
                     block_of[form] = key, positions

@@ -564,6 +564,22 @@ def test_separator_agrees_with_the_joint_reference():
         assert not _assert_separator_matches_joint_reference(e1, e2, sigma, max_len)
 
 
+def test_every_small_separator_pair_agrees_with_the_joint_reference():
+    # Small scope: every ordered pair of the 69 normal forms over {a, b} of
+    # at most 3 tokens, decided over {a, b, c}, with no cap and with a cap
+    # of 2. An atom has no counting forecast, so the cap's complete is the
+    # joint scan's too.
+    forms = [Atom(p) for p in dict.fromkeys(all_patterns("ab", 3)) if is_normalized(p)]
+    assert len(forms) == 69
+    sigma = Alphabet.from_chars("abc")
+    for e1 in forms:
+        for e2 in forms:
+            for max_len in (None, 2):
+                out = find_separating_string(e1, e2, sigma, max_len=max_len)
+                want = reference_separator(e1, e2, sigma, max_len)
+                assert (out.witness, out.complete) == want, (e1, e2, max_len)
+
+
 def test_separator_agrees_with_the_joint_reference_on_gadgets():
     # 3-CNF gadgets against the same gadget without its last clause, both
     # ways round. A cap one symbol short of n on an unsatisfiable gadget
@@ -820,6 +836,47 @@ def test_class_blocks_agree_with_the_unmerged_reference():
         _assert_search_is_the_class_layout_scan(e, sigma, rng.choice((None, None, 2)))
 
 
+def test_every_small_sibling_gate_merges_and_searches_as_unmerged():
+    # Small scope: the 136 normal forms over {a, b, c} of at most 3 tokens
+    # fall into 43 families of three alike but for their last literal, and
+    # every pair and the triple of each family, as an OR of atoms and as an
+    # AND of negated atoms, is one class block. Over abc, ab and a its class
+    # lies inside, partly outside and wholly outside sigma; the verdict,
+    # witness and complete are the unmerged scan's, and the width the naive
+    # class layout's.
+    forms = [p for p in dict.fromkeys(all_patterns("abc", 3)) if is_normalized(p)]
+    assert len(forms) == 136
+    families = {}
+    for p in forms:
+        at = max((i for i, t in enumerate(p.tokens) if isinstance(t, Literal)), default=None)
+        if at is not None:
+            families.setdefault((p.tokens[:at], p.tokens[at + 1 :]), []).append(p)
+    assert len(families) == 43 and {len(f) for f in families.values()} == {3}
+    gates = []
+    for family in families.values():
+        for group in (family[:2], family[::2], family[1:], family):
+            atoms, width = tuple(map(Atom, group)), len(group[0].tokens) + 1
+            gates += [(Or(atoms), width), (And(tuple(map(Not, atoms))), width)]
+    searches = 0
+    for chars in ("abc", "ab", "a"):
+        sigma = Alphabet.from_chars(chars)
+        for e, width in gates:
+            plain = naive_packed_masks([e], sigma)
+            bits = naive_class_layout([e], sigma)["state_bits"]
+            for max_len in (None, 2):
+                out = find_witness(e, sigma, max_len=max_len)
+                witness, _, complete = flat_search_reference(e, plain, max_len)
+                found = Verdict.EXHAUSTED_EMPTY if witness is None else Verdict.FOUND
+                assert (out.verdict, out.witness, out.complete) == (
+                    found,
+                    witness,
+                    complete,
+                ), (e, chars, max_len)
+                assert out.state_bits == bits == width, (e, chars)
+                searches += 1
+    assert searches == 2064
+
+
 def test_siblings_merge_at_any_alphabet_width_and_other_shapes_stay_unmerged():
     # Siblings over 300 symbols, and three classes over 250: whether they
     # merge depends on the expression's shape alone, not on sigma's size.
@@ -989,8 +1046,8 @@ def _gadget_runs():
 
 
 def _gadget_alphabets(sigma):
-    """Sigma, sigma with two symbols more (a read over sigma holds) and
-    sigma without one symbol (it does not)."""
+    """Sigma, sigma with two symbols more and sigma without its next-to-last
+    symbol: a read holds over each of them."""
     symbols = sigma.symbols
     return sigma, Alphabet(("y0", *symbols, "y1")), Alphabet(symbols[:-2] + symbols[-1:])
 
@@ -1029,15 +1086,15 @@ def test_the_gadget_read_compiles_as_a_fresh_read():
     # The gadget as encode_tm returns it carries the builder's read; the same
     # gate built again from its children does not, and is read by the
     # compile. Over the three alphabets of _gadget_alphabets the two
-    # compiles search alike (_read_searches_as_afresh). Searched over the
-    # first two, the gadget never builds its records; the counting forecast
+    # compiles search alike (_read_searches_as_afresh). Searched over any of
+    # them, the gadget never builds its records; the counting forecast
     # declines it without reading them, and declines it fenced by and_ too.
     runs = _gadget_runs()
     reads = 0
     for spec, word, space in runs:
         expr, sigma = encode_tm(spec, word, space)
         alphabets = _gadget_alphabets(sigma)
-        outcomes = [find_witness(expr, alphabet) for alphabet in alphabets[:2]]
+        outcomes = [find_witness(expr, alphabet) for alphabet in alphabets]
         assert _CompiledSearch([expr], sigma).counting(expr) is None
         with pytest.raises(AttributeError):
             _Gate.children.__get__(expr)
@@ -1045,11 +1102,10 @@ def test_the_gadget_read_compiles_as_a_fresh_read():
         assert _CompiledSearch([fenced], sigma).counting(fenced) is None
         fresh = And(expr.children)
         assert expr._read is not None and fresh._read is None
-        outcomes.append(find_witness(expr, alphabets[2]))
         for alphabet, outcome in zip(alphabets, outcomes):
             reads += _read_searches_as_afresh(expr, fresh, alphabet, outcome)
-    # The read is taken over both alphabets that hold every gadget symbol.
-    assert reads == 2 * len(runs)
+    # The read is taken over every alphabet, the narrower one included.
+    assert reads == 3 * len(runs)
 
 
 def test_the_fenced_gadget_read_compiles_as_a_fresh_read():
@@ -1060,10 +1116,11 @@ def test_the_fenced_gadget_read_compiles_as_a_fresh_read():
     # its own), a gadget form again, the middle one and one of the carry-over
     # rule, which a product block holds (each deduped), a text's first symbol,
     # which its forbid_other family leaves out (it joins that class), a
-    # form with %% (not normal, so the compile lays it out afresh), a
-    # literal outside the gadget's symbols (built from the children: over
-    # the wider alphabet it joins a gadget family), two fences (the second
-    # joins the first's family), and the same through and_ of and_.
+    # form with %% (not normal, so the compile lays the read out again,
+    # normalized, as a fresh compile would), a literal outside the gadget's
+    # symbols (it joins a gadget family, and the class steps on its members
+    # in sigma), two fences (the second joins the first's family), and the
+    # same through and_ of and_.
     runs = _gadget_runs()
     reads = 0
     for spec, word, space in runs:
@@ -1071,7 +1128,7 @@ def test_the_fenced_gadget_read_compiles_as_a_fresh_read():
         expr, sigma = encode_tm(spec, word, space)
         symbols, forms = sigma.symbols, expr._read.forms
         before = _CompiledSearch([expr], sigma)
-        before_forms, before_blocks = [*before._forms], [*expr._read.blocks()]
+        before_forms, before_blocks = [*before._forms], [*expr._read.blocks]
         last = next(y for y in symbols if y != history[-1])
         fence, twin = (
             Not(Atom(Pattern(tuple(map(Literal, text)))))
@@ -1097,15 +1154,20 @@ def test_the_fenced_gadget_read_compiles_as_a_fresh_read():
         # before they were built.
         after = _CompiledSearch([expr], sigma)
         assert _LAYOUT(after) == _LAYOUT(before) and after._forms == before_forms
-        assert expr._read.blocks() == before_blocks
-        assert [name for name, gate in gates.items() if gate._read is None] == ["outside"]
+        assert expr._read.blocks == before_blocks
+        assert [name for name, gate in gates.items() if gate._read is None] == []
         # A deduped gate adds no form and no block; the join changes one
         # block, whose class then holds every symbol.
         for name in ("dedupe", "carried"):
             assert gates[name]._read.forms == forms
-            assert gates[name]._read.blocks() == before_blocks
-        changed = set(gates["join"]._read.blocks()) - set(expr._read.blocks())
+            assert gates[name]._read.blocks == before_blocks
+        changed = set(gates["join"]._read.blocks) - set(expr._read.blocks)
         assert [frozenset(symbols) in block for block in changed] == [True]
+        # "loose" is laid out again from its read's forms, normalized, and
+        # its compile builds no child.
+        _CompiledSearch([gates["loose"]], sigma)
+        with pytest.raises(AttributeError):
+            _Gate.children.__get__(gates["loose"])
         for name, gate in gates.items():
             fresh = And(expr.children + tails[name])
             assert gate == fresh and gate.children[-1] is tails[name][-1], name
@@ -1120,9 +1182,9 @@ def test_the_fenced_gadget_read_compiles_as_a_fresh_read():
             assert gate.children == tuple(
                 c for item in items for c in (item.children if isinstance(item, And) else (item,))
             )
-    # Six gates, each over the two alphabets that hold every gadget symbol,
-    # take the read; "loose" is laid out afresh and "outside" has none.
-    assert reads == 12 * len(runs)
+    # Seven gates take the read over each of the three alphabets; "loose" is
+    # laid out again, normalized.
+    assert reads == 21 * len(runs)
 
 
 def test_a_read_builds_its_blocks_once():
@@ -1149,6 +1211,31 @@ def test_a_read_builds_its_blocks_once():
     assert len(joined) == 6
     assert all(blocks is joined[0] for blocks in joined[:4] + joined[5:])
     assert joined[4] is not joined[0] and joined[4][:-1] == joined[0]
+
+
+@pytest.mark.parametrize("build, space, bits", [(m_bouncer, 4, 546), (m_counter, 5, 2083)])
+def test_the_read_holds_over_any_alphabet(build, space, bits):
+    # Over sigma without its next-to-last symbol, and fenced by NOT LIKE
+    # "y0 %" (a literal outside sigma, which joins the class of the first
+    # block's family), the compile takes the read, product blocks and all:
+    # a class steps on its members in sigma. The verdict, witness and
+    # complete are those of the same And built from its children, and the
+    # search builds no child.
+    spec, word, _ = build(space)
+    expr, sigma = encode_tm(spec, word, space)
+    outside = (Not(Atom(Pattern((Literal("y0"), ANY_STRING)))),)
+    cases = [(expr, (), _gadget_alphabets(sigma)[2]), (and_(expr, *outside), outside, sigma)]
+    outcomes = []
+    for gate, _, alphabet in cases:
+        comp = _CompiledSearch([gate], alphabet)
+        assert comp._forms is gate._read.forms and comp.state_bits == bits
+        outcomes.append(find_witness(gate, alphabet))
+        with pytest.raises(AttributeError):
+            _Gate.children.__get__(gate)
+    for (gate, tail, alphabet), out in zip(cases, outcomes):
+        want = find_witness(And(expr.children + tail), alphabet)
+        assert _OUTCOME(out) == _OUTCOME(want)
+        assert out.state_bits <= want.state_bits and out.explored <= want.explored
 
 
 # --- forecasts compiled to mask tests ----------------------------------------

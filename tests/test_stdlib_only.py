@@ -115,6 +115,51 @@ def test_every_private_module_level_name_is_used():
     assert not dead, dead
 
 
+def _read_attributes(tree):
+    """Every attribute name loaded in a module outside an assignment's
+    target, and every name read through ``getattr(obj, "name", ...)``."""
+    written = {
+        id(n)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for n in ast.walk(target)
+    }
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and id(n) not in written:
+            yield n.attr
+        elif (
+            isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name)
+            and n.func.id == "getattr"
+            and len(n.args) > 1
+            and isinstance(n.args[1], ast.Constant)
+        ):
+            yield n.args[1].value
+
+
+def test_every_private_class_slot_is_read():
+    # Each __slots__ name of a private class is read somewhere in the
+    # package, not only assigned, so a container a change leaves behind on
+    # such a class shows here.
+    trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
+    read = {name for tree in trees for name in _read_attributes(tree)}
+    slots = [
+        (node.name, c.value, stmt.lineno)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name[:1] == "_" and node.name[:2] != "__"
+        for stmt in node.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+        for c in ast.walk(stmt.value)
+        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+    ]
+    assert {cls for cls, _, _ in slots} >= {"_Gate", "_Read"}
+    dead = [slot for slot in slots if slot[1] not in read]
+    assert not dead, dead
+
+
 def test_expression_imports_neither_automata_nor_reductions():
     # Both modules import expression, and expression reaches a gadget's
     # read only through the read object's own methods (``children`` and
